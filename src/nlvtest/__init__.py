@@ -35,7 +35,6 @@ from .leggett import (
     scan_explicit_model,
 )
 from .quantum import (
-    CorrelationTensor,
     TwoQubitState,
     bell_diagonal,
     colored_noise,
@@ -73,7 +72,7 @@ __all__ = [
     "UnitVector", "PlaneFrame", "SettingSchedule",
     "rotate", "build_schedule", "default_frames",
     "analyzer_angles", "analyzer_stokes",
-    "TwoQubitState", "CorrelationTensor",
+    "TwoQubitState",
     "outcome_probability", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",
     "singlet_L", "parse_state",

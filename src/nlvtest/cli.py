@@ -3,8 +3,8 @@ Monte Carlo runs, (N, phi) sweeps, and the property-check suites.
 
 Output is CSV with a commented manifest header (or a JSON mirror via
 --format json).  Angles are printed in degrees with 2 decimals; correlation
-sums and bounds with 4 decimals.  Exit codes: 0 success, 1 usage/config
-error, 2 property-check failure, 3 degenerate data.
+sums and bounds with 4 decimals.  Exit codes: 0 success, 1 usage, config
+or input error, 2 property-check failure, 3 degenerate data.
 """
 
 from __future__ import annotations
@@ -111,12 +111,9 @@ def config_from_values(values: dict[str, str], source: str = "<args>") -> Experi
         raise ConfigError(f"{source}: 'state' and 'visibilities' are mutually exclusive")
     kwargs: dict = {}
     try:
-        if "pair_rate" in values:
-            kwargs["pair_rate"] = float(values["pair_rate"])
-        if "accidental_rate" in values:
-            kwargs["accidental_rate"] = float(values["accidental_rate"])
-        if "integration_time" in values:
-            kwargs["integration_time"] = float(values["integration_time"])
+        for key in ("pair_rate", "accidental_rate", "integration_time"):
+            if key in values:
+                kwargs[key] = float(values[key])
         if "state" in values:
             quantum.parse_state(values["state"])  # validate early
             kwargs["state"] = values["state"]
@@ -128,18 +125,14 @@ def config_from_values(values: dict[str, str], source: str = "<args>") -> Experi
             kwargs["rng_seed"] = int(values["seed"])
         if "subtract_accidentals" in values:
             kwargs["subtract_accidentals"] = _parse_bool(values["subtract_accidentals"])
-        frame_keys = ("plane1_normal", "plane1_seed", "plane2_normal", "plane2_seed")
-        if any(k in values for k in frame_keys):
-            d1, d2 = default_frames()
-            frame1 = PlaneFrame(
-                normal=_parse_vector(values["plane1_normal"]) if "plane1_normal" in values else d1.normal,
-                seed=_parse_vector(values["plane1_seed"]) if "plane1_seed" in values else d1.seed,
+        if any(key.startswith("plane") for key in values):
+            kwargs["frames"] = tuple(
+                PlaneFrame(
+                    normal=_parse_vector(values[f"plane{i}_normal"]) if f"plane{i}_normal" in values else d.normal,
+                    seed=_parse_vector(values[f"plane{i}_seed"]) if f"plane{i}_seed" in values else d.seed,
+                )
+                for i, d in enumerate(default_frames(), start=1)
             )
-            frame2 = PlaneFrame(
-                normal=_parse_vector(values["plane2_normal"]) if "plane2_normal" in values else d2.normal,
-                seed=_parse_vector(values["plane2_seed"]) if "plane2_seed" in values else d2.seed,
-            )
-            kwargs["frames"] = (frame1, frame2)
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
@@ -235,13 +228,8 @@ def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     if args.step is None or args.step <= 0.0:
         raise ConfigError("--phi-range requires a positive --step")
     grid = []
-    k = 0
-    while True:
-        value = lo + k * args.step
-        if value > hi + 1e-9:
-            break
+    while (value := lo + len(grid) * args.step) <= hi + 1e-9:
         grid.append(value)
-        k += 1
     return grid
 
 
@@ -266,10 +254,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.state:
-        try:
-            quantum.parse_state(args.state)
-        except ValueError as exc:
-            raise ConfigError(f"--state: {exc}") from None
         config = dataclasses.replace(config, state=args.state)
     state = config.resolve_state()
     phi = math.radians(args.phi)
@@ -429,22 +413,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, valid, need: str):
+    """Argparse type: ``convert`` the text, then require ``valid(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+
+
 def _parse_n_list(text: str) -> list[int]:
-    try:
-        values = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad setting-count list {text!r}")
-    if not values or min(values) < 1:
+    values = [_positive_int(s) for s in text.split(",") if s.strip()]
+    if not values:
         raise argparse.ArgumentTypeError(f"need positive setting counts, got {text!r}")
     return values
 
 
 def _parse_phi_range(text: str) -> tuple[float, float]:
-    try:
-        lo, _, hi = text.partition(":")
-        lo_f, hi_f = float(lo), float(hi)
-    except ValueError:
+    lo, sep, hi = text.partition(":")
+    if not sep:
         raise argparse.ArgumentTypeError(f"bad angle range {text!r}, expected LO:HI")
+    lo_f, hi_f = _finite_float(lo), _finite_float(hi)
     if hi_f < lo_f:
         raise argparse.ArgumentTypeError(f"empty angle range {text!r}")
     return (lo_f, hi_f)
@@ -466,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = subs.add_parser("bounds", help="tabulate the model bound and singlet curve")
     bounds.add_argument("--n-list", type=_parse_n_list, required=True)
     group = bounds.add_mutually_exclusive_group(required=True)
-    group.add_argument("--phi", type=float, help="difference angle in degrees")
+    group.add_argument("--phi", type=_finite_float, help="difference angle in degrees")
     group.add_argument("--phi-range", type=_parse_phi_range, metavar="LO:HI")
-    bounds.add_argument("--step", type=float, default=None, help="grid step in degrees")
+    bounds.add_argument("--step", type=_finite_float, default=None, help="grid step in degrees")
     _add_output_flags(bounds)
     bounds.set_defaults(func=cmd_bounds)
 
@@ -476,16 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--state", default=None,
                          help="state spec, e.g. singlet or werner:0.96")
     predict.add_argument("--config", metavar="PATH", default=None)
-    predict.add_argument("--n", type=int, required=True)
-    predict.add_argument("--phi", type=float, required=True, help="degrees")
+    predict.add_argument("--n", type=_positive_int, required=True)
+    predict.add_argument("--phi", type=_finite_float, required=True, help="degrees")
     _add_output_flags(predict)
     predict.set_defaults(func=cmd_predict)
 
     sim = subs.add_parser("simulate", help="seeded Monte Carlo counting runs")
     sim.add_argument("--config", metavar="PATH", default=None)
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--phi", type=float, required=True, help="degrees")
-    sim.add_argument("--runs", type=int, default=1)
+    sim.add_argument("--n", type=_positive_int, required=True)
+    sim.add_argument("--phi", type=_finite_float, required=True, help="degrees")
+    sim.add_argument("--runs", type=_positive_int, default=1)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--subtract-accidentals", action="store_true")
     _add_output_flags(sim)
@@ -495,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", metavar="PATH", default=None)
     sweep.add_argument("--n-list", type=_parse_n_list, required=True)
     sweep.add_argument("--phi-range", type=_parse_phi_range, required=True, metavar="LO:HI")
-    sweep.add_argument("--step", type=float, required=True, help="degrees")
-    sweep.add_argument("--runs", type=int, default=10)
+    sweep.add_argument("--step", type=_finite_float, required=True, help="degrees")
+    sweep.add_argument("--runs", type=_positive_int, default=10)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--subtract-accidentals", action="store_true")
     _add_output_flags(sweep)
@@ -504,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subs.add_parser("check", help="run the property suites")
     check.add_argument("suite", choices=("lemma", "leggett", "all"))
-    check.add_argument("--trials", type=int, default=100_000)
-    check.add_argument("--ensembles", type=int, default=100)
-    check.add_argument("--grid-deg", type=float, default=0.0,
+    check.add_argument("--trials", type=_positive_int, default=100_000)
+    check.add_argument("--ensembles", type=_positive_int, default=100)
+    check.add_argument("--grid-deg", type=_finite_float, default=0.0,
                        help="also scan the two-setting schedule at this resolution")
     check.add_argument("--seed", type=int, default=None)
     check.set_defaults(func=cmd_check)
@@ -521,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DegenerateDataError as exc:

@@ -206,12 +206,7 @@ def continuum_l(
     """
     if m < 1:
         raise ValueError(f"grid size must be positive, got {m}")
-    _check_frames(frames)
-    value = 0.0
-    for idx, frame in enumerate(frames):
-        schedule = build_schedule(frame, m, phi, plane_index=idx + 1)
-        value += abs(e_jn(source, schedule, "phi") + e_jn(source, schedule, "zero"))
-    return (value, continuum_bound(phi))
+    return (l_n(source, frames, m, phi).l_value, continuum_bound(phi))
 
 
 def optimal_phi(n: int | float) -> float:

@@ -8,7 +8,8 @@ produce joint outcome probabilities of the form
 for every measurement pair (a, b), with single-party marginals fixed by
 (u, v) alone.  Requiring all four entries to be non-negative constrains the
 correlation C to a closed interval; those constraints are what the
-inequality module turns into testable bounds.
+inequality module turns into testable bounds.  The law itself is
+quantum.stokes_probability, shared with the quantum predictions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .quantum import stokes_probability
 from .sphere import UnitVector
 
 __all__ = [
@@ -88,23 +90,18 @@ def leggett_outcomes(
     Raises ConstraintViolationError (naming the offending sign pair and the
     deficit) when c lies outside the admissible interval.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"correlation must be finite, got {c}")
     x = a.dot(u)
     y = b.dot(v)
-    entries = {}
+    entries = []  # in OutcomeTable order: ++, +-, -+, --
     for r_a in (1, -1):
-        base = 1.0 + r_a * x
-        g = y + r_a * c
         for r_b in (1, -1):
-            p = (base + r_b * g) / 4.0
+            p = stokes_probability(x, y, c, r_a, r_b)
             if p < -_POSITIVITY_TOL:
                 raise ConstraintViolationError(r_a, r_b, -p)
-            entries[(r_a, r_b)] = p
-    return OutcomeTable(
-        p_pp=entries[(1, 1)],
-        p_pm=entries[(1, -1)],
-        p_mp=entries[(-1, 1)],
-        p_mm=entries[(-1, -1)],
-    )
+            entries.append(p)
+    return OutcomeTable(*entries)
 
 
 def admissible_C_range(

@@ -4,12 +4,19 @@ States are 4x4 density matrices on the H/V (x) H/V product basis with
 |H> = (1, 0), |V> = (0, 1).  The Pauli operator measuring along a Stokes
 direction n is sigma(n) = n1*sz + n2*sx + n3*sy, so that (S1, S2, S3)
 eigenbases are (H/V, +-45 deg, circular) respectively.
+
+On construction a state is reduced to its Stokes terms: marginal vectors
+m_A, m_B and correlation tensor T, T_ij = Tr[rho (s_i (x) s_j)].  Predictions
+follow from the law P(r_A, r_B) = (1 + r_A x + r_B y + r_A r_B c)/4 with
+(x, y, c) = (a.m_A, b.m_B, a.T.b), which the leggett module shares with
+(x, y, c) = (a.u, b.v, C) for a model component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +24,6 @@ from .sphere import UnitVector
 
 __all__ = [
     "TwoQubitState",
-    "CorrelationTensor",
     "outcome_probability",
     "correlation",
     "singlet",
@@ -35,19 +41,21 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 # Stokes-ordered Pauli vector: S1 = H/V, S2 = +-45, S3 = circular
 _STOKES_PAULIS = (_SZ, _SX, _SY)
+# _STOKES_BASIS[i, j] = s_i (x) s_j with s_0 the identity
+_STOKES_BASIS = np.array(
+    [[np.kron(p, q) for q in (_ID2, *_STOKES_PAULIS)] for p in (_ID2, *_STOKES_PAULIS)]
+)
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
 
-def _pauli_dot(v: UnitVector) -> np.ndarray:
-    return v.x * _SZ + v.y * _SX + v.z * _SY
-
-
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """Validated two-qubit density matrix (Hermitian, unit trace, positive).
+    """Validated two-qubit density matrix (Hermitian, unit trace, positive)
+    with its Stokes terms ``m_a``, ``m_b`` and ``t`` (rows indexed by Alice's
+    Stokes axis), stored as tuples of floats.
 
     ``eigenvalue_floor`` is the allowed positivity slack.  It is strict by
     default; bell_diagonal loosens it for tensors reconstructed from
@@ -58,11 +66,16 @@ class TwoQubitState:
 
     rho: np.ndarray
     eigenvalue_floor: float = _EIGENVALUE_FLOOR
+    m_a: tuple[float, ...] = field(init=False, repr=False)
+    m_b: tuple[float, ...] = field(init=False, repr=False)
+    t: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
@@ -72,34 +85,34 @@ class TwoQubitState:
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        # terms[i][j] = Tr[rho (s_i (x) s_j)]
+        terms = np.einsum("ijkl,lk->ij", _STOKES_BASIS, rho).real.tolist()
+        object.__setattr__(self, "m_a", tuple(row[0] for row in terms[1:]))
+        object.__setattr__(self, "m_b", tuple(terms[0][1:]))
+        object.__setattr__(self, "t", tuple(tuple(row[1:]) for row in terms[1:]))
 
     # convenience: a state is usable directly as a correlation source
     def correlation(self, a: UnitVector, b: UnitVector) -> float:
         return correlation(self, a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationTensor:
-    """Diagonal correlation tensor (t1, t2, t3) in the Stokes basis."""
+def stokes_probability(x: float, y: float, c: float, r_a: int, r_b: int) -> float:
+    """The single-pair law P(r_a, r_b) = (1 + r_a x + r_b y + r_a r_b c)/4
+    for local projections x, y and correlation c.
 
-    t1: float
-    t2: float
-    t3: float
+    The grouping ((1 + r_a x) + r_b (y + r_a c))/4 makes a perfect
+    anticorrelation (x = y = 0, c = -1, equal signs) exactly zero.
+    """
+    return ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0
 
-    def __post_init__(self) -> None:
-        for t in (self.t1, self.t2, self.t3):
-            if abs(t) > 1.0 + 1e-12:
-                raise ValueError(f"correlation tensor entry out of [-1, 1]: {t}")
 
-    @classmethod
-    def from_state(cls, state: TwoQubitState) -> "CorrelationTensor":
-        vals = [
-            float(np.trace(state.rho @ np.kron(s, s)).real) for s in _STOKES_PAULIS
-        ]
-        return cls(*vals)
+def _dot(v: UnitVector, w: Sequence[float]) -> float:
+    return v.x * w[0] + v.y * w[1] + v.z * w[2]
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.t1, self.t2, self.t3)
+
+def _tensor_form(state: TwoQubitState, a: UnitVector, b: UnitVector) -> float:
+    """a.T.b"""
+    return _dot(a, [_dot(b, row) for row in state.t])
 
 
 def outcome_probability(
@@ -108,25 +121,24 @@ def outcome_probability(
     """P(r_a, r_b | a, b) = Tr[rho (Pi_a^{r_a} (x) Pi_b^{r_b})], clamped to [0, 1]."""
     if r_a not in (1, -1) or r_b not in (1, -1):
         raise ValueError(f"outcomes must be +1 or -1, got ({r_a}, {r_b})")
-    proj_a = 0.5 * (_ID2 + r_a * _pauli_dot(a))
-    proj_b = 0.5 * (_ID2 + r_b * _pauli_dot(b))
-    p = float(np.trace(state.rho @ np.kron(proj_a, proj_b)).real)
-    if p < -1e-12 or p > 1.0 + 1e-12:
+    p = stokes_probability(
+        _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b), r_a, r_b
+    )
+    if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"probability {p} outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, p))
 
 
 def correlation(state: TwoQubitState, a: UnitVector, b: UnitVector) -> float:
-    """C(a, b) = <sigma(a) (x) sigma(b)> = sum of r_a*r_b-weighted outcome
-    probabilities."""
-    c = float(np.trace(state.rho @ np.kron(_pauli_dot(a), _pauli_dot(b))).real)
-    if abs(c) > 1.0 + 1e-12:
+    """C(a, b) = <sigma(a) (x) sigma(b)> = a.T.b."""
+    c = _tensor_form(state, a, b)
+    if not abs(c) <= 1.0 + 1e-12:
         raise ValueError(f"correlation {c} outside [-1, 1] beyond tolerance")
     return min(1.0, max(-1.0, c))
 
 
-_SINGLET_KET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
-_SINGLET_RHO = np.outer(_SINGLET_KET, _SINGLET_KET.conj())
+# (|HV> - |VH>)(<HV| - <VH|) / 2 with exact +-0.5 entries
+_SINGLET_RHO = np.outer([0, 1, -1, 0], [0, 1, -1, 0]).astype(complex) / 2.0
 # H/V-correlated product noise: (|HV><HV| + |VH><VH|) / 2
 _HV_NOISE = np.diag([0, 0.5, 0.5, 0]).astype(complex)
 
@@ -174,7 +186,7 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
     reconstruction slack are rejected, as is any |t_i| > 1.
     """
     for t in (t1, t2, t3):
-        if abs(t) > 1.0 + 1e-12:
+        if not abs(t) <= 1.0 + 1e-12:
             raise ValueError(f"tensor entry {t} outside [-1, 1]")
     rho = np.eye(4, dtype=complex)
     for t, s in zip((t1, t2, t3), _STOKES_PAULIS):

@@ -65,13 +65,13 @@ class ExperimentConfig:
     subtract_accidentals: bool = False
 
     def __post_init__(self) -> None:
-        if self.pair_rate <= 0.0:
-            raise ValueError(f"pair_rate must be positive, got {self.pair_rate}")
-        if self.accidental_rate < 0.0:
-            raise ValueError(f"accidental_rate must be >= 0, got {self.accidental_rate}")
-        if self.integration_time <= 0.0:
+        if not 0.0 < self.pair_rate < math.inf:
+            raise ValueError(f"pair_rate must be positive and finite, got {self.pair_rate}")
+        if not 0.0 <= self.accidental_rate < math.inf:
+            raise ValueError(f"accidental_rate must be >= 0 and finite, got {self.accidental_rate}")
+        if not 0.0 < self.integration_time < math.inf:
             raise ValueError(
-                f"integration_time must be positive, got {self.integration_time}"
+                f"integration_time must be positive and finite, got {self.integration_time}"
             )
 
     def resolve_state(self) -> quantum.TwoQubitState:
@@ -184,8 +184,6 @@ def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityRe
     offset 0 then phi, sign pairs (+,+), (-,-), (-,+), (+,-).  The report's
     sigma adds the per-quad variances in quadrature (independent settings).
     """
-    if n < 1:
-        raise ValueError(f"need at least one setting, got n={n}")
     state = config.resolve_state()
     rng = np.random.default_rng(config.rng_seed)
     l_value = 0.0

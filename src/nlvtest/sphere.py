@@ -41,7 +41,7 @@ class UnitVector:
 
     def __post_init__(self) -> None:
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(math.sqrt(n2) - 1.0) > NORM_TOLERANCE:
+        if not abs(math.sqrt(n2) - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
             raise ValueError(f"not a unit vector: |v| = {math.sqrt(n2)!r}")
         if abs(n2 - 1.0) > _RENORM_SKIP:
             n = math.sqrt(n2)

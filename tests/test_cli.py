@@ -15,6 +15,14 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def assert_one_line_error(code, capsys):
+    """Exit 1 with exactly one ``error:`` line on stderr and no traceback."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 class TestBounds:
     def test_table_values(self, tmp_path, capsys):
         code = run(
@@ -240,3 +248,46 @@ class TestConfigParsing:
         code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "pair_rate = nan", "pair_rate = inf", "accidental_rate = nan",
+        "integration_time = inf",
+    ])
+    def test_non_finite_rate_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "rates.cfg"
+        cfg.write_text(line + "\n")
+        code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--state", "singlet", "--n", "2", "--phi", "nan"),
+        ("simulate", "--n", "4", "--phi", "nan", "--runs", "2"),
+        ("simulate", "--n", "4", "--phi", "inf"),
+        ("bounds", "--n-list", "2", "--phi-range", "nan:10", "--step", "1"),
+        ("bounds", "--n-list", "2", "--phi-range", "0:10", "--step", "nan"),
+        ("predict", "--state", "bell_diagonal:nan,0,0", "--n", "2", "--phi", "15"),
+    ], ids=["predict-phi-nan", "simulate-phi-nan", "simulate-phi-inf",
+            "bounds-range-nan", "bounds-step-nan", "state-nan"])
+    def test_non_finite_number(self, capsys, argv):
+        assert_one_line_error(run(*argv), capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--n", "0", "--phi", "15"),
+        ("predict", "--state", "singlet", "--n", "0", "--phi", "15"),
+        ("simulate", "--n", "2", "--phi", "15", "--runs", "0"),
+        ("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5", "--runs", "-1"),
+        ("check", "lemma", "--trials", "0"),
+        ("check", "leggett", "--ensembles", "-3"),
+        ("bounds", "--n-list", "2,0", "--phi", "15"),
+    ], ids=["simulate-n-0", "predict-n-0", "simulate-runs-0", "sweep-runs-neg",
+            "check-trials-0", "check-ensembles-neg", "bounds-n-list-0"])
+    def test_non_positive_count(self, capsys, argv):
+        assert_one_line_error(run(*argv), capsys)
+
+    def test_library_value_error_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "planes.cfg"
+        cfg.write_text("plane1_normal = 0,0,1\nplane2_normal = 0,0,1\n")
+        code = run("predict", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys)

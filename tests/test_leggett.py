@@ -74,6 +74,10 @@ class TestOutcomes:
         assert (err.r_a, err.r_b) in {(1, 1), (-1, -1), (1, -1), (-1, 1)}
         assert err.deficit > 0.0
 
+    def test_rejects_nan_correlation(self):
+        with pytest.raises(ValueError, match="finite"):
+            leggett_outcomes(S1, S3, S1, S3, math.nan)
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             OutcomeTable(0.5, 0.5, 0.5, -0.5)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from helpers import random_density_matrix, random_unit
 
+from nlvtest.leggett import leggett_outcomes
 from nlvtest.quantum import (
-    CorrelationTensor,
     TwoQubitState,
     bell_diagonal,
     colored_noise,
@@ -27,11 +27,29 @@ S3 = UnitVector(0, 0, 1)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2, dtype=complex)
 STOKES = (_SZ, _SX, _SY)
 
 
+def expect(state: TwoQubitState, op_a: np.ndarray, op_b: np.ndarray) -> float:
+    return float(np.trace(state.rho @ np.kron(op_a, op_b)).real)
+
+
+def stokes_by_trace(state: TwoQubitState):
+    """(m_A, m_B, T) from one trace per entry."""
+    m_a = [expect(state, s, _ID2) for s in STOKES]
+    m_b = [expect(state, _ID2, s) for s in STOKES]
+    t = [[expect(state, s, r) for r in STOKES] for s in STOKES]
+    return m_a, m_b, t
+
+
 def tensor_by_trace(state: TwoQubitState) -> tuple[float, float, float]:
-    return tuple(float(np.trace(state.rho @ np.kron(s, s)).real) for s in STOKES)
+    return tuple(expect(state, s, s) for s in STOKES)
+
+
+def qubit_rho(u: UnitVector) -> np.ndarray:
+    """Single-qubit state (1 + u.sigma)/2 with Stokes vector u."""
+    return 0.5 * (_ID2 + u.x * _SZ + u.y * _SX + u.z * _SY)
 
 
 class TestStateValidation:
@@ -55,6 +73,14 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             state.rho[0, 0] = 1.0
 
+    def test_rejects_non_finite(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 2] = rho[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoQubitState(rho)
+        with pytest.raises(ValueError):
+            bell_diagonal(np.nan, 0.0, 0.0)
+
 
 class TestOutcomeProbability:
     def test_singlet_same_setting_never_coincides(self):
@@ -66,6 +92,34 @@ class TestOutcomeProbability:
         s = singlet()
         p = outcome_probability(s, S1, UnitVector(-1, 0, 0), 1, 1)
         assert p == pytest.approx(0.5, abs=1e-14)
+
+    def test_matches_trace_oracle_random_states(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            state = TwoQubitState(random_density_matrix(rng))
+            a, b = random_unit(rng), random_unit(rng)
+            for ra in (1, -1):
+                for rb in (1, -1):
+                    expected = expect(state, qubit_rho(a if ra == 1 else -a),
+                                      qubit_rho(b if rb == 1 else -b))
+                    assert outcome_probability(state, a, b, ra, rb) == pytest.approx(
+                        expected, abs=1e-12
+                    )
+
+    def test_product_state_matches_leggett_law(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            u, v, a, b = (random_unit(rng) for _ in range(4))
+            state = TwoQubitState(np.kron(qubit_rho(u), qubit_rho(v)))
+            table = leggett_outcomes(u, v, a, b, a.dot(u) * b.dot(v))
+            got = [
+                outcome_probability(state, a, b, ra, rb)
+                for ra in (1, -1)
+                for rb in (1, -1)
+            ]
+            assert got == pytest.approx(
+                [table.p_pp, table.p_pm, table.p_mp, table.p_mm], abs=1e-12
+            )
 
     def test_mixed_state_uniform(self):
         rng = np.random.default_rng(0)
@@ -147,10 +201,11 @@ class TestConstructors:
 
     def test_bell_diagonal_reproduces_visibilities(self):
         state = bell_diagonal(-0.995, -0.990, -0.982)
-        tensor = CorrelationTensor.from_state(state)
-        assert abs(tensor.t1) == pytest.approx(0.995, abs=1e-12)
-        assert abs(tensor.t2) == pytest.approx(0.990, abs=1e-12)
-        assert abs(tensor.t3) == pytest.approx(0.982, abs=1e-12)
+        assert np.allclose(
+            state.t, np.diag([-0.995, -0.990, -0.982]), rtol=0.0, atol=1e-12
+        )
+        assert np.allclose(state.m_a, 0.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(state.m_b, 0.0, rtol=0.0, atol=1e-12)
 
     def test_bell_diagonal_rejects_far_unphysical(self):
         with pytest.raises(ValueError):
@@ -170,12 +225,24 @@ class TestConstructors:
             ]
             assert table[0] + table[1] == pytest.approx(0.5, abs=1e-12)
 
-    def test_correlation_tensor_from_state_matches_oracle(self):
+    def test_stokes_terms_match_trace_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             state = TwoQubitState(random_density_matrix(rng))
-            got = CorrelationTensor.from_state(state).as_tuple()
-            assert np.allclose(got, tensor_by_trace(state), atol=1e-12)
+            m_a, m_b, t = stokes_by_trace(state)
+            assert np.allclose(state.m_a, m_a, rtol=0.0, atol=1e-12)
+            assert np.allclose(state.m_b, m_b, rtol=0.0, atol=1e-12)
+            assert np.allclose(state.t, t, rtol=0.0, atol=1e-12)
+        # random states carry off-diagonal T and non-zero marginals
+        assert np.abs(np.array(t) - np.diag(np.diag(t))).max() > 1e-3
+        assert min(np.abs(m_a).max(), np.abs(m_b).max()) > 1e-3
+
+    def test_stokes_terms_are_readonly(self):
+        state = werner(0.9)
+        with pytest.raises(AttributeError):
+            state.t = ((0.0,) * 3,) * 3
+        with pytest.raises(TypeError):
+            state.t[0][0] = 0.0
 
 
 class TestSingletCurve:

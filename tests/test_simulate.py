@@ -42,6 +42,10 @@ class TestConfig:
             ExperimentConfig(accidental_rate=-0.1)
         with pytest.raises(ValueError):
             ExperimentConfig(integration_time=0.0)
+        for name in ("pair_rate", "accidental_rate", "integration_time"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    ExperimentConfig(**{name: value})
 
 
 class TestSampleQuad:

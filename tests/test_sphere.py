@@ -31,6 +31,9 @@ class TestUnitVector:
             UnitVector(1.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             UnitVector(0.0, 0.0, 0.0)
+        for bad in ((math.nan, 0.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                UnitVector(*bad)
 
     def test_accepts_and_renormalizes_near_unit(self):
         v = UnitVector(1.0 + 5e-10, 0.0, 0.0)
