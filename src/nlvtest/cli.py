@@ -18,8 +18,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, _checks, inequality, quantum, simulate
 from .simulate import DegenerateDataError, ExperimentConfig, derive_seed
 from .sphere import PlaneFrame, UnitVector, default_frames
@@ -221,6 +219,11 @@ def _fmt4(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _fmt_opt(x: float | None, spec: str) -> str:
+    """``x`` formatted by ``spec``, or a blank cell for an undefined value."""
+    return "" if x is None else format(x, spec)
+
+
 def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     if getattr(args, "phi", None) is not None:
         return [args.phi]
@@ -284,57 +287,32 @@ _SIM_COLUMNS = [
 ]
 
 
-def _simulate_cell(config: ExperimentConfig, n: int, phi_deg: float, runs: int,
-                   cell_parts: tuple[int, ...]) -> tuple[list[list[str]], int, int]:
-    """Per-run rows plus a summary row for one (N, phi) cell."""
-    phi = math.radians(phi_deg)
-    rows = []
-    reports = []
-    failures = 0
-    for run_idx in range(runs):
-        seed = derive_seed(config.rng_seed, *cell_parts, run_idx)
-        run_config = dataclasses.replace(config, rng_seed=seed)
-        seed_text = "-".join(str(s) for s in seed)
-        try:
-            report = simulate.run_experiment(run_config, n, phi)
-        except DegenerateDataError as exc:
-            failures += 1
-            rows.append([
-                str(run_idx), str(n), _fmt_deg(phi_deg), "", "", "", "",
-                seed_text, f"degenerate-data ({exc})", "", "",
-            ])
-            continue
-        reports.append(report)
-        rows.append([
-            str(run_idx), str(n), _fmt_deg(phi_deg),
-            _fmt4(report.l_value), _fmt4(report.sigma), _fmt4(report.bound),
-            f"{report.violation_sigmas:.2f}" if report.violation_sigmas is not None else "",
-            seed_text, "ok", "", "",
-        ])
-    if reports:
-        l_values = np.array([r.l_value for r in reports])
-        sigmas = np.array([r.sigma for r in reports])
-        violations = np.array(
-            [r.violation_sigmas for r in reports if r.violation_sigmas is not None]
-        )
-        std_l = float(l_values.std(ddof=1)) if len(reports) > 1 else 0.0
-        mean_sigma = float(sigmas.mean())
-        rows.append([
-            "summary", str(n), _fmt_deg(phi_deg),
-            _fmt4(float(l_values.mean())), _fmt4(mean_sigma),
-            _fmt4(inequality.nlv_bound(n, phi)),
-            f"{float(violations.mean()):.2f}" if violations.size else "",
-            "", "summary", _fmt4(std_l),
-            f"{std_l / mean_sigma:.3f}" if mean_sigma > 0.0 else "",
-        ])
-    return rows, len(reports), failures
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    rows, succeeded, _ = _simulate_cell(config, args.n, args.phi, args.runs, ())
+    phi = math.radians(args.phi)
+    summary = simulate.replicate(config, args.n, phi, args.runs)
+    n, deg = str(args.n), _fmt_deg(args.phi)
+    rows = []
+    for run_idx, outcome in enumerate(summary.outcomes):
+        seed_text = "-".join(str(s) for s in derive_seed(config.rng_seed, run_idx))
+        if isinstance(outcome, DegenerateDataError):
+            rows.append([str(run_idx), n, deg, "", "", "", "", seed_text,
+                         f"degenerate-data ({outcome})", "", ""])
+        else:
+            rows.append([
+                str(run_idx), n, deg, _fmt4(outcome.l_value), _fmt4(outcome.sigma),
+                _fmt4(outcome.bound), _fmt_opt(outcome.violation_sigmas, ".2f"),
+                seed_text, "ok", "", "",
+            ])
+    if summary.reports:
+        rows.append([
+            "summary", n, deg, _fmt4(summary.mean_l), _fmt4(summary.mean_sigma),
+            _fmt4(inequality.nlv_bound(args.n, phi)), _fmt_opt(summary.mean_violation, ".2f"),
+            "", "summary", _fmt_opt(summary.std_l, ".4f"),
+            _fmt_opt(summary.std_over_sigma, ".3f"),
+        ])
     _emit(args, build_manifest("simulate", args, config), _SIM_COLUMNS, rows)
-    if succeeded == 0:
+    if not summary.reports:
         print("error: every run produced degenerate data", file=sys.stderr)
         return 3
     return 0
@@ -354,19 +332,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for phi_idx, deg in enumerate(grid):
             phi = math.radians(deg)
             analytic = inequality.l_n(state, config.frames, n, phi)
-            cell_rows, succeeded, failures = _simulate_cell(
-                config, n, deg, args.runs, (n, phi_idx)
+            cell_config = dataclasses.replace(
+                config, rng_seed=derive_seed(config.rng_seed, n, phi_idx)
             )
-            summary = cell_rows[-1] if succeeded else None
+            summary = simulate.replicate(cell_config, n, phi, args.runs)
+            succeeded = len(summary.reports)
+            failures = summary.runs - succeeded
             any_success = any_success or succeeded > 0
             rows.append([
                 str(n), _fmt_deg(deg), _fmt4(analytic.bound),
                 _fmt4(analytic.l_value), _fmt4(quantum.singlet_L(phi)),
-                summary[3] if summary else "",
-                summary[9] if summary else "",
-                summary[4] if summary else "",
-                summary[6] if summary else "",
-                str(succeeded),
+                _fmt_opt(summary.mean_l, ".4f"), _fmt_opt(summary.std_l, ".4f"),
+                _fmt_opt(summary.mean_sigma, ".4f"),
+                _fmt_opt(summary.mean_violation, ".2f"), str(succeeded),
                 "ok" if failures == 0 else f"degenerate-data x{failures}",
             ])
     _emit(args, build_manifest("sweep", args, config), columns, rows)
@@ -427,6 +405,7 @@ def _checked(convert, valid, need: str):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 
 
@@ -483,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=_positive_int, required=True)
     sim.add_argument("--phi", type=_finite_float, required=True, help="degrees")
     sim.add_argument("--runs", type=_positive_int, default=1)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_non_negative_int, default=None)
     sim.add_argument("--subtract-accidentals", action="store_true")
     _add_output_flags(sim)
     sim.set_defaults(func=cmd_simulate)
@@ -494,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi-range", type=_parse_phi_range, required=True, metavar="LO:HI")
     sweep.add_argument("--step", type=_finite_float, required=True, help="degrees")
     sweep.add_argument("--runs", type=_positive_int, default=10)
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--seed", type=_non_negative_int, default=None)
     sweep.add_argument("--subtract-accidentals", action="store_true")
     _add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -505,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--ensembles", type=_positive_int, default=100)
     check.add_argument("--grid-deg", type=_finite_float, default=0.0,
                        help="also scan the two-setting schedule at this resolution")
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=_non_negative_int, default=None)
     check.set_defaults(func=cmd_check)
     return parser
 

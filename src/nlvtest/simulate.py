@@ -73,6 +73,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"integration_time must be positive and finite, got {self.integration_time}"
             )
+        seeds = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
+        if any(s < 0 for s in seeds):
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     def resolve_state(self) -> quantum.TwoQubitState:
         return quantum.parse_state(self.state)
@@ -225,20 +228,30 @@ def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityRe
 
 @dataclass(frozen=True)
 class ReplicateSummary:
-    """Aggregate of independently seeded runs at one (N, phi)."""
+    """Aggregate of independently seeded runs at one (N, phi), taken over the
+    runs that produced data; a statistic with too few such runs is None."""
 
-    runs: int
-    mean_l: float
-    std_l: float
-    mean_sigma: float
-    mean_violation: float
-    violations: tuple[float, ...]
-    reports: tuple[InequalityReport, ...]
+    outcomes: tuple[InequalityReport | DegenerateDataError, ...]
+    mean_l: float | None
+    std_l: float | None
+    mean_sigma: float | None
+    mean_violation: float | None
 
     @property
-    def std_over_sigma(self) -> float:
+    def runs(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def reports(self) -> tuple[InequalityReport, ...]:
+        return tuple(o for o in self.outcomes if isinstance(o, InequalityReport))
+
+    @property
+    def std_over_sigma(self) -> float | None:
         """Empirical spread over mean propagated sigma; near 1 when the
-        error propagation is calibrated."""
+        error propagation is calibrated.  None without a spread or with a
+        zero mean sigma."""
+        if self.std_l is None or not self.mean_sigma:
+            return None
         return self.std_l / self.mean_sigma
 
 
@@ -250,27 +263,34 @@ def derive_seed(base: int | tuple[int, ...] | Sequence[int], *parts: int) -> tup
 
 
 def replicate(config: ExperimentConfig, n: int, phi: float, runs: int) -> ReplicateSummary:
-    """Run ``runs`` independently seeded experiments and summarize them."""
-    if runs < 2:
-        raise ValueError(f"need at least 2 runs for a spread estimate, got {runs}")
-    reports = []
+    """Run ``runs`` experiments seeded ``derive_seed(config.rng_seed, run)``
+    and summarize them.
+
+    A run whose counts vanish is kept in ``outcomes`` as its
+    DegenerateDataError, in run order; the statistics cover the other runs.
+    ``std_l`` (ddof=1) is None below two such runs, ``mean_l`` and
+    ``mean_sigma`` are None when there are none, and ``mean_violation``
+    averages the runs whose ``violation_sigmas`` is defined (None if none
+    is).  Raises ValueError for ``runs < 1``.
+    """
+    if runs < 1:
+        raise ValueError(f"need at least 1 run, got {runs}")
+    outcomes: list[InequalityReport | DegenerateDataError] = []
     for run_idx in range(runs):
         run_config = dataclasses.replace(
             config, rng_seed=derive_seed(config.rng_seed, run_idx)
         )
-        reports.append(run_experiment(run_config, n, phi))
+        try:
+            outcomes.append(run_experiment(run_config, n, phi))
+        except DegenerateDataError as exc:
+            outcomes.append(exc)
+    reports = [o for o in outcomes if isinstance(o, InequalityReport)]
     l_values = np.array([r.l_value for r in reports])
-    sigmas = np.array([r.sigma for r in reports])
-    violations = tuple(
-        (r.violation_sigmas if r.violation_sigmas is not None else math.nan)
-        for r in reports
-    )
+    violations = [r.violation_sigmas for r in reports if r.violation_sigmas is not None]
     return ReplicateSummary(
-        runs=runs,
-        mean_l=float(l_values.mean()),
-        std_l=float(l_values.std(ddof=1)),
-        mean_sigma=float(sigmas.mean()),
-        mean_violation=float(np.nanmean(np.asarray(violations))),
-        violations=violations,
-        reports=tuple(reports),
+        outcomes=tuple(outcomes),
+        mean_l=float(l_values.mean()) if reports else None,
+        std_l=float(l_values.std(ddof=1)) if len(reports) > 1 else None,
+        mean_sigma=float(np.mean([r.sigma for r in reports])) if reports else None,
+        mean_violation=float(np.mean(violations)) if violations else None,
     )

@@ -6,15 +6,8 @@ import math
 
 import numpy as np
 
+from nlvtest._checks import _random_unit as random_unit
 from nlvtest.sphere import PlaneFrame, UnitVector, rotate
-
-
-def random_unit(rng: np.random.Generator) -> UnitVector:
-    while True:
-        x, y, z = rng.normal(size=3)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm > 1e-6:
-            return UnitVector(x / norm, y / norm, z / norm)
 
 
 def random_frames(rng: np.random.Generator) -> tuple[PlaneFrame, PlaneFrame]:

@@ -15,12 +15,15 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-def assert_one_line_error(code, capsys):
-    """Exit 1 with exactly one ``error:`` line on stderr and no traceback."""
+def assert_one_line_error(code, capsys, *named):
+    """Exit 1 with exactly one ``error:`` line on stderr, naming each of
+    ``named``, and no traceback."""
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    assert all(word in lines[0] for word in named)
 
 
 class TestBounds:
@@ -107,6 +110,16 @@ class TestSimulate:
         rows = data_section(out).splitlines()
         assert len(rows) == 1 + 4 + 1  # header, runs, summary
         assert rows[-1].startswith("summary,")
+
+    def test_one_run_summary_has_blank_spread(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run("simulate", "--n", "2", "--phi", "15", "--runs", "1",
+                   "--output", str(out)) == 0
+        header, run_row, summary = (r.split(",") for r in data_section(out).splitlines())
+        assert summary[0] == "summary"
+        assert summary[3:7] == run_row[3:7]  # mean of one run is that run
+        assert summary[header.index("std_l")] == ""
+        assert summary[header.index("std_over_sigma")] == ""
 
     def test_degenerate_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "dead.cfg"
@@ -251,13 +264,14 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line", [
         "pair_rate = nan", "pair_rate = inf", "accidental_rate = nan",
-        "integration_time = inf",
+        "integration_time = inf", "seed = -2",
     ])
     def test_non_finite_rate_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "rates.cfg"
         cfg.write_text(line + "\n")
         code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
-        assert_one_line_error(code, capsys)
+        key, _, value = line.partition(" = ")
+        assert_one_line_error(code, capsys, key, f"got {value}")
 
 
 class TestBadInput:
@@ -273,21 +287,81 @@ class TestBadInput:
     def test_non_finite_number(self, capsys, argv):
         assert_one_line_error(run(*argv), capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ("simulate", "--n", "0", "--phi", "15"),
-        ("predict", "--state", "singlet", "--n", "0", "--phi", "15"),
-        ("simulate", "--n", "2", "--phi", "15", "--runs", "0"),
-        ("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5", "--runs", "-1"),
-        ("check", "lemma", "--trials", "0"),
-        ("check", "leggett", "--ensembles", "-3"),
-        ("bounds", "--n-list", "2,0", "--phi", "15"),
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("simulate", "--n", "0", "--phi", "15"), "--n", "0"),
+        (("predict", "--state", "singlet", "--n", "0", "--phi", "15"), "--n", "0"),
+        (("simulate", "--n", "2", "--phi", "15", "--runs", "0"), "--runs", "0"),
+        (("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5", "--runs", "-1"),
+         "--runs", "-1"),
+        (("check", "lemma", "--trials", "0"), "--trials", "0"),
+        (("check", "leggett", "--ensembles", "-3"), "--ensembles", "-3"),
+        (("bounds", "--n-list", "2,0", "--phi", "15"), "--n-list", "0"),
+        (("simulate", "--n", "2", "--phi", "15", "--seed", "-1"), "--seed", "-1"),
+        (("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5", "--seed", "-1"),
+         "--seed", "-1"),
+        (("check", "lemma", "--seed", "-1"), "--seed", "-1"),
     ], ids=["simulate-n-0", "predict-n-0", "simulate-runs-0", "sweep-runs-neg",
-            "check-trials-0", "check-ensembles-neg", "bounds-n-list-0"])
-    def test_non_positive_count(self, capsys, argv):
-        assert_one_line_error(run(*argv), capsys)
+            "check-trials-0", "check-ensembles-neg", "bounds-n-list-0",
+            "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg"])
+    def test_non_positive_count(self, capsys, argv, flag, value):
+        assert_one_line_error(run(*argv), capsys, flag, repr(value))
 
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "planes.cfg"
         cfg.write_text("plane1_normal = 0,0,1\nplane2_normal = 0,0,1\n")
         code = run("predict", "--config", str(cfg), "--n", "2", "--phi", "15")
         assert_one_line_error(code, capsys)
+
+
+# Pinned data sections: seeded output stays byte-identical unless the manifest
+# version is bumped.  Config "sparse" (one pair per second, no accidentals)
+# mixes ok rows, degenerate-data rows and sigma-0 runs with a blank violation
+# in one cell, and its sweep cells exercise the (seed, N, phi index, run) seeds.
+GOLDEN = {
+    "simulate-default": (
+        ("simulate", "--n", "3", "--phi", "15", "--runs", "3", "--seed", "1234"),
+        """\
+run,n,phi_deg,l_exp,sigma,bound,violation_sigmas,seed,status,std_l,std_over_sigma
+0,3,15.00,3.8920,0.0031,3.8493,13.91,1234-0,ok,,
+1,3,15.00,3.8934,0.0031,3.8493,14.38,1234-1,ok,,
+2,3,15.00,3.8910,0.0031,3.8493,13.48,1234-2,ok,,
+summary,3,15.00,3.8922,0.0031,3.8493,13.93,,summary,0.0012,0.380""",
+    ),
+    "simulate-sparse-mixed": (
+        ("simulate", "--config", "SPARSE", "--n", "2", "--phi", "15", "--runs", "10",
+         "--seed", "3"),
+        """\
+run,n,phi_deg,l_exp,sigma,bound,violation_sigmas,seed,status,std_l,std_over_sigma
+0,2,15.00,4.0000,0.0000,3.8695,,3-0,ok,,
+1,2,15.00,4.0000,0.0000,3.8695,,3-1,ok,,
+2,2,15.00,3.8000,0.1789,3.8695,-0.39,3-2,ok,,
+3,2,15.00,4.0000,0.0000,3.8695,,3-3,ok,,
+4,2,15.00,,,,,3-4,degenerate-data (no counts at plane 1, setting 0, theta=0),,
+5,2,15.00,4.0000,0.0000,3.8695,,3-5,ok,,
+6,2,15.00,3.8889,0.1048,3.8695,0.19,3-6,ok,,
+7,2,15.00,,,,,3-7,degenerate-data (no counts at plane 1, setting 1, theta=0),,
+8,2,15.00,3.6000,0.2191,3.8695,-1.23,3-8,ok,,
+9,2,15.00,3.7321,0.1765,3.8695,-0.78,3-9,ok,,
+summary,2,15.00,3.8776,0.0849,3.8695,-0.55,,summary,0.1532,1.804""",
+    ),
+    "sweep-sparse-mixed": (
+        ("sweep", "--config", "SPARSE", "--n-list", "2", "--phi-range", "10:15",
+         "--step", "5", "--runs", "10", "--seed", "3"),
+        """\
+n,phi_deg,bound,analytic_l,singlet_l,mean_l_exp,std_l,mean_sigma,mean_violation,runs,status
+2,10.00,3.9128,3.9319,3.9696,3.9500,0.1000,0.0439,-0.69,9,degenerate-data x1
+2,15.00,3.8695,3.8945,3.9319,3.9306,0.1667,0.0523,-0.50,9,degenerate-data x1""",
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_data_section_unchanged(self, tmp_path, name):
+        argv, expected = GOLDEN[name]
+        sparse = tmp_path / "sparse.cfg"
+        sparse.write_text("pair_rate = 1\naccidental_rate = 0\n")
+        out = tmp_path / "out.csv"
+        argv = [str(sparse) if arg == "SPARSE" else arg for arg in argv]
+        assert run(*argv, "--output", str(out)) == 0
+        assert data_section(out) == expected

@@ -46,6 +46,9 @@ class TestConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=name):
                     ExperimentConfig(**{name: value})
+        for seed in (-1, (4, -2)):
+            with pytest.raises(ValueError, match="rng_seed"):
+                ExperimentConfig(rng_seed=seed)
 
 
 class TestSampleQuad:
@@ -250,8 +253,45 @@ class TestReplicate:
         assert derive_seed((5, 1), 2) == (5, 1, 2)
 
     def test_minimum_two_runs(self):
+        # a spread needs two runs with data; a single run is summarized without one
         with pytest.raises(ValueError):
-            replicate(ExperimentConfig(), 2, 0.1, 1)
+            replicate(ExperimentConfig(), 2, 0.1, 0)
+        summary = replicate(ExperimentConfig(), 2, 0.1, 1)
+        assert summary.runs == 1
+        assert summary.mean_l == summary.reports[0].l_value
+        assert summary.std_l is None
+        assert summary.std_over_sigma is None
+
+    def test_degenerate_runs_kept_in_order(self):
+        # one pair per second: some runs see no counts at some setting
+        cfg = ExperimentConfig(pair_rate=1.0, accidental_rate=0.0, rng_seed=3)
+        summary = replicate(cfg, 2, math.radians(15), 10)
+        failed = [i for i, o in enumerate(summary.outcomes)
+                  if isinstance(o, DegenerateDataError)]
+        assert failed == [4, 7]
+        assert len(summary.reports) == 8
+        for run_idx, outcome in enumerate(summary.outcomes):
+            run_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(3, run_idx))
+            if run_idx in failed:
+                with pytest.raises(DegenerateDataError):
+                    run_experiment(run_cfg, 2, math.radians(15))
+            else:
+                assert outcome == run_experiment(run_cfg, 2, math.radians(15))
+        l_values = [r.l_value for r in summary.reports]
+        assert summary.mean_l == pytest.approx(np.mean(l_values), abs=1e-15)
+        assert summary.std_l == pytest.approx(np.std(l_values, ddof=1), abs=1e-15)
+        defined = [r.violation_sigmas for r in summary.reports
+                   if r.violation_sigmas is not None]
+        assert len(defined) == 4  # the sigma-0 runs have no violation
+        assert summary.mean_violation == pytest.approx(np.mean(defined), abs=1e-15)
+
+    def test_all_degenerate_has_no_statistics(self):
+        cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0, rng_seed=11)
+        summary = replicate(cfg, 2, math.radians(15), 3)
+        assert summary.runs == 3 and summary.reports == ()
+        assert all(isinstance(o, DegenerateDataError) for o in summary.outcomes)
+        assert (summary.mean_l, summary.std_l, summary.mean_sigma,
+                summary.mean_violation, summary.std_over_sigma) == (None,) * 5
 
     def test_two_runs_define_summary(self):
         summary = replicate(ExperimentConfig(rng_seed=29), 2, math.radians(15), 2)
