@@ -13,9 +13,7 @@ from .inequality import (
     InequalityReport,
     NoViolationError,
     continuum_bound,
-    continuum_l,
     discrete_average,
-    e_jn,
     l_n,
     max_violation_phi,
     nlv_bound,
@@ -81,8 +79,8 @@ __all__ = [
     "PureEnsemble", "product_ensemble",
     "explicit_model_feasible", "explicit_model_margin", "scan_explicit_model",
     "InequalityReport", "NoViolationError",
-    "u_coefficient", "discrete_average", "e_jn", "l_n",
-    "nlv_bound", "continuum_bound", "continuum_l",
+    "u_coefficient", "discrete_average", "l_n",
+    "nlv_bound", "continuum_bound",
     "optimal_phi", "max_violation_phi",
     "ExperimentConfig", "CountQuad", "DegenerateDataError",
     "sample_quad", "estimate_C", "subtract_accidentals",

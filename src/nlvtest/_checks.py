@@ -191,7 +191,7 @@ def leggett_suite(
     frames = default_frames()
     u1 = UnitVector(1.0, 0.0, 0.0)
     n1_ok = all(
-        leggett.explicit_model_feasible(u1, -u1, _n1_pairs(frames, math.radians(p)))
+        leggett.explicit_model_feasible(u1, -u1, _schedule_pairs(frames, 1, math.radians(p)))
         for p in np.linspace(0.0, 179.0, 50)
     )
     results.append(
@@ -223,12 +223,9 @@ def leggett_suite(
     )
 
     if grid_deg > 0.0:
-        pairs_n2 = []
-        for frame in frames:
-            for entry in build_schedule(frame, 2, math.radians(15.0)).entries:
-                pairs_n2.append((entry.alice, entry.bob0))
-                pairs_n2.append((entry.alice, entry.bobphi))
-        scan = leggett.scan_explicit_model(pairs_n2, resolution_deg=grid_deg)
+        scan = leggett.scan_explicit_model(
+            _schedule_pairs(frames, 2, math.radians(15.0)), resolution_deg=grid_deg
+        )
         results.append(
             CheckResult(
                 "two-setting-scan-infeasible",
@@ -240,10 +237,12 @@ def leggett_suite(
     return results
 
 
-def _n1_pairs(frames, phi: float) -> list[tuple[UnitVector, UnitVector]]:
-    pairs = []
-    for frame in frames:
-        entry = build_schedule(frame, 1, phi).entries[0]
-        pairs.append((entry.alice, entry.bob0))
-        pairs.append((entry.alice, entry.bobphi))
-    return pairs
+def _schedule_pairs(frames, n: int, phi: float) -> list[tuple[UnitVector, UnitVector]]:
+    """Every measured setting pair of both planes, (a_k, b_k(0)) before
+    (a_k, b_k(phi)), in schedule order."""
+    return [
+        pair
+        for frame in frames
+        for entry in build_schedule(frame, n, phi).entries
+        for pair in ((entry.alice, entry.bob0), (entry.alice, entry.bobphi))
+    ]

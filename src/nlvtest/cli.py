@@ -22,28 +22,13 @@ from . import __version__, _checks, inequality, quantum, simulate
 from .simulate import DegenerateDataError, ExperimentConfig, derive_seed
 from .sphere import PlaneFrame, UnitVector, default_frames
 
-__all__ = ["main", "ConfigError", "RunManifest", "load_config", "read_manifest"]
+__all__ = ["main", "ConfigError", "load_config", "read_manifest"]
 
 _MANIFEST_PREFIX = "# nlvtest-manifest "
 
 
 class ConfigError(ValueError):
     """A configuration file or state spec could not be parsed."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Provenance block attached to every output: tool version, command,
-    seed, config snapshot, and timestamp, sufficient to reproduce the data
-    section bit-exactly."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    def lines(self) -> list[str]:
-        return [f"{_MANIFEST_PREFIX}{key}={value}" for key, value in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +131,11 @@ def _vector_text(v: UnitVector) -> str:
     return f"{v.x!r},{v.y!r},{v.z!r}"
 
 
-def build_manifest(command: str, args: argparse.Namespace, config: ExperimentConfig | None) -> RunManifest:
+def build_manifest(command: str, args: argparse.Namespace,
+                   config: ExperimentConfig | None) -> dict[str, str]:
+    """Provenance block attached to every output: tool version, command,
+    seed, config snapshot, and timestamp, sufficient to reproduce the data
+    section bit-exactly."""
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
@@ -176,7 +165,7 @@ def build_manifest(command: str, args: argparse.Namespace, config: ExperimentCon
         manifest["config.plane1_seed"] = _vector_text(config.frames[0].seed)
         manifest["config.plane2_normal"] = _vector_text(config.frames[1].normal)
         manifest["config.plane2_seed"] = _vector_text(config.frames[1].seed)
-    return RunManifest(entries=tuple(manifest.items()))
+    return manifest
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
@@ -189,18 +178,18 @@ def read_manifest(path: str | Path) -> dict[str, str]:
     return manifest
 
 
-def _emit(args: argparse.Namespace, manifest: RunManifest, columns: list[str],
+def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str],
           rows: list[list[str]]) -> None:
     if args.format == "json":
         payload = {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "records": [dict(zip(columns, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        for line in manifest.lines():
-            buf.write(line + "\n")
+        for key, value in manifest.items():
+            buf.write(f"{_MANIFEST_PREFIX}{key}={value}\n")
         buf.write(",".join(columns) + "\n")
         for row in rows:
             buf.write(",".join(row) + "\n")
@@ -354,11 +343,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     results = []
     if args.suite in ("lemma", "all"):
-        results += _checks.lemma_suite(trials=args.trials, seed=args.seed or 0)
+        results += _checks.lemma_suite(trials=args.trials, seed=args.seed)
     if args.suite in ("leggett", "all"):
         results += _checks.leggett_suite(
             trials=args.trials,
-            seed=args.seed or 0,
+            seed=args.seed,
             ensembles=args.ensembles,
             grid_deg=args.grid_deg,
         )
@@ -407,6 +396,8 @@ def _checked(convert, valid, need: str):
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_non_negative_float = _checked(float, lambda x: 0.0 <= x < math.inf,
+                               "a non-negative finite number")
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -482,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("suite", choices=("lemma", "leggett", "all"))
     check.add_argument("--trials", type=_positive_int, default=100_000)
     check.add_argument("--ensembles", type=_positive_int, default=100)
-    check.add_argument("--grid-deg", type=_finite_float, default=0.0,
+    check.add_argument("--grid-deg", type=_non_negative_float, default=0.0,
                        help="also scan the two-setting schedule at this resolution")
-    check.add_argument("--seed", type=_non_negative_int, default=None)
+    check.add_argument("--seed", type=_non_negative_int, default=0)
     check.set_defaults(func=cmd_check)
     return parser
 

@@ -7,18 +7,24 @@ source of the kind described in the leggett module obeys
         <= 4 - 2 u_N |sin(phi/2)|,      u_N = cot(pi/2N) / N,
 
 where E_j is the N-setting average of correlation coefficients in plane j.
-As N grows u_N -> 2/pi and the continuum bound 4 - (4/pi)|sin(phi/2)| is
-recovered.  The quantum singlet prediction is 2(1 + cos phi), which exceeds
-the bound for N >= 2 over a window of difference angles phi.
+As N grows u_N -> 2/pi and the continuum bound 4 - (4/pi)|sin(phi/2)|
+(``continuum_bound``) is recovered.  A two-qubit state's correlations carry
+only angular harmonics that N >= 2 rotated settings average exactly, so its
+L_N for any N >= 2 already is the all-directions sum.  The quantum singlet
+prediction is 2(1 + cos phi), which exceeds the bound for N >= 2 over a
+window of difference angles phi.
+
+A correlation source is any object with a ``correlation(a, b)`` method,
+such as a quantum ``TwoQubitState`` or a Leggett ``PureEnsemble``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import NamedTuple
 
-from .sphere import PlaneFrame, SettingSchedule, UnitVector, build_schedule
+from .sphere import PlaneFrame, UnitVector, build_schedule, check_orthogonal
 
 __all__ = [
     "InequalityReport",
@@ -26,33 +32,16 @@ __all__ = [
     "u_coefficient",
     "DiscreteAverage",
     "discrete_average",
-    "e_jn",
     "l_n",
     "nlv_bound",
     "continuum_bound",
-    "continuum_l",
     "optimal_phi",
     "max_violation_phi",
 ]
 
-# Anything that predicts a correlation coefficient for a setting pair:
-# either an object with a .correlation(a, b) method (quantum states,
-# ensembles) or a bare callable C(a, b).
-CorrelationSource = object
-_FRAME_ORTHOGONALITY_TOL = 1e-9
-
 
 class NoViolationError(ValueError):
     """The requested optimum does not exist (the bound is unreachable)."""
-
-
-def _correlation_fn(source: CorrelationSource) -> Callable[[UnitVector, UnitVector], float]:
-    method = getattr(source, "correlation", None)
-    if callable(method):
-        return method
-    if callable(source):
-        return source
-    raise TypeError(f"{source!r} is neither callable nor has a correlation method")
 
 
 def u_coefficient(n: int) -> float:
@@ -111,23 +100,6 @@ def discrete_average(w: UnitVector, c: UnitVector, n: int) -> DiscreteAverage:
     return DiscreteAverage(value=total / n, xi=xi)
 
 
-def e_jn(
-    source: CorrelationSource,
-    schedule: SettingSchedule,
-    theta: Literal["zero", "phi"],
-) -> float:
-    """Plane-averaged correlation E_j^N: mean of C(a_k, b_k) over the N
-    rotated settings, with Bob at offset 0 or phi."""
-    corr = _correlation_fn(source)
-    if theta == "zero":
-        total = sum(corr(entry.alice, entry.bob0) for entry in schedule.entries)
-    elif theta == "phi":
-        total = sum(corr(entry.alice, entry.bobphi) for entry in schedule.entries)
-    else:
-        raise ValueError(f"theta must be 'zero' or 'phi', got {theta!r}")
-    return total / schedule.n
-
-
 def nlv_bound(n: int, phi: float) -> float:
     """Non-local-variable bound 4 - 2 u_N |sin(phi/2)|."""
     return 4.0 - 2.0 * u_coefficient(n) * abs(math.sin(phi / 2.0))
@@ -163,24 +135,25 @@ class InequalityReport:
         return self.l_value - self.bound
 
 
-def _check_frames(frames: tuple[PlaneFrame, PlaneFrame]) -> None:
-    dot = frames[0].normal.dot(frames[1].normal)
-    if abs(dot) > _FRAME_ORTHOGONALITY_TOL:
-        raise ValueError(f"plane normals must be orthogonal, got n1.n2 = {dot!r}")
-
-
 def l_n(
-    source: CorrelationSource,
+    source,
     frames: tuple[PlaneFrame, PlaneFrame],
     n: int,
     phi: float,
 ) -> InequalityReport:
-    """Evaluate the analytic correlation sum L_N for a noiseless source."""
-    _check_frames(frames)
+    """Evaluate the analytic correlation sum L_N for a noiseless source.
+
+    Each plane contributes |E_j(phi) + E_j(0)|, the plane averages being
+    the means of C(a_k, b_k(phi)) and C(a_k, a_k) over the N settings.
+    """
+    check_orthogonal(frames)
+    correlation = source.correlation
     value = 0.0
-    for idx, frame in enumerate(frames):
-        schedule = build_schedule(frame, n, phi, plane_index=idx + 1)
-        value += abs(e_jn(source, schedule, "phi") + e_jn(source, schedule, "zero"))
+    for frame in frames:
+        entries = build_schedule(frame, n, phi).entries
+        e_phi = sum(correlation(entry.alice, entry.bobphi) for entry in entries) / n
+        e_zero = sum(correlation(entry.alice, entry.bob0) for entry in entries) / n
+        value += abs(e_phi + e_zero)
     return InequalityReport(
         n=n,
         phi=phi,
@@ -190,23 +163,6 @@ def l_n(
         violation_sigmas=None,
         frames=frames,
     )
-
-
-def continuum_l(
-    source: CorrelationSource,
-    frames: tuple[PlaneFrame, PlaneFrame],
-    phi: float,
-    m: int = 360,
-) -> tuple[float, float]:
-    """All-directions correlation sum approximated on an M-point uniform
-    angular grid per plane, against the continuum bound.
-
-    The grid average is exact for sources whose correlations carry finitely
-    many angular harmonics (any two-qubit state), so modest M suffices.
-    """
-    if m < 1:
-        raise ValueError(f"grid size must be positive, got {m}")
-    return (l_n(source, frames, m, phi).l_value, continuum_bound(phi))
 
 
 def optimal_phi(n: int | float) -> float:
@@ -222,7 +178,7 @@ def optimal_phi(n: int | float) -> float:
 
 
 def max_violation_phi(
-    source: CorrelationSource,
+    source,
     frames: tuple[PlaneFrame, PlaneFrame],
     n: int,
     phi_lo: float = 0.0,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import quantum
 from .inequality import InequalityReport, nlv_bound
-from .sphere import PlaneFrame, UnitVector, build_schedule, default_frames
+from .sphere import PlaneFrame, UnitVector, build_schedule, check_orthogonal, default_frames
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +76,7 @@ class ExperimentConfig:
         seeds = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
         if any(s < 0 for s in seeds):
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        check_orthogonal(self.frames)
 
     def resolve_state(self) -> quantum.TwoQubitState:
         return quantum.parse_state(self.state)
@@ -192,9 +193,8 @@ def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityRe
     l_value = 0.0
     variance = 0.0
     for plane_idx, frame in enumerate(config.frames):
-        schedule = build_schedule(frame, n, phi, plane_index=plane_idx + 1)
         e_sum = 0.0  # E_j(phi) + E_j(0)
-        for k, entry in enumerate(schedule.entries):
+        for k, entry in enumerate(build_schedule(frame, n, phi).entries):
             for theta_label, bob in (("0", entry.bob0), ("phi", entry.bobphi)):
                 quad = sample_quad(config, entry.alice, bob, rng, state=state)
                 try:

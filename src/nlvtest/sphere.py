@@ -116,13 +116,10 @@ class ScheduleEntry:
 
 @dataclass(frozen=True, slots=True)
 class SettingSchedule:
-    plane_index: int
-    n: int
-    phi: float
     entries: tuple[ScheduleEntry, ...]
 
 
-def build_schedule(frame: PlaneFrame, n: int, phi: float, plane_index: int = 1) -> SettingSchedule:
+def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
     """Generate the N rotated setting triples for one plane.
 
     Entry k holds a_k = R^k(seed) with R the rotation by pi/N about the plane
@@ -146,7 +143,15 @@ def build_schedule(frame: PlaneFrame, n: int, phi: float, plane_index: int = 1) 
             cos_phi * alice.z + sin_phi * cz,
         )
         entries.append(ScheduleEntry(alice=alice, bob0=alice, bobphi=bobphi))
-    return SettingSchedule(plane_index=plane_index, n=n, phi=phi, entries=tuple(entries))
+    return SettingSchedule(entries=tuple(entries))
+
+
+def check_orthogonal(frames: tuple[PlaneFrame, PlaneFrame]) -> None:
+    """Reject a plane pair whose normals are not orthogonal: the model bound
+    holds only for orthogonal measurement planes."""
+    dot = frames[0].normal.dot(frames[1].normal)
+    if abs(dot) > NORM_TOLERANCE:
+        raise ValueError(f"plane normals must be orthogonal, got n1.n2 = {dot!r}")
 
 
 def default_frames() -> tuple[PlaneFrame, PlaneFrame]:

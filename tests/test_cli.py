@@ -300,17 +300,21 @@ class TestBadInput:
         (("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5", "--seed", "-1"),
          "--seed", "-1"),
         (("check", "lemma", "--seed", "-1"), "--seed", "-1"),
+        (("check", "leggett", "--grid-deg", "-1"), "--grid-deg", "-1"),
     ], ids=["simulate-n-0", "predict-n-0", "simulate-runs-0", "sweep-runs-neg",
             "check-trials-0", "check-ensembles-neg", "bounds-n-list-0",
-            "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg"])
+            "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg", "check-grid-deg-neg"])
     def test_non_positive_count(self, capsys, argv, flag, value):
         assert_one_line_error(run(*argv), capsys, flag, repr(value))
 
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
+        # the bound holds only for orthogonal planes, so both commands refuse others
         cfg = tmp_path / "planes.cfg"
-        cfg.write_text("plane1_normal = 0,0,1\nplane2_normal = 0,0,1\n")
-        code = run("predict", "--config", str(cfg), "--n", "2", "--phi", "15")
-        assert_one_line_error(code, capsys)
+        cfg.write_text("plane2_normal = 0.6,0,0.8\nplane2_seed = 0,1,0\n")
+        for argv in (("predict", "--n", "2", "--phi", "15"),
+                     ("simulate", "--n", "2", "--phi", "15", "--runs", "2", "--seed", "1")):
+            code = run(argv[0], "--config", str(cfg), *argv[1:])
+            assert_one_line_error(code, capsys, "orthogonal")
 
 
 # Pinned data sections: seeded output stays byte-identical unless the manifest

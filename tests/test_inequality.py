@@ -8,9 +8,7 @@ from nlvtest.inequality import (
     InequalityReport,
     NoViolationError,
     continuum_bound,
-    continuum_l,
     discrete_average,
-    e_jn,
     l_n,
     max_violation_phi,
     nlv_bound,
@@ -24,7 +22,7 @@ from nlvtest.quantum import (
     singlet_L,
     werner,
 )
-from nlvtest.sphere import PlaneFrame, UnitVector, build_schedule, default_frames, rotate
+from nlvtest.sphere import PlaneFrame, UnitVector, default_frames, rotate
 
 
 class TestUCoefficient:
@@ -97,46 +95,26 @@ class TestDiscreteAverage:
 
 
 class TestPlaneAverages:
+    # L_N sums |E_j(phi) + E_j(0)| over the two planes
     def test_singlet_aligned(self):
-        frames = default_frames()
-        for frame in frames:
-            sched = build_schedule(frame, 3, math.radians(25))
-            assert e_jn(singlet(), sched, "zero") == pytest.approx(-1.0, abs=1e-12)
-            assert e_jn(singlet(), sched, "phi") == pytest.approx(
-                -math.cos(math.radians(25)), abs=1e-12
-            )
+        # E_j(0) = -1 and E_j(phi) = -cos(phi) in both planes
+        phi = math.radians(25)
+        report = l_n(singlet(), default_frames(), 3, phi)
+        assert report.l_value == pytest.approx(2 * (1 + math.cos(phi)), abs=1e-12)
 
     def test_mixed_source_is_zero(self):
-        frame, _ = default_frames()
-        sched = build_schedule(frame, 2, 0.4)
-        assert e_jn(maximally_mixed(), sched, "zero") == pytest.approx(0.0, abs=1e-12)
-
-    def test_callable_source_accepted(self):
-        frame, _ = default_frames()
-        sched = build_schedule(frame, 2, 0.0)
-        assert e_jn(lambda a, b: -a.dot(b), sched, "zero") == pytest.approx(-1.0)
-
-    def test_rejects_bad_selector(self):
-        frame, _ = default_frames()
-        sched = build_schedule(frame, 2, 0.0)
-        with pytest.raises(ValueError):
-            e_jn(singlet(), sched, "both")
+        report = l_n(maximally_mixed(), default_frames(), 2, 0.4)
+        assert report.l_value == pytest.approx(0.0, abs=1e-12)
 
     def test_anisotropic_tensor_average(self):
-        # for N >= 2 the plane average collapses to cos(theta) (t1 + t_other)/2
+        # for N >= 2 the plane-j average collapses to cos(theta) (t1 + t_other)/2
         state = bell_diagonal(-0.9, -0.6, -0.55)
         t1, t2, t3 = (state.t[i][i] for i in range(3))
         frames = default_frames()
         for n in (2, 3, 4, 5):
             for phi in (0.0, math.radians(15), math.radians(40)):
-                sched1 = build_schedule(frames[0], n, phi)
-                sched2 = build_schedule(frames[1], n, phi)
-                assert e_jn(state, sched1, "phi") == pytest.approx(
-                    math.cos(phi) * (t1 + t2) / 2, abs=1e-12
-                )
-                assert e_jn(state, sched2, "phi") == pytest.approx(
-                    math.cos(phi) * (t1 + t3) / 2, abs=1e-12
-                )
+                expected = (1 + math.cos(phi)) * (abs(t1 + t2) + abs(t1 + t3)) / 2
+                assert l_n(state, frames, n, phi).l_value == pytest.approx(expected, abs=1e-12)
 
 
 class TestBound:
@@ -198,35 +176,35 @@ class TestLn:
 
 
 class TestContinuum:
+    # the all-directions sum is L_N on an M-point grid per plane
     def test_singlet_tight_at_zero(self):
-        value, bound = continuum_l(singlet(), default_frames(), 0.0, m=36)
+        value = l_n(singlet(), default_frames(), 36, 0.0).l_value
         assert value == pytest.approx(4.0, abs=1e-12)
-        assert bound == 4.0
+        assert continuum_bound(0.0) == 4.0
 
     def test_matches_finite_n_for_rotation_invariant_source(self):
         phi = math.radians(21)
         base = l_n(singlet(), default_frames(), 2, phi).l_value
         for k in (1, 2, 5):
-            value, _ = continuum_l(singlet(), default_frames(), phi, m=2 * k)
+            value = l_n(singlet(), default_frames(), 2 * k, phi).l_value
             assert value == pytest.approx(base, abs=1e-12)
 
     def test_noisy_state_analytic_average(self):
         # closed form: (1 + cos phi) (|t1+t2| + |t1+t3|) / 2
         phi = math.radians(15)
-        value, bound = continuum_l(
-            bell_diagonal(-0.995, -0.990, -0.982), default_frames(), phi, m=360
-        )
+        value = l_n(bell_diagonal(-0.995, -0.990, -0.982), default_frames(), 360, phi).l_value
         expected = (1 + math.cos(phi)) * (abs(-0.995 - 0.990) + abs(-0.995 - 0.982)) / 2
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(3.8944990618786437, abs=1e-12)
-        assert bound == pytest.approx(continuum_bound(phi), abs=1e-15)
+        assert f"{continuum_bound(phi):.4f}" == "3.8338"
+        assert value > continuum_bound(phi)
 
     def test_grid_exactness_for_finite_harmonics(self):
         state = bell_diagonal(-0.8, -0.7, -0.6)
         phi = math.radians(12)
-        reference, _ = continuum_l(state, default_frames(), phi, m=720)
+        reference = l_n(state, default_frames(), 720, phi).l_value
         for m in (2, 3, 8, 75):
-            value, _ = continuum_l(state, default_frames(), phi, m=m)
+            value = l_n(state, default_frames(), m, phi).l_value
             assert value == pytest.approx(reference, abs=1e-12)
 
 
