@@ -38,6 +38,7 @@ from .quantum import (
     colored_noise,
     correlation,
     maximally_mixed,
+    outcome_probabilities,
     outcome_probability,
     parse_state,
     singlet,
@@ -45,14 +46,12 @@ from .quantum import (
     werner,
 )
 from .simulate import (
-    CountQuad,
     DegenerateDataError,
     ExperimentConfig,
     estimate_C,
+    mean_table,
     replicate,
     run_experiment,
-    sample_quad,
-    subtract_accidentals,
 )
 from .sphere import (
     PlaneFrame,
@@ -71,7 +70,7 @@ __all__ = [
     "rotate", "build_schedule", "default_frames",
     "analyzer_angles", "analyzer_stokes",
     "TwoQubitState",
-    "outcome_probability", "correlation",
+    "outcome_probability", "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",
     "singlet_L", "parse_state",
     "OutcomeTable", "ConstraintViolationError",
@@ -82,7 +81,6 @@ __all__ = [
     "u_coefficient", "discrete_average", "l_n",
     "nlv_bound", "continuum_bound",
     "optimal_phi", "max_violation_phi",
-    "ExperimentConfig", "CountQuad", "DegenerateDataError",
-    "sample_quad", "estimate_C", "subtract_accidentals",
+    "ExperimentConfig", "DegenerateDataError", "estimate_C", "mean_table",
     "run_experiment", "replicate",
 ]

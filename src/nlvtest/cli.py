@@ -14,9 +14,12 @@ import dataclasses
 import io
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, _checks, inequality, quantum, simulate
 from .simulate import DegenerateDataError, ExperimentConfig, derive_seed
@@ -133,12 +136,15 @@ def _vector_text(v: UnitVector) -> str:
 
 def build_manifest(command: str, args: argparse.Namespace,
                    config: ExperimentConfig | None) -> dict[str, str]:
-    """Provenance block attached to every output: tool version, command,
-    seed, config snapshot, and timestamp, sufficient to reproduce the data
-    section bit-exactly."""
+    """Provenance block attached to every output: tool version, the Python
+    and numpy versions (seeded draws rest on numpy's Poisson algorithm),
+    command, seed, config snapshot, and timestamp, sufficient to reproduce
+    the data section bit-exactly."""
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

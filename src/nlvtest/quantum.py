@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .sphere import UnitVector
 
 __all__ = [
     "TwoQubitState",
     "outcome_probability",
+    "outcome_probabilities",
     "correlation",
     "singlet",
     "werner",
@@ -106,27 +108,56 @@ def stokes_probability(x: float, y: float, c: float, r_a: int, r_b: int) -> floa
     return ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0
 
 
-def _dot(v: UnitVector, w: Sequence[float]) -> float:
+class _Columns(NamedTuple):
+    """Component arrays of stacked settings.  _dot reads them like a
+    UnitVector's components, so scalar and array settings share one dot
+    product with the same operation order."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+
+def _dot(v: UnitVector | _Columns, w: Sequence[float]):
     return v.x * w[0] + v.y * w[1] + v.z * w[2]
 
 
-def _tensor_form(state: TwoQubitState, a: UnitVector, b: UnitVector) -> float:
-    """a.T.b"""
+def _tensor_form(state: TwoQubitState, a: UnitVector | _Columns, b: UnitVector | _Columns):
+    """a.T.b, evaluated as a.(T b)"""
     return _dot(a, [_dot(b, row) for row in state.t])
+
+
+_SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
+
+
+def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """P(r_a, r_b | a, b) for setting rows ``a``, ``b`` of shape (..., 3):
+    one column per sign pair, in the order (+,+), (-,-), (-,+), (+,-),
+    clamped to [0, 1].
+
+    Each entry is computed by the same elementwise float operations, in the
+    same order, whatever the shape, so one table row equals the
+    one-setting table bit for bit.
+    """
+    a = _Columns(*np.asarray(a, dtype=float).T)
+    b = _Columns(*np.asarray(b, dtype=float).T)
+    x, y, c = _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b)
+    p = np.stack([stokes_probability(x, y, c, r_a, r_b) for r_a, r_b in _SIGN_PAIRS], axis=-1)
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"probability {float(p[bad][0])} outside [0, 1] beyond tolerance")
+    return np.clip(p, 0.0, 1.0)
 
 
 def outcome_probability(
     state: TwoQubitState, a: UnitVector, b: UnitVector, r_a: int, r_b: int
 ) -> float:
-    """P(r_a, r_b | a, b) = Tr[rho (Pi_a^{r_a} (x) Pi_b^{r_b})], clamped to [0, 1]."""
-    if r_a not in (1, -1) or r_b not in (1, -1):
+    """P(r_a, r_b | a, b) = Tr[rho (Pi_a^{r_a} (x) Pi_b^{r_b})], clamped to [0, 1]:
+    one entry of outcome_probabilities."""
+    if (r_a, r_b) not in _SIGN_PAIRS:
         raise ValueError(f"outcomes must be +1 or -1, got ({r_a}, {r_b})")
-    p = stokes_probability(
-        _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b), r_a, r_b
-    )
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"probability {p} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, p))
+    table = outcome_probabilities(state, a.as_tuple(), b.as_tuple())
+    return float(table[_SIGN_PAIRS.index((r_a, r_b))])
 
 
 def correlation(state: TwoQubitState, a: UnitVector, b: UnitVector) -> float:
@@ -189,8 +220,8 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
         if not abs(t) <= 1.0 + 1e-12:
             raise ValueError(f"tensor entry {t} outside [-1, 1]")
     rho = np.eye(4, dtype=complex)
-    for t, s in zip((t1, t2, t3), _STOKES_PAULIS):
-        rho = rho + t * np.kron(s, s)
+    for i, t in enumerate((t1, t2, t3), start=1):
+        rho = rho + t * _STOKES_BASIS[i, i]
     rho /= 4.0
     floor = _EIGENVALUE_FLOOR
     if np.linalg.eigvalsh(rho).min() < _EIGENVALUE_FLOOR:

@@ -8,11 +8,16 @@ counting-statistics rules:
 
     C_hat = (n_pp + n_mm - n_mp - n_pm) / S
     var   = [(1 - C_hat)^2 (n_pp + n_mm) + (1 + C_hat)^2 (n_mp + n_pm)] / S^2
+
+A run's means depend only on (config, N, phi): they form one (4N, 4) table,
+rows in sampling order (plane, rotation index, Bob at offset 0 then phi) and
+columns in sign order (+,+), (-,-), (-,+), (+,-).  Each seeded run draws all
+16N counts with one Poisson call over that table, in its row-major order;
+replicate evaluates the table once for all of its runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,16 +26,13 @@ import numpy as np
 
 from . import quantum
 from .inequality import InequalityReport, nlv_bound
-from .sphere import PlaneFrame, UnitVector, build_schedule, check_orthogonal, default_frames
+from .sphere import PlaneFrame, build_schedule, check_orthogonal, default_frames
 
 __all__ = [
     "ExperimentConfig",
-    "CountQuad",
-    "AdjustedQuad",
     "DegenerateDataError",
-    "sample_quad",
     "estimate_C",
-    "subtract_accidentals",
+    "mean_table",
     "run_experiment",
     "ReplicateSummary",
     "replicate",
@@ -82,128 +84,73 @@ class ExperimentConfig:
         return quantum.parse_state(self.state)
 
 
-@dataclass(frozen=True, slots=True)
-class CountQuad:
-    """Coincidence counts for the four analyzer sign pairs at one setting."""
+def estimate_C(counts: Sequence[int], shift: float | None = None) -> tuple[float, float]:
+    """Correlation estimate and its propagated standard deviation from one
+    row of counts (n_pp, n_mm, n_mp, n_pm).
 
-    n_pp: int  # (+a, +b)
-    n_mm: int  # (-a, -b)
-    n_mp: int  # (-a, +b)
-    n_pm: int  # (+a, -b)
-    settings: tuple[UnitVector, UnitVector]
-    duration: float
-
-    def __post_init__(self) -> None:
-        if min(self.n_pp, self.n_mm, self.n_mp, self.n_pm) < 0:
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.n_pp + self.n_mm + self.n_mp + self.n_pm
-
-
-@dataclass(frozen=True, slots=True)
-class AdjustedQuad:
-    """Accidental-corrected (real-valued) counts plus the raw quad they came
-    from; variances are always propagated from the raw counts."""
-
-    n_pp: float
-    n_mm: float
-    n_mp: float
-    n_pm: float
-    raw: CountQuad
-
-    @property
-    def total(self) -> float:
-        return self.n_pp + self.n_mm + self.n_mp + self.n_pm
-
-
-def sample_quad(
-    config: ExperimentConfig,
-    a: UnitVector,
-    b: UnitVector,
-    rng: np.random.Generator,
-    state: quantum.TwoQubitState | None = None,
-) -> CountQuad:
-    """Draw the four Poisson counts for one correlation measurement.
-
-    Draw order is fixed as (+,+), (-,-), (-,+), (+,-) so that runs are
-    reproducible for a given generator state.
+    With ``shift`` (the expected accidentals per port, rate * duration) the
+    estimate uses the counts minus ``shift``, floored at zero, while the
+    variance keeps the raw Poisson counts.
     """
-    if state is None:
-        state = config.resolve_state()
-    t = config.integration_time
-    accidental = config.accidental_rate * t
-    counts = []
-    for r_a, r_b in ((1, 1), (-1, -1), (-1, 1), (1, -1)):
-        p = quantum.outcome_probability(state, a, b, r_a, r_b)
-        counts.append(int(rng.poisson(config.pair_rate * p * t + accidental)))
-    return CountQuad(
-        n_pp=counts[0], n_mm=counts[1], n_mp=counts[2], n_pm=counts[3],
-        settings=(a, b), duration=t,
-    )
-
-
-def estimate_C(quad: CountQuad | AdjustedQuad) -> tuple[float, float]:
-    """Correlation estimate and its propagated standard deviation.
-
-    For accidental-corrected quads the estimate uses the corrected counts
-    while the variance keeps the raw Poisson counts.
-    """
-    same = quad.n_pp + quad.n_mm
-    diff = quad.n_mp + quad.n_pm
+    n_pp, n_mm, n_mp, n_pm = counts
+    var_same = n_pp + n_mm
+    var_diff = n_mp + n_pm
+    if shift is None:
+        same, diff = var_same, var_diff
+    else:
+        same = max(0.0, n_pp - shift) + max(0.0, n_mm - shift)
+        diff = max(0.0, n_mp - shift) + max(0.0, n_pm - shift)
     total = same + diff
     if total <= 0:
         raise DegenerateDataError("no counts recorded; correlation undefined")
     c_hat = (same - diff) / total
-    if isinstance(quad, AdjustedQuad):
-        var_same = quad.raw.n_pp + quad.raw.n_mm
-        var_diff = quad.raw.n_mp + quad.raw.n_pm
-    else:
-        var_same = same
-        var_diff = diff
     variance = ((1.0 - c_hat) ** 2 * var_same + (1.0 + c_hat) ** 2 * var_diff) / total**2
     return (c_hat, math.sqrt(variance))
 
 
-def subtract_accidentals(quad: CountQuad, rate: float) -> AdjustedQuad:
-    """Remove the expected accidental contribution rate*duration from each
-    count, flooring at zero."""
-    if rate < 0.0:
-        raise ValueError(f"accidental rate must be >= 0, got {rate}")
-    shift = rate * quad.duration
-    return AdjustedQuad(
-        n_pp=max(0.0, quad.n_pp - shift),
-        n_mm=max(0.0, quad.n_mm - shift),
-        n_mp=max(0.0, quad.n_mp - shift),
-        n_pm=max(0.0, quad.n_pm - shift),
-        raw=quad,
-    )
+def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
+    """The (4N, 4) Poisson means pair_rate * P * T + accidental_rate * T of
+    one run's counts.
 
-
-def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityReport:
-    """Simulate one full 4N-setting measurement and assemble the report.
-
-    Sampling order: plane 1 then plane 2, rotation index ascending, Bob at
-    offset 0 then phi, sign pairs (+,+), (-,-), (-,+), (+,-).  The report's
-    sigma adds the per-quad variances in quadrature (independent settings).
+    Rows follow the sampling order (plane, rotation index k, Bob at offset
+    0 then phi); columns the sign pairs (+,+), (-,-), (-,+), (+,-).  They
+    depend on the config's state, rates and planes, not on its seed.
     """
-    state = config.resolve_state()
-    rng = np.random.default_rng(config.rng_seed)
+    pairs = [
+        (entry.alice.as_tuple(), bob.as_tuple())
+        for frame in config.frames
+        for entry in build_schedule(frame, n, phi).entries
+        for bob in (entry.bob0, entry.bobphi)
+    ]
+    alice, bob = (np.array(side) for side in zip(*pairs))
+    p = quantum.outcome_probabilities(config.resolve_state(), alice, bob)
+    t = config.integration_time
+    return config.pair_rate * p * t + config.accidental_rate * t
+
+
+def _counting_run(
+    config: ExperimentConfig, n: int, phi: float, means: np.ndarray,
+    seed: int | tuple[int, ...],
+) -> InequalityReport:
+    """Draw one run's counts from ``means`` in one call and assemble its report.
+
+    The estimates and their sums stay scalar Python float arithmetic in
+    sampling order: numpy's ``x ** 2`` (x * x) and Python's (libm pow)
+    differ in the last bit for some doubles, so a vectorised estimator
+    would change seeded reports.
+    """
+    counts = np.random.default_rng(seed).poisson(means).tolist()
+    shift = (config.accidental_rate * config.integration_time
+             if config.subtract_accidentals else None)
     l_value = 0.0
     variance = 0.0
-    for plane_idx, frame in enumerate(config.frames):
+    rows = iter(counts)
+    for plane_idx in range(len(config.frames)):
         e_sum = 0.0  # E_j(phi) + E_j(0)
-        for k, entry in enumerate(build_schedule(frame, n, phi).entries):
-            for theta_label, bob in (("0", entry.bob0), ("phi", entry.bobphi)):
-                quad = sample_quad(config, entry.alice, bob, rng, state=state)
+        for k in range(n):
+            for theta_label in ("0", "phi"):
                 try:
-                    if config.subtract_accidentals:
-                        c_hat, sigma_c = estimate_C(
-                            subtract_accidentals(quad, config.accidental_rate)
-                        )
-                    else:
-                        c_hat, sigma_c = estimate_C(quad)
+                    c_hat, sigma_c = estimate_C(next(rows), shift)
                 except DegenerateDataError:
                     raise DegenerateDataError(
                         f"no counts at plane {plane_idx + 1}, setting {k}, "
@@ -224,6 +171,19 @@ def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityRe
         violation_sigmas=(l_value - bound) / sigma if sigma > 0.0 else None,
         frames=config.frames,
     )
+
+
+def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityReport:
+    """Simulate one full 4N-setting measurement and assemble the report.
+
+    All 16N counts come from one Poisson draw over the (4N, 4) mean table,
+    in its row-major order: plane 1 then plane 2, rotation index ascending,
+    Bob at offset 0 then phi, sign pairs (+,+), (-,-), (-,+), (+,-).  The
+    report's sigma adds the per-setting variances in quadrature
+    (independent settings).
+    """
+    means = mean_table(config, n, phi)
+    return _counting_run(config, n, phi, means, config.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -275,13 +235,13 @@ def replicate(config: ExperimentConfig, n: int, phi: float, runs: int) -> Replic
     """
     if runs < 1:
         raise ValueError(f"need at least 1 run, got {runs}")
+    means = mean_table(config, n, phi)
     outcomes: list[InequalityReport | DegenerateDataError] = []
     for run_idx in range(runs):
-        run_config = dataclasses.replace(
-            config, rng_seed=derive_seed(config.rng_seed, run_idx)
-        )
         try:
-            outcomes.append(run_experiment(run_config, n, phi))
+            outcomes.append(_counting_run(
+                config, n, phi, means, derive_seed(config.rng_seed, run_idx)
+            ))
         except DegenerateDataError as exc:
             outcomes.append(exc)
     reports = [o for o in outcomes if isinstance(o, InequalityReport)]

@@ -1,5 +1,7 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from nlvtest import __version__
@@ -139,6 +141,8 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         assert payload["manifest"]["tool"] == "nlvtest"
         assert payload["manifest"]["version"] == __version__
+        assert payload["manifest"]["python"] == platform.python_version()
+        assert payload["manifest"]["numpy"] == np.__version__
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -168,6 +172,22 @@ class TestSimulate:
             "--output", str(replay),
         )
         assert data_section(replay) == data_section(out)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n-list", "2", "--phi", "15"),
+        ("predict", "--n", "2", "--phi", "15"),
+        ("simulate", "--n", "2", "--phi", "15", "--runs", "2"),
+        ("sweep", "--n-list", "2", "--phi-range", "15:15", "--step", "1", "--runs", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_records_python_and_numpy_versions(self, tmp_path, argv):
+        # seeded draws rest on numpy's Poisson algorithm
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--output", str(out)) == 0
+        manifest = read_manifest(out)
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
 
 class TestSweep:
@@ -321,6 +341,12 @@ class TestBadInput:
 # version is bumped.  Config "sparse" (one pair per second, no accidentals)
 # mixes ok rows, degenerate-data rows and sigma-0 runs with a blank violation
 # in one cell, and its sweep cells exercise the (seed, N, phi index, run) seeds.
+# Config "noisy" (20 pairs and 1 accidental per second) floors 38 of the 192
+# accidental-corrected counts of its subtraction run at zero.
+CONFIGS = {
+    "SPARSE": "pair_rate = 1\naccidental_rate = 0\n",
+    "NOISY": "pair_rate = 20\naccidental_rate = 1\n",
+}
 GOLDEN = {
     "simulate-default": (
         ("simulate", "--n", "3", "--phi", "15", "--runs", "3", "--seed", "1234"),
@@ -356,6 +382,19 @@ n,phi_deg,bound,analytic_l,singlet_l,mean_l_exp,std_l,mean_sigma,mean_violation,
 2,10.00,3.9128,3.9319,3.9696,3.9500,0.1000,0.0439,-0.69,9,degenerate-data x1
 2,15.00,3.8695,3.8945,3.9319,3.9306,0.1667,0.0523,-0.50,9,degenerate-data x1""",
     ),
+    "simulate-subtract": (
+        ("simulate", "--config", "NOISY", "--n", "2", "--phi", "15", "--runs", "6",
+         "--seed", "7", "--subtract-accidentals"),
+        """\
+run,n,phi_deg,l_exp,sigma,bound,violation_sigmas,seed,status,std_l,std_over_sigma
+0,2,15.00,3.7978,0.0972,3.8695,-0.74,7-0,ok,,
+1,2,15.00,3.8049,0.1053,3.8695,-0.61,7-1,ok,,
+2,2,15.00,3.8702,0.1042,3.8695,0.01,7-2,ok,,
+3,2,15.00,3.8341,0.1070,3.8695,-0.33,7-3,ok,,
+4,2,15.00,3.9038,0.1000,3.8695,0.34,7-4,ok,,
+5,2,15.00,3.7465,0.0996,3.8695,-1.23,7-5,ok,,
+summary,2,15.00,3.8262,0.1022,3.8695,-0.43,,summary,0.0559,0.547""",
+    ),
 }
 
 
@@ -363,9 +402,9 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_data_section_unchanged(self, tmp_path, name):
         argv, expected = GOLDEN[name]
-        sparse = tmp_path / "sparse.cfg"
-        sparse.write_text("pair_rate = 1\naccidental_rate = 0\n")
+        for key, text in CONFIGS.items():
+            (tmp_path / f"{key}.cfg").write_text(text)
         out = tmp_path / "out.csv"
-        argv = [str(sparse) if arg == "SPARSE" else arg for arg in argv]
+        argv = [str(tmp_path / f"{arg}.cfg") if arg in CONFIGS else arg for arg in argv]
         assert run(*argv, "--output", str(out)) == 0
         assert data_section(out) == expected

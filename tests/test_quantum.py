@@ -11,6 +11,7 @@ from nlvtest.quantum import (
     colored_noise,
     correlation,
     maximally_mixed,
+    outcome_probabilities,
     outcome_probability,
     parse_state,
     singlet,
@@ -131,6 +132,26 @@ class TestOutcomeProbability:
                     assert outcome_probability(m, a, b, ra, rb) == pytest.approx(
                         0.25, abs=1e-14
                     )
+
+    def test_table_rows_equal_one_setting_calls(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            state = TwoQubitState(random_density_matrix(rng))
+            pairs = [(random_unit(rng), random_unit(rng)) for _ in range(5)]
+            table = outcome_probabilities(
+                state, [a.as_tuple() for a, _ in pairs], [b.as_tuple() for _, b in pairs]
+            )
+            assert table.shape == (5, 4)
+            for row, (a, b) in zip(table.tolist(), pairs):
+                assert row == [
+                    outcome_probability(state, a, b, ra, rb)
+                    for ra, rb in ((1, 1), (-1, -1), (-1, 1), (1, -1))
+                ]
+
+    def test_table_rejects_out_of_range_probability(self):
+        # a non-unit setting drives P(+,+) for the singlet to (1 - 2)/4
+        with pytest.raises(ValueError, match=r"probability -0\.25 outside"):
+            outcome_probabilities(singlet(), [[2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
 
     def test_rejects_bad_outcome_sign(self):
         with pytest.raises(ValueError):

@@ -6,25 +6,77 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlvtest.inequality import InequalityReport, nlv_bound
 from nlvtest.quantum import outcome_probability
 from nlvtest.simulate import (
-    CountQuad,
     DegenerateDataError,
     ExperimentConfig,
     derive_seed,
     estimate_C,
+    mean_table,
     replicate,
     run_experiment,
-    sample_quad,
-    subtract_accidentals,
 )
-from nlvtest.sphere import UnitVector
+from nlvtest.sphere import build_schedule
 
-S1 = UnitVector(1, 0, 0)
+SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
 
-def make_quad(n_pp, n_mm, n_mp, n_pm):
-    return CountQuad(n_pp, n_mm, n_mp, n_pm, settings=(S1, S1), duration=4.0)
+def law(state, a, b, r_a, r_b):
+    """P(r_a, r_b) from the Stokes terms in plain Python floats, grouped as
+    the one-setting law: ((1 + r_a a.m_A) + r_b (b.m_B + r_a a.(T b)))/4."""
+    x = a.x * state.m_a[0] + a.y * state.m_a[1] + a.z * state.m_a[2]
+    y = b.x * state.m_b[0] + b.y * state.m_b[1] + b.z * state.m_b[2]
+    tb = [b.x * row[0] + b.y * row[1] + b.z * row[2] for row in state.t]
+    c = a.x * tb[0] + a.y * tb[1] + a.z * tb[2]
+    return min(1.0, max(0.0, ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0))
+
+
+def reference_run(config, n, phi):
+    """The sequential sampler: settings in sampling order, one scalar Poisson
+    draw per sign pair (+,+), (-,-), (-,+), (+,-), each setting estimated
+    as soon as it is drawn."""
+    state = config.resolve_state()
+    rng = np.random.default_rng(config.rng_seed)
+    t = config.integration_time
+    accidental = config.accidental_rate * t
+    l_value = 0.0
+    variance = 0.0
+    for plane_idx, frame in enumerate(config.frames):
+        e_sum = 0.0
+        for k, entry in enumerate(build_schedule(frame, n, phi).entries):
+            for label, bob in (("0", entry.bob0), ("phi", entry.bobphi)):
+                counts = [
+                    int(rng.poisson(config.pair_rate * law(state, entry.alice, bob, ra, rb) * t
+                                    + accidental))
+                    for ra, rb in SIGN_PAIRS
+                ]
+                raw_same, raw_diff = counts[0] + counts[1], counts[2] + counts[3]
+                if config.subtract_accidentals:
+                    adjusted = [max(0.0, c - accidental) for c in counts]
+                    same, diff = adjusted[0] + adjusted[1], adjusted[2] + adjusted[3]
+                else:
+                    same, diff = raw_same, raw_diff
+                total = same + diff
+                if total <= 0:
+                    raise DegenerateDataError(
+                        f"no counts at plane {plane_idx + 1}, setting {k}, theta={label}",
+                        setting=(plane_idx + 1, k, label),
+                    )
+                c_hat = (same - diff) / total
+                sigma_c = math.sqrt(
+                    ((1.0 - c_hat) ** 2 * raw_same + (1.0 + c_hat) ** 2 * raw_diff) / total**2
+                )
+                e_sum += c_hat / n
+                variance += sigma_c**2 / n**2
+        l_value += abs(e_sum)
+    sigma = math.sqrt(variance)
+    bound = nlv_bound(n, phi)
+    return InequalityReport(
+        n=n, phi=phi, l_value=l_value, bound=bound, sigma=sigma,
+        violation_sigmas=(l_value - bound) / sigma if sigma > 0.0 else None,
+        frames=config.frames,
+    )
 
 
 class TestConfig:
@@ -52,56 +104,93 @@ class TestConfig:
 
 
 class TestSampleQuad:
+    """A quad is one row of the mean table, drawn as part of a run's single
+    Poisson call."""
+
     def test_accidental_floor_at_blocked_port(self):
-        # singlet at equal settings: the (+,+) port sees only accidentals
-        cfg = ExperimentConfig(state="singlet", rng_seed=1)
-        rng = np.random.default_rng(1)
-        state = cfg.resolve_state()
-        draws = [sample_quad(cfg, S1, S1, rng, state=state).n_pp for _ in range(500)]
+        # singlet at equal settings (phi = 0): the (+,+) port sees only accidentals
+        means = mean_table(ExperimentConfig(state="singlet"), 2, 0.0)
+        assert means.shape == (8, 4)
+        assert means[:, 0] == pytest.approx(0.41 * 4.0, abs=1e-9)
+        draws = [np.random.default_rng((1, i)).poisson(means)[0, 0] for i in range(500)]
         assert np.mean(draws) == pytest.approx(0.41 * 4.0, abs=0.25)
 
     def test_orthogonal_polarizer_rate(self):
-        cfg = ExperimentConfig(state="singlet", rng_seed=2)
-        rng = np.random.default_rng(2)
-        quad = sample_quad(cfg, S1, UnitVector(-1, 0, 0), rng)
+        # phi = 180 deg puts Bob's offset setting at -a: crossed polarizers
+        means = mean_table(ExperimentConfig(state="singlet"), 2, math.pi)
+        assert means[1::2, 0] == pytest.approx(1860.0 * 0.5 * 4.0 + 0.41 * 4.0, rel=1e-12)
+        n_pp = np.random.default_rng(2).poisson(means)[1, 0]
         # mean 1860 * 0.5 * 4 = 3720; a single draw sits within ~5 sigma
-        assert abs(quad.n_pp - 3720) < 5 * math.sqrt(3720) + 1
+        assert abs(n_pp - 3720) < 5 * math.sqrt(3720) + 1
 
     def test_mixed_state_symmetric_means(self):
-        cfg = ExperimentConfig(state="mixed", accidental_rate=0.0, rng_seed=3)
-        rng = np.random.default_rng(3)
-        quad = sample_quad(cfg, S1, S1, rng)
+        means = mean_table(ExperimentConfig(state="mixed", accidental_rate=0.0), 2, 0.3)
         expected = 1860.0 * 0.25 * 4.0
-        for n in (quad.n_pp, quad.n_mm, quad.n_mp, quad.n_pm):
-            assert abs(n - expected) < 5 * math.sqrt(expected)
+        assert (means == expected).all()
+        counts = np.random.default_rng(3).poisson(means)
+        assert (np.abs(counts - expected) < 5 * math.sqrt(expected)).all()
 
     def test_deterministic_given_generator_state(self):
-        cfg = ExperimentConfig(rng_seed=4)
-        q1 = sample_quad(cfg, S1, S1, np.random.default_rng(99))
-        q2 = sample_quad(cfg, S1, S1, np.random.default_rng(99))
-        assert (q1.n_pp, q1.n_mm, q1.n_mp, q1.n_pm) == (q2.n_pp, q2.n_mm, q2.n_mp, q2.n_pm)
+        # the means do not depend on the seed; the draws depend only on it
+        phi = math.radians(15)
+        means = mean_table(ExperimentConfig(rng_seed=4), 3, phi)
+        assert (mean_table(ExperimentConfig(rng_seed=5), 3, phi) == means).all()
+        draw = np.random.default_rng(99).poisson(means)
+        assert (np.random.default_rng(99).poisson(means) == draw).all()
+        cfg = ExperimentConfig(rng_seed=99)
+        assert run_experiment(cfg, 3, phi) == run_experiment(cfg, 3, phi)
+
+    @given(
+        n=st.integers(1, 6),
+        phi_deg=st.floats(-180.0, 180.0),
+        state=st.sampled_from(
+            ["visibilities:0.995,0.990,0.982", "singlet", "werner:0.6", "colored:0.8",
+             "bell_diagonal:-0.5,0.2,-0.1"]
+        ),
+        pair_rate=st.one_of(st.floats(0.5, 4.0), st.floats(4.0, 5000.0)),
+        accidental_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        subtract=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_run_matches_sequential_reference(
+        self, n, phi_deg, state, pair_rate, accidental_rate, subtract, seed
+    ):
+        cfg = ExperimentConfig(
+            pair_rate=pair_rate, accidental_rate=accidental_rate, state=state,
+            rng_seed=seed, subtract_accidentals=subtract,
+        )
+        phi = math.radians(phi_deg)
+        try:
+            expected = reference_run(cfg, n, phi)
+        except DegenerateDataError as exc:
+            with pytest.raises(DegenerateDataError) as info:
+                run_experiment(cfg, n, phi)
+            assert (str(info.value), info.value.setting) == (str(exc), exc.setting)
+        else:
+            assert run_experiment(cfg, n, phi) == expected
 
 
 class TestEstimator:
     def test_perfect_correlation(self):
-        c, sigma = estimate_C(make_quad(100, 100, 0, 0))
+        c, sigma = estimate_C((100, 100, 0, 0))
         assert c == 1.0
         assert sigma == 0.0
 
     def test_half_correlation_example(self):
-        c, sigma = estimate_C(make_quad(75, 75, 25, 25))
+        c, sigma = estimate_C((75, 75, 25, 25))
         assert c == 0.5
         assert sigma**2 == pytest.approx(0.00375, abs=1e-15)
         assert sigma == pytest.approx(0.06124, abs=5e-6)
 
     def test_uncorrelated_example(self):
-        c, sigma = estimate_C(make_quad(25, 25, 25, 25))
+        c, sigma = estimate_C((25, 25, 25, 25))
         assert c == 0.0
         assert sigma == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_quad_raises(self):
         with pytest.raises(DegenerateDataError):
-            estimate_C(make_quad(0, 0, 0, 0))
+            estimate_C((0, 0, 0, 0))
 
     @given(
         n_pp=st.integers(0, 10_000),
@@ -113,8 +202,8 @@ class TestEstimator:
     def test_antisymmetry_under_port_swap(self, n_pp, n_mm, n_mp, n_pm):
         if n_pp + n_mm + n_mp + n_pm == 0:
             return
-        c, sigma = estimate_C(make_quad(n_pp, n_mm, n_mp, n_pm))
-        c_swapped, sigma_swapped = estimate_C(make_quad(n_mp, n_pm, n_pp, n_mm))
+        c, sigma = estimate_C((n_pp, n_mm, n_mp, n_pm))
+        c_swapped, sigma_swapped = estimate_C((n_mp, n_pm, n_pp, n_mm))
         assert c_swapped == -c
         assert sigma_swapped == sigma
         assert -1.0 <= c <= 1.0
@@ -124,38 +213,33 @@ class TestEstimator:
         means = np.array([75.0, 75.0, 25.0, 25.0]) * 4.0  # all means >= 100
         draws = rng.poisson(means, size=(10_000, 4))
         c_hats = (draws[:, 0] + draws[:, 1] - draws[:, 2] - draws[:, 3]) / draws.sum(axis=1)
-        _, sigma = estimate_C(make_quad(*(int(m) for m in means)))
+        _, sigma = estimate_C([int(m) for m in means])
         assert np.var(c_hats) == pytest.approx(sigma**2, rel=0.10)
 
 
 class TestSubtraction:
     def test_zero_rate_is_identity(self):
-        quad = make_quad(10, 20, 30, 40)
-        adj = subtract_accidentals(quad, 0.0)
-        assert (adj.n_pp, adj.n_mm, adj.n_mp, adj.n_pm) == (10.0, 20.0, 30.0, 40.0)
+        counts = (10, 20, 30, 40)
+        assert estimate_C(counts, 0.0) == estimate_C(counts)
 
     def test_example_with_floor(self):
-        quad = make_quad(3720, 3718, 2, 1)
-        adj = subtract_accidentals(quad, 0.41)
-        assert adj.n_pp == pytest.approx(3718.36)
-        assert adj.n_mm == pytest.approx(3716.36)
-        assert adj.n_mp == pytest.approx(0.36)
-        assert adj.n_pm == 0.0
+        # shift 0.41 * 4: the (+,-) port floors at zero instead of going to -0.64
+        c, _ = estimate_C((3720, 3718, 2, 1), 0.41 * 4.0)
+        same, diff = 3718.36 + 3716.36, 0.36 + 0.0
+        assert c == pytest.approx((same - diff) / (same + diff), rel=1e-12)
+        unfloored = (same - (0.36 - 0.64)) / (same + 0.36 - 0.64)
+        assert abs(c - unfloored) > 1e-6
 
     def test_all_floored_leads_to_degenerate_error(self):
-        quad = make_quad(1, 1, 0, 1)
-        adj = subtract_accidentals(quad, 0.41)  # shift 1.64 floors everything
-        assert adj.total == 0.0
         with pytest.raises(DegenerateDataError):
-            estimate_C(adj)
+            estimate_C((1, 1, 0, 1), 0.41 * 4.0)  # shift 1.64 floors everything
 
     def test_variance_uses_raw_counts(self):
-        quad = make_quad(1000, 1000, 100, 100)
-        adj = subtract_accidentals(quad, 5.0)  # removes 20 per port
-        c_adj, sigma_adj = estimate_C(adj)
-        assert c_adj > estimate_C(quad)[0]  # correction sharpens the correlation
+        counts = (1000, 1000, 100, 100)
+        c_adj, sigma_adj = estimate_C(counts, 5.0 * 4.0)  # removes 20 per port
+        assert c_adj > estimate_C(counts)[0]  # correction sharpens the correlation
         # variance numerator keeps the raw counts
-        total = adj.total
+        total = 980 + 980 + 80 + 80
         expected = math.sqrt(
             ((1 - c_adj) ** 2 * 2000 + (1 + c_adj) ** 2 * 200) / total**2
         )
@@ -220,14 +304,15 @@ class TestRunExperiment:
             state="werner:0.5", accidental_rate=10.0, rng_seed=19
         )
         state = cfg.resolve_state()
-        a = b = S1
+        a = b = build_schedule(cfg.frames[0], 1, phi).entries[0].alice
         true_c = sum(
             ra * rb * outcome_probability(state, a, b, ra, rb)
             for ra in (1, -1)
             for rb in (1, -1)
         )
-        rng = np.random.default_rng(19)
-        c_hats = [estimate_C(sample_quad(cfg, a, b, rng, state=state))[0] for _ in range(10_000)]
+        # row 0 of the N = 1 table is the setting pair (a, a)
+        counts = np.random.default_rng(19).poisson(mean_table(cfg, 1, phi)[0], size=(10_000, 4))
+        c_hats = [estimate_C(row)[0] for row in counts.tolist()]
         mean_c = float(np.mean(c_hats))
         sem = float(np.std(c_hats) / math.sqrt(len(c_hats)))
         assert abs(mean_c) < abs(true_c) - 3 * sem
@@ -237,12 +322,8 @@ class TestRunExperiment:
             state="werner:0.5", accidental_rate=10.0, rng_seed=23,
             subtract_accidentals=True,
         )
-        state = cfg.resolve_state()
-        rng = np.random.default_rng(23)
-        corrected = []
-        for _ in range(4000):
-            quad = sample_quad(cfg, S1, S1, rng, state=state)
-            corrected.append(estimate_C(subtract_accidentals(quad, 10.0))[0])
+        counts = np.random.default_rng(23).poisson(mean_table(cfg, 1, 0.0)[0], size=(4000, 4))
+        corrected = [estimate_C(row, 10.0 * 4.0)[0] for row in counts.tolist()]
         true_c = -0.5
         assert np.mean(corrected) == pytest.approx(true_c, abs=5e-3)
 
