@@ -22,10 +22,8 @@ from .inequality import (
 )
 from .leggett import (
     ConstraintViolationError,
-    OutcomeTable,
     PureEnsemble,
     admissible_C_range,
-    check_marginals,
     explicit_model_feasible,
     explicit_model_margin,
     leggett_outcomes,
@@ -57,8 +55,6 @@ from .sphere import (
     PlaneFrame,
     SettingSchedule,
     UnitVector,
-    analyzer_angles,
-    analyzer_stokes,
     build_schedule,
     default_frames,
     rotate,
@@ -68,13 +64,11 @@ __all__ = [
     "__version__",
     "UnitVector", "PlaneFrame", "SettingSchedule",
     "rotate", "build_schedule", "default_frames",
-    "analyzer_angles", "analyzer_stokes",
     "TwoQubitState",
     "outcome_probability", "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",
     "singlet_L", "parse_state",
-    "OutcomeTable", "ConstraintViolationError",
-    "leggett_outcomes", "admissible_C_range", "check_marginals",
+    "ConstraintViolationError", "leggett_outcomes", "admissible_C_range",
     "PureEnsemble", "product_ensemble",
     "explicit_model_feasible", "explicit_model_margin", "scan_explicit_model",
     "InequalityReport", "NoViolationError",

@@ -135,8 +135,7 @@ def leggett_suite(
         u, v, a, b = (_random_unit(rng) for _ in range(4))
         c_min, c_max = leggett.admissible_C_range(u, v, a, b)
         for c in (c_min, c_max):
-            table = leggett.leggett_outcomes(u, v, a, b, c)
-            worst_entry = min(worst_entry, table.p_pp, table.p_pm, table.p_mp, table.p_mm)
+            worst_entry = min(worst_entry, *leggett.leggett_outcomes(u, v, a, b, c))
         for c_bad in (c_max + 1e-6, c_min - 1e-6):
             try:
                 leggett.leggett_outcomes(u, v, a, b, c_bad)
@@ -152,16 +151,17 @@ def leggett_suite(
         )
     )
 
-    # marginals do not depend on the correlation
+    # marginals do not depend on the correlation; entries are (+,+), (-,-),
+    # (-,+), (+,-), so Alice's r = +1 marginal is p[0] + p[3]
     worst_dev = 0.0
     for _ in range(max(1, trials // 100)):
         u, v, a, b = (_random_unit(rng) for _ in range(4))
         c_min, c_max = leggett.admissible_C_range(u, v, a, b)
         x = a.dot(u)
         for c in np.linspace(c_min, c_max, 7):
-            table = leggett.leggett_outcomes(u, v, a, b, float(c))
-            for r in (1, -1):
-                worst_dev = max(worst_dev, abs(table.marginal_a(r) - (1.0 + r * x) / 2.0))
+            p = leggett.leggett_outcomes(u, v, a, b, float(c))
+            for r, marginal in ((1, p[0] + p[3]), (-1, p[2] + p[1])):
+                worst_dev = max(worst_dev, abs(marginal - (1.0 + r * x) / 2.0))
     results.append(
         CheckResult(
             "marginal-c-independence",
@@ -170,12 +170,13 @@ def leggett_suite(
         )
     )
 
-    # the two quoted forms of the explicit-model condition agree
+    # the two quoted forms of the explicit-model condition agree; the
+    # mirrored form is the direct one with the parties exchanged
     agree = True
     for _ in range(trials):
         u, v, a, b = (_random_unit(rng) for _ in range(4))
         direct = leggett.explicit_model_margin(u, v, [(a, b)]) >= -1e-12
-        mirrored = leggett.explicit_model_margin(u, v, [(a, b)], swapped=True) >= -1e-12
+        mirrored = leggett.explicit_model_margin(v, u, [(b, a)]) >= -1e-12
         if direct != mirrored:
             agree = False
             break

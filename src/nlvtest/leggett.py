@@ -9,7 +9,10 @@ for every measurement pair (a, b), with single-party marginals fixed by
 (u, v) alone.  Requiring all four entries to be non-negative constrains the
 correlation C to a closed interval; those constraints are what the
 inequality module turns into testable bounds.  The law itself is
-quantum.stokes_probability, shared with the quantum predictions.
+quantum.stokes_probability, shared with the quantum predictions, and an
+outcome table is a 4-tuple in the quantum module's sign order (+,+), (-,-),
+(-,+), (+,-).  The explicit model's validity condition and its sphere-grid
+scan test whether one component can reproduce a whole setting schedule.
 """
 
 from __future__ import annotations
@@ -20,19 +23,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import stokes_probability
+from .quantum import _SIGN_PAIRS, stokes_probability
 from .sphere import UnitVector
 
 __all__ = [
-    "OutcomeTable",
     "ConstraintViolationError",
     "leggett_outcomes",
     "admissible_C_range",
     "EnsembleComponent",
     "PureEnsemble",
     "product_ensemble",
-    "MarginalReport",
-    "check_marginals",
     "explicit_model_margin",
     "explicit_model_feasible",
     "GridScanResult",
@@ -56,52 +56,26 @@ class ConstraintViolationError(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class OutcomeTable:
-    """Joint probabilities for the four (r_A, r_B) sign pairs."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self) -> None:
-        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if min(entries) < -_POSITIVITY_TOL:
-            raise ValueError(f"negative outcome probability in {entries}")
-        if abs(sum(entries) - 1.0) > 1e-12:
-            raise ValueError(f"outcome probabilities sum to {sum(entries)}, not 1")
-
-    def marginal_a(self, r_a: int) -> float:
-        return self.p_pp + self.p_pm if r_a == 1 else self.p_mp + self.p_mm
-
-    def marginal_b(self, r_b: int) -> float:
-        return self.p_pp + self.p_mp if r_b == 1 else self.p_pm + self.p_mm
-
-    def correlation(self) -> float:
-        return self.p_pp - self.p_pm - self.p_mp + self.p_mm
-
-
 def leggett_outcomes(
     u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector, c: float
-) -> OutcomeTable:
-    """Single-pair outcome table for local vectors (u, v) and correlation c.
+) -> tuple[float, float, float, float]:
+    """Single-pair outcome probabilities for local vectors (u, v) and
+    correlation c, in the sign order (+,+), (-,-), (-,+), (+,-).
 
-    Raises ConstraintViolationError (naming the offending sign pair and the
-    deficit) when c lies outside the admissible interval.
+    Raises ConstraintViolationError (naming the first offending sign pair and
+    the deficit) when c lies outside the admissible interval.
     """
     if not math.isfinite(c):
         raise ValueError(f"correlation must be finite, got {c}")
     x = a.dot(u)
     y = b.dot(v)
-    entries = []  # in OutcomeTable order: ++, +-, -+, --
-    for r_a in (1, -1):
-        for r_b in (1, -1):
-            p = stokes_probability(x, y, c, r_a, r_b)
-            if p < -_POSITIVITY_TOL:
-                raise ConstraintViolationError(r_a, r_b, -p)
-            entries.append(p)
-    return OutcomeTable(*entries)
+    entries = []
+    for r_a, r_b in _SIGN_PAIRS:
+        p = stokes_probability(x, y, c, r_a, r_b)
+        if p < -_POSITIVITY_TOL:
+            raise ConstraintViolationError(r_a, r_b, -p)
+        entries.append(p)
+    return tuple(entries)
 
 
 def admissible_C_range(
@@ -114,20 +88,15 @@ def admissible_C_range(
     return (-1.0 + abs(x + y), 1.0 - abs(x - y))
 
 
-# A component correlation handle returns either the scalar C (the joint table
-# is then built from the single-pair probability law) or a ready-made
-# OutcomeTable (used e.g. to build deliberately broken ensembles in tests).
-CorrelationHandle = Callable[
-    [UnitVector, UnitVector, UnitVector, UnitVector], "float | OutcomeTable"
-]
-
-
 @dataclass(frozen=True, slots=True)
 class EnsembleComponent:
+    """Weighted product-state component; ``corr(u, v, a, b)`` is its
+    correlation C at settings (a, b)."""
+
     weight: float
     u: UnitVector
     v: UnitVector
-    corr: CorrelationHandle
+    corr: Callable[[UnitVector, UnitVector, UnitVector, UnitVector], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,37 +109,17 @@ class PureEnsemble:
         if not self.components:
             raise ValueError("ensemble needs at least one component")
         weights = [comp.weight for comp in self.components]
-        if min(weights) < 0.0:
-            raise ValueError(f"negative weight {min(weights)}")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        # written so that NaN fails both checks
+        if not all(w >= 0.0 for w in weights):
+            raise ValueError(f"weights must be non-negative, got {weights}")
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
-
-    def outcome_table(self, a: UnitVector, b: UnitVector) -> OutcomeTable:
-        """Mixture-averaged joint table at settings (a, b)."""
-        p = [0.0, 0.0, 0.0, 0.0]
-        for comp in self.components:
-            table = _component_table(comp, a, b)
-            p[0] += comp.weight * table.p_pp
-            p[1] += comp.weight * table.p_pm
-            p[2] += comp.weight * table.p_mp
-            p[3] += comp.weight * table.p_mm
-        return OutcomeTable(*p)
 
     def correlation(self, a: UnitVector, b: UnitVector) -> float:
         total = 0.0
         for comp in self.components:
-            value = comp.corr(comp.u, comp.v, a, b)
-            if isinstance(value, OutcomeTable):
-                value = value.correlation()
-            total += comp.weight * value
+            total += comp.weight * comp.corr(comp.u, comp.v, a, b)
         return total
-
-
-def _component_table(comp: EnsembleComponent, a: UnitVector, b: UnitVector) -> OutcomeTable:
-    value = comp.corr(comp.u, comp.v, a, b)
-    if isinstance(value, OutcomeTable):
-        return value
-    return leggett_outcomes(comp.u, comp.v, a, b, value)
 
 
 def _product_correlation(
@@ -187,65 +136,23 @@ def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> P
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MarginalReport:
-    max_deviation: float
-    passed: bool
-    deviations: tuple[float, ...]  # per setting pair
-
-
-def check_marginals(
-    ensemble: PureEnsemble,
-    settings: Sequence[tuple[UnitVector, UnitVector]],
-    tolerance: float = 1e-12,
-) -> MarginalReport:
-    """Compare ensemble joint marginals against the product-state predictions
-    sum_i w_i (1 + r a.u_i)/2 at each setting pair."""
-    deviations = []
-    for a, b in settings:
-        table = ensemble.outcome_table(a, b)
-        worst = 0.0
-        for r in (1, -1):
-            expect_a = sum(
-                comp.weight * (1.0 + r * a.dot(comp.u)) / 2.0
-                for comp in ensemble.components
-            )
-            expect_b = sum(
-                comp.weight * (1.0 + r * b.dot(comp.v)) / 2.0
-                for comp in ensemble.components
-            )
-            worst = max(
-                worst,
-                abs(table.marginal_a(r) - expect_a),
-                abs(table.marginal_b(r) - expect_b),
-            )
-        deviations.append(worst)
-    max_dev = max(deviations) if deviations else 0.0
-    return MarginalReport(
-        max_deviation=max_dev, passed=max_dev <= tolerance, deviations=tuple(deviations)
-    )
-
-
 def explicit_model_margin(
     u: UnitVector,
     v: UnitVector,
     pairs: Sequence[tuple[UnitVector, UnitVector]],
-    *,
-    swapped: bool = False,
 ) -> float:
     """Worst slack of the explicit-model validity condition over the measured
     pairs: min over pairs and signs s of (1 - s v.b) - |a.b + s u.a|.
+    Non-negative margin means the condition holds.
 
-    ``swapped`` evaluates the equivalent mirrored form with the roles of
-    (u.a) and (v.b) exchanged.  Non-negative margin means the condition holds.
+    The mirrored form, with the roles of u.a and v.b exchanged, is this
+    function with the parties exchanged: margin(v, u, [(b, a), ...]).
     """
     margin = math.inf
     for a, b in pairs:
         d = a.dot(b)
         x = u.dot(a)
         y = v.dot(b)
-        if swapped:
-            x, y = y, x
         for s in (1.0, -1.0):
             margin = min(margin, (1.0 - s * y) - abs(d + s * x))
     return margin

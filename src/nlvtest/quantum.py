@@ -127,6 +127,8 @@ def _tensor_form(state: TwoQubitState, a: UnitVector | _Columns, b: UnitVector |
     return _dot(a, [_dot(b, row) for row in state.t])
 
 
+# The one sign order of every outcome table: (+,+), (-,-), (-,+), (+,-).
+# The leggett module reads it too.
 _SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
 
@@ -223,10 +225,7 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
     for i, t in enumerate((t1, t2, t3), start=1):
         rho = rho + t * _STOKES_BASIS[i, i]
     rho /= 4.0
-    floor = _EIGENVALUE_FLOOR
-    if np.linalg.eigvalsh(rho).min() < _EIGENVALUE_FLOOR:
-        floor = -_VISIBILITY_SLACK
-    return TwoQubitState(rho, eigenvalue_floor=floor)
+    return TwoQubitState(rho, eigenvalue_floor=-_VISIBILITY_SLACK)
 
 
 def singlet_L(phi: float) -> float:

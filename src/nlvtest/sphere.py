@@ -21,8 +21,6 @@ __all__ = [
     "rotate",
     "build_schedule",
     "default_frames",
-    "analyzer_angles",
-    "analyzer_stokes",
 ]
 
 # Unit-norm tolerance at API boundaries; constructors renormalize so that
@@ -164,37 +162,3 @@ def default_frames() -> tuple[PlaneFrame, PlaneFrame]:
     plane1 = PlaneFrame(normal=UnitVector(0.0, 0.0, 1.0), seed=UnitVector(1.0, 0.0, 0.0))
     plane2 = PlaneFrame(normal=UnitVector(0.0, -1.0, 0.0), seed=UnitVector(1.0, 0.0, 0.0))
     return plane1, plane2
-
-
-def analyzer_angles(v: UnitVector) -> tuple[float, float]:
-    """Quarter-wave-plate and polarizer angles (degrees) that project onto
-    the polarization state with Stokes vector ``v``.
-
-    The analyzer is a QWP at angle q followed by a linear polarizer at angle
-    p; the transmitted-with-certainty state has azimuth q and ellipticity
-    p - q.  Among equivalent settings the smallest non-negative pair (mod
-    180 deg) is returned.
-    """
-    chi = 0.5 * math.asin(max(-1.0, min(1.0, v.z)))
-    if math.hypot(v.x, v.y) < 1e-12:
-        psi = 0.0  # circular states: azimuth undefined, canonical 0
-    else:
-        psi = 0.5 * math.atan2(v.y, v.x)
-    qwp = math.degrees(psi) % 180.0
-    pol = math.degrees(psi + chi) % 180.0
-    return (qwp, pol)
-
-
-def analyzer_stokes(qwp_deg: float, pol_deg: float) -> UnitVector:
-    """Jones-calculus oracle: Stokes vector analyzed by a QWP at ``qwp_deg``
-    followed by a polarizer at ``pol_deg`` (inverse of analyzer_angles)."""
-    q = math.radians(qwp_deg)
-    p = math.radians(pol_deg)
-    # |psi> = R(q) diag(1, i) R(-q) |pol>, written out on (Ex, Ey)
-    a = math.cos(p - q)
-    b = math.sin(p - q)
-    ex = complex(a * math.cos(q), -b * math.sin(q))
-    ey = complex(a * math.sin(q), b * math.cos(q))
-    s1 = abs(ex) ** 2 - abs(ey) ** 2
-    prod = ex.conjugate() * ey
-    return UnitVector.normalized(s1, 2.0 * prod.real, 2.0 * prod.imag)

@@ -19,7 +19,7 @@ from nlvtest.leggett import (
 )
 from nlvtest.quantum import singlet, singlet_L
 from nlvtest.simulate import ExperimentConfig, replicate
-from nlvtest.sphere import UnitVector, build_schedule, default_frames
+from nlvtest.sphere import UnitVector, default_frames
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -144,17 +144,11 @@ def test_07_explicit_model_feasibility():
     u = UnitVector(1.0, 0.0, 0.0)  # orthogonal to both in-plane perps
     n1_ok = True
     for deg in np.linspace(0.0, 179.0, 50):
-        pairs = []
-        for frame in frames:
-            entry = build_schedule(frame, 1, math.radians(float(deg))).entries[0]
-            pairs += [(entry.alice, entry.bob0), (entry.alice, entry.bobphi)]
+        pairs = _checks._schedule_pairs(frames, 1, math.radians(float(deg)))
         if not explicit_model_feasible(u, -u, pairs):
             n1_ok = False
             break
-    pairs2 = []
-    for frame in frames:
-        for entry in build_schedule(frame, 2, math.radians(15.0)).entries:
-            pairs2 += [(entry.alice, entry.bob0), (entry.alice, entry.bobphi)]
+    pairs2 = _checks._schedule_pairs(frames, 2, math.radians(15.0))
     scan = scan_explicit_model(pairs2, resolution_deg=1.0)
     ok = n1_ok and not scan.feasible_found
     report(

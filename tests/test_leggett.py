@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from helpers import random_unit
 
+from nlvtest._checks import _schedule_pairs
 from nlvtest.inequality import l_n
 from nlvtest.leggett import (
     ConstraintViolationError,
-    OutcomeTable,
     admissible_C_range,
-    check_marginals,
     explicit_model_feasible,
     explicit_model_margin,
     leggett_outcomes,
     product_ensemble,
     scan_explicit_model,
-    EnsembleComponent,
-    PureEnsemble,
 )
-from nlvtest.sphere import UnitVector, build_schedule, default_frames
+from nlvtest.quantum import _SIGN_PAIRS
+from nlvtest.sphere import UnitVector, default_frames
 
 S1 = UnitVector(1, 0, 0)
 S3 = UnitVector(0, 0, 1)
@@ -36,24 +34,22 @@ def brute_force_c_range(x: float, y: float, samples: int = 400_001) -> tuple[flo
 
 
 def schedule_pairs(n: int, phi: float):
-    pairs = []
-    for frame in default_frames():
-        for entry in build_schedule(frame, n, phi).entries:
-            pairs.append((entry.alice, entry.bob0))
-            pairs.append((entry.alice, entry.bobphi))
-    return pairs
+    return _schedule_pairs(default_frames(), n, phi)
+
+
+def marginal(table, party: int, r: int) -> float:
+    """Sum of the table entries whose sign for ``party`` (0 = A, 1 = B) is r."""
+    return sum(p for signs, p in zip(_SIGN_PAIRS, table) if signs[party] == r)
 
 
 class TestOutcomes:
     def test_forced_perfect_correlation(self):
-        table = leggett_outcomes(S3, S3, S3, S3, 1.0)
-        assert (table.p_pp, table.p_pm, table.p_mp, table.p_mm) == (1.0, 0.0, 0.0, 0.0)
+        assert leggett_outcomes(S3, S3, S3, S3, 1.0) == (1.0, 0.0, 0.0, 0.0)
 
     def test_unbiased_case(self):
         u = UnitVector(0, 0, 1)
         a = UnitVector(1, 0, 0)  # orthogonal to u
-        table = leggett_outcomes(u, u, a, a, 0.0)
-        assert (table.p_pp, table.p_pm, table.p_mp, table.p_mm) == (0.25,) * 4
+        assert leggett_outcomes(u, u, a, a, 0.0) == (0.25,) * 4
 
     def test_entries_sum_to_one(self):
         rng = np.random.default_rng(21)
@@ -61,9 +57,7 @@ class TestOutcomes:
             u, v, a, b = (random_unit(rng) for _ in range(4))
             lo, hi = admissible_C_range(u, v, a, b)
             c = rng.uniform(lo, hi)
-            table = leggett_outcomes(u, v, a, b, c)
-            total = table.p_pp + table.p_pm + table.p_mp + table.p_mm
-            assert abs(total - 1.0) < 1e-12
+            assert abs(sum(leggett_outcomes(u, v, a, b, c)) - 1.0) < 1e-12
 
     def test_violation_error_carries_diagnostics(self):
         u, v = S3, S3
@@ -77,12 +71,6 @@ class TestOutcomes:
     def test_rejects_nan_correlation(self):
         with pytest.raises(ValueError, match="finite"):
             leggett_outcomes(S1, S3, S1, S3, math.nan)
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            OutcomeTable(0.5, 0.5, 0.5, -0.5)
-        with pytest.raises(ValueError):
-            OutcomeTable(0.3, 0.3, 0.3, 0.3)
 
 
 class TestAdmissibleRange:
@@ -127,8 +115,7 @@ class TestAdmissibleRange:
             u, v, a, b = (random_unit(rng) for _ in range(4))
             lo, hi = admissible_C_range(u, v, a, b)
             for c in (lo, hi):
-                table = leggett_outcomes(u, v, a, b, c)
-                assert min(table.p_pp, table.p_pm, table.p_mp, table.p_mm) >= -1e-12
+                assert min(leggett_outcomes(u, v, a, b, c)) >= -1e-12
             with pytest.raises(ConstraintViolationError):
                 leggett_outcomes(u, v, a, b, hi + 1e-6)
             with pytest.raises(ConstraintViolationError):
@@ -146,64 +133,20 @@ class TestMarginals:
             for c in np.linspace(lo, hi, 5):
                 table = leggett_outcomes(u, v, a, b, float(c))
                 for r in (1, -1):
-                    worst = max(worst, abs(table.marginal_a(r) - (1 + r * x) / 2))
-                    worst = max(worst, abs(table.marginal_b(r) - (1 + r * y) / 2))
+                    worst = max(worst, abs(marginal(table, 0, r) - (1 + r * x) / 2))
+                    worst = max(worst, abs(marginal(table, 1, r) - (1 + r * y) / 2))
         assert worst <= 1e-14
-
-    def test_product_ensemble_passes(self):
-        rng = np.random.default_rng(26)
-        parts = [(0.25, random_unit(rng), random_unit(rng)) for _ in range(4)]
-        ens = product_ensemble(parts)
-        settings = [(random_unit(rng), random_unit(rng)) for _ in range(10)]
-        report = check_marginals(ens, settings)
-        assert report.passed
-        assert report.max_deviation <= 1e-12
-
-    def test_generic_admissible_ensemble_passes(self):
-        rng = np.random.default_rng(27)
-
-        def midrange_corr(u, v, a, b):
-            lo, hi = admissible_C_range(u, v, a, b)
-            return 0.5 * (lo + hi)
-
-        ens = PureEnsemble(
-            tuple(
-                EnsembleComponent(0.5, random_unit(rng), random_unit(rng), midrange_corr)
-                for _ in range(2)
-            )
-        )
-        settings = [(random_unit(rng), random_unit(rng)) for _ in range(10)]
-        assert check_marginals(ens, settings).passed
-
-    def test_biased_table_flagged(self):
-        rng = np.random.default_rng(28)
-        u, v = random_unit(rng), random_unit(rng)
-
-        def biased(u_, v_, a_, b_):
-            return OutcomeTable(0.3, 0.3, 0.2, 0.2)  # marginal A+ = 0.6
-
-        ens = PureEnsemble((EnsembleComponent(1.0, u, v, biased),))
-        a = UnitVector.normalized(*u.cross(random_unit(rng)))  # not aligned with u
-        report = check_marginals(ens, [(a, a)])
-        assert not report.passed
-        assert report.max_deviation > 1e-3
-
-    def test_out_of_range_component_raises(self):
-        def too_big(u, v, a, b):
-            return 1.0  # outside the admissible interval almost surely
-
-        rng = np.random.default_rng(29)
-        ens = PureEnsemble(
-            (EnsembleComponent(1.0, UnitVector(0, 0, 1), UnitVector(0, 0, -1), too_big),)
-        )
-        with pytest.raises(ConstraintViolationError):
-            check_marginals(ens, [(S3, S3)])
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             product_ensemble([(0.7, S1, S1), (0.7, S1, S1)])
         with pytest.raises(ValueError):
             product_ensemble([(-0.5, S1, S1), (1.5, S1, S1)])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                product_ensemble([(bad, S1, S1), (1.0, S1, S1)])
+            with pytest.raises(ValueError):
+                product_ensemble([(1.0, S1, S1), (bad, S1, S1)])
 
 
 class TestLocalEnsemblesRespectBound:
@@ -251,7 +194,8 @@ class TestExplicitModel:
             u, v, a, b = (random_unit(rng) for _ in range(4))
             pairs = [(a, b)]
             direct = explicit_model_margin(u, v, pairs) >= -1e-12
-            mirrored = explicit_model_margin(u, v, pairs, swapped=True) >= -1e-12
+            # mirrored form: the direct one with the parties exchanged
+            mirrored = explicit_model_margin(v, u, [(b, a)]) >= -1e-12
             assert direct == mirrored
 
     def test_scan_matches_brute_force_coarse(self):

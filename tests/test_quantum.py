@@ -113,14 +113,8 @@ class TestOutcomeProbability:
             u, v, a, b = (random_unit(rng) for _ in range(4))
             state = TwoQubitState(np.kron(qubit_rho(u), qubit_rho(v)))
             table = leggett_outcomes(u, v, a, b, a.dot(u) * b.dot(v))
-            got = [
-                outcome_probability(state, a, b, ra, rb)
-                for ra in (1, -1)
-                for rb in (1, -1)
-            ]
-            assert got == pytest.approx(
-                [table.p_pp, table.p_pm, table.p_mp, table.p_mm], abs=1e-12
-            )
+            row = outcome_probabilities(state, a.as_tuple(), b.as_tuple())
+            assert list(table) == pytest.approx(row.tolist(), abs=1e-12)
 
     def test_mixed_state_uniform(self):
         rng = np.random.default_rng(0)
@@ -227,6 +221,14 @@ class TestConstructors:
         )
         assert np.allclose(state.m_a, 0.0, rtol=0.0, atol=1e-12)
         assert np.allclose(state.m_b, 0.0, rtol=0.0, atol=1e-12)
+
+    def test_bell_diagonal_accepts_only_within_visibility_slack(self):
+        # smallest eigenvalue (1 + t1 + t2 - t3)/4: -0.0025 is inside the
+        # 5e-3 reconstruction slack, -0.0075 is outside it
+        state = bell_diagonal(-1.0, -1.0, -0.99)
+        assert np.allclose(state.t, np.diag([-1.0, -1.0, -0.99]), rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            bell_diagonal(-1.0, -1.0, -0.97)
 
     def test_bell_diagonal_rejects_far_unphysical(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,6 @@ from helpers import random_unit
 from nlvtest.sphere import (
     PlaneFrame,
     UnitVector,
-    analyzer_angles,
-    analyzer_stokes,
     build_schedule,
     default_frames,
     rotate,
@@ -185,34 +183,3 @@ class TestDefaultFrames:
         out = rotate(f2.seed, f2.normal, math.pi / 2)
         assert out.z == pytest.approx(1.0, abs=1e-15)
         assert abs(out.x) < 1e-15 and abs(out.y) < 1e-15
-
-
-class TestAnalyzerAngles:
-    def test_h_state_convention(self):
-        assert analyzer_angles(UnitVector(1, 0, 0)) == (0.0, 0.0)
-
-    def test_right_circular(self):
-        qwp, pol = analyzer_angles(UnitVector(0, 0, 1))
-        assert qwp == pytest.approx(0.0)
-        assert pol == pytest.approx(45.0)
-
-    def test_plus45_linear(self):
-        qwp, pol = analyzer_angles(UnitVector(0, 1, 0))
-        assert qwp == pytest.approx(45.0)
-        assert pol == pytest.approx(45.0)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            v = random_unit(rng)
-            back = analyzer_stokes(*analyzer_angles(v))
-            assert abs(back.x - v.x) < 1e-9
-            assert abs(back.y - v.y) < 1e-9
-            assert abs(back.z - v.z) < 1e-9
-
-    def test_angles_canonical_range(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            qwp, pol = analyzer_angles(random_unit(rng))
-            assert 0.0 <= qwp < 180.0
-            assert 0.0 <= pol < 180.0
