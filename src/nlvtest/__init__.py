@@ -24,7 +24,6 @@ from .leggett import (
     ConstraintViolationError,
     PureEnsemble,
     admissible_C_range,
-    explicit_model_feasible,
     explicit_model_margin,
     leggett_outcomes,
     product_ensemble,
@@ -70,7 +69,7 @@ __all__ = [
     "singlet_L", "parse_state",
     "ConstraintViolationError", "leggett_outcomes", "admissible_C_range",
     "PureEnsemble", "product_ensemble",
-    "explicit_model_feasible", "explicit_model_margin", "scan_explicit_model",
+    "explicit_model_margin", "scan_explicit_model",
     "InequalityReport", "NoViolationError",
     "u_coefficient", "discrete_average", "l_n",
     "nlv_bound", "continuum_bound",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequality, leggett
-from .sphere import UnitVector, build_schedule, default_frames, rotate
+from .sphere import UnitVector, build_schedule, default_frames
 
 __all__ = ["CheckResult", "lemma_suite", "leggett_suite"]
 
@@ -25,21 +25,10 @@ class CheckResult:
     detail: str
 
 
-def _random_unit(rng: np.random.Generator) -> UnitVector:
-    while True:
-        x, y, z = rng.normal(size=3)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm > 1e-6:
-            return UnitVector(x / norm, y / norm, z / norm)
-
-
-def _orthogonal_to(w: UnitVector, rng: np.random.Generator) -> UnitVector:
-    while True:
-        r = _random_unit(rng)
-        cx, cy, cz = w.cross(r)
-        norm = math.sqrt(cx * cx + cy * cy + cz * cz)
-        if norm > 1e-6:
-            return UnitVector(cx / norm, cy / norm, cz / norm)
+def _unit_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Random unit vectors, shape (*shape, 3), from one rng.normal call."""
+    g = rng.normal(size=(*shape, 3))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
 def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
@@ -48,19 +37,15 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     results = []
 
     # lower bound and closed-form identity on random vector pairs
-    worst_slack = math.inf
-    worst_identity = 0.0
-    n_values = range(1, 17)
+    worst_slack, worst_identity = math.inf, 0.0
     per_n = max(1, trials // 16)
-    for n in n_values:
+    w, c = _unit_rows(rng, 2, 16, per_n)
+    for n in range(1, 17):
         u_n = inequality.u_coefficient(n)
-        for _ in range(per_n):
-            w = _random_unit(rng)
-            c = _random_unit(rng)
-            avg, xi = inequality.discrete_average(w, c, n)
-            worst_slack = min(worst_slack, avg - u_n)
-            closed = (math.sin(xi) + n * u_n * math.cos(xi)) / n
-            worst_identity = max(worst_identity, abs(avg - closed))
+        avg, xi = inequality.discrete_average(w[n - 1], c[n - 1], n)
+        worst_slack = min(worst_slack, float(np.min(avg - u_n)))
+        closed = (np.sin(xi) + n * u_n * np.cos(xi)) / n
+        worst_identity = max(worst_identity, float(np.max(np.abs(avg - closed))))
     results.append(
         CheckResult(
             "lemma-lower-bound",
@@ -76,17 +61,19 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    # equality case: place c at angle pi/2 + m*pi/N from w so that xi = 0
+    # equality case: place c at angle pi/2 + m*pi/N from w, rotating about
+    # an axis orthogonal to w, so that xi = 0
     worst_eq = 0.0
+    w, r = _unit_rows(rng, 2, 16, 50)
+    axis = np.cross(w, r)
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     for n in range(1, 17):
         u_n = inequality.u_coefficient(n)
-        for _ in range(50):
-            w = _random_unit(rng)
-            axis = _orthogonal_to(w, rng)
-            m = int(rng.integers(0, n))
-            c = rotate(w, axis, math.pi / 2.0 + m * math.pi / n)
-            avg, _ = inequality.discrete_average(w, c, n)
-            worst_eq = max(worst_eq, abs(avg - u_n))
+        angle = (math.pi / 2.0 + rng.integers(0, n, size=50) * math.pi / n)[:, None]
+        w_n = w[n - 1]
+        c = w_n * np.cos(angle) + np.cross(axis[n - 1], w_n) * np.sin(angle)
+        avg, _ = inequality.discrete_average(w_n, c, n)
+        worst_eq = max(worst_eq, float(np.max(np.abs(avg - u_n))))
     results.append(
         CheckResult(
             "lemma-equality-case",
@@ -129,19 +116,16 @@ def leggett_suite(
     results = []
 
     # admissible interval: both endpoints valid, beyond either is not
-    worst_entry = math.inf
-    boundary_ok = True
-    for _ in range(trials):
-        u, v, a, b = (_random_unit(rng) for _ in range(4))
-        c_min, c_max = leggett.admissible_C_range(u, v, a, b)
-        for c in (c_min, c_max):
-            worst_entry = min(worst_entry, *leggett.leggett_outcomes(u, v, a, b, c))
-        for c_bad in (c_max + 1e-6, c_min - 1e-6):
-            try:
-                leggett.leggett_outcomes(u, v, a, b, c_bad)
-                boundary_ok = False
-            except leggett.ConstraintViolationError:
-                pass
+    u, v, a, b = _unit_rows(rng, 4, trials)
+    c_min, c_max = leggett.admissible_C_range(u, v, a, b)
+    worst_entry = min(float(leggett.leggett_outcomes(u, v, a, b, c).min()) for c in (c_min, c_max))
+    rejected = 0
+    for c_bad in (c_max + 1e-6, c_min - 1e-6):
+        try:
+            leggett.leggett_outcomes(u, v, a, b, c_bad)
+        except leggett.ConstraintViolationError as err:
+            rejected += err.count
+    boundary_ok = rejected == 2 * trials
     results.append(
         CheckResult(
             "admissible-range-boundary",
@@ -152,16 +136,16 @@ def leggett_suite(
     )
 
     # marginals do not depend on the correlation; entries are (+,+), (-,-),
-    # (-,+), (+,-), so Alice's r = +1 marginal is p[0] + p[3]
-    worst_dev = 0.0
-    for _ in range(max(1, trials // 100)):
-        u, v, a, b = (_random_unit(rng) for _ in range(4))
-        c_min, c_max = leggett.admissible_C_range(u, v, a, b)
-        x = a.dot(u)
-        for c in np.linspace(c_min, c_max, 7):
-            p = leggett.leggett_outcomes(u, v, a, b, float(c))
-            for r, marginal in ((1, p[0] + p[3]), (-1, p[2] + p[1])):
-                worst_dev = max(worst_dev, abs(marginal - (1.0 + r * x) / 2.0))
+    # (-,+), (+,-), so Alice's r = +1 marginal is p[:, 0] + p[:, 3]
+    u, v, a, b = _unit_rows(rng, 4, max(1, trials // 100))
+    c = np.linspace(*leggett.admissible_C_range(u, v, a, b), 7, axis=1).ravel()
+    u, v, a, b = np.repeat([u, v, a, b], 7, axis=1)  # seven correlations per draw
+    p = leggett.leggett_outcomes(u, v, a, b, c)
+    x = np.einsum("ki,ki->k", a, u)
+    worst_dev = max(
+        float(np.max(np.abs(p[:, 0] + p[:, 3] - (1.0 + x) / 2.0))),
+        float(np.max(np.abs(p[:, 2] + p[:, 1] - (1.0 - x) / 2.0))),
+    )
     results.append(
         CheckResult(
             "marginal-c-independence",
@@ -172,14 +156,11 @@ def leggett_suite(
 
     # the two quoted forms of the explicit-model condition agree; the
     # mirrored form is the direct one with the parties exchanged
-    agree = True
-    for _ in range(trials):
-        u, v, a, b = (_random_unit(rng) for _ in range(4))
-        direct = leggett.explicit_model_margin(u, v, [(a, b)]) >= -1e-12
-        mirrored = leggett.explicit_model_margin(v, u, [(b, a)]) >= -1e-12
-        if direct != mirrored:
-            agree = False
-            break
+    u, v, a, b = _unit_rows(rng, 4, trials)
+    pairs = np.stack([a, b], axis=1)[:, None]  # one (a, b) pair per row
+    direct = leggett.explicit_model_margin(u, v, pairs) >= -1e-12
+    mirrored = leggett.explicit_model_margin(v, u, pairs[..., ::-1, :]) >= -1e-12
+    agree = bool(np.array_equal(direct, mirrored))
     results.append(
         CheckResult(
             "feasibility-form-equivalence",
@@ -190,9 +171,11 @@ def leggett_suite(
 
     # single-setting schedules are reproducible by the explicit model
     frames = default_frames()
-    u1 = UnitVector(1.0, 0.0, 0.0)
+    u1 = np.array([1.0, 0.0, 0.0])
     n1_ok = all(
-        leggett.explicit_model_feasible(u1, -u1, _schedule_pairs(frames, 1, math.radians(p)))
+        leggett.explicit_model_margin(
+            u1, -u1, leggett._pair_rows(_schedule_pairs(frames, 1, math.radians(p)))
+        ) >= -1e-12
         for p in np.linspace(0.0, 179.0, 50)
     )
     results.append(
@@ -209,7 +192,10 @@ def leggett_suite(
     for _ in range(ensembles):
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
-        parts = [(float(w), _random_unit(rng), _random_unit(rng)) for w in weights]
+        parts = [
+            (float(w), UnitVector.normalized(*u), UnitVector.normalized(*v))
+            for w, (u, v) in zip(weights, _unit_rows(rng, k, 2))
+        ]
         ens = leggett.product_ensemble(parts)
         for n in range(1, 6):
             for p in phi_grid:

@@ -24,7 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sphere import PlaneFrame, UnitVector, build_schedule, check_orthogonal
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .leggett import _dot
+from .sphere import PlaneFrame, build_schedule, check_orthogonal
 
 __all__ = [
     "InequalityReport",
@@ -55,13 +59,19 @@ def u_coefficient(n: int) -> float:
 
 
 class DiscreteAverage(NamedTuple):
-    value: float
-    xi: float  # decomposition angle in [0, pi/N)
+    value: np.ndarray
+    xi: np.ndarray  # decomposition angle in [0, pi/N)
 
 
-def discrete_average(w: UnitVector, c: UnitVector, n: int) -> DiscreteAverage:
-    """Average of |(R^k c) . w| over k = 0..N-1, with R the pi/N rotation
-    about an axis orthogonal to both vectors.
+def _normalized_or(v: np.ndarray, fallback) -> np.ndarray:
+    """Rows of ``v`` scaled to unit length, or ``fallback`` where |v| <= 1e-12."""
+    norm = np.sqrt(_dot(v, v))[..., None]
+    return np.where(norm > 1e-12, v / np.where(norm > 1e-12, norm, 1.0), fallback)
+
+
+def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
+    """Per row of stacked (k, 3) vectors, the average of |(R^k c) . w| over
+    k = 0..N-1, with R the pi/N rotation about an axis orthogonal to both.
 
     Always >= u_coefficient(n).  The returned xi is the wrapped angle
     (angle(w, c) - pi/2) mod pi/N entering the closed form
@@ -69,33 +79,23 @@ def discrete_average(w: UnitVector, c: UnitVector, n: int) -> DiscreteAverage:
     """
     if n < 1:
         raise ValueError(f"need a positive setting count, got {n}")
-    ax, ay, az = w.cross(c)
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm > 1e-12:
-        ax, ay, az = ax / norm, ay / norm, az / norm
-    else:
-        # collinear w, c: any axis orthogonal to w; pick the lexicographically
-        # smallest one (minimize x, then y) for determinism
-        px, py, pz = -(1.0 - w.x * w.x), w.x * w.y, w.x * w.z
-        pn = math.sqrt(px * px + py * py + pz * pz)
-        if pn > 1e-12:
-            ax, ay, az = px / pn, py / pn, pz / pn
-        else:  # w is +-e1; circle has x = 0, minimize y
-            ax, ay, az = 0.0, -1.0, 0.0
-    cos_s = math.cos(math.pi / n)
-    sin_s = math.sin(math.pi / n)
-    cx, cy, cz = c.x, c.y, c.z
-    total = 0.0
-    for k in range(n):
-        if k > 0:
-            d = (ax * cx + ay * cy + az * cz) * (1.0 - cos_s)
-            cx, cy, cz = (
-                cx * cos_s + (ay * cz - az * cy) * sin_s + ax * d,
-                cy * cos_s + (az * cx - ax * cz) * sin_s + ay * d,
-                cz * cos_s + (ax * cy - ay * cx) * sin_s + az * d,
-            )
-        total += abs(cx * w.x + cy * w.y + cz * w.z)
-    angle = math.atan2(norm, w.dot(c))
+    w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
+    cross = np.cross(w, c)
+    wx = w[..., 0]
+    # collinear w, c: any axis orthogonal to w; pick the lexicographically
+    # smallest one (minimize x, then y) for determinism; for w = +-e1, whose
+    # circle has x = 0, that is (0, -1, 0)
+    collinear_axis = _normalized_or(
+        np.stack([-(1.0 - wx * wx), wx * w[..., 1], wx * w[..., 2]], axis=-1), (0.0, -1.0, 0.0)
+    )
+    axis = _normalized_or(cross, collinear_axis)
+    cos_s, sin_s = math.cos(math.pi / n), math.sin(math.pi / n)
+    rotated, total = c, np.abs(_dot(c, w))
+    for _ in range(1, n):
+        d = _dot(axis, rotated) * (1.0 - cos_s)
+        rotated = rotated * cos_s + np.cross(axis, rotated) * sin_s + axis * d[..., None]
+        total = total + np.abs(_dot(rotated, w))
+    angle = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(w, c))
     xi = (angle - math.pi / 2.0) % (math.pi / n)
     return DiscreteAverage(value=total / n, xi=xi)
 

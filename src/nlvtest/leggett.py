@@ -9,10 +9,13 @@ for every measurement pair (a, b), with single-party marginals fixed by
 (u, v) alone.  Requiring all four entries to be non-negative constrains the
 correlation C to a closed interval; those constraints are what the
 inequality module turns into testable bounds.  The law itself is
-quantum.stokes_probability, shared with the quantum predictions, and an
-outcome table is a 4-tuple in the quantum module's sign order (+,+), (-,-),
-(-,+), (+,-).  The explicit model's validity condition and its sphere-grid
-scan test whether one component can reproduce a whole setting schedule.
+quantum.stokes_probability, shared with the quantum predictions.  Settings
+are stacked (k, 3) rows (one evaluation is k = 1), and each function is
+elementwise arithmetic on the projections a.u, b.v and a.b: the interval,
+the (k, 4) outcome tables in the quantum sign order (+,+), (-,-), (-,+),
+(+,-), and the explicit model's validity margin, written once for the
+direct evaluation and the sphere-grid scan of whether one component can
+reproduce a whole setting schedule.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .quantum import _SIGN_PAIRS, stokes_probability
 from .sphere import UnitVector
@@ -34,58 +38,75 @@ __all__ = [
     "PureEnsemble",
     "product_ensemble",
     "explicit_model_margin",
-    "explicit_model_feasible",
     "GridScanResult",
     "scan_explicit_model",
 ]
 
 _POSITIVITY_TOL = 1e-12
+# An entry is (c - lo)/4 or (hi - c)/4 at the interval ends, so a
+# correlation may leave its interval by four times the entry tolerance.
+_INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
 
 
 class ConstraintViolationError(ValueError):
-    """A correlation value forces a negative outcome probability."""
+    """A correlation value forces a negative outcome probability.
 
-    def __init__(self, r_a: int, r_b: int, deficit: float):
-        self.r_a = r_a
-        self.r_b = r_b
-        self.deficit = deficit
+    ``row`` is the first offending row (for an ensemble, the offending
+    component) and ``count`` the number of offending rows; the sign pair
+    and the deficit are those of that row's most negative entry.
+    """
+
+    def __init__(self, row: int, r_a: int, r_b: int, deficit: float, count: int = 1):
+        self.row, self.r_a, self.r_b, self.deficit, self.count = row, r_a, r_b, deficit, count
         sign = {1: "+", -1: "-"}
         super().__init__(
-            f"outcome ({sign[r_a]}, {sign[r_b]}) would have probability "
-            f"-{deficit:.3e} below zero"
+            f"row {row}: outcome ({sign[r_a]}, {sign[r_b]}) would have probability "
+            f"-{deficit:.3e} below zero ({count} offending row{'s' * (count != 1)})"
         )
 
 
-def leggett_outcomes(
-    u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector, c: float
-) -> tuple[float, float, float, float]:
-    """Single-pair outcome probabilities for local vectors (u, v) and
-    correlation c, in the sign order (+,+), (-,-), (-,+), (+,-).
-
-    Raises ConstraintViolationError (naming the first offending sign pair and
-    the deficit) when c lies outside the admissible interval.
-    """
-    if not math.isfinite(c):
-        raise ValueError(f"correlation must be finite, got {c}")
-    x = a.dot(u)
-    y = b.dot(v)
-    entries = []
-    for r_a, r_b in _SIGN_PAIRS:
-        p = stokes_probability(x, y, c, r_a, r_b)
-        if p < -_POSITIVITY_TOL:
-            raise ConstraintViolationError(r_a, r_b, -p)
-        entries.append(p)
-    return tuple(entries)
+def _dot(p, q):
+    """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
-def admissible_C_range(
-    u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector
-) -> tuple[float, float]:
-    """Closed interval of correlations keeping all four outcomes non-negative:
-    [-1 + |a.u + b.v|, 1 - |a.u - b.v|].  Never empty for unit vectors."""
-    x = a.dot(u)
-    y = b.dot(v)
+def _c_interval(x, y):
+    """[lo, hi] of correlations keeping all four entries non-negative, for
+    projections x = a.u and y = b.v (floats or arrays)."""
     return (-1.0 + abs(x + y), 1.0 - abs(x - y))
+
+
+def _violation(row: int, x: float, y: float, c: float, count: int = 1) -> ConstraintViolationError:
+    entries = [float(stokes_probability(x, y, c, r_a, r_b)) for r_a, r_b in _SIGN_PAIRS]
+    worst = min(range(len(entries)), key=entries.__getitem__)
+    return ConstraintViolationError(row, *_SIGN_PAIRS[worst], -entries[worst], count)
+
+
+def leggett_outcomes(u: ArrayLike, v: ArrayLike, a: ArrayLike, b: ArrayLike, c: ArrayLike):
+    """Outcome probabilities for stacked local vectors (u, v), settings
+    (a, b), each (k, 3), and correlations c, shape (k,): a (k, 4) table in
+    the sign order (+,+), (-,-), (-,+), (+,-).
+
+    Raises ConstraintViolationError, naming the first offending row, when
+    some c lies outside its admissible interval.
+    """
+    x, y, c = np.broadcast_arrays(*np.atleast_1d(_dot(a, u), _dot(b, v), c))
+    if not np.isfinite(c).all():
+        raise ValueError(f"correlation must be finite, got {c[~np.isfinite(c)][0]}")
+    p = np.stack([stokes_probability(x, y, c, r_a, r_b) for r_a, r_b in _SIGN_PAIRS], axis=-1)
+    bad = np.flatnonzero(~(p >= -_POSITIVITY_TOL).all(axis=-1))
+    if bad.size:
+        row = int(bad[0])
+        raise _violation(row, x[row], y[row], c[row], bad.size)
+    return p
+
+
+def admissible_C_range(u: ArrayLike, v: ArrayLike, a: ArrayLike, b: ArrayLike):
+    """Per row of stacked (k, 3) settings, the closed interval of correlations
+    keeping all four outcomes non-negative: [-1 + |a.u + b.v|, 1 - |a.u - b.v|].
+    Never empty for unit vectors."""
+    return _c_interval(_dot(a, u), _dot(b, v))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +118,10 @@ class EnsembleComponent:
     u: UnitVector
     v: UnitVector
     corr: Callable[[UnitVector, UnitVector, UnitVector, UnitVector], float]
+
+    def __post_init__(self) -> None:  # floats: correlation() does scalar arithmetic on them
+        for name in ("u", "v"):
+            object.__setattr__(self, name, UnitVector(*map(float, getattr(self, name).as_tuple())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,56 +141,56 @@ class PureEnsemble:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
 
     def correlation(self, a: UnitVector, b: UnitVector) -> float:
+        """Weighted sum of the component correlations; raises
+        ConstraintViolationError for a component outside its interval."""
         total = 0.0
-        for comp in self.components:
-            total += comp.weight * comp.corr(comp.u, comp.v, a, b)
+        for row, comp in enumerate(self.components):
+            c = comp.corr(comp.u, comp.v, a, b)
+            x, y = a.dot(comp.u), b.dot(comp.v)
+            lo, hi = _c_interval(x, y)
+            if not lo - _INTERVAL_TOL <= c <= hi + _INTERVAL_TOL:  # NaN fails too
+                raise _violation(row, x, y, c)
+            total += comp.weight * c
         return total
 
 
-def _product_correlation(
-    u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector
-) -> float:
+def _product_correlation(u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector) -> float:
     return a.dot(u) * b.dot(v)
 
 
 def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> PureEnsemble:
     """Ensemble whose components carry the factorizing correlation
     C = (a.u)(b.v), i.e. a local model."""
-    return PureEnsemble(
-        tuple(EnsembleComponent(w, u, v, _product_correlation) for w, u, v in parts)
-    )
+    return PureEnsemble(tuple(EnsembleComponent(w, u, v, _product_correlation) for w, u, v in parts))
 
 
-def explicit_model_margin(
-    u: UnitVector,
-    v: UnitVector,
-    pairs: Sequence[tuple[UnitVector, UnitVector]],
-) -> float:
-    """Worst slack of the explicit-model validity condition over the measured
-    pairs: min over pairs and signs s of (1 - s v.b) - |a.b + s u.a|.
-    Non-negative margin means the condition holds.
+def _margin(x, y, d):
+    """(1 - s y) - |d + s x| minimised over s = +-1, elementwise on the
+    projections x = u.a, y = v.b and d = a.b."""
+    return np.minimum((1.0 - y) - np.abs(d + x), (1.0 + y) - np.abs(d - x))
 
-    The mirrored form, with the roles of u.a and v.b exchanged, is this
-    function with the parties exchanged: margin(v, u, [(b, a), ...]).
+
+def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.ndarray:
+    """Worst slack of the explicit-model validity condition for stacked
+    candidates (u, v), each (k, 3): min over the measured pairs and signs s
+    of (1 - s v.b) - |a.b + s u.a|, shape (k,).  Non-negative margin means
+    the condition holds.
+
+    ``pairs`` holds (a, b) rows, shape (m, 2, 3) for pairs shared by every
+    candidate or (k, m, 2, 3) for one pair set per candidate.  The mirrored
+    form of the condition, with the roles of u.a and v.b exchanged, is this
+    function with the parties exchanged: margin(v, u, pairs[..., ::-1, :]).
     """
-    margin = math.inf
-    for a, b in pairs:
-        d = a.dot(b)
-        x = u.dot(a)
-        y = v.dot(b)
-        for s in (1.0, -1.0):
-            margin = min(margin, (1.0 - s * y) - abs(d + s * x))
-    return margin
+    pairs = np.asarray(pairs, dtype=float)
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    x = _dot(np.asarray(u, dtype=float)[..., None, :], a)
+    y = _dot(np.asarray(v, dtype=float)[..., None, :], b)
+    return _margin(x, y, _dot(a, b)).min(axis=-1)
 
 
-def explicit_model_feasible(
-    u: UnitVector,
-    v: UnitVector,
-    pairs: Sequence[tuple[UnitVector, UnitVector]],
-    tolerance: float = 1e-12,
-) -> bool:
-    """True iff the explicit-model validity condition holds on every pair."""
-    return explicit_model_margin(u, v, pairs) >= -tolerance
+def _pair_rows(pairs: Sequence[tuple[UnitVector, UnitVector]]) -> np.ndarray:
+    """The (m, 2, 3) rows of a sequence of (a, b) setting pairs."""
+    return np.array([(a.as_tuple(), b.as_tuple()) for a, b in pairs], dtype=float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,21 +204,19 @@ class GridScanResult:
 
 
 def _sphere_grid(resolution_deg: float) -> np.ndarray:
-    """Latitude/longitude grid on the unit sphere (antipodally closed when
-    the resolution divides 180)."""
+    """Latitude/longitude grid on the unit sphere, north pole first, rings
+    at latitudes up to 180 deg, south pole last when the resolution
+    divides 180."""
     lats = np.arange(0.0, 180.0 + 0.5 * resolution_deg, resolution_deg)
-    lons = np.arange(0.0, 360.0, resolution_deg)
-    points = []
-    for lat in lats:
-        theta = math.radians(lat)
-        if abs(lat) < 1e-9 or abs(lat - 180.0) < 1e-9:
-            points.append((0.0, 0.0, math.cos(theta)))
-            continue
-        st, ct = math.sin(theta), math.cos(theta)
-        for lon in lons:
-            lam = math.radians(lon)
-            points.append((st * math.cos(lam), st * math.sin(lam), ct))
-    return np.asarray(points)
+    lats = lats[lats <= 180.0 + 1e-9]
+    pole = (lats < 1e-9) | (np.abs(lats - 180.0) < 1e-9)
+    theta = np.radians(lats[~pole])[:, None]
+    lam = np.radians(np.arange(0.0, 360.0, resolution_deg))[None, :]
+    rings = np.stack(np.broadcast_arrays(
+        np.sin(theta) * np.cos(lam), np.sin(theta) * np.sin(lam), np.cos(theta)
+    ), axis=-1).reshape(-1, 3)
+    poles = np.array([(0.0, 0.0, z) for z in np.cos(np.radians(lats[pole]))])
+    return np.concatenate([poles[:1], rings, poles[1:]])
 
 
 def scan_explicit_model(
@@ -201,59 +224,48 @@ def scan_explicit_model(
     resolution_deg: float = 1.0,
     tolerance: float = 1e-12,
 ) -> GridScanResult:
-    """Exhaustive search for a feasible (u, v) over a sphere grid.
+    """Exhaustive search for a feasible (u, v) over a sphere grid of
+    ``resolution_deg`` in (0, 180].
 
-    Every (u, v) grid pair is covered: candidate v for a given u must satisfy
-    lo_m(u) <= v.b_m <= hi_m(u) for each measured pair m (a restatement of
-    the two-sign validity condition), so pairs failing the tightest such
-    interval are excluded wholesale and only the survivors get a full margin
-    evaluation.  With aligned pairs (a = b) in the schedule the tightest
-    interval pins v.a to -u.a within the tolerance, which prunes everything
-    except near-antipodal pairs.
+    Every (u, v) grid pair is covered: the condition on one measured pair,
+    the pivot with the narrowest interval on average, bounds v.b to an
+    interval set by u alone, so grid points v outside it are excluded
+    wholesale and each u's survivors are scored with the full margin in one
+    call.  With aligned pairs (a = b) in the schedule the pivot pins v.a to
+    -u.a within the tolerance, which prunes all but near-antipodal pairs.
     """
     if not pairs:
         raise ValueError("need at least one measured pair to scan")
+    if not 0.0 < resolution_deg <= 180.0:  # NaN fails too
+        raise ValueError(f"scan resolution must be in (0, 180] degrees, got {resolution_deg!r}")
     grid = _sphere_grid(resolution_deg)
-    n_grid = grid.shape[0]
-    a_mat = np.array([p[0].as_tuple() for p in pairs])
-    b_mat = np.array([p[1].as_tuple() for p in pairs])
+    rows = _pair_rows(pairs)
+    a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
 
     ua = grid @ a_mat.T  # (n_grid, m)
     vb = grid @ b_mat.T
-    hi = 1.0 - np.abs(d[None, :] + ua) + tolerance
-    lo = -1.0 + np.abs(d[None, :] - ua) - tolerance
-
-    # narrowest interval on average is the strongest filter
+    hi = 1.0 - np.abs(d + ua) + tolerance
+    lo = -1.0 + np.abs(d - ua) - tolerance
     pivot = int(np.argmin(np.median(hi - lo, axis=0)))
     order = np.argsort(vb[:, pivot], kind="stable")
-    vb_pivot_sorted = vb[order, pivot]
+    j_lo = np.searchsorted(vb[order, pivot], lo[:, pivot], side="left")
+    j_hi = np.searchsorted(vb[order, pivot], hi[:, pivot], side="right")
 
-    best_margin = -math.inf
-    best_u = best_v = None
-    feasible = False
-    checked = 0
-    for i in range(n_grid):
-        j_lo = int(np.searchsorted(vb_pivot_sorted, lo[i, pivot], side="left"))
-        j_hi = int(np.searchsorted(vb_pivot_sorted, hi[i, pivot], side="right"))
-        for j in order[j_lo:j_hi]:
-            checked += 1
-            slack = np.minimum(hi[i] - tolerance - vb[j], vb[j] - lo[i] - tolerance)
-            margin = float(slack.min())
-            if margin > best_margin:
-                best_margin = margin
-                best_u = UnitVector.normalized(*grid[i])
-                best_v = UnitVector.normalized(*grid[j])
-                if margin >= -tolerance:
-                    feasible = True
-                    break
-        if feasible:
+    best_margin, best, checked = -math.inf, (None, None), 0
+    for i in np.flatnonzero(j_hi > j_lo):
+        candidates = order[j_lo[i]:j_hi[i]]
+        margins = _margin(ua[i], vb[candidates], d).min(axis=1)
+        feasible = np.flatnonzero(margins >= -tolerance)
+        if feasible.size:  # the scan stops at the first one in pivot order
+            j = int(feasible[0])
+            checked += j + 1
+        else:
+            j = int(np.argmax(margins))
+            checked += candidates.size
+        if margins[j] > best_margin:
+            best_margin = float(margins[j])
+            best = (UnitVector.normalized(*grid[i]), UnitVector.normalized(*grid[candidates[j]]))
+        if feasible.size:
             break
-    return GridScanResult(
-        feasible_found=feasible,
-        best_margin=best_margin,
-        best_u=best_u,
-        best_v=best_v,
-        grid_size=n_grid,
-        candidates_checked=checked,
-    )
+    return GridScanResult(best_margin >= -tolerance, best_margin, *best, grid.shape[0], checked)

@@ -13,7 +13,8 @@ from nlvtest import _checks
 from nlvtest.cli import main as cli_main
 from nlvtest.inequality import l_n, nlv_bound, optimal_phi
 from nlvtest.leggett import (
-    explicit_model_feasible,
+    _pair_rows,
+    explicit_model_margin,
     product_ensemble,
     scan_explicit_model,
 )
@@ -141,11 +142,11 @@ def test_06_local_mixtures_never_violate():
 
 def test_07_explicit_model_feasibility():
     frames = default_frames()
-    u = UnitVector(1.0, 0.0, 0.0)  # orthogonal to both in-plane perps
+    u = np.array([1.0, 0.0, 0.0])  # orthogonal to both in-plane perps
     n1_ok = True
     for deg in np.linspace(0.0, 179.0, 50):
-        pairs = _checks._schedule_pairs(frames, 1, math.radians(float(deg)))
-        if not explicit_model_feasible(u, -u, pairs):
+        pairs = _pair_rows(_checks._schedule_pairs(frames, 1, math.radians(float(deg))))
+        if not explicit_model_margin(u, -u, pairs) >= -1e-12:
             n1_ok = False
             break
     pairs2 = _checks._schedule_pairs(frames, 2, math.radians(15.0))

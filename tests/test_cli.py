@@ -327,6 +327,11 @@ class TestBadInput:
     def test_non_positive_count(self, capsys, argv, flag, value):
         assert_one_line_error(run(*argv), capsys, flag, repr(value))
 
+    def test_scan_resolution_above_180(self, capsys):
+        # argparse rejects a negative --grid-deg; the scan rejects one above 180
+        code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "200")
+        assert_one_line_error(code, capsys, "resolution", "200")
+
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         # the bound holds only for orthogonal planes, so both commands refuse others
         cfg = tmp_path / "planes.cfg"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_frames, random_unit
+from helpers import random_frames, unit_rows
 
 from nlvtest.inequality import (
     InequalityReport,
@@ -45,53 +45,97 @@ class TestUCoefficient:
             u_coefficient(0)
 
 
+def reference_discrete_average(w, c, n: int) -> tuple[float, float]:
+    """Plain-Python scalar reference: one (w, c) pair at a time."""
+    ax, ay, az = w[1] * c[2] - w[2] * c[1], w[2] * c[0] - w[0] * c[2], w[0] * c[1] - w[1] * c[0]
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    if norm > 1e-12:
+        ax, ay, az = ax / norm, ay / norm, az / norm
+    else:
+        px, py, pz = -(1.0 - w[0] * w[0]), w[0] * w[1], w[0] * w[2]
+        pn = math.sqrt(px * px + py * py + pz * pz)
+        ax, ay, az = (px / pn, py / pn, pz / pn) if pn > 1e-12 else (0.0, -1.0, 0.0)
+    cos_s, sin_s = math.cos(math.pi / n), math.sin(math.pi / n)
+    cx, cy, cz = c
+    total = 0.0
+    for k in range(n):
+        if k > 0:
+            d = (ax * cx + ay * cy + az * cz) * (1.0 - cos_s)
+            cx, cy, cz = (
+                cx * cos_s + (ay * cz - az * cy) * sin_s + ax * d,
+                cy * cos_s + (az * cx - ax * cz) * sin_s + ay * d,
+                cz * cos_s + (ax * cy - ay * cx) * sin_s + az * d,
+            )
+        total += abs(cx * w[0] + cy * w[1] + cz * w[2])
+    angle = math.atan2(norm, w[0] * c[0] + w[1] * c[1] + w[2] * c[2])
+    return total / n, (angle - math.pi / 2.0) % (math.pi / n)
+
+
 class TestDiscreteAverage:
     def test_aligned_single_setting(self):
-        w = UnitVector(0, 0, 1)
-        avg, _ = discrete_average(w, w, 1)
-        assert avg == 1.0
+        w = (0.0, 0.0, 1.0)
+        avg, _ = discrete_average([w], [w], 1)
+        assert avg.tolist() == [1.0]
+        avg, _ = discrete_average([w, w, w], [w, w, w], 1)
+        assert avg.tolist() == [1.0, 1.0, 1.0]
 
     def test_perpendicular_two_settings_saturates(self):
-        avg, xi = discrete_average(UnitVector(1, 0, 0), UnitVector(0, 1, 0), 2)
-        assert avg == pytest.approx(0.5, abs=1e-15)
-        assert xi == pytest.approx(0.0, abs=1e-15)
+        x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        for k in (1, 4):
+            avg, xi = discrete_average([x] * k, [y] * k, 2)
+            assert avg.tolist() == pytest.approx([0.5] * k, abs=1e-15)
+            assert xi.tolist() == pytest.approx([0.0] * k, abs=1e-15)
 
     def test_random_five_settings_in_range_and_identity(self):
         rng = np.random.default_rng(41)
         u5 = u_coefficient(5)
-        for _ in range(500):
-            w, c = random_unit(rng), random_unit(rng)
-            avg, xi = discrete_average(w, c, 5)
-            assert u5 - 1e-12 <= avg <= 1.0 + 1e-12
-            # independent closed form from the wrapped angle
-            cx, cy, cz = w.cross(c)
-            angle = math.atan2(math.sqrt(cx**2 + cy**2 + cz**2), w.dot(c))
-            xi_oracle = (angle - math.pi / 2) % (math.pi / 5)
-            assert xi == pytest.approx(xi_oracle, abs=1e-12)
-            closed = (math.sin(xi_oracle) + 5 * u5 * math.cos(xi_oracle)) / 5
-            assert avg == pytest.approx(closed, abs=1e-12)
+        w, c = unit_rows(rng, 2, 500)
+        avg, xi = discrete_average(w, c, 5)
+        assert (u5 - 1e-12 <= avg).all() and (avg <= 1.0 + 1e-12).all()
+        # independent closed form from the wrapped angle
+        cross = np.cross(w, c)
+        angle = np.arctan2(np.linalg.norm(cross, axis=1), np.einsum("ki,ki->k", w, c))
+        xi_oracle = (angle - math.pi / 2) % (math.pi / 5)
+        assert np.abs(xi - xi_oracle).max() <= 1e-12
+        closed = (np.sin(xi_oracle) + 5 * u5 * np.cos(xi_oracle)) / 5
+        assert np.abs(avg - closed).max() <= 1e-12
+
+    def test_rows_equal_scalar_reference(self):
+        rng = np.random.default_rng(43)
+        w, c = unit_rows(rng, 2, 300)
+        # collinear rows take the deterministic axis, +-e1 its own branch
+        e1, s = (1.0, 0.0, 0.0), (0.6, 0.8, 0.0)
+        w = np.concatenate([w, [s, s, e1, e1]])
+        c = np.concatenate([c, [s, (-0.6, -0.8, 0.0), e1, (-1.0, 0.0, 0.0)]])
+        for n in (1, 2, 3, 7, 16):
+            avg, xi = discrete_average(w, c, n)
+            reference = [reference_discrete_average(wi, ci, n) for wi, ci in zip(w.tolist(), c.tolist())]
+            assert avg.tolist() == [value for value, _ in reference]
+            # arctan2 may be a vectorised implementation, last bits apart from libm
+            assert xi.tolist() == pytest.approx([x for _, x in reference], abs=1e-15)
 
     def test_lower_bound_moderate_trials(self):
         rng = np.random.default_rng(42)
+        w, c = unit_rows(rng, 2, 16, 200)
         for n in range(1, 17):
-            u_n = u_coefficient(n)
-            for _ in range(200):
-                avg, _ = discrete_average(random_unit(rng), random_unit(rng), n)
-                assert avg >= u_n - 1e-12
+            avg, _ = discrete_average(w[n - 1], c[n - 1], n)
+            assert (avg >= u_coefficient(n) - 1e-12).all()
 
     def test_collinear_inputs_deterministic(self):
-        w = UnitVector(0.6, 0.8, 0.0)
-        for c in (w, -w):
-            for n in (1, 2, 5):
-                avg, _ = discrete_average(w, c, n)
-                oracle = sum(abs(math.cos(k * math.pi / n)) for k in range(n)) / n
-                assert avg == pytest.approx(oracle, abs=1e-12)
+        w = (0.6, 0.8, 0.0)
+        minus_w = (-0.6, -0.8, 0.0)
+        for n in (1, 2, 5):
+            avg, _ = discrete_average([w, w], [w, minus_w], n)
+            oracle = sum(abs(math.cos(k * math.pi / n)) for k in range(n)) / n
+            assert avg.tolist() == pytest.approx([oracle, oracle], abs=1e-12)
         # repeated calls give identical results (deterministic axis choice)
-        assert discrete_average(w, w, 7) == discrete_average(w, w, 7)
+        first, second = discrete_average([w], [w], 7), discrete_average([w], [w], 7)
+        assert first.value.tolist() == second.value.tolist()
+        assert first.xi.tolist() == second.xi.tolist()
 
     def test_rejects_zero_settings(self):
         with pytest.raises(ValueError):
-            discrete_average(UnitVector(1, 0, 0), UnitVector(0, 1, 0), 0)
+            discrete_average([(1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)], 0)
 
 
 class TestPlaneAverages:

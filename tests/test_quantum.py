@@ -109,12 +109,14 @@ class TestOutcomeProbability:
 
     def test_product_state_matches_leggett_law(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            u, v, a, b = (random_unit(rng) for _ in range(4))
-            state = TwoQubitState(np.kron(qubit_rho(u), qubit_rho(v)))
-            table = leggett_outcomes(u, v, a, b, a.dot(u) * b.dot(v))
-            row = outcome_probabilities(state, a.as_tuple(), b.as_tuple())
-            assert list(table) == pytest.approx(row.tolist(), abs=1e-12)
+        quads = [[random_unit(rng) for _ in range(4)] for _ in range(200)]
+        u, v, a, b = np.array([[s.as_tuple() for s in quad] for quad in quads]).transpose(1, 0, 2)
+        product = np.einsum("ki,ki->k", a, u) * np.einsum("ki,ki->k", b, v)
+        table = leggett_outcomes(u, v, a, b, product)  # one row per quad
+        for row, (qu, qv, qa, qb) in zip(table.tolist(), quads):
+            state = TwoQubitState(np.kron(qubit_rho(qu), qubit_rho(qv)))
+            expected = outcome_probabilities(state, qa.as_tuple(), qb.as_tuple())
+            assert row == pytest.approx(expected.tolist(), abs=1e-12)
 
     def test_mixed_state_uniform(self):
         rng = np.random.default_rng(0)
