@@ -225,10 +225,10 @@ def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     lo, hi = args.phi_range
     if args.step is None or args.step <= 0.0:
         raise ConfigError("--phi-range requires a positive --step")
-    grid = []
-    while (value := lo + len(grid) * args.step) <= hi + 1e-9:
-        grid.append(value)
-    return grid
+    count = math.floor((hi - lo) / args.step + 1e-9) + 1  # counted before anything is allocated
+    if count > 1_000_000:
+        raise ConfigError(f"--phi-range with --step {args.step!r} gives {count} angles, over 1000000")
+    return [lo + k * args.step for k in range(count)]
 
 
 # ---------------------------------------------------------------------------

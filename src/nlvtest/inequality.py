@@ -14,8 +14,9 @@ L_N for any N >= 2 already is the all-directions sum.  The quantum singlet
 prediction is 2(1 + cos phi), which exceeds the bound for N >= 2 over a
 window of difference angles phi.
 
-A correlation source is any object with a ``correlation(a, b)`` method,
-such as a quantum ``TwoQubitState`` or a Leggett ``PureEnsemble``.
+A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
+``PureEnsemble``, has a ``correlation(a, b)`` method mapping stacked (k, 3)
+settings to (k,) values; ``l_n`` and each search step make one call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .leggett import _dot
-from .sphere import PlaneFrame, build_schedule, check_orthogonal
+from .sphere import PlaneFrame, check_orthogonal, offset_settings, plane_settings
+from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
     "InequalityReport",
@@ -135,24 +137,13 @@ class InequalityReport:
         return self.l_value - self.bound
 
 
-def l_n(
-    source,
-    frames: tuple[PlaneFrame, PlaneFrame],
-    n: int,
-    phi: float,
-) -> InequalityReport:
-    """Evaluate the analytic correlation sum L_N for a noiseless source.
-
-    Each plane contributes |E_j(phi) + E_j(0)|, the plane averages being
-    the means of C(a_k, b_k(phi)) and C(a_k, a_k) over the N settings.
-    """
-    check_orthogonal(frames)
-    correlation = source.correlation
+def _report(frames, n: int, phi: float, c_phi: list[float], c_zero: list[float]) -> InequalityReport:
+    """The L_N report from C(a_k, b_k(phi)) and C(a_k, a_k) in plane order: each
+    plane adds |E_j(phi) + E_j(0)|, each E_j a left-to-right sum divided by N."""
     value = 0.0
-    for frame in frames:
-        entries = build_schedule(frame, n, phi).entries
-        e_phi = sum(correlation(entry.alice, entry.bobphi) for entry in entries) / n
-        e_zero = sum(correlation(entry.alice, entry.bob0) for entry in entries) / n
+    for j in range(0, len(c_phi), n):
+        e_phi = sum(c_phi[j:j + n]) / n
+        e_zero = sum(c_zero[j:j + n]) / n
         value += abs(e_phi + e_zero)
     return InequalityReport(
         n=n,
@@ -163,6 +154,16 @@ def l_n(
         violation_sigmas=None,
         frames=frames,
     )
+
+
+def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: float) -> InequalityReport:
+    """Evaluate the analytic correlation sum L_N for a noiseless source, in
+    one correlation call over the rows [a; a] x [b(phi); a]."""
+    check_orthogonal(frames)
+    alice, turned = plane_settings(frames, n)
+    bob = np.concatenate([offset_settings(alice, turned, phi), alice])
+    c = source.correlation(np.concatenate([alice, alice]), bob).tolist()
+    return _report(frames, n, phi, c[:len(alice)], c[len(alice):])
 
 
 def optimal_phi(n: int | float) -> float:
@@ -177,31 +178,28 @@ def optimal_phi(n: int | float) -> float:
     return 2.0 * math.asin(u / 4.0)
 
 
-def max_violation_phi(
-    source,
-    frames: tuple[PlaneFrame, PlaneFrame],
-    n: int,
-    phi_lo: float = 0.0,
-    phi_hi: float = math.pi / 4.0,
-    tol: float = math.radians(0.01),
-) -> tuple[float, float]:
-    """Golden-section search for the phi maximizing l_value - bound.
+def max_violation_phi(source, frames: tuple[PlaneFrame, PlaneFrame], n: int) -> tuple[float, float]:
+    """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
+    maximizing l_value - bound.
 
     Returns (phi, violation); violation < 0 means the source never exceeds
     the bound on the interval.  The objective is unimodal for the state
     models in this package (a cosine plus a |sin| term).
     """
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    check_orthogonal(frames)
+    alice, turned = plane_settings(frames, n)
+    c_zero = source.correlation(alice, alice).tolist()
 
     def objective(phi: float) -> float:
-        report = l_n(source, frames, n, phi)
-        return report.l_value - report.bound
+        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).tolist()
+        return _report(frames, n, phi, c_phi, c_zero).violation
 
-    a, b = phi_lo, phi_hi
+    a, b = 0.0, math.pi / 4.0
     c = b - inv_golden * (b - a)
     d = a + inv_golden * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > math.radians(0.01):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + inv_golden * (b - a)

@@ -21,7 +21,7 @@ reproduce a whole setting schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,9 +51,9 @@ _INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
 class ConstraintViolationError(ValueError):
     """A correlation value forces a negative outcome probability.
 
-    ``row`` is the first offending row (for an ensemble, the offending
-    component) and ``count`` the number of offending rows; the sign pair
-    and the deficit are those of that row's most negative entry.
+    ``row`` is the first offending settings row and ``count`` the number of
+    offending rows; the sign pair and the deficit are those of that row's
+    most negative entry (for an ensemble, of its first offending component).
     """
 
     def __init__(self, row: int, r_a: int, r_b: int, deficit: float, count: int = 1):
@@ -69,12 +69,6 @@ def _dot(p, q):
     """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
-
-
-def _c_interval(x, y):
-    """[lo, hi] of correlations keeping all four entries non-negative, for
-    projections x = a.u and y = b.v (floats or arrays)."""
-    return (-1.0 + abs(x + y), 1.0 - abs(x - y))
 
 
 def _violation(row: int, x: float, y: float, c: float, count: int = 1) -> ConstraintViolationError:
@@ -106,29 +100,30 @@ def admissible_C_range(u: ArrayLike, v: ArrayLike, a: ArrayLike, b: ArrayLike):
     """Per row of stacked (k, 3) settings, the closed interval of correlations
     keeping all four outcomes non-negative: [-1 + |a.u + b.v|, 1 - |a.u - b.v|].
     Never empty for unit vectors."""
-    return _c_interval(_dot(a, u), _dot(b, v))
+    x, y = _dot(a, u), _dot(b, v)
+    return (-1.0 + abs(x + y), 1.0 - abs(x - y))
 
 
 @dataclass(frozen=True, slots=True)
 class EnsembleComponent:
-    """Weighted product-state component; ``corr(u, v, a, b)`` is its
-    correlation C at settings (a, b)."""
+    """Weighted product-state component.  ``corr(u, v, a, b)`` is its correlation
+    C: given the (g, 3) local vectors of the g components sharing this ``corr``
+    and stacked (k, 3) settings, it returns their (g, k) correlations."""
 
     weight: float
     u: UnitVector
     v: UnitVector
-    corr: Callable[[UnitVector, UnitVector, UnitVector, UnitVector], float]
-
-    def __post_init__(self) -> None:  # floats: correlation() does scalar arithmetic on them
-        for name in ("u", "v"):
-            object.__setattr__(self, name, UnitVector(*map(float, getattr(self, name).as_tuple())))
+    corr: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
 class PureEnsemble:
-    """Finite mixture of product-state components with per-pair correlations."""
+    """Finite mixture of product-state components with per-pair correlations,
+    stacked once by ``corr``: a correlation call makes one call per ``corr``."""
 
     components: tuple[EnsembleComponent, ...]
+    _groups: tuple = field(init=False, repr=False, compare=False)  # (corr, u rows, v rows)
+    _wuv: tuple = field(init=False, repr=False, compare=False)  # stacked w, u, v
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -139,23 +134,34 @@ class PureEnsemble:
             raise ValueError(f"weights must be non-negative, got {weights}")
         if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
+        groups: dict = {}
+        for comp in self.components:
+            groups.setdefault(comp.corr, []).append(comp)
+        uv = [[np.array([getattr(c, side).as_tuple() for c in members]) for side in "uv"]
+              for members in groups.values()]
+        w = np.array([c.weight for members in groups.values() for c in members], dtype=float)
+        object.__setattr__(self, "_groups", tuple((corr, *rows) for corr, rows in zip(groups, uv)))
+        object.__setattr__(self, "_wuv", (w, *(np.concatenate(side) for side in zip(*uv))))
 
-    def correlation(self, a: UnitVector, b: UnitVector) -> float:
-        """Weighted sum of the component correlations; raises
-        ConstraintViolationError for a component outside its interval."""
-        total = 0.0
-        for row, comp in enumerate(self.components):
-            c = comp.corr(comp.u, comp.v, a, b)
-            x, y = a.dot(comp.u), b.dot(comp.v)
-            lo, hi = _c_interval(x, y)
-            if not lo - _INTERVAL_TOL <= c <= hi + _INTERVAL_TOL:  # NaN fails too
-                raise _violation(row, x, y, c)
-            total += comp.weight * c
-        return total
+    def correlation(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """Per row of stacked (k, 3) settings, the weighted sum of the
+        component correlations; raises ConstraintViolationError, naming the
+        first offending settings row, where some component leaves its
+        interval."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        c = np.concatenate([corr(u, v, a, b) for corr, u, v in self._groups])  # (m, k)
+        w, u, v = self._wuv
+        x, y = u @ a.T, v @ b.T
+        ok = (c >= np.abs(x + y) - (1.0 + _INTERVAL_TOL)) & (c <= (1.0 + _INTERVAL_TOL) - np.abs(x - y))
+        if not ok.all():  # NaN fails too
+            rows = np.flatnonzero(~ok.all(axis=0))
+            row, j = int(rows[0]), int(np.argmin(ok[:, rows[0]]))  # j: first bad component
+            raise _violation(row, x[j, row], y[j, row], c[j, row], rows.size)
+        return w @ c
 
 
-def _product_correlation(u: UnitVector, v: UnitVector, a: UnitVector, b: UnitVector) -> float:
-    return a.dot(u) * b.dot(v)
+def _product_correlation(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (u @ a.T) * (v @ b.T)
 
 
 def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> PureEnsemble:
@@ -225,7 +231,8 @@ def scan_explicit_model(
     tolerance: float = 1e-12,
 ) -> GridScanResult:
     """Exhaustive search for a feasible (u, v) over a sphere grid of
-    ``resolution_deg`` in (0, 180].
+    ``resolution_deg`` in (0, 180] that divides 180, so that the grid is
+    closed under antipodes (v = -u, which aligned pairs require).
 
     Every (u, v) grid pair is covered: the condition on one measured pair,
     the pivot with the narrowest interval on average, bounds v.b to an
@@ -236,8 +243,9 @@ def scan_explicit_model(
     """
     if not pairs:
         raise ValueError("need at least one measured pair to scan")
-    if not 0.0 < resolution_deg <= 180.0:  # NaN fails too
-        raise ValueError(f"scan resolution must be in (0, 180] degrees, got {resolution_deg!r}")
+    rings = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
+    if not abs(math.remainder(rings, 1.0)) <= 1e-9:
+        raise ValueError(f"scan resolution must be in (0, 180] dividing 180, got {resolution_deg!r}")
     grid = _sphere_grid(resolution_deg)
     rows = _pair_rows(pairs)
     a_mat, b_mat = rows[:, 0], rows[:, 1]

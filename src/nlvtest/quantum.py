@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -94,7 +94,7 @@ class TwoQubitState:
         object.__setattr__(self, "t", tuple(tuple(row[1:]) for row in terms[1:]))
 
     # convenience: a state is usable directly as a correlation source
-    def correlation(self, a: UnitVector, b: UnitVector) -> float:
+    def correlation(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         return correlation(self, a, b)
 
 
@@ -108,21 +108,13 @@ def stokes_probability(x: float, y: float, c: float, r_a: int, r_b: int) -> floa
     return ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0
 
 
-class _Columns(NamedTuple):
-    """Component arrays of stacked settings.  _dot reads them like a
-    UnitVector's components, so scalar and array settings share one dot
-    product with the same operation order."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+def _dot(v: np.ndarray, w: Sequence[float]):
+    """Row-wise v.w for the columns v = rows.T of stacked settings, in
+    UnitVector.dot's operation order."""
+    return v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
 
 
-def _dot(v: UnitVector | _Columns, w: Sequence[float]):
-    return v.x * w[0] + v.y * w[1] + v.z * w[2]
-
-
-def _tensor_form(state: TwoQubitState, a: UnitVector | _Columns, b: UnitVector | _Columns):
+def _tensor_form(state: TwoQubitState, a: np.ndarray, b: np.ndarray):
     """a.T.b, evaluated as a.(T b)"""
     return _dot(a, [_dot(b, row) for row in state.t])
 
@@ -141,8 +133,7 @@ def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> n
     same order, whatever the shape, so one table row equals the
     one-setting table bit for bit.
     """
-    a = _Columns(*np.asarray(a, dtype=float).T)
-    b = _Columns(*np.asarray(b, dtype=float).T)
+    a, b = np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T
     x, y, c = _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b)
     p = np.stack([stokes_probability(x, y, c, r_a, r_b) for r_a, r_b in _SIGN_PAIRS], axis=-1)
     bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))  # NaN is bad too
@@ -162,12 +153,15 @@ def outcome_probability(
     return float(table[_SIGN_PAIRS.index((r_a, r_b))])
 
 
-def correlation(state: TwoQubitState, a: UnitVector, b: UnitVector) -> float:
-    """C(a, b) = <sigma(a) (x) sigma(b)> = a.T.b."""
-    c = _tensor_form(state, a, b)
-    if not abs(c) <= 1.0 + 1e-12:
-        raise ValueError(f"correlation {c} outside [-1, 1] beyond tolerance")
-    return min(1.0, max(-1.0, c))
+def correlation(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """C(a, b) = <sigma(a) (x) sigma(b)> = a.T.b per row of settings of shape
+    (..., 3), clamped to [-1, 1]; like outcome_probabilities, each row's value
+    comes from the same elementwise operations whatever the shape."""
+    c = np.asarray(_tensor_form(state, np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T))
+    if not (np.abs(c) <= 1.0 + 1e-12).all():  # NaN fails too
+        bad = c[~(np.abs(c) <= 1.0 + 1e-12)]
+        raise ValueError(f"correlation {float(bad[0])} outside [-1, 1] beyond tolerance")
+    return np.minimum(1.0, np.maximum(-1.0, c))
 
 
 # (|HV> - |VH>)(<HV| - <VH|) / 2 with exact +-0.5 entries

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quantum
 from .inequality import InequalityReport, nlv_bound
-from .sphere import PlaneFrame, build_schedule, check_orthogonal, default_frames
+from .sphere import PlaneFrame, check_orthogonal, default_frames, offset_settings, plane_settings
 
 __all__ = [
     "ExperimentConfig",
@@ -116,14 +116,9 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     0 then phi); columns the sign pairs (+,+), (-,-), (-,+), (+,-).  They
     depend on the config's state, rates and planes, not on its seed.
     """
-    pairs = [
-        (entry.alice.as_tuple(), bob.as_tuple())
-        for frame in config.frames
-        for entry in build_schedule(frame, n, phi).entries
-        for bob in (entry.bob0, entry.bobphi)
-    ]
-    alice, bob = (np.array(side) for side in zip(*pairs))
-    p = quantum.outcome_probabilities(config.resolve_state(), alice, bob)
+    alice, turned = plane_settings(config.frames, n)
+    bob = np.stack([alice, offset_settings(alice, turned, phi)], axis=1).reshape(-1, 3)
+    p = quantum.outcome_probabilities(config.resolve_state(), np.repeat(alice, 2, axis=0), bob)
     t = config.integration_time
     return config.pair_rate * p * t + config.accidental_rate * t
 

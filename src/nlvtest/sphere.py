@@ -1,5 +1,5 @@
 """Poincare-sphere geometry: unit Stokes vectors, measurement planes, and
-rotated setting schedules.
+rotated setting schedules, stacked as (k, 3) rows.
 
 Conventions used throughout the package:
 
@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "UnitVector",
@@ -19,6 +22,8 @@ __all__ = [
     "ScheduleEntry",
     "SettingSchedule",
     "rotate",
+    "plane_settings",
+    "offset_settings",
     "build_schedule",
     "default_frames",
 ]
@@ -117,31 +122,40 @@ class SettingSchedule:
     entries: tuple[ScheduleEntry, ...]
 
 
-def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
-    """Generate the N rotated setting triples for one plane.
-
-    Entry k holds a_k = R^k(seed) with R the rotation by pi/N about the plane
-    normal, Bob's aligned setting b(0) = a_k, and the offset setting
-    b(phi) = cos(phi) a_k + sin(phi) (normal x a_k).
-    """
+def plane_settings(frames: Sequence[PlaneFrame], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's settings a_k = R^k(seed), k < N, R the pi/N turn about the plane
+    normal, stacked plane by plane as (len(frames) N, 3) rows, and the turned
+    rows normal x a_k.  Bob's aligned setting b(0) is a_k itself."""
     if n < 1:
         raise ValueError(f"need at least one setting, got n={n}")
-    cos_phi = math.cos(phi)
-    sin_phi = math.sin(phi)
-    step = math.pi / n
-    entries = []
-    alice = frame.seed
-    for k in range(n):
-        if k > 0:
-            alice = rotate(alice, frame.normal, step)
-        cx, cy, cz = frame.normal.cross(alice)
-        bobphi = UnitVector(
-            cos_phi * alice.x + sin_phi * cx,
-            cos_phi * alice.y + sin_phi * cy,
-            cos_phi * alice.z + sin_phi * cz,
-        )
-        entries.append(ScheduleEntry(alice=alice, bob0=alice, bobphi=bobphi))
-    return SettingSchedule(entries=tuple(entries))
+    alice, turned = [], []
+    for frame in frames:
+        a = frame.seed
+        for k in range(n):
+            a = rotate(a, frame.normal, math.pi / n) if k else a
+            alice.append(a.as_tuple())
+            turned.append(frame.normal.cross(a))
+    return np.array(alice), np.array(turned)
+
+
+def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.ndarray:
+    """Bob's offset settings b(phi) = cos(phi) a + sin(phi) (normal x a) for
+    the rows of plane_settings, rescaled to unit length where UnitVector
+    would rescale them, so each row equals UnitVector's components."""
+    b = math.cos(phi) * alice + math.sin(phi) * turned
+    n2 = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
+    if (off := np.abs(n2 - 1.0) > _RENORM_SKIP).any():
+        b[off] /= np.sqrt(n2[off])[:, None]
+    return b
+
+
+def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
+    """The N setting triples (a_k, b(0) = a_k, b(phi)) of one plane, as
+    UnitVectors, from plane_settings and offset_settings."""
+    alice, turned = plane_settings((frame,), n)
+    bob = offset_settings(alice, turned, phi).tolist()
+    alice = [UnitVector(*a) for a in alice.tolist()]
+    return SettingSchedule(tuple(ScheduleEntry(a, a, UnitVector(*b)) for a, b in zip(alice, bob)))
 
 
 def check_orthogonal(frames: tuple[PlaneFrame, PlaneFrame]) -> None:

@@ -1,4 +1,5 @@
-"""Shared randomization helpers for the test suite."""
+"""Shared randomization helpers and plain-Python references for the test
+suite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import math
 import numpy as np
 
 from nlvtest._checks import _unit_rows as unit_rows
-from nlvtest.sphere import PlaneFrame, UnitVector, rotate
+from nlvtest.inequality import nlv_bound
+from nlvtest.sphere import PlaneFrame, UnitVector, build_schedule, rotate
 
 
 def random_unit(rng: np.random.Generator) -> UnitVector:
@@ -34,3 +36,49 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def reference_correlation(state, a: UnitVector, b: UnitVector) -> float:
+    """Plain-Python C(a, b) = a.(T b), with the +-1e-12 range check and the
+    clamp to [-1, 1]."""
+    tb = [b.x * row[0] + b.y * row[1] + b.z * row[2] for row in state.t]
+    c = a.x * tb[0] + a.y * tb[1] + a.z * tb[2]
+    if not abs(c) <= 1.0 + 1e-12:
+        raise ValueError(f"correlation {c} outside [-1, 1]")
+    return min(1.0, max(-1.0, c))
+
+
+def reference_l_n(state, frames, n: int, phi: float) -> float:
+    """Plain-Python L_N from build_schedule entries: per plane, left-to-right
+    sums of the scalar correlations at offsets phi and 0."""
+    value = 0.0
+    for frame in frames:
+        entries = build_schedule(frame, n, phi).entries
+        e_phi = sum(reference_correlation(state, e.alice, e.bobphi) for e in entries) / n
+        e_zero = sum(reference_correlation(state, e.alice, e.bob0) for e in entries) / n
+        value += abs(e_phi + e_zero)
+    return value
+
+
+def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
+    """Golden-section search of reference_l_n - bound over [0, pi/4] to
+    0.01 degrees, step for step as inequality.max_violation_phi."""
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(phi: float) -> float:
+        return reference_l_n(state, frames, n, phi) - nlv_bound(n, phi)
+
+    lo, hi = 0.0, math.pi / 4.0
+    c, d = hi - inv_golden * (hi - lo), lo + inv_golden * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while hi - lo > math.radians(0.01):
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + inv_golden * (hi - lo)
+            fd = objective(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - inv_golden * (hi - lo)
+            fc = objective(c)
+    best = (lo + hi) / 2.0
+    return best, objective(best)

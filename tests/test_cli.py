@@ -1,3 +1,4 @@
+import argparse
 import json
 import platform
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlvtest import __version__
-from nlvtest.cli import ConfigError, load_config, main, read_manifest
+from nlvtest.cli import ConfigError, _phi_grid_deg, load_config, main, read_manifest
 
 
 def data_section(path) -> str:
@@ -54,6 +55,17 @@ class TestBounds:
 
     def test_missing_step_is_config_error(self, capsys):
         assert run("bounds", "--n-list", "2", "--phi-range", "0:45") == 1
+
+    def test_grid_holds_at_most_a_million_angles(self):
+        def grid(lo, hi, step):
+            return _phi_grid_deg(argparse.Namespace(phi=None, phi_range=(lo, hi), step=step))
+
+        assert grid(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.1 * 3]
+        assert grid(10.0, 10.0, 5.0) == [10.0]
+        assert len(grid(0.0, 90.0, 1e-4)) == 900_001
+        assert len(grid(0.0, 999_999.0, 1.0)) == 1_000_000
+        with pytest.raises(ConfigError, match="1000001 angles"):
+            grid(0.0, 1_000_000.0, 1.0)
 
 
 class TestPredict:
@@ -332,6 +344,15 @@ class TestBadInput:
         code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "200")
         assert_one_line_error(code, capsys, "resolution", "200")
 
+    def test_scan_resolution_not_dividing_180(self, capsys):
+        code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "7")
+        assert_one_line_error(code, capsys, "resolution", "7.0")
+
+    def test_phi_grid_above_a_million_angles(self, capsys):
+        # refused from the angle count alone: the 5e12-angle grid is never built
+        code = run("bounds", "--n-list", "2", "--phi-range", "10:15", "--step", "1e-12")
+        assert_one_line_error(code, capsys, "angles", "1000000")
+
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         # the bound holds only for orthogonal planes, so both commands refuse others
         cfg = tmp_path / "planes.cfg"
@@ -353,6 +374,18 @@ CONFIGS = {
     "NOISY": "pair_rate = 20\naccidental_rate = 1\n",
 }
 GOLDEN = {
+    "predict-visibilities": (
+        ("predict", "--state", "visibilities:0.995,0.990,0.982", "--n", "32", "--phi", "15"),
+        """\
+n,phi_deg,l_value,bound,violation,best_phi_deg,best_violation
+32,15.00,3.8945,3.8339,0.0606,18.48,0.0641""",
+    ),
+    "predict-werner": (
+        ("predict", "--state", "werner:0.96", "--n", "3", "--phi", "25"),
+        """\
+n,phi_deg,l_value,bound,violation,best_phi_deg,best_violation
+3,25.00,3.6601,3.7501,-0.0900,17.30,-0.0732""",
+    ),
     "simulate-default": (
         ("simulate", "--n", "3", "--phi", "15", "--runs", "3", "--seed", "1234"),
         """\

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_frames, unit_rows
+from helpers import (
+    random_density_matrix,
+    random_frames,
+    reference_l_n,
+    reference_max_violation_phi,
+    unit_rows,
+)
 
 from nlvtest.inequality import (
     InequalityReport,
@@ -16,8 +22,10 @@ from nlvtest.inequality import (
     u_coefficient,
 )
 from nlvtest.quantum import (
+    TwoQubitState,
     bell_diagonal,
     maximally_mixed,
+    parse_state,
     singlet,
     singlet_L,
     werner,
@@ -279,6 +287,41 @@ class TestMaxViolationSearch:
     def test_low_visibility_never_violates(self):
         _, violation = max_violation_phi(werner(0.96), default_frames(), 2)
         assert violation < 0.0
+
+
+# the four predict-scan benchmark states
+REFERENCE_STATES = ("singlet", "werner:0.96", "colored:0.98", "visibilities:0.995,0.990,0.982")
+
+
+class TestPlainPythonReference:
+    # l_n and max_violation_phi equal, bit for bit, a scalar per-setting
+    # evaluation with left-to-right plane sums (tests/helpers.py)
+    @pytest.mark.parametrize("spec", REFERENCE_STATES)
+    def test_l_n_equals_reference(self, spec):
+        state, frames = parse_state(spec), default_frames()
+        for n in (1, 2, 3, 8, 32):
+            for deg in (0.0, 10.0, 15.0, 25.0):
+                phi = math.radians(deg)
+                assert l_n(state, frames, n, phi).l_value == reference_l_n(state, frames, n, phi)
+
+    @pytest.mark.parametrize("spec", REFERENCE_STATES)
+    def test_max_violation_phi_equals_reference(self, spec):
+        state, frames = parse_state(spec), default_frames()
+        for n in (1, 2, 3, 8, 32):
+            assert max_violation_phi(state, frames, n) == reference_max_violation_phi(
+                state, frames, n
+            )
+
+    def test_random_frames_and_states_equal_reference(self):
+        rng = np.random.default_rng(45)
+        for _ in range(10):
+            frames = random_frames(rng)
+            state = TwoQubitState(random_density_matrix(rng))
+            for n in (1, 3, 7):
+                for phi in (0.0, 0.3, 2.0):
+                    assert l_n(state, frames, n, phi).l_value == reference_l_n(
+                        state, frames, n, phi
+                    )
 
 
 class TestSingletCrossCheck:

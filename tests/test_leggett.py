@@ -231,16 +231,57 @@ class TestLocalEnsemblesRespectBound:
 
     def test_inadmissible_component_rejected(self):
         # at a = b = S1 the interval of u = v = S1 is [1, 1], so C = -1 is no model
-        anti = PureEnsemble((EnsembleComponent(1.0, S1, S1, lambda u, v, a, b: -1.0),))
+        anti = PureEnsemble((EnsembleComponent(1.0, S1, S1, _constant(-1.0)),))
         with pytest.raises(ConstraintViolationError) as info:
             l_n(anti, default_frames(), 2, math.radians(15.0))
         assert info.value.row == 0
         # a component at the upper interval end is admissible
         edge = PureEnsemble((
-            EnsembleComponent(0.5, S1, S1, lambda u, v, a, b: a.dot(u) * b.dot(v)),
-            EnsembleComponent(0.5, S1, S3, lambda u, v, a, b: 1.0 - abs(a.dot(u) - b.dot(v))),
+            EnsembleComponent(0.5, S1, S1, lambda u, v, a, b: (u @ a.T) * (v @ b.T)),
+            EnsembleComponent(0.5, S1, S3, lambda u, v, a, b: 1.0 - np.abs(u @ a.T - v @ b.T)),
         ))
         assert l_n(edge, default_frames(), 2, math.radians(15.0)).l_value >= 0.0
+
+    def test_violation_names_first_settings_row(self):
+        # C = -1 fits u = v = S1 only where b.v = -a.u = -1: rows 0 and 1
+        a = [X, X, X, X]
+        b = [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), X, Y]
+        anti = PureEnsemble((EnsembleComponent(1.0, S1, S1, _constant(-1.0)),))
+        with pytest.raises(ConstraintViolationError) as info:
+            anti.correlation(a, b)
+        assert (info.value.row, info.value.count) == (2, 2)
+        # with a second, admissible component first, the row is still a settings row
+        mixed = PureEnsemble((
+            EnsembleComponent(0.5, S3, S3, _constant(0.0)),
+            EnsembleComponent(0.5, S1, S1, _constant(-1.0)),
+        ))
+        with pytest.raises(ConstraintViolationError) as info:
+            mixed.correlation(a, b)
+        assert (info.value.row, info.value.count) == (2, 2)
+        assert mixed.correlation(a[:2], b[:2]).tolist() == [-0.5, -0.5]
+
+    def test_stacked_rows_equal_scalar_sum(self):
+        # one call over stacked rows against a per-row plain-Python weighted sum
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k)).tolist()
+            parts = [(w, random_unit(rng), random_unit(rng)) for w in weights]
+            a, b = unit_rows(rng, 2, 20)
+            stacked = product_ensemble(parts).correlation(a, b)
+            for row in range(20):
+                ar, br = UnitVector(*a[row]), UnitVector(*b[row])
+                total = 0.0
+                for w, u, v in parts:
+                    total += w * (ar.dot(u) * br.dot(v))
+                worst = max(worst, abs(stacked[row] - total))
+        assert worst <= 1e-15
+
+
+def _constant(value: float):
+    """A component correlation equal to ``value`` at every settings row."""
+    return lambda u, v, a, b: np.full((len(u), len(a)), value)
 
 
 # 3-degree scans on the default frames, recorded with the per-candidate scan loop:
@@ -319,7 +360,8 @@ class TestExplicitModel:
         assert (res.feasible_found, res.grid_size, res.candidates_checked) == counts
         assert res.best_margin == pytest.approx(best_margin, abs=1e-15)
 
-    @pytest.mark.parametrize("resolution", [0.0, -3.0, 200.0, math.nan, math.inf])
+    # 7 deg leaves no antipodal grid pairs, so the scan would be nearly vacuous
+    @pytest.mark.parametrize("resolution", [0.0, -3.0, 200.0, math.nan, math.inf, 7.0])
     def test_scan_rejects_resolution_outside_0_180(self, resolution):
         pairs = _schedule_pairs(default_frames(), 2, math.radians(15.0))
         with pytest.raises(ValueError, match=r"resolution must be in \(0, 180\]"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_density_matrix, random_unit
+from helpers import random_density_matrix, random_unit, unit_rows
 
 from nlvtest.leggett import leggett_outcomes
 from nlvtest.quantum import (
@@ -23,6 +23,8 @@ from nlvtest.sphere import UnitVector
 S1 = UnitVector(1, 0, 0)
 S2 = UnitVector(0, 1, 0)
 S3 = UnitVector(0, 0, 1)
+# the same axes as setting rows
+X, Y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
 
 # independent trace oracle in the same Stokes operator ordering
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,33 +172,41 @@ class TestOutcomeProbability:
 
 class TestCorrelation:
     def test_singlet_is_minus_dot_product(self):
-        rng = np.random.default_rng(8)
-        s = singlet()
-        worst = 0.0
-        for _ in range(10_000):
-            a, b = random_unit(rng), random_unit(rng)
-            worst = max(worst, abs(correlation(s, a, b) + a.dot(b)))
-        assert worst < 1e-12
+        a, b = unit_rows(np.random.default_rng(8), 2, 10_000)
+        c = correlation(singlet(), a, b)
+        assert c.shape == (10_000,)
+        assert np.max(np.abs(c + np.einsum("ki,ki->k", a, b))) < 1e-12
 
     def test_matches_outcome_probability_sum(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             state = TwoQubitState(random_density_matrix(rng))
-            a, b = random_unit(rng), random_unit(rng)
-            by_sum = sum(
-                ra * rb * outcome_probability(state, a, b, ra, rb)
-                for ra in (1, -1)
-                for rb in (1, -1)
-            )
-            assert correlation(state, a, b) == pytest.approx(by_sum, abs=1e-12)
+            a, b = unit_rows(rng, 2, 5)
+            # sign order (+,+), (-,-), (-,+), (+,-)
+            by_sum = outcome_probabilities(state, a, b) @ [1.0, 1.0, -1.0, -1.0]
+            assert np.max(np.abs(correlation(state, a, b) - by_sum)) <= 1e-12
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(10)
+        state = TwoQubitState(random_density_matrix(rng))
+        a, b = unit_rows(rng, 2, 50)
+        stacked = correlation(state, a, b)
+        for k in range(50):
+            assert correlation(state, a[k:k + 1], b[k:k + 1]).tolist() == [stacked[k]]
+            assert state.correlation(a[k], b[k]) == stacked[k]
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            correlation(singlet(), [(2.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="outside"):
+            correlation(singlet(), [(1.0, 0.0, 0.0)], [(float("nan"), 0.0, 0.0)])
 
     def test_mixed_state_uncorrelated(self):
-        assert correlation(maximally_mixed(), S1, S1) == 0.0
+        assert correlation(maximally_mixed(), [X, Y], [X, Y]).tolist() == [0.0, 0.0]
 
     def test_colored_noise_at_s2(self):
-        assert correlation(colored_noise(0.99), S2, S2) == pytest.approx(
-            -0.99, abs=1e-12
-        )
+        c = correlation(colored_noise(0.99), [Y], [Y])
+        assert c.tolist() == pytest.approx([-0.99], abs=1e-12)
 
 
 class TestConstructors:

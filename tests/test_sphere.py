@@ -9,6 +9,8 @@ from nlvtest.sphere import (
     UnitVector,
     build_schedule,
     default_frames,
+    offset_settings,
+    plane_settings,
     rotate,
 )
 
@@ -167,6 +169,34 @@ class TestBuildSchedule:
         frame, _ = default_frames()
         with pytest.raises(ValueError):
             build_schedule(frame, 0, 0.1)
+
+
+class TestPlaneSettings:
+    def test_rows_follow_the_rotation_recurrence(self):
+        frames = default_frames()
+        alice, turned = plane_settings(frames, 4)
+        assert alice.shape == turned.shape == (8, 3)
+        for j, frame in enumerate(frames):
+            a = frame.seed
+            for k in range(4):
+                if k > 0:
+                    a = rotate(a, frame.normal, math.pi / 4)
+                assert alice[4 * j + k].tolist() == list(a.as_tuple())  # bit for bit
+                assert turned[4 * j + k].tolist() == list(frame.normal.cross(a))
+
+    def test_offset_rows_equal_unit_vector_components(self):
+        # a seed with |v|^2 - 1 = 4.0e-15 is stored as given, and about half
+        # of its offset rows cross UnitVector's rescaling threshold
+        seed = UnitVector(1.0 + 1.9e-15, 0.0, 0.0)
+        alice, turned = plane_settings((PlaneFrame(UnitVector(0, 0, 1), seed),), 3)
+        rescaled = 0
+        for phi in np.linspace(0.0, math.pi, 181):
+            raw = math.cos(phi) * alice + math.sin(phi) * turned
+            bob = offset_settings(alice, turned, float(phi))
+            rescaled += int((bob != raw).any())
+            for row, b in zip(bob.tolist(), raw.tolist()):
+                assert row == list(UnitVector(*b).as_tuple())
+        assert rescaled > 0
 
 
 class TestDefaultFrames:
