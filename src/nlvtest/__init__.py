@@ -36,7 +36,6 @@ from .quantum import (
     correlation,
     maximally_mixed,
     outcome_probabilities,
-    outcome_probability,
     parse_state,
     singlet,
     singlet_L,
@@ -64,7 +63,7 @@ __all__ = [
     "UnitVector", "PlaneFrame", "SettingSchedule",
     "rotate", "build_schedule", "default_frames",
     "TwoQubitState",
-    "outcome_probability", "outcome_probabilities", "correlation",
+    "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",
     "singlet_L", "parse_state",
     "ConstraintViolationError", "leggett_outcomes", "admissible_C_range",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequality, leggett
-from .sphere import UnitVector, build_schedule, default_frames
+from .sphere import UnitVector, default_frames, schedule_rows
 
 __all__ = ["CheckResult", "lemma_suite", "leggett_suite"]
 
@@ -174,7 +174,7 @@ def leggett_suite(
     u1 = np.array([1.0, 0.0, 0.0])
     n1_ok = all(
         leggett.explicit_model_margin(
-            u1, -u1, leggett._pair_rows(_schedule_pairs(frames, 1, math.radians(p)))
+            u1, -u1, np.stack(schedule_rows(frames, 1, math.radians(p)), axis=1)
         ) >= -1e-12
         for p in np.linspace(0.0, 179.0, 50)
     )
@@ -210,9 +210,8 @@ def leggett_suite(
     )
 
     if grid_deg > 0.0:
-        scan = leggett.scan_explicit_model(
-            _schedule_pairs(frames, 2, math.radians(15.0)), resolution_deg=grid_deg
-        )
+        pairs = np.stack(schedule_rows(frames, 2, math.radians(15.0)), axis=1)
+        scan = leggett.scan_explicit_model(pairs, resolution_deg=grid_deg)
         results.append(
             CheckResult(
                 "two-setting-scan-infeasible",
@@ -222,14 +221,3 @@ def leggett_suite(
             )
         )
     return results
-
-
-def _schedule_pairs(frames, n: int, phi: float) -> list[tuple[UnitVector, UnitVector]]:
-    """Every measured setting pair of both planes, (a_k, b_k(0)) before
-    (a_k, b_k(phi)), in schedule order."""
-    return [
-        pair
-        for frame in frames
-        for entry in build_schedule(frame, n, phi).entries
-        for pair in ((entry.alice, entry.bob0), (entry.alice, entry.bobphi))
-    ]

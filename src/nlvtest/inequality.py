@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .leggett import _dot
-from .sphere import PlaneFrame, check_orthogonal, offset_settings, plane_settings
+from .sphere import (PlaneFrame, _dot, check_orthogonal, offset_settings, plane_settings,
+                     schedule_rows)
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
@@ -158,12 +158,10 @@ def _report(frames, n: int, phi: float, c_phi: list[float], c_zero: list[float])
 
 def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: float) -> InequalityReport:
     """Evaluate the analytic correlation sum L_N for a noiseless source, in
-    one correlation call over the rows [a; a] x [b(phi); a]."""
+    one correlation call over the measured pairs of sphere.schedule_rows."""
     check_orthogonal(frames)
-    alice, turned = plane_settings(frames, n)
-    bob = np.concatenate([offset_settings(alice, turned, phi), alice])
-    c = source.correlation(np.concatenate([alice, alice]), bob).tolist()
-    return _report(frames, n, phi, c[:len(alice)], c[len(alice):])
+    c = source.correlation(*schedule_rows(frames, n, phi)).tolist()
+    return _report(frames, n, phi, c[1::2], c[0::2])
 
 
 def optimal_phi(n: int | float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .quantum import _SIGN_PAIRS, stokes_probability
-from .sphere import UnitVector
+from .sphere import UnitVector, _dot
 
 __all__ = [
     "ConstraintViolationError",
@@ -63,12 +63,6 @@ class ConstraintViolationError(ValueError):
             f"row {row}: outcome ({sign[r_a]}, {sign[r_b]}) would have probability "
             f"-{deficit:.3e} below zero ({count} offending row{'s' * (count != 1)})"
         )
-
-
-def _dot(p, q):
-    """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
 def _violation(row: int, x: float, y: float, c: float, count: int = 1) -> ConstraintViolationError:
@@ -137,7 +131,7 @@ class PureEnsemble:
         groups: dict = {}
         for comp in self.components:
             groups.setdefault(comp.corr, []).append(comp)
-        uv = [[np.array([getattr(c, side).as_tuple() for c in members]) for side in "uv"]
+        uv = [[np.array([getattr(c, side) for c in members], dtype=float) for side in "uv"]
               for members in groups.values()]
         w = np.array([c.weight for members in groups.values() for c in members], dtype=float)
         object.__setattr__(self, "_groups", tuple((corr, *rows) for corr, rows in zip(groups, uv)))
@@ -194,11 +188,6 @@ def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.nd
     return _margin(x, y, _dot(a, b)).min(axis=-1)
 
 
-def _pair_rows(pairs: Sequence[tuple[UnitVector, UnitVector]]) -> np.ndarray:
-    """The (m, 2, 3) rows of a sequence of (a, b) setting pairs."""
-    return np.array([(a.as_tuple(), b.as_tuple()) for a, b in pairs], dtype=float)
-
-
 @dataclass(frozen=True, slots=True)
 class GridScanResult:
     feasible_found: bool
@@ -226,28 +215,35 @@ def _sphere_grid(resolution_deg: float) -> np.ndarray:
 
 
 def scan_explicit_model(
-    pairs: Sequence[tuple[UnitVector, UnitVector]],
+    pairs: ArrayLike,
     resolution_deg: float = 1.0,
     tolerance: float = 1e-12,
 ) -> GridScanResult:
     """Exhaustive search for a feasible (u, v) over a sphere grid of
     ``resolution_deg`` in (0, 180] that divides 180, so that the grid is
-    closed under antipodes (v = -u, which aligned pairs require).
+    closed under antipodes (v = -u, which aligned pairs require), and of at
+    most 1,000,000 points (0.3 degrees or coarser).
 
-    Every (u, v) grid pair is covered: the condition on one measured pair,
-    the pivot with the narrowest interval on average, bounds v.b to an
+    ``pairs`` holds the measured (a, b) rows, shape (m, 2, 3): for example
+    np.stack(sphere.schedule_rows(...), axis=1), or a list of UnitVector
+    pairs.  Every (u, v) grid pair is covered: the condition on one measured
+    pair, the pivot with the narrowest interval on average, bounds v.b to an
     interval set by u alone, so grid points v outside it are excluded
     wholesale and each u's survivors are scored with the full margin in one
     call.  With aligned pairs (a = b) in the schedule the pivot pins v.a to
     -u.a within the tolerance, which prunes all but near-antipodal pairs.
     """
-    if not pairs:
-        raise ValueError("need at least one measured pair to scan")
-    rings = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
-    if not abs(math.remainder(rings, 1.0)) <= 1e-9:
+    rows = np.asarray(pairs, dtype=float)
+    if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
+        raise ValueError(f"need measured (a, b) pairs as (m, 2, 3) rows, m >= 1; got {rows.shape}")
+    steps = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
+    if not abs(math.remainder(steps, 1.0)) <= 1e-9:
         raise ValueError(f"scan resolution must be in (0, 180] dividing 180, got {resolution_deg!r}")
+    steps = round(steps)
+    points = (steps - 1) * 2 * steps + 2  # steps - 1 rings of 2 steps points, two poles
+    if points > 1_000_000:  # counted before the grid is built, as the CLI counts angles
+        raise ValueError(f"a {resolution_deg!r} degree grid has {points} points, over 1000000")
     grid = _sphere_grid(resolution_deg)
-    rows = _pair_rows(pairs)
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
 

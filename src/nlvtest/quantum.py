@@ -21,11 +21,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import UnitVector
-
 __all__ = [
     "TwoQubitState",
-    "outcome_probability",
     "outcome_probabilities",
     "correlation",
     "singlet",
@@ -140,17 +137,6 @@ def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> n
     if bad.any():
         raise ValueError(f"probability {float(p[bad][0])} outside [0, 1] beyond tolerance")
     return np.clip(p, 0.0, 1.0)
-
-
-def outcome_probability(
-    state: TwoQubitState, a: UnitVector, b: UnitVector, r_a: int, r_b: int
-) -> float:
-    """P(r_a, r_b | a, b) = Tr[rho (Pi_a^{r_a} (x) Pi_b^{r_b})], clamped to [0, 1]:
-    one entry of outcome_probabilities."""
-    if (r_a, r_b) not in _SIGN_PAIRS:
-        raise ValueError(f"outcomes must be +1 or -1, got ({r_a}, {r_b})")
-    table = outcome_probabilities(state, a.as_tuple(), b.as_tuple())
-    return float(table[_SIGN_PAIRS.index((r_a, r_b))])
 
 
 def correlation(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:

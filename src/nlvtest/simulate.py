@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quantum
 from .inequality import InequalityReport, nlv_bound
-from .sphere import PlaneFrame, check_orthogonal, default_frames, offset_settings, plane_settings
+from .sphere import PlaneFrame, check_orthogonal, default_frames, schedule_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -112,13 +112,12 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     """The (4N, 4) Poisson means pair_rate * P * T + accidental_rate * T of
     one run's counts.
 
-    Rows follow the sampling order (plane, rotation index k, Bob at offset
-    0 then phi); columns the sign pairs (+,+), (-,-), (-,+), (+,-).  They
-    depend on the config's state, rates and planes, not on its seed.
+    Rows are the measured pairs of sphere.schedule_rows, in sampling order
+    (plane, rotation index k, Bob at offset 0 then phi); columns the sign
+    pairs (+,+), (-,-), (-,+), (+,-).  They depend on the config's state,
+    rates and planes, not on its seed.
     """
-    alice, turned = plane_settings(config.frames, n)
-    bob = np.stack([alice, offset_settings(alice, turned, phi)], axis=1).reshape(-1, 3)
-    p = quantum.outcome_probabilities(config.resolve_state(), np.repeat(alice, 2, axis=0), bob)
+    p = quantum.outcome_probabilities(config.resolve_state(), *schedule_rows(config.frames, n, phi))
     t = config.integration_time
     return config.pair_rate * p * t + config.accidental_rate * t
 

@@ -1,5 +1,6 @@
 """Poincare-sphere geometry: unit Stokes vectors, measurement planes, and
-rotated setting schedules, stacked as (k, 3) rows.
+rotated setting schedules, stacked as (k, 3) rows.  ``schedule_rows`` alone
+fixes the order of the measured setting pairs.
 
 Conventions used throughout the package:
 
@@ -24,6 +25,7 @@ __all__ = [
     "rotate",
     "plane_settings",
     "offset_settings",
+    "schedule_rows",
     "build_schedule",
     "default_frames",
 ]
@@ -74,8 +76,18 @@ class UnitVector:
     def __neg__(self) -> "UnitVector":
         return UnitVector(-self.x, -self.y, -self.z)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The (3,) row (x, y, z), float unless ``dtype`` says otherwise, so
+        that np.asarray stacks nested sequences of UnitVectors into rows."""
+        if copy is False:
+            raise ValueError("a UnitVector's row is always a new array")
+        return np.array((self.x, self.y, self.z), dtype=float if dtype is None else dtype)
+
+
+def _dot(p, q):
+    """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
 def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
@@ -133,9 +145,9 @@ def plane_settings(frames: Sequence[PlaneFrame], n: int) -> tuple[np.ndarray, np
         a = frame.seed
         for k in range(n):
             a = rotate(a, frame.normal, math.pi / n) if k else a
-            alice.append(a.as_tuple())
+            alice.append((a.x, a.y, a.z))
             turned.append(frame.normal.cross(a))
-    return np.array(alice), np.array(turned)
+    return np.array(alice, dtype=float), np.array(turned, dtype=float)
 
 
 def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.ndarray:
@@ -149,13 +161,26 @@ def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.nda
     return b
 
 
+def schedule_rows(
+    frames: Sequence[PlaneFrame], n: int, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every measured setting pair (a, b) of the planes as (2 len(frames) N, 3)
+    rows a and b, in sampling order: plane, rotation index k, then Bob at
+    offset 0 (b = a_k) before offset phi (b = b_k(phi))."""
+    alice, turned = plane_settings(frames, n)
+    a = np.repeat(alice, 2, axis=0)
+    b = a.copy()
+    b[1::2] = offset_settings(alice, turned, phi)
+    return a, b
+
+
 def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
     """The N setting triples (a_k, b(0) = a_k, b(phi)) of one plane, as
-    UnitVectors, from plane_settings and offset_settings."""
-    alice, turned = plane_settings((frame,), n)
-    bob = offset_settings(alice, turned, phi).tolist()
-    alice = [UnitVector(*a) for a in alice.tolist()]
-    return SettingSchedule(tuple(ScheduleEntry(a, a, UnitVector(*b)) for a, b in zip(alice, bob)))
+    UnitVectors: a view of schedule_rows."""
+    a, b = schedule_rows((frame,), n, phi)
+    alice = [UnitVector(*row) for row in a[::2].tolist()]
+    bob = b[1::2].tolist()
+    return SettingSchedule(tuple(ScheduleEntry(x, x, UnitVector(*y)) for x, y in zip(alice, bob)))
 
 
 def check_orthogonal(frames: tuple[PlaneFrame, PlaneFrame]) -> None:

@@ -32,6 +32,17 @@ def random_frames(rng: np.random.Generator) -> tuple[PlaneFrame, PlaneFrame]:
     return (PlaneFrame(normal=n1, seed=seed1), PlaneFrame(normal=n2, seed=seed2))
 
 
+def unit_vector_pairs(frames, n: int, phi: float) -> list[tuple[UnitVector, UnitVector]]:
+    """The measured setting pairs as UnitVectors, from build_schedule entries:
+    per plane and setting, (alice, bob0) before (alice, bobphi)."""
+    return [
+        pair
+        for frame in frames
+        for e in build_schedule(frame, n, phi).entries
+        for pair in ((e.alice, e.bob0), (e.alice, e.bobphi))
+    ]
+
+
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T

@@ -12,15 +12,10 @@ from helpers import random_frames
 from nlvtest import _checks
 from nlvtest.cli import main as cli_main
 from nlvtest.inequality import l_n, nlv_bound, optimal_phi
-from nlvtest.leggett import (
-    _pair_rows,
-    explicit_model_margin,
-    product_ensemble,
-    scan_explicit_model,
-)
+from nlvtest.leggett import explicit_model_margin, product_ensemble, scan_explicit_model
 from nlvtest.quantum import singlet, singlet_L
 from nlvtest.simulate import ExperimentConfig, replicate
-from nlvtest.sphere import UnitVector, default_frames
+from nlvtest.sphere import UnitVector, default_frames, schedule_rows
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -145,11 +140,11 @@ def test_07_explicit_model_feasibility():
     u = np.array([1.0, 0.0, 0.0])  # orthogonal to both in-plane perps
     n1_ok = True
     for deg in np.linspace(0.0, 179.0, 50):
-        pairs = _pair_rows(_checks._schedule_pairs(frames, 1, math.radians(float(deg))))
+        pairs = np.stack(schedule_rows(frames, 1, math.radians(float(deg))), axis=1)
         if not explicit_model_margin(u, -u, pairs) >= -1e-12:
             n1_ok = False
             break
-    pairs2 = _checks._schedule_pairs(frames, 2, math.radians(15.0))
+    pairs2 = np.stack(schedule_rows(frames, 2, math.radians(15.0)), axis=1)
     scan = scan_explicit_model(pairs2, resolution_deg=1.0)
     ok = n1_ok and not scan.feasible_found
     report(

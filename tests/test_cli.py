@@ -257,7 +257,7 @@ class TestConfigParsing:
         assert parsed.state == "visibilities:0.99,0.98,0.97"
         assert parsed.rng_seed == 77
         assert parsed.subtract_accidentals is True
-        assert parsed.frames[0].seed.as_tuple() == (0.0, 1.0, 0.0)
+        assert np.asarray(parsed.frames[0].seed).tolist() == [0.0, 1.0, 0.0]
 
     def test_unknown_key_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -347,6 +347,11 @@ class TestBadInput:
     def test_scan_resolution_not_dividing_180(self, capsys):
         code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "7")
         assert_one_line_error(code, capsys, "resolution", "7.0")
+
+    def test_scan_grid_above_a_million_points(self, capsys):
+        # refused from the point count alone: the 0.01-degree grid is never built
+        code = run("check", "leggett", "--trials", "10", "--ensembles", "1", "--grid-deg", "0.01")
+        assert_one_line_error(code, capsys, "647964002 points", "1000000")
 
     def test_phi_grid_above_a_million_angles(self, capsys):
         # refused from the angle count alone: the 5e12-angle grid is never built

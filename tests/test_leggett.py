@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_unit, unit_rows
+from helpers import random_unit, unit_rows, unit_vector_pairs
 
-from nlvtest._checks import _schedule_pairs
 from nlvtest.inequality import l_n
 from nlvtest.leggett import (
     ConstraintViolationError,
     EnsembleComponent,
     PureEnsemble,
-    _pair_rows,
     _sphere_grid,
     admissible_C_range,
     explicit_model_margin,
@@ -19,7 +17,7 @@ from nlvtest.leggett import (
     scan_explicit_model,
 )
 from nlvtest.quantum import _SIGN_PAIRS
-from nlvtest.sphere import UnitVector, default_frames
+from nlvtest.sphere import UnitVector, default_frames, schedule_rows
 
 S1 = UnitVector(1, 0, 0)
 S3 = UnitVector(0, 0, 1)
@@ -63,7 +61,8 @@ def reference_margin(u, v, pairs) -> float:
 
 
 def schedule_pairs(n: int, phi: float) -> np.ndarray:
-    return _pair_rows(_schedule_pairs(default_frames(), n, phi))
+    """The default frames' measured pairs as (4N, 2, 3) rows."""
+    return np.stack(schedule_rows(default_frames(), n, phi), axis=1)
 
 
 def marginal(table: np.ndarray, party: int, r: int) -> np.ndarray:
@@ -333,37 +332,53 @@ class TestExplicitModel:
         assert np.array_equal(direct, mirrored)
 
     def test_scan_matches_brute_force_coarse(self):
-        pairs = _schedule_pairs(default_frames(), 2, math.radians(15.0))
+        pairs = schedule_pairs(2, math.radians(15.0))
         res = scan_explicit_model(pairs, resolution_deg=30.0)
         assert not res.feasible_found
         # brute force over the same grid, every (u, v) pair in one call
         grid = _sphere_grid(30.0)
         u, v = np.broadcast_arrays(grid[:, None], grid[None, :])
-        best = explicit_model_margin(u, v, _pair_rows(pairs)).max()
+        best = explicit_model_margin(u, v, pairs).max()
         assert best < -1e-12  # brute force agrees: nothing feasible
         assert res.best_margin <= best + 1e-12
 
     def test_scan_finds_feasible_single_setting(self):
-        pairs = _schedule_pairs(default_frames(), 1, math.radians(15.0))
+        pairs = schedule_pairs(1, math.radians(15.0))
         res = scan_explicit_model(pairs, resolution_deg=30.0)
         assert res.feasible_found
         assert res.best_margin >= -1e-12
-        margin = explicit_model_margin(res.best_u.as_tuple(), res.best_v.as_tuple(), _pair_rows(pairs))
-        assert margin >= -1e-12
+        assert explicit_model_margin(res.best_u, res.best_v, pairs) >= -1e-12
 
     @pytest.mark.parametrize("n, phi_deg", list(SCAN_PINS))
     def test_scan_pins(self, n, phi_deg):
         counts, best_margin = SCAN_PINS[n, phi_deg]
-        res = scan_explicit_model(
-            _schedule_pairs(default_frames(), n, math.radians(phi_deg)), resolution_deg=3.0
-        )
+        res = scan_explicit_model(schedule_pairs(n, math.radians(phi_deg)), resolution_deg=3.0)
         assert (res.feasible_found, res.grid_size, res.candidates_checked) == counts
         assert res.best_margin == pytest.approx(best_margin, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scan_takes_unit_vector_pairs_and_rows_alike(self, n):
+        phi = math.radians(15.0)
+        from_rows = scan_explicit_model(schedule_pairs(n, phi), resolution_deg=3.0)
+        pairs = unit_vector_pairs(default_frames(), n, phi)
+        from_vectors = scan_explicit_model(pairs, resolution_deg=3.0)
+        assert from_vectors == from_rows  # every GridScanResult field
+
+    @pytest.mark.parametrize("pairs", [[], np.zeros((0, 2, 3)), [(X, Y, Z)], [X, Y]])
+    def test_scan_rejects_pairs_not_shaped_m_2_3(self, pairs):
+        with pytest.raises(ValueError, match=r"\(m, 2, 3\) rows"):
+            scan_explicit_model(pairs, resolution_deg=30.0)
+
+    # 0.01 deg: 647,964,002 points; 0.25 deg: 1,035,362; 0.3 deg (718,802) is allowed
+    @pytest.mark.parametrize("resolution, points", [(0.01, 647_964_002), (0.25, 1_035_362)])
+    def test_scan_refuses_a_grid_over_a_million_points(self, resolution, points):
+        with pytest.raises(ValueError, match=f"grid has {points} points, over 1000000"):
+            scan_explicit_model(schedule_pairs(2, math.radians(15.0)), resolution_deg=resolution)
 
     # 7 deg leaves no antipodal grid pairs, so the scan would be nearly vacuous
     @pytest.mark.parametrize("resolution", [0.0, -3.0, 200.0, math.nan, math.inf, 7.0])
     def test_scan_rejects_resolution_outside_0_180(self, resolution):
-        pairs = _schedule_pairs(default_frames(), 2, math.radians(15.0))
+        pairs = schedule_pairs(2, math.radians(15.0))
         with pytest.raises(ValueError, match=r"resolution must be in \(0, 180\]"):
             scan_explicit_model(pairs, resolution_deg=resolution)
 

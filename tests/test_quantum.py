@@ -12,7 +12,6 @@ from nlvtest.quantum import (
     correlation,
     maximally_mixed,
     outcome_probabilities,
-    outcome_probability,
     parse_state,
     singlet,
     singlet_L,
@@ -21,10 +20,9 @@ from nlvtest.quantum import (
 from nlvtest.sphere import UnitVector
 
 S1 = UnitVector(1, 0, 0)
-S2 = UnitVector(0, 1, 0)
-S3 = UnitVector(0, 0, 1)
 # the same axes as setting rows
 X, Y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
 # independent trace oracle in the same Stokes operator ordering
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,14 +84,16 @@ class TestStateValidation:
 
 
 class TestOutcomeProbability:
+    """outcome_probabilities, one setting pair per row; entries in the sign
+    order (+,+), (-,-), (-,+), (+,-)."""
+
     def test_singlet_same_setting_never_coincides(self):
-        s = singlet()
-        assert outcome_probability(s, S1, S1, 1, 1) == 0.0
-        assert outcome_probability(s, S1, S1, -1, -1) == 0.0
+        p = outcome_probabilities(singlet(), [S1], [S1])[0]
+        assert p[0] == 0.0  # (+,+)
+        assert p[1] == 0.0  # (-,-)
 
     def test_singlet_orthogonal_polarizers(self):
-        s = singlet()
-        p = outcome_probability(s, S1, UnitVector(-1, 0, 0), 1, 1)
+        p = outcome_probabilities(singlet(), [S1], [UnitVector(-1, 0, 0)])[0, 0]
         assert p == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_trace_oracle_random_states(self):
@@ -101,23 +101,21 @@ class TestOutcomeProbability:
         for _ in range(200):
             state = TwoQubitState(random_density_matrix(rng))
             a, b = random_unit(rng), random_unit(rng)
-            for ra in (1, -1):
-                for rb in (1, -1):
-                    expected = expect(state, qubit_rho(a if ra == 1 else -a),
-                                      qubit_rho(b if rb == 1 else -b))
-                    assert outcome_probability(state, a, b, ra, rb) == pytest.approx(
-                        expected, abs=1e-12
-                    )
+            table = outcome_probabilities(state, [a], [b])[0].tolist()
+            for (ra, rb), p in zip(SIGN_PAIRS, table):
+                expected = expect(state, qubit_rho(a if ra == 1 else -a),
+                                  qubit_rho(b if rb == 1 else -b))
+                assert p == pytest.approx(expected, abs=1e-12)
 
     def test_product_state_matches_leggett_law(self):
         rng = np.random.default_rng(6)
         quads = [[random_unit(rng) for _ in range(4)] for _ in range(200)]
-        u, v, a, b = np.array([[s.as_tuple() for s in quad] for quad in quads]).transpose(1, 0, 2)
+        u, v, a, b = np.asarray(quads, dtype=float).transpose(1, 0, 2)
         product = np.einsum("ki,ki->k", a, u) * np.einsum("ki,ki->k", b, v)
         table = leggett_outcomes(u, v, a, b, product)  # one row per quad
         for row, (qu, qv, qa, qb) in zip(table.tolist(), quads):
             state = TwoQubitState(np.kron(qubit_rho(qu), qubit_rho(qv)))
-            expected = outcome_probabilities(state, qa.as_tuple(), qb.as_tuple())
+            expected = outcome_probabilities(state, qa, qb)
             assert row == pytest.approx(expected.tolist(), abs=1e-12)
 
     def test_mixed_state_uniform(self):
@@ -125,35 +123,24 @@ class TestOutcomeProbability:
         m = maximally_mixed()
         for _ in range(20):
             a, b = random_unit(rng), random_unit(rng)
-            for ra in (1, -1):
-                for rb in (1, -1):
-                    assert outcome_probability(m, a, b, ra, rb) == pytest.approx(
-                        0.25, abs=1e-14
-                    )
+            assert outcome_probabilities(m, [a], [b])[0].tolist() == pytest.approx(
+                [0.25] * 4, abs=1e-14
+            )
 
     def test_table_rows_equal_one_setting_calls(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             state = TwoQubitState(random_density_matrix(rng))
             pairs = [(random_unit(rng), random_unit(rng)) for _ in range(5)]
-            table = outcome_probabilities(
-                state, [a.as_tuple() for a, _ in pairs], [b.as_tuple() for _, b in pairs]
-            )
+            table = outcome_probabilities(state, [a for a, _ in pairs], [b for _, b in pairs])
             assert table.shape == (5, 4)
             for row, (a, b) in zip(table.tolist(), pairs):
-                assert row == [
-                    outcome_probability(state, a, b, ra, rb)
-                    for ra, rb in ((1, 1), (-1, -1), (-1, 1), (1, -1))
-                ]
+                assert row == outcome_probabilities(state, [a], [b])[0].tolist()
 
     def test_table_rejects_out_of_range_probability(self):
         # a non-unit setting drives P(+,+) for the singlet to (1 - 2)/4
         with pytest.raises(ValueError, match=r"probability -0\.25 outside"):
             outcome_probabilities(singlet(), [[2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
-
-    def test_rejects_bad_outcome_sign(self):
-        with pytest.raises(ValueError):
-            outcome_probability(singlet(), S1, S2, 0, 1)
 
     def test_outcomes_sum_to_one_random_states(self):
         rng = np.random.default_rng(4)
@@ -161,11 +148,7 @@ class TestOutcomeProbability:
         for _ in range(10_000):
             state = TwoQubitState(random_density_matrix(rng))
             a, b = random_unit(rng), random_unit(rng)
-            total = sum(
-                outcome_probability(state, a, b, ra, rb)
-                for ra in (1, -1)
-                for rb in (1, -1)
-            )
+            total = sum(outcome_probabilities(state, [a], [b])[0].tolist())
             worst = max(worst, abs(total - 1.0))
         assert worst < 1e-12
 
@@ -253,12 +236,8 @@ class TestConstructors:
         rng = np.random.default_rng(1)
         for _ in range(20):
             a, b = random_unit(rng), random_unit(rng)
-            table = [
-                outcome_probability(state, a, b, ra, rb)
-                for ra in (1, -1)
-                for rb in (1, -1)
-            ]
-            assert table[0] + table[1] == pytest.approx(0.5, abs=1e-12)
+            p = outcome_probabilities(state, [a], [b])[0]
+            assert p[0] + p[3] == pytest.approx(0.5, abs=1e-12)  # (+,+) + (+,-)
 
     def test_stokes_terms_match_trace_oracle(self):
         rng = np.random.default_rng(2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlvtest.inequality import InequalityReport, nlv_bound
-from nlvtest.quantum import outcome_probability
+from nlvtest.quantum import outcome_probabilities
 from nlvtest.simulate import (
     DegenerateDataError,
     ExperimentConfig,
@@ -17,7 +17,7 @@ from nlvtest.simulate import (
     replicate,
     run_experiment,
 )
-from nlvtest.sphere import build_schedule
+from nlvtest.sphere import build_schedule, schedule_rows
 
 SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -129,6 +129,15 @@ class TestSampleQuad:
         assert (means == expected).all()
         counts = np.random.default_rng(3).poisson(means)
         assert (np.abs(counts - expected) < 5 * math.sqrt(expected)).all()
+
+    def test_table_is_outcome_probabilities_of_schedule_rows(self):
+        for n, phi, state in ((1, 0.0, "singlet"), (4, math.radians(15), "werner:0.9"),
+                              (8, 1.1, "bell_diagonal:-0.5,0.2,-0.1")):
+            cfg = ExperimentConfig(state=state, pair_rate=1234.5, accidental_rate=0.7)
+            p = outcome_probabilities(cfg.resolve_state(), *schedule_rows(cfg.frames, n, phi))
+            t = cfg.integration_time
+            want = cfg.pair_rate * p * t + cfg.accidental_rate * t
+            assert mean_table(cfg, n, phi).tolist() == want.tolist()  # bit for bit
 
     def test_deterministic_given_generator_state(self):
         # the means do not depend on the seed; the draws depend only on it
@@ -303,14 +312,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             state="werner:0.5", accidental_rate=10.0, rng_seed=19
         )
-        state = cfg.resolve_state()
-        a = b = build_schedule(cfg.frames[0], 1, phi).entries[0].alice
-        true_c = sum(
-            ra * rb * outcome_probability(state, a, b, ra, rb)
-            for ra in (1, -1)
-            for rb in (1, -1)
-        )
         # row 0 of the N = 1 table is the setting pair (a, a)
+        a, b = schedule_rows(cfg.frames, 1, phi)
+        p = outcome_probabilities(cfg.resolve_state(), a[:1], b[:1])[0]
+        true_c = float(p @ [1.0, 1.0, -1.0, -1.0])  # (+,+) + (-,-) - (-,+) - (+,-)
         counts = np.random.default_rng(19).poisson(mean_table(cfg, 1, phi)[0], size=(10_000, 4))
         c_hats = [estimate_C(row)[0] for row in counts.tolist()]
         mean_c = float(np.mean(c_hats))

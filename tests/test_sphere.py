@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from helpers import random_unit
+from helpers import random_frames, random_unit, unit_vector_pairs
 
 from nlvtest.sphere import (
     PlaneFrame,
@@ -12,6 +13,7 @@ from nlvtest.sphere import (
     offset_settings,
     plane_settings,
     rotate,
+    schedule_rows,
 )
 
 
@@ -52,6 +54,23 @@ class TestUnitVector:
         assert a.cross(b) == (0.0, 0.0, 1.0)
         assert (-a).x == -1.0
 
+    def test_array_rows_raise_no_warning(self):
+        # numpy 2 passes copy= to __array__; pyproject turns warnings into errors
+        a, b = UnitVector(1, 0, 0), UnitVector.normalized(0.0, 3.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = np.asarray(a)
+            pairs = np.asarray([(a, b), (b, -a)], dtype=float)
+            single = np.asarray(b, dtype=np.float32)
+        assert row.dtype == float and row.tolist() == [1.0, 0.0, 0.0]
+        assert pairs.shape == (2, 2, 3)
+        assert pairs.tolist() == [
+            [[1.0, 0.0, 0.0], [0.0, b.y, b.z]], [[0.0, b.y, b.z], [-1.0, 0.0, 0.0]]
+        ]
+        assert single.dtype == np.float32
+        with pytest.raises(ValueError, match="new array"):
+            a.__array__(copy=False)
+
 
 class TestRotate:
     def test_quarter_turn_about_z(self):
@@ -78,8 +97,8 @@ class TestRotate:
             axis = random_unit(rng)
             angle = rng.uniform(-2 * math.pi, 2 * math.pi)
             got = rotate(v, axis, angle)
-            want = rodrigues_matrix(axis, angle) @ np.array(v.as_tuple())
-            assert np.allclose(got.as_tuple(), want, atol=1e-12)
+            want = rodrigues_matrix(axis, angle) @ np.asarray(v)
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_norm_preserved_many_trials(self):
         rng = np.random.default_rng(2)
@@ -112,7 +131,7 @@ class TestRotate:
 class TestPlaneFrame:
     def test_perp_is_cross_product(self):
         frame = PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(1, 0, 0))
-        assert frame.perp.as_tuple() == (0.0, 1.0, 0.0)
+        assert np.asarray(frame.perp).tolist() == [0.0, 1.0, 0.0]
 
     def test_rejects_seed_out_of_plane(self):
         with pytest.raises(ValueError):
@@ -123,7 +142,7 @@ class TestBuildSchedule:
     def test_two_settings_at_quarter_steps(self):
         frame = PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(1, 0, 0))
         sched = build_schedule(frame, 2, math.radians(15))
-        assert sched.entries[0].alice.as_tuple() == (1.0, 0.0, 0.0)
+        assert np.asarray(sched.entries[0].alice).tolist() == [1.0, 0.0, 0.0]
         a1 = sched.entries[1].alice
         assert a1.x == pytest.approx(0.0, abs=1e-15)
         assert a1.y == pytest.approx(1.0, abs=1e-15)
@@ -161,9 +180,8 @@ class TestBuildSchedule:
                 math.cos(phi) * entry.alice.y + math.sin(phi) * cy,
                 math.cos(phi) * entry.alice.z + math.sin(phi) * cz,
             )
-            assert np.allclose(entry.bobphi.as_tuple(), want, atol=1e-14)
-            norm2 = sum(c * c for c in entry.bobphi.as_tuple())
-            assert abs(norm2 - 1.0) < 1e-12
+            assert np.allclose(entry.bobphi, want, atol=1e-14)
+            assert abs(entry.bobphi.dot(entry.bobphi) - 1.0) < 1e-12
 
     def test_rejects_zero_settings(self):
         frame, _ = default_frames()
@@ -181,7 +199,7 @@ class TestPlaneSettings:
             for k in range(4):
                 if k > 0:
                     a = rotate(a, frame.normal, math.pi / 4)
-                assert alice[4 * j + k].tolist() == list(a.as_tuple())  # bit for bit
+                assert alice[4 * j + k].tolist() == np.asarray(a).tolist()  # bit for bit
                 assert turned[4 * j + k].tolist() == list(frame.normal.cross(a))
 
     def test_offset_rows_equal_unit_vector_components(self):
@@ -195,8 +213,30 @@ class TestPlaneSettings:
             bob = offset_settings(alice, turned, float(phi))
             rescaled += int((bob != raw).any())
             for row, b in zip(bob.tolist(), raw.tolist()):
-                assert row == list(UnitVector(*b).as_tuple())
+                assert row == np.asarray(UnitVector(*b)).tolist()
         assert rescaled > 0
+
+
+class TestScheduleRows:
+    def test_order_matches_build_schedule(self):
+        # per plane and setting: (alice, bob0), then (alice, bobphi)
+        rng = np.random.default_rng(12)
+        whole = (PlaneFrame(UnitVector(0, 0, 1), UnitVector(1, 0, 0)),
+                 PlaneFrame(UnitVector(0, -1, 0), UnitVector(1, 0, 0)))  # int components
+        for frames in (default_frames(), whole, random_frames(rng)):
+            for n in (1, 2, 3, 8):
+                phi = float(rng.uniform(-math.pi, math.pi))
+                a, b = schedule_rows(frames, n, phi)
+                assert a.shape == b.shape == (4 * n, 3)
+                pairs = np.asarray(unit_vector_pairs(frames, n, phi))
+                assert np.stack([a, b], axis=1).tolist() == pairs.tolist()
+
+    def test_rows_are_plane_and_offset_settings(self):
+        frames = default_frames()
+        alice, turned = plane_settings(frames, 5)
+        a, b = schedule_rows(frames, 5, 0.4)
+        assert a[0::2].tolist() == a[1::2].tolist() == b[0::2].tolist() == alice.tolist()
+        assert b[1::2].tolist() == offset_settings(alice, turned, 0.4).tolist()
 
 
 class TestDefaultFrames:
@@ -206,7 +246,7 @@ class TestDefaultFrames:
 
     def test_plane1_seed_is_hv_axis(self):
         f1, _ = default_frames()
-        assert f1.seed.as_tuple() == (1.0, 0.0, 0.0)
+        assert np.asarray(f1.seed).tolist() == [1.0, 0.0, 0.0]
 
     def test_plane2_quarter_turn_reaches_circular(self):
         _, f2 = default_frames()
