@@ -193,14 +193,14 @@ def leggett_suite(
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
         parts = [
-            (float(w), UnitVector.normalized(*u), UnitVector.normalized(*v))
-            for w, (u, v) in zip(weights, _unit_rows(rng, k, 2))
+            (w, UnitVector.normalized(*u), UnitVector.normalized(*v))
+            for w, (u, v) in zip(weights.tolist(), _unit_rows(rng, k, 2).tolist())
         ]
         ens = leggett.product_ensemble(parts)
         for n in range(1, 6):
             for p in phi_grid:
                 report = inequality.l_n(ens, frames, n, float(p))
-                worst_margin = max(worst_margin, report.l_value - report.bound)
+                worst_margin = max(worst_margin, report.violation)
     results.append(
         CheckResult(
             "local-ensembles-respect-bound",

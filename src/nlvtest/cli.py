@@ -92,7 +92,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_values(values, source=str(path))
 
 
-def config_from_values(values: dict[str, str], source: str = "<args>") -> ExperimentConfig:
+def config_from_values(values: dict[str, str], source: str) -> ExperimentConfig:
     if "state" in values and "visibilities" in values:
         raise ConfigError(f"{source}: 'state' and 'visibilities' are mutually exclusive")
     kwargs: dict = {}
@@ -225,7 +225,8 @@ def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     lo, hi = args.phi_range
     if args.step is None or args.step <= 0.0:
         raise ConfigError("--phi-range requires a positive --step")
-    count = math.floor((hi - lo) / args.step + 1e-9) + 1  # counted before anything is allocated
+    spans = (hi - lo) / args.step + 1e-9  # inf when the step is tiny against the range
+    count = math.floor(spans) + 1 if spans < math.inf else math.inf  # before anything is allocated
     if count > 1_000_000:
         raise ConfigError(f"--phi-range with --step {args.step!r} gives {count} angles, over 1000000")
     return [lo + k * args.step for k in range(count)]
@@ -250,7 +251,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _config_from_args(args)
     if args.state:
         config = dataclasses.replace(config, state=args.state)
     state = config.resolve_state()

@@ -22,7 +22,7 @@ settings to (k,) values; ``l_n`` and each search step make one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -114,30 +114,33 @@ def continuum_bound(phi: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class InequalityReport:
-    """One evaluation of the correlation sum against its bound."""
+    """One evaluation of the correlation sum against its bound: ``bound`` is
+    nlv_bound(n, phi) and ``violation_sigmas`` (L - bound)/sigma, None at
+    sigma 0."""
 
     n: int
     phi: float
     l_value: float
-    bound: float
-    sigma: float
-    violation_sigmas: float | None
-    frames: tuple[PlaneFrame, PlaneFrame]
+    sigma: float = 0.0
+    bound: float = field(init=False)
+    violation_sigmas: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(self.bound - nlv_bound(self.n, self.phi)) > 1e-12:
-            raise ValueError(f"bound {self.bound} inconsistent with (n, phi)")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:  # also rejects NaN
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if not -1e-12 <= self.l_value <= 4.0 + 4.0 * self.sigma + 1e-12:
             raise ValueError(f"correlation sum {self.l_value} out of range")
+        bound = nlv_bound(self.n, self.phi)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "violation_sigmas",
+                           (self.l_value - bound) / self.sigma if self.sigma > 0.0 else None)
 
     @property
     def violation(self) -> float:
         return self.l_value - self.bound
 
 
-def _report(frames, n: int, phi: float, c_phi: list[float], c_zero: list[float]) -> InequalityReport:
+def _report(n: int, phi: float, c_phi: list[float], c_zero: list[float]) -> InequalityReport:
     """The L_N report from C(a_k, b_k(phi)) and C(a_k, a_k) in plane order: each
     plane adds |E_j(phi) + E_j(0)|, each E_j a left-to-right sum divided by N."""
     value = 0.0
@@ -145,15 +148,7 @@ def _report(frames, n: int, phi: float, c_phi: list[float], c_zero: list[float])
         e_phi = sum(c_phi[j:j + n]) / n
         e_zero = sum(c_zero[j:j + n]) / n
         value += abs(e_phi + e_zero)
-    return InequalityReport(
-        n=n,
-        phi=phi,
-        l_value=value,
-        bound=nlv_bound(n, phi),
-        sigma=0.0,
-        violation_sigmas=None,
-        frames=frames,
-    )
+    return InequalityReport(n, phi, value)
 
 
 def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: float) -> InequalityReport:
@@ -161,7 +156,7 @@ def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: float) -> In
     one correlation call over the measured pairs of sphere.schedule_rows."""
     check_orthogonal(frames)
     c = source.correlation(*schedule_rows(frames, n, phi)).tolist()
-    return _report(frames, n, phi, c[1::2], c[0::2])
+    return _report(n, phi, c[1::2], c[0::2])
 
 
 def optimal_phi(n: int | float) -> float:
@@ -191,7 +186,7 @@ def max_violation_phi(source, frames: tuple[PlaneFrame, PlaneFrame], n: int) -> 
 
     def objective(phi: float) -> float:
         c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).tolist()
-        return _report(frames, n, phi, c_phi, c_zero).violation
+        return _report(n, phi, c_phi, c_zero).violation
 
     a, b = 0.0, math.pi / 4.0
     c = b - inv_golden * (b - a)

@@ -46,6 +46,7 @@ _POSITIVITY_TOL = 1e-12
 # An entry is (c - lo)/4 or (hi - c)/4 at the interval ends, so a
 # correlation may leave its interval by four times the entry tolerance.
 _INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
+_SCAN_TOL = 1e-12  # slack on the scan's pivot interval and its feasibility test
 
 
 class ConstraintViolationError(ValueError):
@@ -214,11 +215,7 @@ def _sphere_grid(resolution_deg: float) -> np.ndarray:
     return np.concatenate([poles[:1], rings, poles[1:]])
 
 
-def scan_explicit_model(
-    pairs: ArrayLike,
-    resolution_deg: float = 1.0,
-    tolerance: float = 1e-12,
-) -> GridScanResult:
+def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridScanResult:
     """Exhaustive search for a feasible (u, v) over a sphere grid of
     ``resolution_deg`` in (0, 180] that divides 180, so that the grid is
     closed under antipodes (v = -u, which aligned pairs require), and of at
@@ -231,15 +228,16 @@ def scan_explicit_model(
     interval set by u alone, so grid points v outside it are excluded
     wholesale and each u's survivors are scored with the full margin in one
     call.  With aligned pairs (a = b) in the schedule the pivot pins v.a to
-    -u.a within the tolerance, which prunes all but near-antipodal pairs.
+    -u.a within _SCAN_TOL, which prunes all but near-antipodal pairs.
     """
     rows = np.asarray(pairs, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
         raise ValueError(f"need measured (a, b) pairs as (m, 2, 3) rows, m >= 1; got {rows.shape}")
     steps = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
-    if not abs(math.remainder(steps, 1.0)) <= 1e-9:
-        raise ValueError(f"scan resolution must be in (0, 180] dividing 180, got {resolution_deg!r}")
-    steps = round(steps)
+    if steps != math.inf:  # a subnormal resolution: refused below as too many points
+        if not abs(math.remainder(steps, 1.0)) <= 1e-9:
+            raise ValueError(f"scan resolution must be in (0, 180] dividing 180, got {resolution_deg!r}")
+        steps = round(steps)
     points = (steps - 1) * 2 * steps + 2  # steps - 1 rings of 2 steps points, two poles
     if points > 1_000_000:  # counted before the grid is built, as the CLI counts angles
         raise ValueError(f"a {resolution_deg!r} degree grid has {points} points, over 1000000")
@@ -249,8 +247,8 @@ def scan_explicit_model(
 
     ua = grid @ a_mat.T  # (n_grid, m)
     vb = grid @ b_mat.T
-    hi = 1.0 - np.abs(d + ua) + tolerance
-    lo = -1.0 + np.abs(d - ua) - tolerance
+    hi = 1.0 - np.abs(d + ua) + _SCAN_TOL
+    lo = -1.0 + np.abs(d - ua) - _SCAN_TOL
     pivot = int(np.argmin(np.median(hi - lo, axis=0)))
     order = np.argsort(vb[:, pivot], kind="stable")
     j_lo = np.searchsorted(vb[order, pivot], lo[:, pivot], side="left")
@@ -260,7 +258,7 @@ def scan_explicit_model(
     for i in np.flatnonzero(j_hi > j_lo):
         candidates = order[j_lo[i]:j_hi[i]]
         margins = _margin(ua[i], vb[candidates], d).min(axis=1)
-        feasible = np.flatnonzero(margins >= -tolerance)
+        feasible = np.flatnonzero(margins >= -_SCAN_TOL)
         if feasible.size:  # the scan stops at the first one in pivot order
             j = int(feasible[0])
             checked += j + 1
@@ -269,7 +267,8 @@ def scan_explicit_model(
             checked += candidates.size
         if margins[j] > best_margin:
             best_margin = float(margins[j])
-            best = (UnitVector.normalized(*grid[i]), UnitVector.normalized(*grid[candidates[j]]))
+            best = (UnitVector.normalized(*grid[i].tolist()),
+                    UnitVector.normalized(*grid[candidates[j]].tolist()))
         if feasible.size:
             break
-    return GridScanResult(best_margin >= -tolerance, best_margin, *best, grid.shape[0], checked)
+    return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)

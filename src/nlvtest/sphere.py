@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,18 +106,16 @@ def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
 @dataclass(frozen=True, slots=True)
 class PlaneFrame:
     """Great-circle plane given by its normal and a seed direction in the
-    plane.  ``perp`` = normal x seed completes the in-plane frame."""
+    plane."""
 
     normal: UnitVector
     seed: UnitVector
-    perp: UnitVector = field(init=False)
 
     def __post_init__(self) -> None:
         if abs(self.normal.dot(self.seed)) > NORM_TOLERANCE:
             raise ValueError(
                 f"seed not in plane: normal.seed = {self.normal.dot(self.seed)!r}"
             )
-        object.__setattr__(self, "perp", UnitVector(*self.normal.cross(self.seed)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -349,14 +349,21 @@ class TestBadInput:
         assert_one_line_error(code, capsys, "resolution", "7.0")
 
     def test_scan_grid_above_a_million_points(self, capsys):
-        # refused from the point count alone: the 0.01-degree grid is never built
-        code = run("check", "leggett", "--trials", "10", "--ensembles", "1", "--grid-deg", "0.01")
-        assert_one_line_error(code, capsys, "647964002 points", "1000000")
+        # refused from the point count alone: the 0.01-degree grid is never built,
+        # and a subnormal resolution, 180/r = inf, counts as too many points
+        for grid_deg, named in (("0.01", "647964002 points"), ("1e-320", "1e-320")):
+            code = run("check", "leggett", "--trials", "10", "--ensembles", "1",
+                       "--grid-deg", grid_deg)
+            assert_one_line_error(code, capsys, named, "1000000")
 
     def test_phi_grid_above_a_million_angles(self, capsys):
-        # refused from the angle count alone: the 5e12-angle grid is never built
-        code = run("bounds", "--n-list", "2", "--phi-range", "10:15", "--step", "1e-12")
-        assert_one_line_error(code, capsys, "angles", "1000000")
+        # refused from the angle count alone: the 5e12-angle grid is never built,
+        # and a step so small against the range that the count is inf is refused too
+        for argv in (("bounds", "--n-list", "2", "--phi-range", "10:15", "--step", "1e-12"),
+                     ("bounds", "--n-list", "2", "--phi-range", "0:1", "--step", "1e-320"),
+                     ("sweep", "--n-list", "2", "--phi-range", "0:1", "--step", "1e-320"),
+                     ("bounds", "--n-list", "2", "--phi-range", "0:1e308", "--step", "1e-10")):
+            assert_one_line_error(run(*argv), capsys, "angles", "1000000")
 
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         # the bound holds only for orthogonal planes, so both commands refuse others

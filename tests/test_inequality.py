@@ -219,12 +219,21 @@ class TestLn:
         with pytest.raises(ValueError):
             l_n(singlet(), (f1, f2), 2, 0.1)
 
-    def test_report_validates_bound(self):
-        with pytest.raises(ValueError):
-            InequalityReport(
-                n=2, phi=0.1, l_value=3.0, bound=3.0, sigma=0.0,
-                violation_sigmas=None, frames=default_frames(),
-            )
+    def test_report_derives_bound_and_violation_sigmas(self):
+        phi = math.radians(15)
+        measured = InequalityReport(4, phi, 3.9, 0.02)
+        assert measured.bound == nlv_bound(4, phi)
+        assert measured.violation == 3.9 - nlv_bound(4, phi)
+        assert measured.violation_sigmas == (3.9 - nlv_bound(4, phi)) / 0.02
+        exact = InequalityReport(4, phi, 3.9)
+        assert (exact.sigma, exact.bound, exact.violation_sigmas) == (0.0, measured.bound, None)
+        for sigma in (-0.01, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                InequalityReport(4, phi, 3.9, sigma)
+        for l_value in (-0.1, 4.1, math.nan):
+            with pytest.raises(ValueError, match="out of range"):
+                InequalityReport(4, phi, l_value)
+        assert InequalityReport(4, phi, 4.05, 0.02).l_value == 4.05  # within 4 sigma of 4
 
 
 class TestContinuum:

@@ -348,6 +348,7 @@ class TestExplicitModel:
         assert res.feasible_found
         assert res.best_margin >= -1e-12
         assert explicit_model_margin(res.best_u, res.best_v, pairs) >= -1e-12
+        assert all(type(c) is float for w in (res.best_u, res.best_v) for c in (w.x, w.y, w.z))
 
     @pytest.mark.parametrize("n, phi_deg", list(SCAN_PINS))
     def test_scan_pins(self, n, phi_deg):
