@@ -4,13 +4,15 @@ Monte Carlo runs, (N, phi) sweeps, and the property-check suites.
 Output is CSV with a commented manifest header (or a JSON mirror via
 --format json).  Angles are printed in degrees with 2 decimals; correlation
 sums and bounds with 4 decimals.  Exit codes: 0 success, 1 usage, config
-or input error, 2 property-check failure, 3 degenerate data.
+or input error, 2 property-check failure, 3 degenerate data.  The argument
+parser is built once per process, on the first call of main.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -143,6 +145,7 @@ def build_manifest(command: str, args: argparse.Namespace,
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
+        "format": "1",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": command,
@@ -226,10 +229,9 @@ def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     if args.step is None or args.step <= 0.0:
         raise ConfigError("--phi-range requires a positive --step")
     spans = (hi - lo) / args.step + 1e-9  # inf when the step is tiny against the range
-    count = math.floor(spans) + 1 if spans < math.inf else math.inf  # before anything is allocated
-    if count > 1_000_000:
-        raise ConfigError(f"--phi-range with --step {args.step!r} gives {count} angles, over 1000000")
-    return [lo + k * args.step for k in range(count)]
+    if spans >= 1_000_000:  # over 1000000 angles, refused before anything is allocated
+        raise ConfigError(f"--phi-range with --step {args.step!r} gives over 1000000 angles")
+    return [lo + k * args.step for k in range(math.floor(spans) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +431,9 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", metavar="PATH", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nlvtest parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="nlvtest",
         description="Finite-setting inequality tests of non-local-variable models",
@@ -488,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits for usage errors, --help, --version
         return int(exc.code or 0)
     try:

@@ -240,7 +240,7 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
         steps = round(steps)
     points = (steps - 1) * 2 * steps + 2  # steps - 1 rings of 2 steps points, two poles
     if points > 1_000_000:  # counted before the grid is built, as the CLI counts angles
-        raise ValueError(f"a {resolution_deg!r} degree grid has {points} points, over 1000000")
+        raise ValueError(f"a {resolution_deg!r} degree grid has over 1000000 points")
     grid = _sphere_grid(resolution_deg)
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)

@@ -11,9 +11,12 @@ counting-statistics rules:
 
 A run's means depend only on (config, N, phi): they form one (4N, 4) table,
 rows in sampling order (plane, rotation index, Bob at offset 0 then phi) and
-columns in sign order (+,+), (-,-), (-,+), (+,-).  Each seeded run draws all
-16N counts with one Poisson call over that table, in its row-major order;
-replicate evaluates the table once for all of its runs.
+columns in sign order (+,+), (-,-), (-,+), (+,-).  Each seeded run draws its
+16N counts with one Poisson call over that table; a replicate estimates all
+its runs in one array pass over the stacked (runs, 4N, 4) counts.  That pass
+keeps the bits of a scalar loop in sampling order: its sums add columns in
+that order, and a float's square is np.float_power(x, 2.0), libm pow as in
+Python's x ** 2 (x * x and np.power round about 1 double in 1,000 otherwise).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import quantum
 from .inequality import InequalityReport
@@ -84,28 +88,33 @@ class ExperimentConfig:
         return quantum.parse_state(self.state)
 
 
-def estimate_C(counts: Sequence[int], shift: float | None = None) -> tuple[float, float]:
-    """Correlation estimate and its propagated standard deviation from one
-    row of counts (n_pp, n_mm, n_mp, n_pm).
+def estimate_C(counts: ArrayLike, shift: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation estimates and their propagated standard deviations from
+    rows of counts (n_pp, n_mm, n_mp, n_pm), shape (..., 4); both results
+    have shape (...).
 
     With ``shift`` (the expected accidentals per port, rate * duration) the
-    estimate uses the counts minus ``shift``, floored at zero, while the
-    variance keeps the raw Poisson counts.
+    estimates use the counts minus ``shift``, floored at zero, while the
+    variances keep the raw Poisson counts.  A row whose total is not
+    positive has no estimate: both of its entries are NaN.
     """
-    n_pp, n_mm, n_mp, n_pm = counts
-    var_same = n_pp + n_mm
-    var_diff = n_mp + n_pm
+    rows = np.asarray(counts)
+    raw_same = rows[..., 0] + rows[..., 1]
+    raw_diff = rows[..., 2] + rows[..., 3]
     if shift is None:
-        same, diff = var_same, var_diff
+        same, diff = raw_same, raw_diff
+        total = (same + diff).astype(float)
+        total_sq = total * total  # an int ** 2 rounded once; pow misrounds ties
     else:
-        same = max(0.0, n_pp - shift) + max(0.0, n_mm - shift)
-        diff = max(0.0, n_mp - shift) + max(0.0, n_pm - shift)
-    total = same + diff
-    if total <= 0:
-        raise DegenerateDataError("no counts recorded; correlation undefined")
+        kept = np.maximum(rows - shift, 0.0)
+        same, diff = kept[..., 0] + kept[..., 1], kept[..., 2] + kept[..., 3]
+        total = same + diff
+        total_sq = np.float_power(total, 2.0)
+    total = np.where(total > 0.0, total, np.nan)  # NaN, not 0/0, so nothing warns
     c_hat = (same - diff) / total
-    variance = ((1.0 - c_hat) ** 2 * var_same + (1.0 + c_hat) ** 2 * var_diff) / total**2
-    return (c_hat, math.sqrt(variance))
+    variance = (np.float_power(1.0 - c_hat, 2.0) * raw_same
+                + np.float_power(1.0 + c_hat, 2.0) * raw_diff) / total_sq
+    return c_hat, np.sqrt(variance)
 
 
 def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
@@ -122,39 +131,30 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     return config.pair_rate * p * t + config.accidental_rate * t
 
 
-def _counting_run(
-    config: ExperimentConfig, n: int, phi: float, means: np.ndarray,
-    seed: int | tuple[int, ...],
-) -> InequalityReport:
-    """Draw one run's counts from ``means`` in one call and assemble its report.
-
-    The estimates and their sums stay scalar Python float arithmetic in
-    sampling order: numpy's ``x ** 2`` (x * x) and Python's (libm pow)
-    differ in the last bit for some doubles, so a vectorised estimator
-    would change seeded reports.
-    """
-    counts = np.random.default_rng(seed).poisson(means).tolist()
+def _counting_runs(
+    config: ExperimentConfig, n: int, phi: float, seeds: Sequence[int | tuple[int, ...]],
+) -> list[InequalityReport | DegenerateDataError]:
+    """Each seed's run, drawn and estimated together: its report, or a
+    DegenerateDataError naming its first setting without counts."""
+    means = mean_table(config, n, phi)
+    counts = np.stack([np.random.default_rng(seed).poisson(means) for seed in seeds])
     shift = (config.accidental_rate * config.integration_time
              if config.subtract_accidentals else None)
-    l_value = 0.0
-    variance = 0.0
-    rows = iter(counts)
-    for plane_idx in range(len(counts) // (2 * n)):
-        e_sum = 0.0  # E_j(phi) + E_j(0)
-        for k in range(n):
-            for theta_label in ("0", "phi"):
-                try:
-                    c_hat, sigma_c = estimate_C(next(rows), shift)
-                except DegenerateDataError:
-                    raise DegenerateDataError(
-                        f"no counts at plane {plane_idx + 1}, setting {k}, "
-                        f"theta={theta_label}",
-                        setting=(plane_idx + 1, k, theta_label),
-                    ) from None
-                e_sum += c_hat / n
-                variance += sigma_c**2 / n**2
-        l_value += abs(e_sum)
-    return InequalityReport(n, phi, l_value, math.sqrt(variance))
+    c_hat, sigma_c = estimate_C(counts, shift)  # (runs, 4N)
+    # cumsum adds the columns one by one in sampling order; np.sum pairs them
+    e_sums = np.cumsum(c_hat.reshape(len(seeds), -1, 2 * n) / n, axis=-1)[..., -1]
+    l_values = np.cumsum(np.abs(e_sums), axis=-1)[:, -1]
+    variances = np.cumsum(np.float_power(sigma_c, 2.0) / n**2, axis=-1)[:, -1]
+    outcomes: list[InequalityReport | DegenerateDataError] = []
+    for run_idx, (l_value, sigma) in enumerate(zip(l_values.tolist(), np.sqrt(variances).tolist())):
+        if math.isnan(l_value):
+            row = int(np.argmax(np.isnan(c_hat[run_idx])))
+            setting = (row // (2 * n) + 1, row % (2 * n) // 2, ("0", "phi")[row % 2])
+            outcomes.append(DegenerateDataError(
+                "no counts at plane {}, setting {}, theta={}".format(*setting), setting=setting))
+        else:
+            outcomes.append(InequalityReport(n, phi, l_value, sigma))
+    return outcomes
 
 
 def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityReport:
@@ -164,10 +164,13 @@ def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityRe
     in its row-major order: plane 1 then plane 2, rotation index ascending,
     Bob at offset 0 then phi, sign pairs (+,+), (-,-), (-,+), (+,-).  The
     report's sigma adds the per-setting variances in quadrature
-    (independent settings).
+    (independent settings).  Raises DegenerateDataError at a setting
+    without counts.
     """
-    means = mean_table(config, n, phi)
-    return _counting_run(config, n, phi, means, config.rng_seed)
+    (outcome,) = _counting_runs(config, n, phi, [config.rng_seed])
+    if isinstance(outcome, DegenerateDataError):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -219,15 +222,8 @@ def replicate(config: ExperimentConfig, n: int, phi: float, runs: int) -> Replic
     """
     if runs < 1:
         raise ValueError(f"need at least 1 run, got {runs}")
-    means = mean_table(config, n, phi)
-    outcomes: list[InequalityReport | DegenerateDataError] = []
-    for run_idx in range(runs):
-        try:
-            outcomes.append(_counting_run(
-                config, n, phi, means, derive_seed(config.rng_seed, run_idx)
-            ))
-        except DegenerateDataError as exc:
-            outcomes.append(exc)
+    outcomes = _counting_runs(
+        config, n, phi, [derive_seed(config.rng_seed, run_idx) for run_idx in range(runs)])
     reports = [o for o in outcomes if isinstance(o, InequalityReport)]
     l_values = np.array([r.l_value for r in reports])
     violations = [r.violation_sigmas for r in reports if r.violation_sigmas is not None]

@@ -1,12 +1,17 @@
 import argparse
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlvtest
 from nlvtest import __version__
-from nlvtest.cli import ConfigError, _phi_grid_deg, load_config, main, read_manifest
+from nlvtest.cli import ConfigError, _phi_grid_deg, build_parser, load_config, main, read_manifest
 
 
 def data_section(path) -> str:
@@ -27,6 +32,7 @@ def assert_one_line_error(code, capsys, *named):
     lines = [line for line in err.splitlines() if "error:" in line]
     assert len(lines) == 1
     assert all(word in lines[0] for word in named)
+    return lines[0]
 
 
 class TestBounds:
@@ -64,7 +70,7 @@ class TestBounds:
         assert grid(10.0, 10.0, 5.0) == [10.0]
         assert len(grid(0.0, 90.0, 1e-4)) == 900_001
         assert len(grid(0.0, 999_999.0, 1.0)) == 1_000_000
-        with pytest.raises(ConfigError, match="1000001 angles"):
+        with pytest.raises(ConfigError, match="--step 1.0 gives over 1000000 angles"):
             grid(0.0, 1_000_000.0, 1.0)
 
 
@@ -155,6 +161,7 @@ class TestSimulate:
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["python"] == platform.python_version()
         assert payload["manifest"]["numpy"] == np.__version__
+        assert payload["manifest"]["format"] == "1"
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -200,6 +207,11 @@ class TestManifest:
         manifest = read_manifest(out)
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
+
+    def test_records_the_output_format(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run("bounds", "--n-list", "2", "--phi", "15", "--output", str(out)) == 0
+        assert read_manifest(out)["format"] == "1"
 
 
 class TestSweep:
@@ -351,7 +363,7 @@ class TestBadInput:
     def test_scan_grid_above_a_million_points(self, capsys):
         # refused from the point count alone: the 0.01-degree grid is never built,
         # and a subnormal resolution, 180/r = inf, counts as too many points
-        for grid_deg, named in (("0.01", "647964002 points"), ("1e-320", "1e-320")):
+        for grid_deg, named in (("0.01", "0.01 degree grid"), ("1e-320", "1e-320")):
             code = run("check", "leggett", "--trials", "10", "--ensembles", "1",
                        "--grid-deg", grid_deg)
             assert_one_line_error(code, capsys, named, "1000000")
@@ -365,6 +377,16 @@ class TestBadInput:
                      ("bounds", "--n-list", "2", "--phi-range", "0:1e308", "--step", "1e-10")):
             assert_one_line_error(run(*argv), capsys, "angles", "1000000")
 
+    @pytest.mark.parametrize("argv, named", [
+        (("check", "leggett", "--trials", "10", "--ensembles", "1", "--grid-deg", "1e-300"),
+         "1e-300 degree grid"),
+        (("bounds", "--n-list", "2", "--phi-range", "0:1e300", "--step", "1e-5"), "--step 1e-05"),
+    ], ids=["scan-1e-300", "bounds-range-1e300"])
+    def test_refusal_over_the_ceiling_is_short(self, capsys, argv, named):
+        # the exact counts (605 and 305 digits) would say no more than the ceiling
+        line = assert_one_line_error(run(*argv), capsys, "over 1000000", named)
+        assert len(line) < 200
+
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         # the bound holds only for orthogonal planes, so both commands refuse others
         cfg = tmp_path / "planes.cfg"
@@ -373,6 +395,47 @@ class TestBadInput:
                      ("simulate", "--n", "2", "--phi", "15", "--runs", "2", "--seed", "1")):
             code = run(argv[0], "--config", str(cfg), *argv[1:])
             assert_one_line_error(code, capsys, "orthogonal")
+
+
+# In-process calls share one parser; each must print what the same argv
+# prints as the first call of a fresh interpreter.
+REUSE_SEQUENCE = (
+    ("simulate", "--n", "2", "--phi", "15", "--runs", "3", "--seed", "5"),
+    ("predict", "--state", "singlet", "--n", "3", "--phi", "15"),
+    ("simulate", "--n", "0", "--phi", "15"),
+    ("check", "lemma", "--trials", "50"),
+    ("--version",),
+    ("simulate", "--n", "2", "--phi", "15", "--runs", "3", "--seed", "5"),
+)
+
+
+def printed(code: int, out: str, err: str) -> tuple[int, str, str]:
+    """Exit code, stdout without manifest lines, and stderr."""
+    return code, "".join(line for line in out.splitlines(keepends=True)
+                         if not line.startswith("#")), err
+
+
+FRESH_MAIN = "import sys; from nlvtest.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def fresh_call(argv) -> tuple[int, str, str]:
+    """What ``argv`` prints as the first call of a new interpreter."""
+    src = str(Path(nlvtest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return printed(proc.returncode, proc.stdout, proc.stderr)
+
+
+class TestParserReuse:
+    def test_sequence_matches_fresh_interpreters(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike here and there
+        fresh = {argv: fresh_call(argv) for argv in set(REUSE_SEQUENCE)}
+        for argv in REUSE_SEQUENCE:
+            code = run(*argv)
+            assert printed(code, *capsys.readouterr()) == fresh[argv]
+        assert [fresh[argv][0] for argv in REUSE_SEQUENCE] == [0, 0, 1, 0, 0, 0]
+        assert build_parser.cache_info().misses == 1  # built once per process
 
 
 # Pinned data sections: seeded output stays byte-identical unless the manifest

@@ -371,9 +371,9 @@ class TestExplicitModel:
             scan_explicit_model(pairs, resolution_deg=30.0)
 
     # 0.01 deg: 647,964,002 points; 0.25 deg: 1,035,362; 0.3 deg (718,802) is allowed
-    @pytest.mark.parametrize("resolution, points", [(0.01, 647_964_002), (0.25, 1_035_362)])
-    def test_scan_refuses_a_grid_over_a_million_points(self, resolution, points):
-        with pytest.raises(ValueError, match=f"grid has {points} points, over 1000000"):
+    @pytest.mark.parametrize("resolution", [0.01, 0.25])
+    def test_scan_refuses_a_grid_over_a_million_points(self, resolution):
+        with pytest.raises(ValueError, match=f"a {resolution!r} degree grid has over 1000000"):
             scan_explicit_model(schedule_pairs(2, math.radians(15.0)), resolution_deg=resolution)
 
     # 7 deg leaves no antipodal grid pairs, so the scan would be nearly vacuous

@@ -192,8 +192,29 @@ class TestEstimator:
         assert sigma == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_quad_raises(self):
+        # an empty row has no estimate, and a run that draws one raises
+        assert np.isnan(estimate_C((0, 0, 0, 0))).all()
         with pytest.raises(DegenerateDataError):
-            estimate_C((0, 0, 0, 0))
+            run_experiment(ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0), 1, 0.0)
+
+    def test_rows_estimate_as_single_quads(self):
+        rows = [[[100, 100, 0, 0], [75, 75, 25, 25]], [[0, 0, 0, 0], [3, 0, 1, 2]]]
+        c, sigma = estimate_C(rows, 0.5)
+        assert c.shape == sigma.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                single = estimate_C(rows[i][j], 0.5)
+                np.testing.assert_array_equal((c[i, j], sigma[i, j]), single)
+
+    def test_large_total_matches_scalar_arithmetic(self):
+        # the square of this total (above 2**26) is a rounding tie that libm
+        # pow rounds the other way: float_power(total, 2.0) would move sigma
+        counts = (27384959, 25897729, 26171071, 32465128)
+        same, diff = counts[0] + counts[1], counts[2] + counts[3]
+        total = same + diff
+        c = (same - diff) / total
+        sigma = math.sqrt(((1.0 - c) ** 2 * same + (1.0 + c) ** 2 * diff) / total**2)
+        assert estimate_C(counts) == (c, sigma)
 
     @given(
         n_pp=st.integers(0, 10_000),
@@ -234,8 +255,14 @@ class TestSubtraction:
         assert abs(c - unfloored) > 1e-6
 
     def test_all_floored_leads_to_degenerate_error(self):
-        with pytest.raises(DegenerateDataError):
-            estimate_C((1, 1, 0, 1), 0.41 * 4.0)  # shift 1.64 floors everything
+        assert np.isnan(estimate_C((1, 1, 0, 1), 0.41 * 4.0)).all()  # shift 1.64 floors everything
+        # seed 7 draws (0, 1, 1, 1) at the last N = 1 setting and no empty quad
+        cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.41, rng_seed=7,
+                               subtract_accidentals=True)
+        with pytest.raises(DegenerateDataError) as info:
+            run_experiment(cfg, 1, 0.0)
+        assert info.value.setting == (2, 0, "phi")
+        assert run_experiment(dataclasses.replace(cfg, subtract_accidentals=False), 1, 0.0)
 
     def test_variance_uses_raw_counts(self):
         counts = (1000, 1000, 100, 100)
@@ -364,6 +391,34 @@ class TestReplicate:
                    if r.violation_sigmas is not None]
         assert len(defined) == 4  # the sigma-0 runs have no violation
         assert summary.mean_violation == pytest.approx(np.mean(defined), abs=1e-15)
+
+    @given(
+        n=st.integers(1, 4),
+        phi_deg=st.floats(-180.0, 180.0),
+        pair_rate=st.one_of(st.floats(0.5, 4.0), st.floats(4.0, 5000.0)),
+        accidental_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        subtract=st.booleans(),
+        seed=st.integers(0, 2**32),
+        runs=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_runs_match_single_runs(
+        self, n, phi_deg, pair_rate, accidental_rate, subtract, seed, runs
+    ):
+        # at 0.5-4 pairs/s some runs are degenerate and some have sigma 0
+        cfg = ExperimentConfig(pair_rate=pair_rate, accidental_rate=accidental_rate,
+                               rng_seed=seed, subtract_accidentals=subtract)
+        phi = math.radians(phi_deg)
+        summary = replicate(cfg, n, phi, runs)
+        assert summary.runs == runs
+        for i, outcome in enumerate(summary.outcomes):
+            single = dataclasses.replace(cfg, rng_seed=derive_seed(seed, i))
+            if isinstance(outcome, DegenerateDataError):
+                with pytest.raises(DegenerateDataError) as info:
+                    run_experiment(single, n, phi)
+                assert (str(info.value), info.value.setting) == (str(outcome), outcome.setting)
+            else:
+                assert outcome == run_experiment(single, n, phi)
 
     def test_all_degenerate_has_no_statistics(self):
         cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0, rng_seed=11)
