@@ -172,12 +172,9 @@ def leggett_suite(
     # single-setting schedules are reproducible by the explicit model
     frames = default_frames()
     u1 = np.array([1.0, 0.0, 0.0])
-    n1_ok = all(
-        leggett.explicit_model_margin(
-            u1, -u1, np.stack(schedule_rows(frames, 1, math.radians(p)), axis=1)
-        ) >= -1e-12
-        for p in np.linspace(0.0, 179.0, 50)
-    )
+    pairs = np.stack([np.stack(schedule_rows(frames, 1, math.radians(p)), axis=1)
+                      for p in np.linspace(0.0, 179.0, 50)])  # one pair set per angle
+    n1_ok = bool((leggett.explicit_model_margin(u1, -u1, pairs) >= -1e-12).all())
     results.append(
         CheckResult(
             "single-setting-model-feasible",
@@ -192,15 +189,13 @@ def leggett_suite(
     for _ in range(ensembles):
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
-        parts = [
+        ens = leggett.product_ensemble([
             (w, UnitVector.normalized(*u), UnitVector.normalized(*v))
             for w, (u, v) in zip(weights.tolist(), _unit_rows(rng, k, 2).tolist())
-        ]
-        ens = leggett.product_ensemble(parts)
+        ])
         for n in range(1, 6):
-            for p in phi_grid:
-                report = inequality.l_n(ens, frames, n, float(p))
-                worst_margin = max(worst_margin, report.violation)
+            reports = inequality.l_n(ens, frames, n, phi_grid)
+            worst_margin = max(worst_margin, *(report.violation for report in reports))
     results.append(
         CheckResult(
             "local-ensembles-respect-bound",

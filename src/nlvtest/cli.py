@@ -259,9 +259,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     state = config.resolve_state()
     phi = math.radians(args.phi)
     report = inequality.l_n(state, config.frames, args.n, phi)
-    best_phi, best_violation = inequality.max_violation_phi(
-        state, config.frames, args.n
-    )
+    best_phi, best_violation = inequality.max_violation_phi(state, config.frames, args.n)
     columns = [
         "n", "phi_deg", "l_value", "bound", "violation",
         "best_phi_deg", "best_violation",
@@ -327,19 +325,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     any_success = False
     for n in args.n_list:
-        for phi_idx, deg in enumerate(grid):
-            phi = math.radians(deg)
-            analytic = inequality.l_n(state, config.frames, n, phi)
+        analytic_reports = inequality.l_n(state, config.frames, n, [math.radians(d) for d in grid])
+        for phi_idx, (deg, analytic) in enumerate(zip(grid, analytic_reports)):
             cell_config = dataclasses.replace(
                 config, rng_seed=derive_seed(config.rng_seed, n, phi_idx)
             )
-            summary = simulate.replicate(cell_config, n, phi, args.runs)
+            summary = simulate.replicate(cell_config, n, analytic.phi, args.runs)
             succeeded = len(summary.reports)
             failures = summary.runs - succeeded
             any_success = any_success or succeeded > 0
             rows.append([
                 str(n), _fmt_deg(deg), _fmt4(analytic.bound),
-                _fmt4(analytic.l_value), _fmt4(quantum.singlet_L(phi)),
+                _fmt4(analytic.l_value), _fmt4(quantum.singlet_L(analytic.phi)),
                 _fmt_opt(summary.mean_l, ".4f"), _fmt_opt(summary.std_l, ".4f"),
                 _fmt_opt(summary.mean_sigma, ".4f"),
                 _fmt_opt(summary.mean_violation, ".2f"), str(succeeded),

@@ -16,7 +16,8 @@ window of difference angles phi.
 
 A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
 ``PureEnsemble``, has a ``correlation(a, b)`` method mapping stacked (k, 3)
-settings to (k,) values; ``l_n`` and each search step make one call.
+settings to (k,) values, each row's independent of the others in the call;
+``l_n``, at one angle or a 1-D array of them, and each search step make one.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import (PlaneFrame, _dot, check_orthogonal, offset_settings, plane_settings,
-                     schedule_rows)
+from .sphere import PlaneFrame, _dot, check_orthogonal, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
@@ -140,23 +140,31 @@ class InequalityReport:
         return self.l_value - self.bound
 
 
-def _report(n: int, phi: float, c_phi: list[float], c_zero: list[float]) -> InequalityReport:
-    """The L_N report from C(a_k, b_k(phi)) and C(a_k, a_k) in plane order: each
-    plane adds |E_j(phi) + E_j(0)|, each E_j a left-to-right sum divided by N."""
-    value = 0.0
-    for j in range(0, len(c_phi), n):
-        e_phi = sum(c_phi[j:j + n]) / n
-        e_zero = sum(c_zero[j:j + n]) / n
-        value += abs(e_phi + e_zero)
-    return InequalityReport(n, phi, value)
+def _means(c: np.ndarray) -> np.ndarray:
+    """E_j from correlations (..., planes, N): each plane's N values added left
+    to right, over N (np.add.accumulate adds in order; np.sum does not)."""
+    return np.add.accumulate(c, axis=-1)[..., -1] / c.shape[-1]
 
 
-def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: float) -> InequalityReport:
-    """Evaluate the analytic correlation sum L_N for a noiseless source, in
-    one correlation call over the measured pairs of sphere.schedule_rows."""
+def _l_values(c_phi: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
+    """L_N from C(a_k, b_k(phi)), (..., planes, N), and E_j(0): the |E_j(phi) + E_j(0)| in order."""
+    return np.add.accumulate(abs(_means(c_phi) + e_zero), axis=-1)[..., -1]
+
+
+def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: ArrayLike):
+    """L_N of a noiseless source at one angle, or a tuple of reports over a 1-D array
+    of angles: one correlation call on (a_k, a_k) and every angle's (a_k, b_k(phi))."""
+    angles = np.asarray(phi, dtype=float)
+    if angles.ndim > 1:
+        raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
     check_orthogonal(frames)
-    c = source.correlation(*schedule_rows(frames, n, phi)).tolist()
-    return _report(n, phi, c[1::2], c[0::2])
+    alice, turned = plane_settings(frames, n)
+    bob = [offset_settings(alice, turned, p) for p in angles.reshape(-1).tolist()]
+    c = source.correlation(np.concatenate([alice] * (len(bob) + 1)), np.concatenate([alice, *bob]))
+    c = c.reshape(len(bob) + 1, len(frames), n)
+    values = zip(angles.reshape(-1).tolist(), _l_values(c[1:], _means(c[0])).tolist())
+    reports = tuple(InequalityReport(n, p, value) for p, value in values)
+    return reports if angles.ndim else reports[0]
 
 
 def optimal_phi(n: int | float) -> float:
@@ -182,15 +190,14 @@ def max_violation_phi(source, frames: tuple[PlaneFrame, PlaneFrame], n: int) -> 
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     check_orthogonal(frames)
     alice, turned = plane_settings(frames, n)
-    c_zero = source.correlation(alice, alice).tolist()
+    e_zero = _means(source.correlation(alice, alice).reshape(len(frames), n))
 
     def objective(phi: float) -> float:
-        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).tolist()
-        return _report(n, phi, c_phi, c_zero).violation
+        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).reshape(len(frames), n)
+        return float(_l_values(c_phi, e_zero)) - nlv_bound(n, phi)
 
     a, b = 0.0, math.pi / 4.0
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
+    c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
     fc, fd = objective(c), objective(d)
     while b - a > math.radians(0.01):
         if fc < fd:

@@ -67,7 +67,7 @@ class ConstraintViolationError(ValueError):
 
 
 def _violation(row: int, x: float, y: float, c: float, count: int = 1) -> ConstraintViolationError:
-    entries = [float(stokes_probability(x, y, c, r_a, r_b)) for r_a, r_b in _SIGN_PAIRS]
+    entries = stokes_probability(x, y, c).tolist()
     worst = min(range(len(entries)), key=entries.__getitem__)
     return ConstraintViolationError(row, *_SIGN_PAIRS[worst], -entries[worst], count)
 
@@ -83,7 +83,7 @@ def leggett_outcomes(u: ArrayLike, v: ArrayLike, a: ArrayLike, b: ArrayLike, c: 
     x, y, c = np.broadcast_arrays(*np.atleast_1d(_dot(a, u), _dot(b, v), c))
     if not np.isfinite(c).all():
         raise ValueError(f"correlation must be finite, got {c[~np.isfinite(c)][0]}")
-    p = np.stack([stokes_probability(x, y, c, r_a, r_b) for r_a, r_b in _SIGN_PAIRS], axis=-1)
+    p = stokes_probability(x, y, c)
     bad = np.flatnonzero(~(p >= -_POSITIVITY_TOL).all(axis=-1))
     if bad.size:
         row = int(bad[0])
@@ -146,17 +146,17 @@ class PureEnsemble:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         c = np.concatenate([corr(u, v, a, b) for corr, u, v in self._groups])  # (m, k)
         w, u, v = self._wuv
-        x, y = u @ a.T, v @ b.T
+        x, y = _dot(u[:, None], a), _dot(v[:, None], b)
         ok = (c >= np.abs(x + y) - (1.0 + _INTERVAL_TOL)) & (c <= (1.0 + _INTERVAL_TOL) - np.abs(x - y))
         if not ok.all():  # NaN fails too
             rows = np.flatnonzero(~ok.all(axis=0))
             row, j = int(rows[0]), int(np.argmin(ok[:, rows[0]]))  # j: first bad component
             raise _violation(row, x[j, row], y[j, row], c[j, row], rows.size)
-        return w @ c
+        return np.cumsum(w[:, None] * c, axis=0)[-1]  # components added in order
 
 
 def _product_correlation(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (u @ a.T) * (v @ b.T)
+    return _dot(u[:, None], a) * _dot(v[:, None], b)
 
 
 def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> PureEnsemble:

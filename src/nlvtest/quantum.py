@@ -95,14 +95,19 @@ class TwoQubitState:
         return correlation(self, a, b)
 
 
-def stokes_probability(x: float, y: float, c: float, r_a: int, r_b: int) -> float:
-    """The single-pair law P(r_a, r_b) = (1 + r_a x + r_b y + r_a r_b c)/4
-    for local projections x, y and correlation c.
+# The one sign order of every outcome table: (+,+), (-,-), (-,+), (+,-).
+_SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
+
+
+def stokes_probability(x: ArrayLike, y: ArrayLike, c: ArrayLike) -> np.ndarray:
+    """The law P(r_a, r_b) = (1 + r_a x + r_b y + r_a r_b c)/4 for local
+    projections x, y and correlation c, elementwise: a (..., 4) table in the
+    sign order ``_SIGN_PAIRS``.
 
     The grouping ((1 + r_a x) + r_b (y + r_a c))/4 makes a perfect
     anticorrelation (x = y = 0, c = -1, equal signs) exactly zero.
     """
-    return ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0
+    return np.stack([((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0 for r_a, r_b in _SIGN_PAIRS], -1)
 
 
 def _dot(v: np.ndarray, w: Sequence[float]):
@@ -116,11 +121,6 @@ def _tensor_form(state: TwoQubitState, a: np.ndarray, b: np.ndarray):
     return _dot(a, [_dot(b, row) for row in state.t])
 
 
-# The one sign order of every outcome table: (+,+), (-,-), (-,+), (+,-).
-# The leggett module reads it too.
-_SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
-
-
 def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
     """P(r_a, r_b | a, b) for setting rows ``a``, ``b`` of shape (..., 3):
     one column per sign pair, in the order (+,+), (-,-), (-,+), (+,-),
@@ -132,7 +132,7 @@ def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> n
     """
     a, b = np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T
     x, y, c = _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b)
-    p = np.stack([stokes_probability(x, y, c, r_a, r_b) for r_a, r_b in _SIGN_PAIRS], axis=-1)
+    p = stokes_probability(x, y, c)
     bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))  # NaN is bad too
     if bad.any():
         raise ValueError(f"probability {float(p[bad][0])} outside [0, 1] beyond tolerance")

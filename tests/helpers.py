@@ -61,13 +61,15 @@ def reference_correlation(state, a: UnitVector, b: UnitVector) -> float:
 
 def reference_l_n(state, frames, n: int, phi: float) -> float:
     """Plain-Python L_N from build_schedule entries: per plane, left-to-right
-    sums of the scalar correlations at offsets phi and 0."""
+    sums of the scalar correlations at offsets phi and 0.  The sums are plain
+    loops, since sum() of floats is compensated from Python 3.12 on."""
     value = 0.0
     for frame in frames:
-        entries = build_schedule(frame, n, phi).entries
-        e_phi = sum(reference_correlation(state, e.alice, e.bobphi) for e in entries) / n
-        e_zero = sum(reference_correlation(state, e.alice, e.bob0) for e in entries) / n
-        value += abs(e_phi + e_zero)
+        e_phi = e_zero = 0.0
+        for e in build_schedule(frame, n, phi).entries:
+            e_phi += reference_correlation(state, e.alice, e.bobphi)
+            e_zero += reference_correlation(state, e.alice, e.bob0)
+        value += abs(e_phi / n + e_zero / n)
     return value
 
 

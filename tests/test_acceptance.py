@@ -125,8 +125,7 @@ def test_06_local_mixtures_never_violate():
         weights = rng.dirichlet(np.ones(k))
         ens = product_ensemble([(float(w), rand_unit(), rand_unit()) for w in weights])
         for n in range(1, 6):
-            for phi in phis:
-                rep = l_n(ens, frames, n, float(phi))
+            for rep in l_n(ens, frames, n, phis):
                 worst = max(worst, rep.l_value - rep.bound)
     report(
         "criterion-6 local-mixtures",

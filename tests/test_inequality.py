@@ -219,6 +219,14 @@ class TestLn:
         with pytest.raises(ValueError):
             l_n(singlet(), (f1, f2), 2, 0.1)
 
+    def test_angle_array_gives_one_report_per_angle(self):
+        frames = default_frames()
+        assert l_n(singlet(), frames, 2, 0.3) == l_n(singlet(), frames, 2, [0.3])[0]
+        assert len(l_n(singlet(), frames, 2, [0.3])) == 1
+        assert l_n(singlet(), frames, 2, []) == ()
+        with pytest.raises(ValueError, match="1-D"):
+            l_n(singlet(), frames, 2, [[0.3]])
+
     def test_report_derives_bound_and_violation_sigmas(self):
         phi = math.radians(15)
         measured = InequalityReport(4, phi, 3.9, 0.02)
@@ -307,11 +315,16 @@ class TestPlainPythonReference:
     # evaluation with left-to-right plane sums (tests/helpers.py)
     @pytest.mark.parametrize("spec", REFERENCE_STATES)
     def test_l_n_equals_reference(self, spec):
+        # at one angle per call and over an angle array in one call
         state, frames = parse_state(spec), default_frames()
+        phis = [math.radians(deg) for deg in (0.0, 10.0, 15.0, 25.0)]
         for n in (1, 2, 3, 8, 32):
-            for deg in (0.0, 10.0, 15.0, 25.0):
-                phi = math.radians(deg)
-                assert l_n(state, frames, n, phi).l_value == reference_l_n(state, frames, n, phi)
+            stacked = l_n(state, frames, n, phis)
+            assert len(stacked) == len(phis)
+            for phi, report in zip(phis, stacked):
+                expected = reference_l_n(state, frames, n, phi)
+                assert l_n(state, frames, n, phi).l_value == expected
+                assert (report.phi, report.l_value) == (phi, expected)
 
     @pytest.mark.parametrize("spec", REFERENCE_STATES)
     def test_max_violation_phi_equals_reference(self, spec):

@@ -277,6 +277,30 @@ class TestLocalEnsemblesRespectBound:
                 worst = max(worst, abs(stacked[row] - total))
         assert worst <= 1e-15
 
+    def test_stacked_rows_equal_single_row_calls(self):
+        # a row's correlation does not depend on the rows sharing the call
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k)).tolist()
+            ens = product_ensemble([(w, random_unit(rng), random_unit(rng)) for w in weights])
+            a, b = unit_rows(rng, 2, 16)
+            single = [ens.correlation(a[row:row + 1], b[row:row + 1])[0] for row in range(16)]
+            assert ens.correlation(a, b).tolist() == single
+
+    def test_angle_array_equals_per_angle_l_n(self):
+        # wide stacks: 100 angles of 4N rows each at N = 32
+        rng = np.random.default_rng(33)
+        frames = default_frames()
+        phis = np.linspace(0.0, math.pi, 100)
+        for _ in range(10):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k)).tolist()
+            ens = product_ensemble([(w, random_unit(rng), random_unit(rng)) for w in weights])
+            for n in (1, 3, 32):
+                stacked = [report.l_value for report in l_n(ens, frames, n, phis)]
+                assert stacked == [l_n(ens, frames, n, phi).l_value for phi in phis.tolist()]
+
 
 def _constant(value: float):
     """A component correlation equal to ``value`` at every settings row."""
