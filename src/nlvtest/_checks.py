@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequality, leggett
-from .sphere import UnitVector, default_frames, schedule_rows
+from .sphere import UnitVector, _cross, default_frames, schedule_rows
 
 __all__ = ["CheckResult", "lemma_suite", "leggett_suite"]
 
@@ -65,13 +65,13 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     # an axis orthogonal to w, so that xi = 0
     worst_eq = 0.0
     w, r = _unit_rows(rng, 2, 16, 50)
-    axis = np.cross(w, r)
+    axis = _cross(w, r)
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     for n in range(1, 17):
         u_n = inequality.u_coefficient(n)
         angle = (math.pi / 2.0 + rng.integers(0, n, size=50) * math.pi / n)[:, None]
         w_n = w[n - 1]
-        c = w_n * np.cos(angle) + np.cross(axis[n - 1], w_n) * np.sin(angle)
+        c = w_n * np.cos(angle) + _cross(axis[n - 1], w_n) * np.sin(angle)
         avg, _ = inequality.discrete_average(w_n, c, n)
         worst_eq = max(worst_eq, float(np.max(np.abs(avg - u_n))))
     results.append(

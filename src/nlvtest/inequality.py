@@ -17,7 +17,8 @@ window of difference angles phi.
 A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
 ``PureEnsemble``, has a ``correlation(a, b)`` method mapping stacked (k, 3)
 settings to (k,) values, each row's independent of the others in the call;
-``l_n``, at one angle or a 1-D array of them, and each search step make one.
+``l_n`` makes one per block of angles (one call at one angle), and each
+search step makes one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import PlaneFrame, _dot, check_orthogonal, offset_settings, plane_settings
+from .sphere import PlaneFrame, _cross, _dot, check_orthogonal, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
@@ -44,6 +45,9 @@ __all__ = [
     "optimal_phi",
     "max_violation_phi",
 ]
+
+
+_ANGLE_BLOCK = 256  # angles per correlation call in l_n
 
 
 class NoViolationError(ValueError):
@@ -82,7 +86,7 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
     if n < 1:
         raise ValueError(f"need a positive setting count, got {n}")
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
-    cross = np.cross(w, c)
+    cross = _cross(w, c)
     wx = w[..., 0]
     # collinear w, c: any axis orthogonal to w; pick the lexicographically
     # smallest one (minimize x, then y) for determinism; for w = +-e1, whose
@@ -95,7 +99,7 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
     rotated, total = c, np.abs(_dot(c, w))
     for _ in range(1, n):
         d = _dot(axis, rotated) * (1.0 - cos_s)
-        rotated = rotated * cos_s + np.cross(axis, rotated) * sin_s + axis * d[..., None]
+        rotated = rotated * cos_s + _cross(axis, rotated) * sin_s + axis * d[..., None]
         total = total + np.abs(_dot(rotated, w))
     angle = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(w, c))
     xi = (angle - math.pi / 2.0) % (math.pi / n)
@@ -153,17 +157,21 @@ def _l_values(c_phi: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
 
 def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: ArrayLike):
     """L_N of a noiseless source at one angle, or a tuple of reports over a 1-D array
-    of angles: one correlation call on (a_k, a_k) and every angle's (a_k, b_k(phi))."""
+    of angles: per block of up to _ANGLE_BLOCK angles, one correlation call on
+    (a_k, a_k) and each angle's (a_k, b_k(phi)), so memory does not grow with
+    the array."""
     angles = np.asarray(phi, dtype=float)
     if angles.ndim > 1:
         raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
     check_orthogonal(frames)
     alice, turned = plane_settings(frames, n)
-    bob = [offset_settings(alice, turned, p) for p in angles.reshape(-1).tolist()]
-    c = source.correlation(np.concatenate([alice] * (len(bob) + 1)), np.concatenate([alice, *bob]))
-    c = c.reshape(len(bob) + 1, len(frames), n)
-    values = zip(angles.reshape(-1).tolist(), _l_values(c[1:], _means(c[0])).tolist())
-    reports = tuple(InequalityReport(n, p, value) for p, value in values)
+    flat, values = angles.reshape(-1).tolist(), []
+    for start in range(0, max(len(flat), 1), _ANGLE_BLOCK):  # an empty array makes one call
+        bob = [offset_settings(alice, turned, p) for p in flat[start:start + _ANGLE_BLOCK]]
+        c = source.correlation(np.concatenate([alice] * (len(bob) + 1)), np.concatenate([alice, *bob]))
+        c = c.reshape(len(bob) + 1, len(frames), n)
+        values += _l_values(c[1:], _means(c[0])).tolist()
+    reports = tuple(InequalityReport(n, p, value) for p, value in zip(flat, values))
     return reports if angles.ndim else reports[0]
 
 

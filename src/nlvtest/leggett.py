@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .quantum import _SIGN_PAIRS, stokes_probability
-from .sphere import UnitVector, _dot
+from .sphere import NORM_TOLERANCE, UnitVector, _dot
 
 __all__ = [
     "ConstraintViolationError",
@@ -47,6 +47,7 @@ _POSITIVITY_TOL = 1e-12
 # correlation may leave its interval by four times the entry tolerance.
 _INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
 _SCAN_TOL = 1e-12  # slack on the scan's pivot interval and its feasibility test
+_SCAN_BLOCK = 2048  # candidate rows the scan scores per _margin call, whole u segments
 
 
 class ConstraintViolationError(ValueError):
@@ -223,16 +224,29 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
 
     ``pairs`` holds the measured (a, b) rows, shape (m, 2, 3): for example
     np.stack(sphere.schedule_rows(...), axis=1), or a list of UnitVector
-    pairs.  Every (u, v) grid pair is covered: the condition on one measured
-    pair, the pivot with the narrowest interval on average, bounds v.b to an
-    interval set by u alone, so grid points v outside it are excluded
-    wholesale and each u's survivors are scored with the full margin in one
-    call.  With aligned pairs (a = b) in the schedule the pivot pins v.a to
-    -u.a within _SCAN_TOL, which prunes all but near-antipodal pairs.
+    pairs; a row whose |a| or |b| is more than sphere.NORM_TOLERANCE from 1
+    (NaN too) is refused with a ValueError naming the first such row.  Every
+    (u, v) grid pair is covered: the condition on one measured pair, the
+    pivot with the narrowest interval on average, bounds v.b to an interval
+    set by u alone, so grid points v outside it are excluded wholesale.  The
+    survivors are taken in flat order, by u index and then in pivot order,
+    and scored with the full margin one block at a time: whole u segments,
+    about _SCAN_BLOCK candidates per _margin call.  The scan stops at the
+    first feasible candidate in flat order, which is the best pair, and
+    ``candidates_checked`` counts the candidates up to it; otherwise the best
+    pair is the first flat argmax and every survivor is counted.  With
+    aligned pairs (a = b) in the schedule the pivot pins v.a to -u.a within
+    _SCAN_TOL, which prunes all but near-antipodal pairs.
     """
     rows = np.asarray(pairs, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
         raise ValueError(f"need measured (a, b) pairs as (m, 2, 3) rows, m >= 1; got {rows.shape}")
+    with np.errstate(over="ignore"):  # a huge component squares to inf, refused below
+        norms = np.sqrt(_dot(rows, rows))  # (m, 2): |a|, |b|
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE).all(axis=1))  # NaN too
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"pair row {i} is not two unit vectors: |a|, |b| = {norms[i].tolist()}")
     steps = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
     if steps != math.inf:  # a subnormal resolution: refused below as too many points
         if not abs(math.remainder(steps, 1.0)) <= 1e-9:
@@ -254,21 +268,27 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     j_lo = np.searchsorted(vb[order, pivot], lo[:, pivot], side="left")
     j_hi = np.searchsorted(vb[order, pivot], hi[:, pivot], side="right")
 
-    best_margin, best, checked = -math.inf, (None, None), 0
-    for i in np.flatnonzero(j_hi > j_lo):
-        candidates = order[j_lo[i]:j_hi[i]]
-        margins = _margin(ua[i], vb[candidates], d).min(axis=1)
+    segs = np.flatnonzero(j_hi > j_lo)  # the u indices with survivors, in order
+    lens = (j_hi - j_lo)[segs]
+    ends = np.cumsum(lens)  # flat position after each segment
+    best_margin, best, checked, start = -math.inf, (None, None), 0, 0
+    while start < segs.size:  # blocks of whole segments, >= 1 segment each
+        base = int(ends[start - 1]) if start else 0  # candidates before the block
+        stop = max(start + 1, int(np.searchsorted(ends, base + _SCAN_BLOCK, side="right")))
+        seg, seg_lens = segs[start:stop], lens[start:stop]
+        total = int(ends[stop - 1]) - base
+        offs = ends[start:stop] - seg_lens - base  # each segment's offset in the block
+        ui = np.repeat(seg, seg_lens)
+        cand = order[np.repeat(j_lo[seg] - offs, seg_lens) + np.arange(total)]
+        margins = _margin(ua[ui], vb[cand], d).min(axis=1)
         feasible = np.flatnonzero(margins >= -_SCAN_TOL)
-        if feasible.size:  # the scan stops at the first one in pivot order
-            j = int(feasible[0])
-            checked += j + 1
-        else:
-            j = int(np.argmax(margins))
-            checked += candidates.size
+        j = int(feasible[0]) if feasible.size else int(np.argmax(margins))
         if margins[j] > best_margin:
             best_margin = float(margins[j])
-            best = (UnitVector.normalized(*grid[i].tolist()),
-                    UnitVector.normalized(*grid[candidates[j]].tolist()))
-        if feasible.size:
+            best = (UnitVector.normalized(*grid[ui[j]].tolist()),
+                    UnitVector.normalized(*grid[cand[j]].tolist()))
+        checked = base + (j + 1 if feasible.size else total)
+        if feasible.size:  # the scan stops at the first one in flat order
             break
+        start = stop
     return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)

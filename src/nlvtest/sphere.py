@@ -90,6 +90,13 @@ def _dot(p, q):
     return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
+def _cross(p, q):
+    """Row-wise p x q over the last axis, in np.cross's operation order."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p0, p1, p2, q0, q1, q2 = p[..., 0], p[..., 1], p[..., 2], q[..., 0], q[..., 1], q[..., 2]
+    return np.stack([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0], axis=-1)
+
+
 def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
     """Rotate ``v`` by ``angle`` about ``axis`` (right-handed, Rodrigues)."""
     c = math.cos(angle)

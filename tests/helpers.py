@@ -9,6 +9,7 @@ import numpy as np
 
 from nlvtest._checks import _unit_rows as unit_rows
 from nlvtest.inequality import nlv_bound
+from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
 from nlvtest.sphere import PlaneFrame, UnitVector, build_schedule, rotate
 
 
@@ -95,3 +96,40 @@ def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
             fc = objective(c)
     best = (lo + hi) / 2.0
     return best, objective(best)
+
+
+def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
+    """scan_explicit_model's grid and pivot windows, scored one grid point u
+    at a time: each u's surviving v in pivot order, stopping at the first
+    feasible pair, else keeping the first best margin with a strict >."""
+    rows = np.asarray(pairs, dtype=float)
+    grid = _sphere_grid(resolution_deg)
+    a_mat, b_mat = rows[:, 0], rows[:, 1]
+    d = np.einsum("mi,mi->m", a_mat, b_mat)
+    ua = grid @ a_mat.T
+    vb = grid @ b_mat.T
+    hi = 1.0 - np.abs(d + ua) + _SCAN_TOL
+    lo = -1.0 + np.abs(d - ua) - _SCAN_TOL
+    pivot = int(np.argmin(np.median(hi - lo, axis=0)))
+    order = np.argsort(vb[:, pivot], kind="stable")
+    j_lo = np.searchsorted(vb[order, pivot], lo[:, pivot], side="left")
+    j_hi = np.searchsorted(vb[order, pivot], hi[:, pivot], side="right")
+
+    best_margin, best, checked = -math.inf, (None, None), 0
+    for i in np.flatnonzero(j_hi > j_lo):
+        candidates = order[j_lo[i]:j_hi[i]]
+        margins = _margin(ua[i], vb[candidates], d).min(axis=1)
+        feasible = np.flatnonzero(margins >= -_SCAN_TOL)
+        if feasible.size:  # the scan stops at the first one in pivot order
+            j = int(feasible[0])
+            checked += j + 1
+        else:
+            j = int(np.argmax(margins))
+            checked += candidates.size
+        if margins[j] > best_margin:
+            best_margin = float(margins[j])
+            best = (UnitVector.normalized(*grid[i].tolist()),
+                    UnitVector.normalized(*grid[candidates[j]].tolist()))
+        if feasible.size:
+            break
+    return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)

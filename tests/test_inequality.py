@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from nlvtest.inequality import (
+    _ANGLE_BLOCK,
     InequalityReport,
     NoViolationError,
     continuum_bound,
@@ -226,6 +227,29 @@ class TestLn:
         assert l_n(singlet(), frames, 2, []) == ()
         with pytest.raises(ValueError, match="1-D"):
             l_n(singlet(), frames, 2, [[0.3]])
+
+    def test_angle_blocks_equal_per_angle_calls(self):
+        state, frames = parse_state("visibilities:0.995,0.990,0.982"), default_frames()
+        phis = np.random.default_rng(46).uniform(-math.pi, math.pi, 20_000).tolist()
+        stacked = l_n(state, frames, 2, phis)
+        assert [(r.phi, r.l_value) for r in stacked] == [
+            (phi, l_n(state, frames, 2, phi).l_value) for phi in phis
+        ]
+
+    def test_one_correlation_call_per_angle_block(self):
+        calls = []
+
+        class Counting:
+            def correlation(self, a, b):
+                calls.append(len(a))
+                return singlet().correlation(a, b)
+
+        frames = default_frames()
+        l_n(Counting(), frames, 3, 0.3)
+        assert calls == [2 * 6]  # the aligned rows and one angle's, in one call
+        calls.clear()
+        l_n(Counting(), frames, 3, np.zeros(2 * _ANGLE_BLOCK + 1))
+        assert calls == [(_ANGLE_BLOCK + 1) * 6] * 2 + [2 * 6]
 
     def test_report_derives_bound_and_violation_sigmas(self):
         phi = math.radians(15)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_unit, unit_rows, unit_vector_pairs
+from helpers import random_unit, reference_scan, unit_rows, unit_vector_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlvtest.inequality import l_n
 from nlvtest.leggett import (
+    _SCAN_BLOCK,
     ConstraintViolationError,
     EnsembleComponent,
     PureEnsemble,
@@ -302,6 +305,19 @@ class TestLocalEnsemblesRespectBound:
                 assert stacked == [l_n(ens, frames, n, phi).l_value for phi in phis.tolist()]
 
 
+def _unit_pair_sets():
+    """Lists of 1 to 12 (a, b) pairs of unit vectors, as (m, 2, 3) rows."""
+    vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+    pairs = st.lists(st.tuples(vec, vec), min_size=1, max_size=12)
+    return pairs.map(lambda p: (g := np.array(p)) / np.linalg.norm(g, axis=-1, keepdims=True))
+
+
+def _schedule_pair_sets():
+    """The default frames' pairs for N = 1..4 at phi = 0 deg or in [0, 180] deg."""
+    phi_deg = st.one_of(st.just(0.0), st.floats(0.0, 180.0))
+    return st.builds(lambda n, p: schedule_pairs(n, math.radians(p)), st.integers(1, 4), phi_deg)
+
+
 def _constant(value: float):
     """A component correlation equal to ``value`` at every settings row."""
     return lambda u, v, a, b: np.full((len(u), len(a)), value)
@@ -380,6 +396,36 @@ class TestExplicitModel:
         res = scan_explicit_model(schedule_pairs(n, math.radians(phi_deg)), resolution_deg=3.0)
         assert (res.feasible_found, res.grid_size, res.candidates_checked) == counts
         assert res.best_margin == pytest.approx(best_margin, abs=1e-15)
+
+    @given(
+        pairs=st.one_of(_unit_pair_sets(), _schedule_pair_sets()),
+        resolution=st.sampled_from([3.0, 6.0, 10.0, 30.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scan_equals_per_u_reference(self, pairs, resolution):
+        res = scan_explicit_model(pairs, resolution_deg=resolution)
+        expected = reference_scan(pairs, resolution)
+        assert res == expected  # every GridScanResult field
+        assert repr(res) == repr(expected)  # and the sign of a zero margin
+
+    # the first feasible pair lies past the first block of candidates
+    @pytest.mark.parametrize("phi_deg", [10.0, 15.0, 20.0])
+    def test_scan_finds_a_feasible_pair_past_the_first_block(self, phi_deg):
+        pairs = schedule_pairs(1, math.radians(phi_deg))
+        res = scan_explicit_model(pairs, resolution_deg=3.0)
+        assert res.feasible_found and res.candidates_checked > 10 * _SCAN_BLOCK
+        assert repr(res) == repr(reference_scan(pairs, 3.0))
+
+    @pytest.mark.parametrize("row", [[math.nan] * 3, [math.inf, 0.0, 0.0], [0.0] * 3,
+                                     [2.0, 0.0, 0.0], [1e200, 0.0, 0.0]],
+                             ids=["nan", "inf", "zero", "twice", "huge"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["a", "b"])
+    def test_scan_refuses_pairs_that_are_not_unit_vectors(self, row, side):
+        pairs = schedule_pairs(2, math.radians(15.0))
+        pairs[3, side] = row
+        pairs[5, 1 - side] = row  # a later offending row, not named
+        with pytest.raises(ValueError, match=r"^pair row 3 is not two unit vectors"):
+            scan_explicit_model(pairs, resolution_deg=30.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_scan_takes_unit_vector_pairs_and_rows_alike(self, n):

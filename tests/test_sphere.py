@@ -8,6 +8,7 @@ from helpers import random_frames, random_unit, unit_vector_pairs
 from nlvtest.sphere import (
     PlaneFrame,
     UnitVector,
+    _cross,
     build_schedule,
     default_frames,
     offset_settings,
@@ -53,6 +54,16 @@ class TestUnitVector:
         assert a.dot(b) == 0.0
         assert a.cross(b) == (0.0, 0.0, 1.0)
         assert (-a).x == -1.0
+
+    def test_row_cross_equals_np_cross_bitwise(self):
+        rng = np.random.default_rng(47)
+        p, q = rng.normal(size=(2, 4, 500, 3))
+        q[0, :100] = 0.0  # exact zeros, whose signs np.cross keeps too
+        for pair in ((p, q), (p[0], q[0, :1]), (p[1, 7], q[1])):
+            ours, theirs = _cross(*pair), np.cross(*pair)
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
     def test_array_rows_raise_no_warning(self):
         # numpy 2 passes copy= to __array__; pyproject turns warnings into errors
