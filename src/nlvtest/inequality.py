@@ -15,8 +15,9 @@ prediction is 2(1 + cos phi), which exceeds the bound for N >= 2 over a
 window of difference angles phi.
 
 A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
-``PureEnsemble``, has a ``correlation(a, b)`` method mapping stacked (k, 3)
-settings to (k,) values, each row's independent of the others in the call;
+``PureEnsemble`` (stacked component arrays and one correlation function),
+has a ``correlation(a, b)`` method mapping stacked (k, 3) settings to (k,)
+values, each row's independent of the others in the call;
 ``l_n`` makes one per block of angles (one call at one angle), and each
 search step makes one.
 """
@@ -24,6 +25,7 @@ search step makes one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -177,11 +179,14 @@ def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: ArrayLike):
 
 def optimal_phi(n: int | float) -> float:
     """Difference angle maximizing the ideal singlet violation:
-    2 arcsin(u_N / 4).  Pass math.inf for the continuum limit."""
+    2 arcsin(u_N / 4).  ``n`` is an integral count, or math.inf for the
+    continuum limit."""
     if n == math.inf:
         u = 2.0 / math.pi
-    else:
+    elif isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer()):
         u = u_coefficient(int(n))
+    else:
+        raise ValueError(f"setting count must be an integer or math.inf, got {n!r}")
     if u == 0.0:
         raise NoViolationError("the single-setting inequality cannot be violated")
     return 2.0 * math.asin(u / 4.0)

@@ -9,19 +9,21 @@ for every measurement pair (a, b), with single-party marginals fixed by
 (u, v) alone.  Requiring all four entries to be non-negative constrains the
 correlation C to a closed interval; those constraints are what the
 inequality module turns into testable bounds.  The law itself is
-quantum.stokes_probability, shared with the quantum predictions.  Settings
-are stacked (k, 3) rows (one evaluation is k = 1), and each function is
-elementwise arithmetic on the projections a.u, b.v and a.b: the interval,
-the (k, 4) outcome tables in the quantum sign order (+,+), (-,-), (-,+),
-(+,-), and the explicit model's validity margin, written once for the
-direct evaluation and the sphere-grid scan of whether one component can
-reproduce a whole setting schedule.
+quantum.stokes_probability, shared with the quantum predictions.  A mixture
+of such sources, ``PureEnsemble``, is its m weights, its (m, 3) rows u and v,
+and one correlation function C(u, v; a, b) covering every component.
+Settings are stacked (k, 3) rows (one evaluation is k = 1), and each
+function is elementwise arithmetic on the projections a.u, b.v and a.b: the
+interval, the (k, 4) outcome tables in the quantum sign order (+,+), (-,-),
+(-,+), (+,-), and the explicit model's validity margin, written once for
+the direct evaluation and the sphere-grid scan of whether one component
+can reproduce a whole setting schedule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "ConstraintViolationError",
     "leggett_outcomes",
     "admissible_C_range",
-    "EnsembleComponent",
     "PureEnsemble",
     "product_ensemble",
     "explicit_model_margin",
@@ -65,6 +66,17 @@ class ConstraintViolationError(ValueError):
             f"row {row}: outcome ({sign[r_a]}, {sign[r_b]}) would have probability "
             f"-{deficit:.3e} below zero ({count} offending row{'s' * (count != 1)})"
         )
+
+
+def _refuse_non_unit(rows: np.ndarray, label: str, names: str) -> None:
+    """Refuse (m, 2, 3) rows holding a vector whose norm is more than
+    NORM_TOLERANCE from 1, NaN and inf included, naming the first such row."""
+    with np.errstate(over="ignore"):  # a huge component squares to inf, refused below
+        norms = np.sqrt(_dot(rows, rows))  # (m, 2)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE).all(axis=1))  # NaN too
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{label} {i} is not two unit vectors: {names} = {norms[i].tolist()}")
 
 
 def _violation(row: int, x: float, y: float, c: float, count: int = 1) -> ConstraintViolationError:
@@ -100,60 +112,51 @@ def admissible_C_range(u: ArrayLike, v: ArrayLike, a: ArrayLike, b: ArrayLike):
     return (-1.0 + abs(x + y), 1.0 - abs(x - y))
 
 
-@dataclass(frozen=True, slots=True)
-class EnsembleComponent:
-    """Weighted product-state component.  ``corr(u, v, a, b)`` is its correlation
-    C: given the (g, 3) local vectors of the g components sharing this ``corr``
-    and stacked (k, 3) settings, it returns their (g, k) correlations."""
+@dataclass(frozen=True, slots=True, eq=False)
+class PureEnsemble:
+    """Finite mixture of m product-state components: read-only ``weights``,
+    shape (m,), local vectors ``u`` and ``v`` as (m, 3) rows, and one
+    correlation function ``corr(u, v, a, b)`` giving the (m, k) component
+    correlations at stacked (k, 3) settings."""
 
-    weight: float
-    u: UnitVector
-    v: UnitVector
+    weights: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     corr: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-
-@dataclass(frozen=True, slots=True)
-class PureEnsemble:
-    """Finite mixture of product-state components with per-pair correlations,
-    stacked once by ``corr``: a correlation call makes one call per ``corr``."""
-
-    components: tuple[EnsembleComponent, ...]
-    _groups: tuple = field(init=False, repr=False, compare=False)  # (corr, u rows, v rows)
-    _wuv: tuple = field(init=False, repr=False, compare=False)  # stacked w, u, v
-
     def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("ensemble needs at least one component")
-        weights = [comp.weight for comp in self.components]
+        w, u, v = (np.array(x, dtype=float) for x in (self.weights, self.u, self.v))
+        if w.ndim != 1 or not w.size or not u.shape == v.shape == (w.size, 3):
+            raise ValueError(
+                f"ensemble needs weights (m,) and u, v as (m, 3) rows, m >= 1; "
+                f"got {w.shape}, {u.shape}, {v.shape}"
+            )
         # written so that NaN fails both checks
-        if not all(w >= 0.0 for w in weights):
-            raise ValueError(f"weights must be non-negative, got {weights}")
-        if not abs(sum(weights) - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {sum(weights)}, not 1")
-        groups: dict = {}
-        for comp in self.components:
-            groups.setdefault(comp.corr, []).append(comp)
-        uv = [[np.array([getattr(c, side) for c in members], dtype=float) for side in "uv"]
-              for members in groups.values()]
-        w = np.array([c.weight for members in groups.values() for c in members], dtype=float)
-        object.__setattr__(self, "_groups", tuple((corr, *rows) for corr, rows in zip(groups, uv)))
-        object.__setattr__(self, "_wuv", (w, *(np.concatenate(side) for side in zip(*uv))))
+        if not (w >= 0.0).all():
+            raise ValueError(f"weights must be non-negative, got {w.tolist()}")
+        if not abs(sum(w.tolist()) - 1.0) <= 1e-12:
+            raise ValueError(f"weights sum to {sum(w.tolist())}, not 1")
+        _refuse_non_unit(np.stack([u, v], axis=1), "component", "|u|, |v|")
+        for name, x in (("weights", w), ("u", u), ("v", v)):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
     def correlation(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Per row of stacked (k, 3) settings, the weighted sum of the
-        component correlations; raises ConstraintViolationError, naming the
-        first offending settings row, where some component leaves its
-        interval."""
+        component correlations, added in the order given, from one ``corr``
+        call; raises ConstraintViolationError, naming the first offending
+        settings row, where some component leaves its interval."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        c = np.concatenate([corr(u, v, a, b) for corr, u, v in self._groups])  # (m, k)
-        w, u, v = self._wuv
-        x, y = _dot(u[:, None], a), _dot(v[:, None], b)
+        c = np.asarray(self.corr(self.u, self.v, a, b), dtype=float)
+        x, y = _dot(self.u[:, None], a), _dot(self.v[:, None], b)  # (m, k)
+        if c.shape != x.shape:
+            raise ValueError(f"corr must return (m, k) = {x.shape} correlations, got {c.shape}")
         ok = (c >= np.abs(x + y) - (1.0 + _INTERVAL_TOL)) & (c <= (1.0 + _INTERVAL_TOL) - np.abs(x - y))
         if not ok.all():  # NaN fails too
             rows = np.flatnonzero(~ok.all(axis=0))
             row, j = int(rows[0]), int(np.argmin(ok[:, rows[0]]))  # j: first bad component
             raise _violation(row, x[j, row], y[j, row], c[j, row], rows.size)
-        return np.cumsum(w[:, None] * c, axis=0)[-1]  # components added in order
+        return np.cumsum(self.weights[:, None] * c, axis=0)[-1]  # components added in order
 
 
 def _product_correlation(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +166,8 @@ def _product_correlation(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndar
 def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> PureEnsemble:
     """Ensemble whose components carry the factorizing correlation
     C = (a.u)(b.v), i.e. a local model."""
-    return PureEnsemble(tuple(EnsembleComponent(w, u, v, _product_correlation) for w, u, v in parts))
+    w, u, v = ([part[i] for part in parts] for i in range(3))
+    return PureEnsemble(w, u, v, _product_correlation)
 
 
 def _margin(x, y, d):
@@ -200,20 +204,17 @@ class GridScanResult:
     candidates_checked: int
 
 
-def _sphere_grid(resolution_deg: float) -> np.ndarray:
-    """Latitude/longitude grid on the unit sphere, north pole first, rings
-    at latitudes up to 180 deg, south pole last when the resolution
-    divides 180."""
-    lats = np.arange(0.0, 180.0 + 0.5 * resolution_deg, resolution_deg)
-    lats = lats[lats <= 180.0 + 1e-9]
-    pole = (lats < 1e-9) | (np.abs(lats - 180.0) < 1e-9)
-    theta = np.radians(lats[~pole])[:, None]
-    lam = np.radians(np.arange(0.0, 360.0, resolution_deg))[None, :]
+def _sphere_grid(steps: int) -> np.ndarray:
+    """Latitude/longitude grid on the unit sphere at r = 180/steps degrees:
+    the north pole (0, 0, 1), steps - 1 rings at latitudes i r, each of
+    2 steps points at longitudes j r, and the south pole (0, 0, -1)."""
+    r = 180.0 / steps
+    theta = np.radians(np.arange(1, steps) * r)[:, None]
+    lam = np.radians(np.arange(2 * steps) * r)[None, :]
     rings = np.stack(np.broadcast_arrays(
         np.sin(theta) * np.cos(lam), np.sin(theta) * np.sin(lam), np.cos(theta)
     ), axis=-1).reshape(-1, 3)
-    poles = np.array([(0.0, 0.0, z) for z in np.cos(np.radians(lats[pole]))])
-    return np.concatenate([poles[:1], rings, poles[1:]])
+    return np.concatenate([[(0.0, 0.0, 1.0)], rings, [(0.0, 0.0, -1.0)]])
 
 
 def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridScanResult:
@@ -241,12 +242,7 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     rows = np.asarray(pairs, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
         raise ValueError(f"need measured (a, b) pairs as (m, 2, 3) rows, m >= 1; got {rows.shape}")
-    with np.errstate(over="ignore"):  # a huge component squares to inf, refused below
-        norms = np.sqrt(_dot(rows, rows))  # (m, 2): |a|, |b|
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE).all(axis=1))  # NaN too
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"pair row {i} is not two unit vectors: |a|, |b| = {norms[i].tolist()}")
+    _refuse_non_unit(rows, "pair row", "|a|, |b|")
     steps = 180.0 / resolution_deg if 0.0 < resolution_deg <= 180.0 else math.nan  # NaN too
     if steps != math.inf:  # a subnormal resolution: refused below as too many points
         if not abs(math.remainder(steps, 1.0)) <= 1e-9:
@@ -255,7 +251,7 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     points = (steps - 1) * 2 * steps + 2  # steps - 1 rings of 2 steps points, two poles
     if points > 1_000_000:  # counted before the grid is built, as the CLI counts angles
         raise ValueError(f"a {resolution_deg!r} degree grid has over 1000000 points")
-    grid = _sphere_grid(resolution_deg)
+    grid = _sphere_grid(steps)
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
 

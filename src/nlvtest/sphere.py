@@ -73,9 +73,6 @@ class UnitVector:
             self.x * other.y - self.y * other.x,
         )
 
-    def __neg__(self) -> "UnitVector":
-        return UnitVector(-self.x, -self.y, -self.z)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (3,) row (x, y, z), float unless ``dtype`` says otherwise, so
         that np.asarray stacks nested sequences of UnitVectors into rows."""

@@ -10,7 +10,7 @@ import numpy as np
 from nlvtest._checks import _unit_rows as unit_rows
 from nlvtest.inequality import nlv_bound
 from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
-from nlvtest.sphere import PlaneFrame, UnitVector, build_schedule, rotate
+from nlvtest.sphere import PlaneFrame, UnitVector, rotate
 
 
 def random_unit(rng: np.random.Generator) -> UnitVector:
@@ -33,14 +33,27 @@ def random_frames(rng: np.random.Generator) -> tuple[PlaneFrame, PlaneFrame]:
     return (PlaneFrame(normal=n1, seed=seed1), PlaneFrame(normal=n2, seed=seed2))
 
 
+def plane_setting_pairs(frame: PlaneFrame, n: int, phi: float):
+    """One plane's N settings in plain Python, as UnitVector pairs (a_k, b_k):
+    a_k by the rotate recurrence, a_0 the seed and each next a turn of pi/N
+    about the normal, and Bob's b_k = cos(phi) a_k + sin(phi) (normal x a_k).
+    Bob's aligned setting b_k(0) is a_k itself."""
+    c, s = math.cos(phi), math.sin(phi)
+    a = frame.seed
+    for k in range(n):
+        a = rotate(a, frame.normal, math.pi / n) if k else a
+        t = frame.normal.cross(a)
+        yield a, UnitVector(c * a.x + s * t[0], c * a.y + s * t[1], c * a.z + s * t[2])
+
+
 def unit_vector_pairs(frames, n: int, phi: float) -> list[tuple[UnitVector, UnitVector]]:
-    """The measured setting pairs as UnitVectors, from build_schedule entries:
-    per plane and setting, (alice, bob0) before (alice, bobphi)."""
+    """The measured setting pairs as UnitVectors, from plane_setting_pairs:
+    per plane and setting, (a_k, a_k) before (a_k, b_k)."""
     return [
         pair
         for frame in frames
-        for e in build_schedule(frame, n, phi).entries
-        for pair in ((e.alice, e.bob0), (e.alice, e.bobphi))
+        for a, b in plane_setting_pairs(frame, n, phi)
+        for pair in ((a, a), (a, b))
     ]
 
 
@@ -61,15 +74,15 @@ def reference_correlation(state, a: UnitVector, b: UnitVector) -> float:
 
 
 def reference_l_n(state, frames, n: int, phi: float) -> float:
-    """Plain-Python L_N from build_schedule entries: per plane, left-to-right
+    """Plain-Python L_N from plane_setting_pairs: per plane, left-to-right
     sums of the scalar correlations at offsets phi and 0.  The sums are plain
     loops, since sum() of floats is compensated from Python 3.12 on."""
     value = 0.0
     for frame in frames:
         e_phi = e_zero = 0.0
-        for e in build_schedule(frame, n, phi).entries:
-            e_phi += reference_correlation(state, e.alice, e.bobphi)
-            e_zero += reference_correlation(state, e.alice, e.bob0)
+        for a, b in plane_setting_pairs(frame, n, phi):
+            e_phi += reference_correlation(state, a, b)
+            e_zero += reference_correlation(state, a, a)
         value += abs(e_phi / n + e_zero / n)
     return value
 
@@ -103,7 +116,7 @@ def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
     at a time: each u's surviving v in pivot order, stopping at the first
     feasible pair, else keeping the first best margin with a strict >."""
     rows = np.asarray(pairs, dtype=float)
-    grid = _sphere_grid(resolution_deg)
+    grid = _sphere_grid(round(180.0 / resolution_deg))
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
     ua = grid @ a_mat.T

@@ -318,6 +318,15 @@ class TestOptimalPhi:
         with pytest.raises(NoViolationError):
             optimal_phi(1)
 
+    def test_integral_float_counts_as_its_integer(self):
+        assert optimal_phi(2.0) == optimal_phi(2)
+        assert optimal_phi(np.int64(4)) == optimal_phi(4)
+
+    @pytest.mark.parametrize("n", [2.7, -math.inf, math.nan])
+    def test_refuses_counts_neither_integral_nor_inf(self, n):
+        with pytest.raises(ValueError, match=f"integer or math.inf, got {n!r}$"):
+            optimal_phi(n)
+
 
 class TestMaxViolationSearch:
     def test_singlet_peak_matches_formula(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from nlvtest.inequality import l_n
 from nlvtest.leggett import (
     _SCAN_BLOCK,
     ConstraintViolationError,
-    EnsembleComponent,
     PureEnsemble,
     _sphere_grid,
     admissible_C_range,
@@ -233,30 +233,29 @@ class TestLocalEnsemblesRespectBound:
 
     def test_inadmissible_component_rejected(self):
         # at a = b = S1 the interval of u = v = S1 is [1, 1], so C = -1 is no model
-        anti = PureEnsemble((EnsembleComponent(1.0, S1, S1, _constant(-1.0)),))
+        anti = PureEnsemble([1.0], [S1], [S1], _constants(-1.0))
         with pytest.raises(ConstraintViolationError) as info:
             l_n(anti, default_frames(), 2, math.radians(15.0))
         assert info.value.row == 0
+
         # a component at the upper interval end is admissible
-        edge = PureEnsemble((
-            EnsembleComponent(0.5, S1, S1, lambda u, v, a, b: (u @ a.T) * (v @ b.T)),
-            EnsembleComponent(0.5, S1, S3, lambda u, v, a, b: 1.0 - np.abs(u @ a.T - v @ b.T)),
-        ))
+        def edge_corr(u, v, a, b):  # component 0 factorizes, component 1 is at its upper end
+            x, y = u @ a.T, v @ b.T
+            return np.stack([(x * y)[0], (1.0 - np.abs(x - y))[1]])
+
+        edge = PureEnsemble([0.5, 0.5], [S1, S1], [S1, S3], edge_corr)
         assert l_n(edge, default_frames(), 2, math.radians(15.0)).l_value >= 0.0
 
     def test_violation_names_first_settings_row(self):
         # C = -1 fits u = v = S1 only where b.v = -a.u = -1: rows 0 and 1
         a = [X, X, X, X]
         b = [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), X, Y]
-        anti = PureEnsemble((EnsembleComponent(1.0, S1, S1, _constant(-1.0)),))
+        anti = PureEnsemble([1.0], [S1], [S1], _constants(-1.0))
         with pytest.raises(ConstraintViolationError) as info:
             anti.correlation(a, b)
         assert (info.value.row, info.value.count) == (2, 2)
         # with a second, admissible component first, the row is still a settings row
-        mixed = PureEnsemble((
-            EnsembleComponent(0.5, S3, S3, _constant(0.0)),
-            EnsembleComponent(0.5, S1, S1, _constant(-1.0)),
-        ))
+        mixed = PureEnsemble([0.5, 0.5], [S3, S1], [S3, S1], _constants(0.0, -1.0))
         with pytest.raises(ConstraintViolationError) as info:
             mixed.correlation(a, b)
         assert (info.value.row, info.value.count) == (2, 2)
@@ -305,6 +304,117 @@ class TestLocalEnsemblesRespectBound:
                 assert stacked == [l_n(ens, frames, n, phi).l_value for phi in phis.tolist()]
 
 
+def _counted(corr):
+    """``corr`` with a list ``calls`` counting its calls."""
+    def counted(u, v, a, b):
+        counted.calls.append(len(a))
+        return corr(u, v, a, b)
+    counted.calls = []
+    return counted
+
+
+def _projections(u, v, a, b):
+    """The (m, k) projections a.u and b.v, in dot()'s operation order."""
+    x = u[:, None, 0] * a[:, 0] + u[:, None, 1] * a[:, 1] + u[:, None, 2] * a[:, 2]
+    y = v[:, None, 0] * b[:, 0] + v[:, None, 1] * b[:, 1] + v[:, None, 2] * b[:, 2]
+    return x, y
+
+
+def _product(u, v, a, b):
+    x, y = _projections(u, v, a, b)
+    return x * y
+
+
+class TestPureEnsemble:
+    def test_refuses_no_components(self):
+        with pytest.raises(ValueError, match=r"m >= 1; got \(0,\), \(0, 3\), \(0, 3\)"):
+            PureEnsemble([], np.zeros((0, 3)), np.zeros((0, 3)), _product)
+        with pytest.raises(ValueError, match="m >= 1"):
+            product_ensemble([])
+
+    @pytest.mark.parametrize("weights, u, v", [
+        (1.0, [S1], [S1]),  # weights (), not (m,)
+        ([[1.0]], [S1], [S1]),
+        ([1.0], S1, [S1]),  # u (3,), not (1, 3)
+        ([1.0], [S1], [X[:2]]),
+        ([0.5, 0.5], [S1, S1], [S1]),
+        ([0.5, 0.5], [S1], [S1, S1]),
+        ([1.0], [S1, S1], [S1, S1]),
+    ])
+    def test_refuses_shapes_other_than_m_m3_m3(self, weights, u, v):
+        with pytest.raises(ValueError, match=r"weights \(m,\) and u, v as \(m, 3\) rows"):
+            PureEnsemble(weights, u, v, _product)
+
+    @pytest.mark.parametrize("row", [[math.nan] * 3, [math.inf, 0.0, 0.0], [0.0] * 3,
+                                     [2.0, 0.0, 0.0], [1e200, 0.0, 0.0]],
+                             ids=["nan", "inf", "zero", "twice", "huge"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["u", "v"])
+    def test_refuses_rows_that_are_not_unit_vectors(self, row, side):
+        rows = np.array([[X, Y], [Y, Z], [Z, X], [X, Z]])
+        rows[1, side] = row
+        rows[3, 1 - side] = row  # a later offending component, not named
+        with pytest.raises(ValueError, match=r"^component 1 is not two unit vectors: \|u\|, \|v\|"):
+            PureEnsemble([0.25] * 4, rows[:, 0], rows[:, 1], _product)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4,), (4, 2)], ids=["1k", "k", "km"])
+    def test_refuses_corr_results_not_m_by_k(self, shape):
+        # two components at four settings rows; zeros would be admissible
+        ens = PureEnsemble([0.5, 0.5], [S1, S3], [S3, S1], lambda u, v, a, b: np.zeros(shape))
+        a, b = [Y] * 4, [Y] * 4
+        with pytest.raises(ValueError, match=re.escape(f"(m, k) = (2, 4) correlations, got {shape}")):
+            ens.correlation(a, b)
+
+    def test_arrays_are_read_only_copies(self):
+        u = np.array([X, Z])
+        ens = PureEnsemble([0.5, 0.5], u, [Z, X], _product)
+        u[0] = Y
+        assert ens.u.tolist() == [list(X), list(Z)]
+        for rows in (ens.weights, ens.u, ens.v):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
+
+    def test_one_corr_call_per_correlation_call(self):
+        rng = np.random.default_rng(34)
+        corr = _counted(_product)
+        ens = PureEnsemble([0.2, 0.3, 0.5], *unit_rows(rng, 2, 3), corr)
+        for k in (1, 5, 40):
+            ens.correlation(*unit_rows(rng, 2, k))
+        assert corr.calls == [1, 5, 40]
+        # l_n: one call at one angle, and one per block of up to 256 angles
+        corr.calls.clear()
+        l_n(ens, default_frames(), 3, 0.2)
+        l_n(ens, default_frames(), 3, np.linspace(0.0, 1.0, 300))
+        assert corr.calls == [2 * 3 * 2, 2 * 3 * 257, 2 * 3 * 45]
+
+    def test_mixed_components_add_in_the_order_given(self):
+        # factorizing, upper-end and lower-end components interleaved: one
+        # corr over the stacked rows against a plain-Python left-to-right sum
+        kinds = (
+            lambda x, y: x * y,
+            lambda x, y: 1.0 - abs(x - y),
+            lambda x, y: -1.0 + abs(x + y),
+        )
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            m = int(rng.integers(2, 7))
+            kind = rng.integers(0, 3, size=m)
+            weights = rng.dirichlet(np.ones(m))
+            u, v, a, b = (*unit_rows(rng, 2, m), *unit_rows(rng, 2, 12))
+
+            def corr(u, v, a, b):
+                x, y = _projections(u, v, a, b)
+                return np.choose(kind[:, None], [f(x, y) for f in kinds])
+
+            values = PureEnsemble(weights, u, v, corr).correlation(a, b)
+            expected = []
+            for ar, br in zip(a.tolist(), b.tolist()):
+                total = 0.0
+                for w, j, uj, vj in zip(weights.tolist(), kind.tolist(), u.tolist(), v.tolist()):
+                    total += w * kinds[j](dot(uj, ar), dot(vj, br))
+                expected.append(total)
+            assert values.tolist() == expected
+
+
 def _unit_pair_sets():
     """Lists of 1 to 12 (a, b) pairs of unit vectors, as (m, 2, 3) rows."""
     vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
@@ -318,9 +428,10 @@ def _schedule_pair_sets():
     return st.builds(lambda n, p: schedule_pairs(n, math.radians(p)), st.integers(1, 4), phi_deg)
 
 
-def _constant(value: float):
-    """A component correlation equal to ``value`` at every settings row."""
-    return lambda u, v, a, b: np.full((len(u), len(a)), value)
+def _constants(*values: float):
+    """Component correlations equal to values[j] for component j at every
+    settings row."""
+    return lambda u, v, a, b: np.tile(np.array(values)[:, None], (1, len(a)))
 
 
 # 3-degree scans on the default frames, recorded with the per-candidate scan loop:
@@ -376,7 +487,7 @@ class TestExplicitModel:
         res = scan_explicit_model(pairs, resolution_deg=30.0)
         assert not res.feasible_found
         # brute force over the same grid, every (u, v) pair in one call
-        grid = _sphere_grid(30.0)
+        grid = _sphere_grid(6)
         u, v = np.broadcast_arrays(grid[:, None], grid[None, :])
         best = explicit_model_margin(u, v, pairs).max()
         assert best < -1e-12  # brute force agrees: nothing feasible
@@ -454,9 +565,24 @@ class TestExplicitModel:
             scan_explicit_model(pairs, resolution_deg=resolution)
 
     def test_grid_stops_at_latitude_180(self):
-        # 7 deg does not divide 180: 25 rings of 52 points below the north
-        # pole, the last at latitude 175, and no ring past the south pole
-        grid = _sphere_grid(7.0)
-        assert grid.shape == (1 + 25 * 52, 3)
-        assert grid[-1, 2] == pytest.approx(math.cos(math.radians(175.0)), abs=1e-15)
-        assert _sphere_grid(180.0).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        # 5 deg: 35 rings of 72 points below the north pole, the last at
+        # latitude 175, then the south pole and no ring past it
+        grid = _sphere_grid(36)
+        assert grid.shape == (1 + 35 * 72 + 1, 3)
+        assert grid[-2, 2] == pytest.approx(math.cos(math.radians(175.0)), abs=1e-15)
+        assert grid[[0, -1]].tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        assert _sphere_grid(1).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+
+    # 180/k for k = 161, 175 and 458 once gave each ring an extra longitude
+    # at about 360 deg, a copy of 0 deg that the point count left out
+    @pytest.mark.parametrize("steps, resolution", [(161, 180 / 161), (175, 180 / 175),
+                                                   (458, 180 / 458), (180, 1.0),
+                                                   (60, 3.0), (6, 30.0)])
+    def test_grid_size_equals_count_without_duplicates(self, steps, resolution):
+        count = (steps - 1) * 2 * steps + 2
+        res = scan_explicit_model(schedule_pairs(1, math.radians(15.0)), resolution_deg=resolution)
+        assert res.grid_size == count
+        grid = _sphere_grid(steps)
+        assert grid.shape == (count, 3)
+        # ring points lie over 1e-5 apart, so copies round together at 9 decimals
+        assert np.unique(grid.round(9) + 0.0, axis=0).shape == grid.shape

@@ -48,9 +48,9 @@ def tensor_by_trace(state: TwoQubitState) -> tuple[float, float, float]:
     return tuple(expect(state, s, s) for s in STOKES)
 
 
-def qubit_rho(u: UnitVector) -> np.ndarray:
-    """Single-qubit state (1 + u.sigma)/2 with Stokes vector u."""
-    return 0.5 * (_ID2 + u.x * _SZ + u.y * _SX + u.z * _SY)
+def qubit_rho(u: UnitVector, r: int = 1) -> np.ndarray:
+    """Single-qubit state (1 + r u.sigma)/2 with Stokes vector r u, r = +-1."""
+    return 0.5 * (_ID2 + r * (u.x * _SZ + u.y * _SX + u.z * _SY))
 
 
 class TestStateValidation:
@@ -103,8 +103,7 @@ class TestOutcomeProbability:
             a, b = random_unit(rng), random_unit(rng)
             table = outcome_probabilities(state, [a], [b])[0].tolist()
             for (ra, rb), p in zip(SIGN_PAIRS, table):
-                expected = expect(state, qubit_rho(a if ra == 1 else -a),
-                                  qubit_rho(b if rb == 1 else -b))
+                expected = expect(state, qubit_rho(a, ra), qubit_rho(b, rb))
                 assert p == pytest.approx(expected, abs=1e-12)
 
     def test_product_state_matches_leggett_law(self):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import plane_setting_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from nlvtest.simulate import (
     replicate,
     run_experiment,
 )
-from nlvtest.sphere import build_schedule, schedule_rows
+from nlvtest.sphere import schedule_rows
 
 SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -44,10 +45,10 @@ def reference_run(config, n, phi):
     variance = 0.0
     for plane_idx, frame in enumerate(config.frames):
         e_sum = 0.0
-        for k, entry in enumerate(build_schedule(frame, n, phi).entries):
-            for label, bob in (("0", entry.bob0), ("phi", entry.bobphi)):
+        for k, (alice, bob_phi) in enumerate(plane_setting_pairs(frame, n, phi)):
+            for label, bob in (("0", alice), ("phi", bob_phi)):
                 counts = [
-                    int(rng.poisson(config.pair_rate * law(state, entry.alice, bob, ra, rb) * t
+                    int(rng.poisson(config.pair_rate * law(state, alice, bob, ra, rb) * t
                                     + accidental))
                     for ra, rb in SIGN_PAIRS
                 ]
