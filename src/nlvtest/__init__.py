@@ -55,13 +55,12 @@ from .sphere import (
     UnitVector,
     build_schedule,
     default_frames,
-    rotate,
 )
 
 __all__ = [
     "__version__",
     "UnitVector", "PlaneFrame", "SettingSchedule",
-    "rotate", "build_schedule", "default_frames",
+    "build_schedule", "default_frames",
     "TwoQubitState",
     "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",

@@ -145,7 +145,7 @@ def build_manifest(command: str, args: argparse.Namespace,
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
-        "format": "1",  # bumped whenever a printed cell or JSON field changes
+        "format": "2",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": command,
@@ -209,17 +209,23 @@ def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str]
         sys.stdout.write(text)
 
 
+def _fmt(x: float, digits: int) -> str:
+    """``x`` to ``digits`` decimals, a cell that rounds to zero unsigned:
+    Python 3.10 has no "z" format option, so round first and add 0.0."""
+    return f"{round(x, digits) + 0.0:.{digits}f}"
+
+
 def _fmt_deg(x: float) -> str:
-    return f"{x:.2f}"
+    return _fmt(x, 2)
 
 
 def _fmt4(x: float) -> str:
-    return f"{x:.4f}"
+    return _fmt(x, 4)
 
 
-def _fmt_opt(x: float | None, spec: str) -> str:
-    """``x`` formatted by ``spec``, or a blank cell for an undefined value."""
-    return "" if x is None else format(x, spec)
+def _fmt_opt(x: float | None, digits: int) -> str:
+    """``x`` to ``digits`` decimals, or a blank cell for an undefined value."""
+    return "" if x is None else _fmt(x, digits)
 
 
 def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
@@ -297,15 +303,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else:
             rows.append([
                 str(run_idx), n, deg, _fmt4(outcome.l_value), _fmt4(outcome.sigma),
-                _fmt4(outcome.bound), _fmt_opt(outcome.violation_sigmas, ".2f"),
+                _fmt4(outcome.bound), _fmt_opt(outcome.violation_sigmas, 2),
                 seed_text, "ok", "", "",
             ])
     if summary.reports:
         rows.append([
             "summary", n, deg, _fmt4(summary.mean_l), _fmt4(summary.mean_sigma),
-            _fmt4(inequality.nlv_bound(args.n, phi)), _fmt_opt(summary.mean_violation, ".2f"),
-            "", "summary", _fmt_opt(summary.std_l, ".4f"),
-            _fmt_opt(summary.std_over_sigma, ".3f"),
+            _fmt4(inequality.nlv_bound(args.n, phi)), _fmt_opt(summary.mean_violation, 2),
+            "", "summary", _fmt_opt(summary.std_l, 4),
+            _fmt_opt(summary.std_over_sigma, 3),
         ])
     _emit(args, build_manifest("simulate", args, config), _SIM_COLUMNS, rows)
     if not summary.reports:
@@ -337,9 +343,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([
                 str(n), _fmt_deg(deg), _fmt4(analytic.bound),
                 _fmt4(analytic.l_value), _fmt4(quantum.singlet_L(analytic.phi)),
-                _fmt_opt(summary.mean_l, ".4f"), _fmt_opt(summary.std_l, ".4f"),
-                _fmt_opt(summary.mean_sigma, ".4f"),
-                _fmt_opt(summary.mean_violation, ".2f"), str(succeeded),
+                _fmt_opt(summary.mean_l, 4), _fmt_opt(summary.std_l, 4),
+                _fmt_opt(summary.mean_sigma, 4),
+                _fmt_opt(summary.mean_violation, 2), str(succeeded),
                 "ok" if failures == 0 else f"degenerate-data x{failures}",
             ])
     _emit(args, build_manifest("sweep", args, config), columns, rows)

@@ -25,14 +25,14 @@ search step makes one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import PlaneFrame, _cross, _dot, check_orthogonal, offset_settings, plane_settings
+from .sphere import PlaneFrame, _cross, _dot, _setting_count, _turn
+from .sphere import check_orthogonal, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
@@ -58,8 +58,7 @@ class NoViolationError(ValueError):
 
 def u_coefficient(n: int) -> float:
     """Discrete-averaging constant u_N = cot(pi/2N)/N; 0 at N=1, -> 2/pi."""
-    if n < 1:
-        raise ValueError(f"need a positive setting count, got {n}")
+    n = _setting_count(n)
     if n == 1:
         return 0.0  # cot(pi/2) is exactly zero
     half_step = math.pi / (2 * n)
@@ -85,8 +84,7 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
     (angle(w, c) - pi/2) mod pi/N entering the closed form
     (sin xi + N u_N cos xi)/N.
     """
-    if n < 1:
-        raise ValueError(f"need a positive setting count, got {n}")
+    n = _setting_count(n)
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
     cross = _cross(w, c)
     wx = w[..., 0]
@@ -100,8 +98,7 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
     cos_s, sin_s = math.cos(math.pi / n), math.sin(math.pi / n)
     rotated, total = c, np.abs(_dot(c, w))
     for _ in range(1, n):
-        d = _dot(axis, rotated) * (1.0 - cos_s)
-        rotated = rotated * cos_s + _cross(axis, rotated) * sin_s + axis * d[..., None]
+        rotated = _turn(rotated, axis, cos_s, sin_s)
         total = total + np.abs(_dot(rotated, w))
     angle = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(w, c))
     xi = (angle - math.pi / 2.0) % (math.pi / n)
@@ -181,12 +178,7 @@ def optimal_phi(n: int | float) -> float:
     """Difference angle maximizing the ideal singlet violation:
     2 arcsin(u_N / 4).  ``n`` is an integral count, or math.inf for the
     continuum limit."""
-    if n == math.inf:
-        u = 2.0 / math.pi
-    elif isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer()):
-        u = u_coefficient(int(n))
-    else:
-        raise ValueError(f"setting count must be an integer or math.inf, got {n!r}")
+    u = 2.0 / math.pi if n == math.inf else u_coefficient(n)
     if u == 0.0:
         raise NoViolationError("the single-setting inequality cannot be violated")
     return 2.0 * math.asin(u / 4.0)

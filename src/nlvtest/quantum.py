@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+from .sphere import _dot
 
 __all__ = [
     "TwoQubitState",
@@ -110,15 +111,9 @@ def stokes_probability(x: ArrayLike, y: ArrayLike, c: ArrayLike) -> np.ndarray:
     return np.stack([((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0 for r_a, r_b in _SIGN_PAIRS], -1)
 
 
-def _dot(v: np.ndarray, w: Sequence[float]):
-    """Row-wise v.w for the columns v = rows.T of stacked settings, in
-    UnitVector.dot's operation order."""
-    return v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
-
-
 def _tensor_form(state: TwoQubitState, a: np.ndarray, b: np.ndarray):
-    """a.T.b, evaluated as a.(T b)"""
-    return _dot(a, [_dot(b, row) for row in state.t])
+    """a.T.b per row, evaluated as a.(T b)"""
+    return _dot(a, _dot(b[..., None, :], state.t))
 
 
 def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
@@ -130,7 +125,7 @@ def outcome_probabilities(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> n
     same order, whatever the shape, so one table row equals the
     one-setting table bit for bit.
     """
-    a, b = np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x, y, c = _dot(a, state.m_a), _dot(b, state.m_b), _tensor_form(state, a, b)
     p = stokes_probability(x, y, c)
     bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))  # NaN is bad too
@@ -143,7 +138,7 @@ def correlation(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
     """C(a, b) = <sigma(a) (x) sigma(b)> = a.T.b per row of settings of shape
     (..., 3), clamped to [-1, 1]; like outcome_probabilities, each row's value
     comes from the same elementwise operations whatever the shape."""
-    c = np.asarray(_tensor_form(state, np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T))
+    c = np.asarray(_tensor_form(state, np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
     if not (np.abs(c) <= 1.0 + 1e-12).all():  # NaN fails too
         bad = c[~(np.abs(c) <= 1.0 + 1e-12)]
         raise ValueError(f"correlation {float(bad[0])} outside [-1, 1] beyond tolerance")

@@ -1,6 +1,8 @@
 """Poincare-sphere geometry: unit Stokes vectors, measurement planes, and
-rotated setting schedules, stacked as (k, 3) rows.  ``schedule_rows`` alone
-fixes the order of the measured setting pairs.
+rotated setting schedules, stacked as (k, 3) rows.  The rows come in closed
+form, a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and
+are not rescaled; ``schedule_rows`` alone fixes the order of the measured
+setting pairs.
 
 Conventions used throughout the package:
 
@@ -22,7 +24,6 @@ __all__ = [
     "PlaneFrame",
     "ScheduleEntry",
     "SettingSchedule",
-    "rotate",
     "plane_settings",
     "offset_settings",
     "schedule_rows",
@@ -65,14 +66,6 @@ class UnitVector:
     def dot(self, other: "UnitVector") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "UnitVector") -> tuple[float, float, float]:
-        """Raw cross product (not normalized; may be short)."""
-        return (
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The (3,) row (x, y, z), float unless ``dtype`` says otherwise, so
         that np.asarray stacks nested sequences of UnitVectors into rows."""
@@ -94,17 +87,22 @@ def _cross(p, q):
     return np.stack([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0], axis=-1)
 
 
-def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
-    """Rotate ``v`` by ``angle`` about ``axis`` (right-handed, Rodrigues)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    kx, ky, kz = axis.x, axis.y, axis.z
-    d = (kx * v.x + ky * v.y + kz * v.z) * (1.0 - c)
-    return UnitVector(
-        v.x * c + (ky * v.z - kz * v.y) * s + kx * d,
-        v.y * c + (kz * v.x - kx * v.z) * s + ky * d,
-        v.z * c + (kx * v.y - ky * v.x) * s + kz * d,
-    )
+def _turn(v, axis, c, s):
+    """Rows ``v`` turned right-handed about the unit rows ``axis`` by the angle
+    with cosine ``c`` and sine ``s`` (Rodrigues), all broadcast row-wise."""
+    return v * c + _cross(axis, v) * s + axis * (_dot(axis, v)[..., None] * (1.0 - c))
+
+
+def _setting_count(n) -> int:
+    """``n`` as an int: a positive integer, or a float with a positive
+    integral value.  Anything else is refused, naming the value."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):  # a non-number, NaN, inf
+        count = 0
+    if count < 1 or count != n:
+        raise ValueError(f"need a positive integer setting count, got {n!r}")
+    return count
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,30 +135,25 @@ class SettingSchedule:
 
 
 def plane_settings(frames: Sequence[PlaneFrame], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's settings a_k = R^k(seed), k < N, R the pi/N turn about the plane
-    normal, stacked plane by plane as (len(frames) N, 3) rows, and the turned
-    rows normal x a_k.  Bob's aligned setting b(0) is a_k itself."""
-    if n < 1:
-        raise ValueError(f"need at least one setting, got n={n}")
-    alice, turned = [], []
-    for frame in frames:
-        a = frame.seed
-        for k in range(n):
-            a = rotate(a, frame.normal, math.pi / n) if k else a
-            alice.append((a.x, a.y, a.z))
-            turned.append(frame.normal.cross(a))
-    return np.array(alice, dtype=float), np.array(turned, dtype=float)
+    """Alice's settings a_k = R(k pi/N) seed, k < N, R(x) the right-handed
+    turn by x about the plane normal, stacked plane by plane as
+    (len(frames) N, 3) rows, and the turned rows normal x a_k.  Each row is
+    one Rodrigues turn of the seed by math.cos and math.sin of k pi/N, so a
+    default frame's rows are exactly (cos, sin, 0) and (cos, 0, sin).  Bob's
+    aligned setting b(0) is a_k itself."""
+    n = _setting_count(n)
+    angles = [k * math.pi / n for k in range(n)]
+    c = np.array([math.cos(x) for x in angles])[:, None]
+    s = np.array([math.sin(x) for x in angles])[:, None]
+    normal = np.array([np.asarray(frame.normal) for frame in frames])[:, None]  # (planes, 1, 3)
+    alice = _turn(np.array([np.asarray(frame.seed) for frame in frames])[:, None], normal, c, s)
+    return alice.reshape(-1, 3), _cross(normal, alice).reshape(-1, 3)
 
 
 def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.ndarray:
     """Bob's offset settings b(phi) = cos(phi) a + sin(phi) (normal x a) for
-    the rows of plane_settings, rescaled to unit length where UnitVector
-    would rescale them, so each row equals UnitVector's components."""
-    b = math.cos(phi) * alice + math.sin(phi) * turned
-    n2 = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
-    if (off := np.abs(n2 - 1.0) > _RENORM_SKIP).any():
-        b[off] /= np.sqrt(n2[off])[:, None]
-    return b
+    the rows of plane_settings."""
+    return math.cos(phi) * alice + math.sin(phi) * turned
 
 
 def schedule_rows(
@@ -178,7 +171,8 @@ def schedule_rows(
 
 def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
     """The N setting triples (a_k, b(0) = a_k, b(phi)) of one plane, as
-    UnitVectors: a view of schedule_rows."""
+    UnitVectors, which rescale a row whose |v|^2 is more than 4e-15 from 1:
+    a view of schedule_rows."""
     a, b = schedule_rows((frame,), n, phi)
     alice = [UnitVector(*row) for row in a[::2].tolist()]
     bob = b[1::2].tolist()

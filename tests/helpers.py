@@ -10,7 +10,33 @@ import numpy as np
 from nlvtest._checks import _unit_rows as unit_rows
 from nlvtest.inequality import nlv_bound
 from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
-from nlvtest.sphere import PlaneFrame, UnitVector, rotate
+from nlvtest.sphere import PlaneFrame, UnitVector
+
+
+def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
+    """Rotate ``v`` by ``angle`` about ``axis`` (right-handed, Rodrigues)."""
+    return UnitVector(*turn(v, axis, angle))
+
+
+def turn(v: UnitVector, axis: UnitVector, angle: float) -> tuple[float, float, float]:
+    """Plain-Python Rodrigues turn of ``v`` by ``angle`` about ``axis``, as a
+    float triple, in sphere._turn's operation order and not rescaled."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    kx, ky, kz = axis.x, axis.y, axis.z
+    d = (kx * v.x + ky * v.y + kz * v.z) * (1.0 - c)
+    return (
+        v.x * c + (ky * v.z - kz * v.y) * s + kx * d,
+        v.y * c + (kz * v.x - kx * v.z) * s + ky * d,
+        v.z * c + (kx * v.y - ky * v.x) * s + kz * d,
+    )
+
+
+def cross(p, q) -> tuple[float, float, float]:
+    """Plain-Python p x q of two float triples, in sphere._cross's operation
+    order."""
+    (p0, p1, p2), (q0, q1, q2) = p, q
+    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
 
 
 def random_unit(rng: np.random.Generator) -> UnitVector:
@@ -34,20 +60,20 @@ def random_frames(rng: np.random.Generator) -> tuple[PlaneFrame, PlaneFrame]:
 
 
 def plane_setting_pairs(frame: PlaneFrame, n: int, phi: float):
-    """One plane's N settings in plain Python, as UnitVector pairs (a_k, b_k):
-    a_k by the rotate recurrence, a_0 the seed and each next a turn of pi/N
-    about the normal, and Bob's b_k = cos(phi) a_k + sin(phi) (normal x a_k).
-    Bob's aligned setting b_k(0) is a_k itself."""
+    """One plane's N settings in plain Python, as float triple pairs
+    (a_k, b_k): a_k the seed turned by k pi/N about the normal, and Bob's
+    b_k = cos(phi) a_k + sin(phi) (normal x a_k), neither rescaled.  Bob's
+    aligned setting b_k(0) is a_k itself."""
     c, s = math.cos(phi), math.sin(phi)
-    a = frame.seed
+    normal = (frame.normal.x, frame.normal.y, frame.normal.z)
     for k in range(n):
-        a = rotate(a, frame.normal, math.pi / n) if k else a
-        t = frame.normal.cross(a)
-        yield a, UnitVector(c * a.x + s * t[0], c * a.y + s * t[1], c * a.z + s * t[2])
+        a = turn(frame.seed, frame.normal, k * math.pi / n)
+        t = cross(normal, a)
+        yield a, (c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2])
 
 
-def unit_vector_pairs(frames, n: int, phi: float) -> list[tuple[UnitVector, UnitVector]]:
-    """The measured setting pairs as UnitVectors, from plane_setting_pairs:
+def setting_pairs(frames, n: int, phi: float) -> list:
+    """The measured setting pairs as float triples, from plane_setting_pairs:
     per plane and setting, (a_k, a_k) before (a_k, b_k)."""
     return [
         pair
@@ -63,11 +89,11 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def reference_correlation(state, a: UnitVector, b: UnitVector) -> float:
-    """Plain-Python C(a, b) = a.(T b), with the +-1e-12 range check and the
-    clamp to [-1, 1]."""
-    tb = [b.x * row[0] + b.y * row[1] + b.z * row[2] for row in state.t]
-    c = a.x * tb[0] + a.y * tb[1] + a.z * tb[2]
+def reference_correlation(state, a, b) -> float:
+    """Plain-Python C(a, b) = a.(T b) of float triples, with the +-1e-12 range
+    check and the clamp to [-1, 1]."""
+    tb = [b[0] * row[0] + b[1] * row[1] + b[2] * row[2] for row in state.t]
+    c = a[0] * tb[0] + a[1] * tb[1] + a[2] * tb[2]
     if not abs(c) <= 1.0 + 1e-12:
         raise ValueError(f"correlation {c} outside [-1, 1]")
     return min(1.0, max(-1.0, c))

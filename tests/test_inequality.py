@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import (
     random_frames,
     reference_l_n,
     reference_max_violation_phi,
+    rotate,
     unit_rows,
 )
 
@@ -31,7 +33,7 @@ from nlvtest.quantum import (
     singlet_L,
     werner,
 )
-from nlvtest.sphere import PlaneFrame, UnitVector, default_frames, rotate
+from nlvtest.sphere import PlaneFrame, UnitVector, default_frames, plane_settings
 
 
 class TestUCoefficient:
@@ -324,8 +326,35 @@ class TestOptimalPhi:
 
     @pytest.mark.parametrize("n", [2.7, -math.inf, math.nan])
     def test_refuses_counts_neither_integral_nor_inf(self, n):
-        with pytest.raises(ValueError, match=f"integer or math.inf, got {n!r}$"):
+        with pytest.raises(ValueError, match=f"positive integer setting count, got {n!r}$"):
             optimal_phi(n)
+
+
+_COUNT_ENTRY_POINTS = {
+    "plane_settings": lambda n: plane_settings(default_frames(), n),
+    "u_coefficient": u_coefficient,
+    "discrete_average": lambda n: discrete_average([(1.0, 0.0, 0.0)], [(0.0, 0.6, 0.8)], n),
+    "optimal_phi": optimal_phi,
+}
+
+
+class TestSettingCount:
+    # optimal_phi takes math.inf as the continuum limit
+    @pytest.mark.parametrize("entry, n", [
+        (entry, n)
+        for entry in _COUNT_ENTRY_POINTS
+        for n in (2.7, math.nan, 0, -1, math.inf)
+        if (entry, n) != ("optimal_phi", math.inf)
+    ])
+    def test_refuses_a_count_that_is_not_a_positive_integer(self, entry, n):
+        message = re.escape(f"need a positive integer setting count, got {n!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _COUNT_ENTRY_POINTS[entry](n)
+
+    @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+    def test_integral_float_counts_as_its_integer(self, entry):
+        two = _COUNT_ENTRY_POINTS[entry]
+        assert np.asarray(two(2.0)).tolist() == np.asarray(two(2)).tolist()
 
 
 class TestMaxViolationSearch:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import random_unit, reference_scan, unit_rows, unit_vector_pairs
+from helpers import random_unit, reference_scan, setting_pairs, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -542,7 +542,8 @@ class TestExplicitModel:
     def test_scan_takes_unit_vector_pairs_and_rows_alike(self, n):
         phi = math.radians(15.0)
         from_rows = scan_explicit_model(schedule_pairs(n, phi), resolution_deg=3.0)
-        pairs = unit_vector_pairs(default_frames(), n, phi)
+        rows = setting_pairs(default_frames(), n, phi)
+        pairs = [(UnitVector(*a), UnitVector(*b)) for a, b in rows]
         from_vectors = scan_explicit_model(pairs, resolution_deg=3.0)
         assert from_vectors == from_rows  # every GridScanResult field
 

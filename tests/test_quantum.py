@@ -177,6 +177,15 @@ class TestCorrelation:
             assert correlation(state, a[k:k + 1], b[k:k + 1]).tolist() == [stacked[k]]
             assert state.correlation(a[k], b[k]) == stacked[k]
 
+    def test_stack_keeps_its_leading_axes(self):
+        rng = np.random.default_rng(11)
+        state = TwoQubitState(random_density_matrix(rng))
+        a, b = unit_rows(rng, 2, 10)
+        flat_c, flat_p = correlation(state, a, b), outcome_probabilities(state, a, b)
+        a, b = a.reshape(2, 5, 3), b.reshape(2, 5, 3)
+        assert correlation(state, a, b).tolist() == flat_c.reshape(2, 5).tolist()
+        assert outcome_probabilities(state, a, b).tolist() == flat_p.reshape(2, 5, 4).tolist()
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             correlation(singlet(), [(2.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)])

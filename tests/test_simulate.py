@@ -26,10 +26,10 @@ SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 def law(state, a, b, r_a, r_b):
     """P(r_a, r_b) from the Stokes terms in plain Python floats, grouped as
     the one-setting law: ((1 + r_a a.m_A) + r_b (b.m_B + r_a a.(T b)))/4."""
-    x = a.x * state.m_a[0] + a.y * state.m_a[1] + a.z * state.m_a[2]
-    y = b.x * state.m_b[0] + b.y * state.m_b[1] + b.z * state.m_b[2]
-    tb = [b.x * row[0] + b.y * row[1] + b.z * row[2] for row in state.t]
-    c = a.x * tb[0] + a.y * tb[1] + a.z * tb[2]
+    x = a[0] * state.m_a[0] + a[1] * state.m_a[1] + a[2] * state.m_a[2]
+    y = b[0] * state.m_b[0] + b[1] * state.m_b[1] + b[2] * state.m_b[2]
+    tb = [b[0] * row[0] + b[1] * row[1] + b[2] * row[2] for row in state.t]
+    c = a[0] * tb[0] + a[1] * tb[1] + a[2] * tb[2]
     return min(1.0, max(0.0, ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0))
 
 

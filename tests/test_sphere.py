@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import random_frames, random_unit, unit_vector_pairs
+from helpers import cross, random_frames, random_unit, rotate, setting_pairs, turn
 
 from nlvtest.sphere import (
     PlaneFrame,
@@ -13,7 +13,6 @@ from nlvtest.sphere import (
     default_frames,
     offset_settings,
     plane_settings,
-    rotate,
     schedule_rows,
 )
 
@@ -52,7 +51,7 @@ class TestUnitVector:
         a = UnitVector(1.0, 0.0, 0.0)
         b = UnitVector(0.0, 1.0, 0.0)
         assert a.dot(b) == 0.0
-        assert a.cross(b) == (0.0, 0.0, 1.0)
+        assert _cross(a, b).tolist() == [0.0, 0.0, 1.0]
 
     def test_row_cross_equals_np_cross_bitwise(self):
         rng = np.random.default_rng(47)
@@ -163,11 +162,9 @@ class TestBuildSchedule:
     def test_three_settings_match_repeated_rotation(self):
         frame = PlaneFrame(normal=UnitVector(0, 1, 0), seed=UnitVector(1, 0, 0))
         sched = build_schedule(frame, 3, 0.1)
-        expected = frame.seed
         for k, entry in enumerate(sched.entries):
-            if k > 0:
-                expected = rotate(expected, frame.normal, math.pi / 3)
-            assert entry.alice == expected  # same construction, bit for bit
+            # the seed turned once by k pi/3, bit for bit
+            assert entry.alice == rotate(frame.seed, frame.normal, k * math.pi / 3)
             # angles 0, 60, 120 degrees from the seed, in the (S1, S3) plane
             assert entry.alice.dot(frame.seed) == pytest.approx(
                 math.cos(k * math.pi / 3), abs=1e-14
@@ -181,7 +178,7 @@ class TestBuildSchedule:
         sched = build_schedule(frame, 4, phi)
         for entry in sched.entries:
             assert entry.bob0 == entry.alice
-            cx, cy, cz = frame.normal.cross(entry.alice)
+            cx, cy, cz = _cross(frame.normal, entry.alice).tolist()
             want = (
                 math.cos(phi) * entry.alice.x + math.sin(phi) * cx,
                 math.cos(phi) * entry.alice.y + math.sin(phi) * cy,
@@ -198,36 +195,43 @@ class TestBuildSchedule:
 
 class TestPlaneSettings:
     def test_rows_follow_the_rotation_recurrence(self):
-        frames = default_frames()
-        alice, turned = plane_settings(frames, 4)
-        assert alice.shape == turned.shape == (8, 3)
-        for j, frame in enumerate(frames):
-            a = frame.seed
-            for k in range(4):
-                if k > 0:
-                    a = rotate(a, frame.normal, math.pi / 4)
-                assert alice[4 * j + k].tolist() == np.asarray(a).tolist()  # bit for bit
-                assert turned[4 * j + k].tolist() == list(frame.normal.cross(a))
+        # each a_k is the plain-Python turn of the seed by k pi/N, bit for bit
+        for frames in (default_frames(), random_frames(np.random.default_rng(8))):
+            alice, turned = plane_settings(frames, 4)
+            assert alice.shape == turned.shape == (8, 3)
+            for j, frame in enumerate(frames):
+                normal = np.asarray(frame.normal).tolist()
+                for k in range(4):
+                    a = turn(frame.seed, frame.normal, k * math.pi / 4)
+                    assert alice[4 * j + k].tolist() == list(a)
+                    assert turned[4 * j + k].tolist() == list(cross(normal, a))
 
-    def test_offset_rows_equal_unit_vector_components(self):
-        # a seed with |v|^2 - 1 = 4.0e-15 is stored as given, and about half
-        # of its offset rows cross UnitVector's rescaling threshold
+    def test_default_frame_rows_are_exact_cos_and_sin(self):
+        for n in range(1, 1001):
+            alice, _ = plane_settings(default_frames(), n)
+            angles = [k * math.pi / n for k in range(n)]
+            assert alice[:n].tolist() == [[math.cos(x), math.sin(x), 0.0] for x in angles]
+            assert alice[n:].tolist() == [[math.cos(x), 0.0, math.sin(x)] for x in angles]
+
+    def test_offset_rows_are_cos_a_plus_sin_normal_cross_a(self):
+        # no rescale, even for a seed with |v|^2 - 1 = 4.0e-15, which
+        # UnitVector stores as given
         seed = UnitVector(1.0 + 1.9e-15, 0.0, 0.0)
-        alice, turned = plane_settings((PlaneFrame(UnitVector(0, 0, 1), seed),), 3)
-        rescaled = 0
-        for phi in np.linspace(0.0, math.pi, 181):
-            raw = math.cos(phi) * alice + math.sin(phi) * turned
-            bob = offset_settings(alice, turned, float(phi))
-            rescaled += int((bob != raw).any())
-            for row, b in zip(bob.tolist(), raw.tolist()):
-                assert row == np.asarray(UnitVector(*b)).tolist()
-        assert rescaled > 0
+        for frames in ((PlaneFrame(UnitVector(0, 0, 1), seed),),
+                       random_frames(np.random.default_rng(9))):
+            alice, turned = plane_settings(frames, 3)
+            normals = [np.asarray(f.normal).tolist() for f in frames for _ in range(3)]
+            for phi in np.linspace(0.0, math.pi, 181).tolist():
+                c, s = math.cos(phi), math.sin(phi)
+                want = [[c * x + s * y for x, y in zip(a, cross(normal, a))]
+                        for normal, a in zip(normals, alice.tolist())]
+                assert offset_settings(alice, turned, phi).tolist() == want
 
 
 class TestScheduleRows:
     def test_order_matches_plain_python_settings(self):
         # per plane and setting: (alice, bob0), then (alice, bobphi), from
-        # the plain-Python rotate recurrence
+        # the plain-Python per-k turns
         rng = np.random.default_rng(12)
         whole = (PlaneFrame(UnitVector(0, 0, 1), UnitVector(1, 0, 0)),
                  PlaneFrame(UnitVector(0, -1, 0), UnitVector(1, 0, 0)))  # int components
@@ -236,7 +240,7 @@ class TestScheduleRows:
                 phi = float(rng.uniform(-math.pi, math.pi))
                 a, b = schedule_rows(frames, n, phi)
                 assert a.shape == b.shape == (4 * n, 3)
-                pairs = np.asarray(unit_vector_pairs(frames, n, phi))
+                pairs = np.asarray(setting_pairs(frames, n, phi))
                 assert np.stack([a, b], axis=1).tolist() == pairs.tolist()
 
     def test_rows_are_plane_and_offset_settings(self):
