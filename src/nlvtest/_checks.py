@@ -36,51 +36,35 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
 
-    # lower bound and closed-form identity on random vector pairs
-    worst_slack, worst_identity = math.inf, 0.0
+    # lower bound and closed-form identity on random vector pairs; for the
+    # equality case, c at angle pi/2 + m*pi/N from w, rotating about an axis
+    # orthogonal to w, so that xi = 0; one call per N takes both sets of rows
+    worst_slack, worst_identity, worst_eq = math.inf, 0.0, 0.0
     per_n = max(1, trials // 16)
     w, c = _unit_rows(rng, 2, 16, per_n)
-    for n in range(1, 17):
-        u_n = inequality.u_coefficient(n)
-        avg, xi = inequality.discrete_average(w[n - 1], c[n - 1], n)
-        worst_slack = min(worst_slack, float(np.min(avg - u_n)))
-        closed = (np.sin(xi) + n * u_n * np.cos(xi)) / n
-        worst_identity = max(worst_identity, float(np.max(np.abs(avg - closed))))
-    results.append(
-        CheckResult(
-            "lemma-lower-bound",
-            worst_slack >= -1e-12,
-            f"min(avg - u_N) = {worst_slack:.3e} over {per_n * 16} trials",
-        )
-    )
-    results.append(
-        CheckResult(
-            "lemma-closed-form",
-            worst_identity <= 1e-12,
-            f"max |avg - (sin xi + N u_N cos xi)/N| = {worst_identity:.3e}",
-        )
-    )
-
-    # equality case: place c at angle pi/2 + m*pi/N from w, rotating about
-    # an axis orthogonal to w, so that xi = 0
-    worst_eq = 0.0
-    w, r = _unit_rows(rng, 2, 16, 50)
-    axis = _cross(w, r)
+    w_eq, r = _unit_rows(rng, 2, 16, 50)
+    axis = _cross(w_eq, r)
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     for n in range(1, 17):
         u_n = inequality.u_coefficient(n)
         angle = (math.pi / 2.0 + rng.integers(0, n, size=50) * math.pi / n)[:, None]
-        w_n = w[n - 1]
-        c = w_n * np.cos(angle) + _cross(axis[n - 1], w_n) * np.sin(angle)
-        avg, _ = inequality.discrete_average(w_n, c, n)
-        worst_eq = max(worst_eq, float(np.max(np.abs(avg - u_n))))
-    results.append(
-        CheckResult(
-            "lemma-equality-case",
-            worst_eq <= 1e-9,
-            f"max |avg - u_N| at xi = 0: {worst_eq:.3e}",
+        w_n = w_eq[n - 1]
+        c_eq = w_n * np.cos(angle) + _cross(axis[n - 1], w_n) * np.sin(angle)
+        avg, xi = inequality.discrete_average(
+            np.concatenate([w[n - 1], w_n]), np.concatenate([c[n - 1], c_eq]), n
         )
-    )
+        avg, xi, avg_eq = avg[:per_n], xi[:per_n], avg[per_n:]
+        worst_slack = min(worst_slack, float(np.min(avg - u_n)))
+        closed = (np.sin(xi) + n * u_n * np.cos(xi)) / n
+        worst_identity = max(worst_identity, float(np.max(np.abs(avg - closed))))
+        worst_eq = max(worst_eq, float(np.max(np.abs(avg_eq - u_n))))
+    results += [
+        CheckResult("lemma-lower-bound", worst_slack >= -1e-12,
+                    f"min(avg - u_N) = {worst_slack:.3e} over {per_n * 16} trials"),
+        CheckResult("lemma-closed-form", worst_identity <= 1e-12,
+                    f"max |avg - (sin xi + N u_N cos xi)/N| = {worst_identity:.3e}"),
+        CheckResult("lemma-equality-case", worst_eq <= 1e-9, f"max |avg - u_N| at xi = 0: {worst_eq:.3e}"),
+    ]
 
     # bound slope against a central finite difference
     worst_slope = 0.0

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import PlaneFrame, _cross, _dot, _setting_count, _turn
+from .sphere import PlaneFrame, _cross, _dot, _setting_count
 from .sphere import check_orthogonal, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
@@ -80,6 +80,9 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
     """Per row of stacked (k, 3) vectors, the average of |(R^k c) . w| over
     k = 0..N-1, with R the pi/N rotation about an axis orthogonal to both.
 
+    Each (R^k c).w is one closed-form Rodrigues turn by t_k = k pi/N, all k in one
+    array pass: cos t_k (c.w) + sin t_k ((axis x c).w) + (1 - cos t_k)(axis.c)(axis.w).
+
     Always >= u_coefficient(n).  The returned xi is the wrapped angle
     (angle(w, c) - pi/2) mod pi/N entering the closed form
     (sin xi + N u_N cos xi)/N.
@@ -95,14 +98,15 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
         np.stack([-(1.0 - wx * wx), wx * w[..., 1], wx * w[..., 2]], axis=-1), (0.0, -1.0, 0.0)
     )
     axis = _normalized_or(cross, collinear_axis)
-    cos_s, sin_s = math.cos(math.pi / n), math.sin(math.pi / n)
-    rotated, total = c, np.abs(_dot(c, w))
-    for _ in range(1, n):
-        rotated = _turn(rotated, axis, cos_s, sin_s)
-        total = total + np.abs(_dot(rotated, w))
-    angle = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(w, c))
+    # cos t_k and sin t_k along a leading k axis, ahead of the broadcast row axes
+    k_shape = (2, n) + (1,) * (len(np.broadcast_shapes(w.shape, c.shape)) - 1)
+    t = [k * math.pi / n for k in range(n)]
+    cos_t, sin_t = np.array([[math.cos(tk) for tk in t], [math.sin(tk) for tk in t]]).reshape(k_shape)
+    cw, along = _dot(c, w), _dot(axis, c) * _dot(axis, w)
+    x = np.abs(cos_t * cw + sin_t * _dot(_cross(axis, c), w) + (1.0 - cos_t) * along)
+    angle = np.arctan2(np.sqrt(_dot(cross, cross)), cw)
     xi = (angle - math.pi / 2.0) % (math.pi / n)
-    return DiscreteAverage(value=total / n, xi=xi)
+    return DiscreteAverage(value=np.add.accumulate(x, axis=0)[-1] / n, xi=xi)
 
 
 def nlv_bound(n: int, phi: float) -> float:

@@ -76,15 +76,19 @@ class UnitVector:
 
 def _dot(p, q):
     """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+    m = np.asarray(p, dtype=float) * np.asarray(q, dtype=float)
+    return m[..., 0] + m[..., 1] + m[..., 2]
 
 
 def _cross(p, q):
     """Row-wise p x q over the last axis, in np.cross's operation order."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     p0, p1, p2, q0, q1, q2 = p[..., 0], p[..., 1], p[..., 2], q[..., 0], q[..., 1], q[..., 2]
-    return np.stack([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0], axis=-1)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    np.subtract(p1 * q2, p2 * q1, out=out[..., 0])
+    np.subtract(p2 * q0, p0 * q2, out=out[..., 1])
+    np.subtract(p0 * q1, p1 * q0, out=out[..., 2])
+    return out
 
 
 def _turn(v, axis, c, s):

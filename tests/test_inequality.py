@@ -57,7 +57,8 @@ class TestUCoefficient:
 
 
 def reference_discrete_average(w, c, n: int) -> tuple[float, float]:
-    """Plain-Python scalar reference: one (w, c) pair at a time."""
+    """Plain-Python scalar reference: one (w, c) pair at a time, each R^k c
+    one Rodrigues turn by k pi/N dotted with w, the terms added in k order."""
     ax, ay, az = w[1] * c[2] - w[2] * c[1], w[2] * c[0] - w[0] * c[2], w[0] * c[1] - w[1] * c[0]
     norm = math.sqrt(ax * ax + ay * ay + az * az)
     if norm > 1e-12:
@@ -66,18 +67,13 @@ def reference_discrete_average(w, c, n: int) -> tuple[float, float]:
         px, py, pz = -(1.0 - w[0] * w[0]), w[0] * w[1], w[0] * w[2]
         pn = math.sqrt(px * px + py * py + pz * pz)
         ax, ay, az = (px / pn, py / pn, pz / pn) if pn > 1e-12 else (0.0, -1.0, 0.0)
-    cos_s, sin_s = math.cos(math.pi / n), math.sin(math.pi / n)
-    cx, cy, cz = c
+    cw = c[0] * w[0] + c[1] * w[1] + c[2] * w[2]
+    turned = (ay * c[2] - az * c[1]) * w[0] + (az * c[0] - ax * c[2]) * w[1] + (ax * c[1] - ay * c[0]) * w[2]
+    along = (ax * c[0] + ay * c[1] + az * c[2]) * (ax * w[0] + ay * w[1] + az * w[2])
     total = 0.0
     for k in range(n):
-        if k > 0:
-            d = (ax * cx + ay * cy + az * cz) * (1.0 - cos_s)
-            cx, cy, cz = (
-                cx * cos_s + (ay * cz - az * cy) * sin_s + ax * d,
-                cy * cos_s + (az * cx - ax * cz) * sin_s + ay * d,
-                cz * cos_s + (ax * cy - ay * cx) * sin_s + az * d,
-            )
-        total += abs(cx * w[0] + cy * w[1] + cz * w[2])
+        t = k * math.pi / n
+        total += abs(math.cos(t) * cw + math.sin(t) * turned + (1.0 - math.cos(t)) * along)
     angle = math.atan2(norm, w[0] * c[0] + w[1] * c[1] + w[2] * c[2])
     return total / n, (angle - math.pi / 2.0) % (math.pi / n)
 
@@ -124,6 +120,38 @@ class TestDiscreteAverage:
             assert avg.tolist() == [value for value, _ in reference]
             # arctan2 may be a vectorised implementation, last bits apart from libm
             assert xi.tolist() == pytest.approx([x for _, x in reference], abs=1e-15)
+
+    def test_one_row_against_stacked_rows_equals_per_row_calls(self):
+        rng = np.random.default_rng(44)
+        w, c = unit_rows(rng, 2, 9)
+        for n in (1, 2, 5, 16):
+            for avg, xi, single in (
+                (*discrete_average(w[0], c, n), lambda i: discrete_average(w[0], c[i], n)),
+                (*discrete_average(c, w[0], n), lambda i: discrete_average(c[i], w[0], n)),
+            ):
+                assert avg.shape == xi.shape == (9,)
+                assert avg.tolist() == [float(single(i).value) for i in range(9)]
+                assert xi.tolist() == [float(single(i).xi) for i in range(9)]
+
+    def test_concatenated_rows_equal_calls_on_each_part(self):
+        rng = np.random.default_rng(45)
+        w, c = unit_rows(rng, 2, 175)
+        for n in (1, 3, 8, 16):
+            whole = discrete_average(w, c, n)
+            head, tail = discrete_average(w[:125], c[:125], n), discrete_average(w[125:], c[125:], n)
+            assert whole.value.tolist() == head.value.tolist() + tail.value.tolist()
+            assert whole.xi.tolist() == head.xi.tolist() + tail.xi.tolist()
+
+    @pytest.mark.parametrize("n", [64, 360])
+    def test_large_n_matches_fsum_oracle(self, n):
+        # R^k c turns c away from w in their common plane: (R^k c).w = cos(alpha + k pi/N)
+        rng = np.random.default_rng(46)
+        w, c = unit_rows(rng, 2, 300)
+        avg, _ = discrete_average(w, c, n)
+        for wi, ci, value in zip(w.tolist(), c.tolist(), avg.tolist()):
+            alpha = math.atan2(math.hypot(*np.cross(wi, ci).tolist()), math.fsum(np.multiply(wi, ci).tolist()))
+            oracle = math.fsum(abs(math.cos(alpha + k * math.pi / n)) for k in range(n)) / n
+            assert abs(value - oracle) <= 2e-15
 
     def test_lower_bound_moderate_trials(self):
         rng = np.random.default_rng(42)
