@@ -50,17 +50,15 @@ from .simulate import (
     run_experiment,
 )
 from .sphere import (
-    PlaneFrame,
     SettingSchedule,
-    UnitVector,
     build_schedule,
+    check_frames,
     default_frames,
 )
 
 __all__ = [
     "__version__",
-    "UnitVector", "PlaneFrame", "SettingSchedule",
-    "build_schedule", "default_frames",
+    "SettingSchedule", "build_schedule", "check_frames", "default_frames",
     "TwoQubitState",
     "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequality, leggett
-from .sphere import UnitVector, _cross, default_frames, schedule_rows
+from .sphere import _cross, default_frames, schedule_rows
 
 __all__ = ["CheckResult", "lemma_suite", "leggett_suite"]
 
@@ -173,10 +173,8 @@ def leggett_suite(
     for _ in range(ensembles):
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
-        ens = leggett.product_ensemble([
-            (w, UnitVector.normalized(*u), UnitVector.normalized(*v))
-            for w, (u, v) in zip(weights.tolist(), _unit_rows(rng, k, 2).tolist())
-        ])
+        rows = _unit_rows(rng, k, 2)  # (u, v) per component
+        ens = leggett.product_ensemble(weights, rows[:, 0], rows[:, 1])
         for n in range(1, 6):
             reports = inequality.l_n(ens, frames, n, phi_grid)
             worst_margin = max(worst_margin, *(report.violation for report in reports))

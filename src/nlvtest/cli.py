@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, _checks, inequality, quantum, simulate
 from .simulate import DegenerateDataError, ExperimentConfig, derive_seed
-from .sphere import PlaneFrame, UnitVector, default_frames
+from .sphere import default_frames
 
 __all__ = ["main", "ConfigError", "load_config", "read_manifest"]
 
@@ -55,11 +55,11 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_vector(text: str) -> UnitVector:
-    parts = [float(s) for s in text.split(",")]
+def _parse_vector(text: str) -> tuple[float, float, float]:
+    parts = tuple(float(s) for s in text.split(","))
     if len(parts) != 3:
         raise ValueError(f"expected three components, got {len(parts)}")
-    return UnitVector(*parts)
+    return parts
 
 
 def _parse_bool(text: str) -> bool:
@@ -113,14 +113,11 @@ def config_from_values(values: dict[str, str], source: str) -> ExperimentConfig:
             kwargs["rng_seed"] = int(values["seed"])
         if "subtract_accidentals" in values:
             kwargs["subtract_accidentals"] = _parse_bool(values["subtract_accidentals"])
-        if any(key.startswith("plane") for key in values):
-            kwargs["frames"] = tuple(
-                PlaneFrame(
-                    normal=_parse_vector(values[f"plane{i}_normal"]) if f"plane{i}_normal" in values else d.normal,
-                    seed=_parse_vector(values[f"plane{i}_seed"]) if f"plane{i}_seed" in values else d.seed,
-                )
-                for i, d in enumerate(default_frames(), start=1)
-            )
+        kwargs["frames"] = [
+            [_parse_vector(values[key]) if key in values else row
+             for key, row in zip((f"plane{i}_normal", f"plane{i}_seed"), plane.tolist())]
+            for i, plane in enumerate(default_frames(), start=1)
+        ]
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
@@ -132,8 +129,8 @@ def config_from_values(values: dict[str, str], source: str) -> ExperimentConfig:
 # manifests and output
 
 
-def _vector_text(v: UnitVector) -> str:
-    return f"{v.x!r},{v.y!r},{v.z!r}"
+def _vector_text(row: np.ndarray) -> str:
+    return ",".join(repr(x) for x in row.tolist())
 
 
 def build_manifest(command: str, args: argparse.Namespace,
@@ -170,10 +167,9 @@ def build_manifest(command: str, args: argparse.Namespace,
         manifest["config.integration_time"] = repr(config.integration_time)
         manifest["config.state"] = config.state
         manifest["config.subtract_accidentals"] = str(config.subtract_accidentals).lower()
-        manifest["config.plane1_normal"] = _vector_text(config.frames[0].normal)
-        manifest["config.plane1_seed"] = _vector_text(config.frames[0].seed)
-        manifest["config.plane2_normal"] = _vector_text(config.frames[1].normal)
-        manifest["config.plane2_seed"] = _vector_text(config.frames[1].seed)
+        for i, (normal, seed) in enumerate(config.frames, start=1):
+            manifest[f"config.plane{i}_normal"] = _vector_text(normal)
+            manifest[f"config.plane{i}_seed"] = _vector_text(seed)
     return manifest
 
 

@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import PlaneFrame, _cross, _dot, _setting_count
-from .sphere import check_orthogonal, offset_settings, plane_settings
+from .sphere import _cross, _dot, _setting_count
+from .sphere import check_frames, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
@@ -158,21 +158,21 @@ def _l_values(c_phi: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
     return np.add.accumulate(abs(_means(c_phi) + e_zero), axis=-1)[..., -1]
 
 
-def l_n(source, frames: tuple[PlaneFrame, PlaneFrame], n: int, phi: ArrayLike):
+def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
     """L_N of a noiseless source at one angle, or a tuple of reports over a 1-D array
     of angles: per block of up to _ANGLE_BLOCK angles, one correlation call on
     (a_k, a_k) and each angle's (a_k, b_k(phi)), so memory does not grow with
-    the array."""
+    the array.  ``frames`` are the two planes' (2, 2, 3) rows (normal, seed),
+    refused as sphere.check_frames refuses them."""
     angles = np.asarray(phi, dtype=float)
     if angles.ndim > 1:
         raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
-    check_orthogonal(frames)
-    alice, turned = plane_settings(frames, n)
+    alice, turned = plane_settings(check_frames(frames), n)
     flat, values = angles.reshape(-1).tolist(), []
     for start in range(0, max(len(flat), 1), _ANGLE_BLOCK):  # an empty array makes one call
         bob = [offset_settings(alice, turned, p) for p in flat[start:start + _ANGLE_BLOCK]]
         c = source.correlation(np.concatenate([alice] * (len(bob) + 1)), np.concatenate([alice, *bob]))
-        c = c.reshape(len(bob) + 1, len(frames), n)
+        c = c.reshape(len(bob) + 1, 2, n)
         values += _l_values(c[1:], _means(c[0])).tolist()
     reports = tuple(InequalityReport(n, p, value) for p, value in zip(flat, values))
     return reports if angles.ndim else reports[0]
@@ -188,21 +188,21 @@ def optimal_phi(n: int | float) -> float:
     return 2.0 * math.asin(u / 4.0)
 
 
-def max_violation_phi(source, frames: tuple[PlaneFrame, PlaneFrame], n: int) -> tuple[float, float]:
+def max_violation_phi(source, frames: ArrayLike, n: int) -> tuple[float, float]:
     """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
-    maximizing l_value - bound.
+    maximizing l_value - bound, on the two planes ``frames`` that
+    sphere.check_frames accepts.
 
     Returns (phi, violation); violation < 0 means the source never exceeds
     the bound on the interval.  The objective is unimodal for the state
     models in this package (a cosine plus a |sin| term).
     """
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    check_orthogonal(frames)
-    alice, turned = plane_settings(frames, n)
-    e_zero = _means(source.correlation(alice, alice).reshape(len(frames), n))
+    alice, turned = plane_settings(check_frames(frames), n)
+    e_zero = _means(source.correlation(alice, alice).reshape(2, n))
 
     def objective(phi: float) -> float:
-        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).reshape(len(frames), n)
+        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).reshape(2, n)
         return float(_l_values(c_phi, e_zero)) - nlv_bound(n, phi)
 
     a, b = 0.0, math.pi / 4.0

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .quantum import _SIGN_PAIRS, stokes_probability
-from .sphere import NORM_TOLERANCE, UnitVector, _dot
+from .sphere import NORM_TOLERANCE, _dot
 
 __all__ = [
     "ConstraintViolationError",
@@ -163,11 +163,10 @@ def _product_correlation(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndar
     return _dot(u[:, None], a) * _dot(v[:, None], b)
 
 
-def product_ensemble(parts: Sequence[tuple[float, UnitVector, UnitVector]]) -> PureEnsemble:
-    """Ensemble whose components carry the factorizing correlation
-    C = (a.u)(b.v), i.e. a local model."""
-    w, u, v = ([part[i] for part in parts] for i in range(3))
-    return PureEnsemble(w, u, v, _product_correlation)
+def product_ensemble(weights: ArrayLike, u: ArrayLike, v: ArrayLike) -> PureEnsemble:
+    """Ensemble of (m,) weights and (m, 3) rows u and v whose components carry
+    the factorizing correlation C = (a.u)(b.v), i.e. a local model."""
+    return PureEnsemble(weights, u, v, _product_correlation)
 
 
 def _margin(x, y, d):
@@ -198,8 +197,8 @@ def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.nd
 class GridScanResult:
     feasible_found: bool
     best_margin: float
-    best_u: UnitVector | None
-    best_v: UnitVector | None
+    best_u: tuple[float, float, float] | None
+    best_v: tuple[float, float, float] | None
     grid_size: int
     candidates_checked: int
 
@@ -224,7 +223,7 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     most 1,000,000 points (0.3 degrees or coarser).
 
     ``pairs`` holds the measured (a, b) rows, shape (m, 2, 3): for example
-    np.stack(sphere.schedule_rows(...), axis=1), or a list of UnitVector
+    np.stack(sphere.schedule_rows(...), axis=1), or a list of float triple
     pairs; a row whose |a| or |b| is more than sphere.NORM_TOLERANCE from 1
     (NaN too) is refused with a ValueError naming the first such row.  Every
     (u, v) grid pair is covered: the condition on one measured pair, the
@@ -281,8 +280,7 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
         j = int(feasible[0]) if feasible.size else int(np.argmax(margins))
         if margins[j] > best_margin:
             best_margin = float(margins[j])
-            best = (UnitVector.normalized(*grid[ui[j]].tolist()),
-                    UnitVector.normalized(*grid[cand[j]].tolist()))
+            best = (tuple(grid[ui[j]].tolist()), tuple(grid[cand[j]].tolist()))
         checked = base + (j + 1 if feasible.size else total)
         if feasible.size:  # the scan stops at the first one in flat order
             break

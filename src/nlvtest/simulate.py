@@ -30,7 +30,7 @@ from numpy.typing import ArrayLike
 
 from . import quantum
 from .inequality import InequalityReport
-from .sphere import PlaneFrame, check_orthogonal, default_frames, schedule_rows
+from .sphere import check_frames, default_frames, schedule_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -58,15 +58,17 @@ class DegenerateDataError(RuntimeError):
         self.setting = setting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Source, detection, and schedule parameters for one simulated run."""
+    """Source, detection, and schedule parameters for one simulated run;
+    ``frames`` holds the two measurement planes as sphere.check_frames
+    returns them."""
 
     pair_rate: float = DEFAULT_PAIR_RATE
     accidental_rate: float = DEFAULT_ACCIDENTAL_RATE
     integration_time: float = DEFAULT_INTEGRATION_TIME
     state: str = DEFAULT_STATE
-    frames: tuple[PlaneFrame, PlaneFrame] = field(default_factory=default_frames)
+    frames: np.ndarray = field(default_factory=default_frames)
     rng_seed: int | tuple[int, ...] = 0
     subtract_accidentals: bool = False
 
@@ -82,7 +84,7 @@ class ExperimentConfig:
         seeds = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
         if any(s < 0 for s in seeds):
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        check_orthogonal(self.frames)
+        object.__setattr__(self, "frames", check_frames(self.frames))
 
     def resolve_state(self) -> quantum.TwoQubitState:
         return quantum.parse_state(self.state)

@@ -1,7 +1,9 @@
-"""Poincare-sphere geometry: unit Stokes vectors, measurement planes, and
-rotated setting schedules, stacked as (k, 3) rows.  The rows come in closed
-form, a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and
-are not rescaled; ``schedule_rows`` alone fixes the order of the measured
+"""Poincare-sphere geometry: the measurement planes and their rotated
+setting schedules, stacked as (k, 3) rows.  A plane pair is one read-only
+float array of shape (2, 2, 3), rows (normal, seed) per plane, as
+``check_frames`` returns it.  The setting rows come in closed form,
+a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and are
+not rescaled; ``schedule_rows`` alone fixes the order of the measured
 setting pairs.
 
 Conventions used throughout the package:
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
-    "UnitVector",
-    "PlaneFrame",
+    "check_frames",
     "ScheduleEntry",
     "SettingSchedule",
     "plane_settings",
@@ -31,51 +32,14 @@ __all__ = [
     "default_frames",
 ]
 
-# Unit-norm tolerance at API boundaries; constructors renormalize so that
-# stored components satisfy |v| = 1 to ~1e-15.
+# Unit-norm tolerance at API boundaries; check_frames rescales a plane row
+# so that its stored components satisfy |v| = 1 to ~1e-15.
 NORM_TOLERANCE = 1e-9
 _RENORM_SKIP = 4e-15  # skip division when norm^2 is already this close to 1
 
 
-@dataclass(frozen=True, slots=True)
-class UnitVector:
-    """Point on the Poincare sphere, stored with |v| = 1 within 1e-12."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if not abs(math.sqrt(n2) - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
-            raise ValueError(f"not a unit vector: |v| = {math.sqrt(n2)!r}")
-        if abs(n2 - 1.0) > _RENORM_SKIP:
-            n = math.sqrt(n2)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
-
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "UnitVector":
-        """Build from an arbitrary non-zero vector by rescaling."""
-        n = math.sqrt(x * x + y * y + z * z)
-        if n < 1e-300:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(x / n, y / n, z / n)
-
-    def dot(self, other: "UnitVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The (3,) row (x, y, z), float unless ``dtype`` says otherwise, so
-        that np.asarray stacks nested sequences of UnitVectors into rows."""
-        if copy is False:
-            raise ValueError("a UnitVector's row is always a new array")
-        return np.array((self.x, self.y, self.z), dtype=float if dtype is None else dtype)
-
-
 def _dot(p, q):
-    """Row-wise p.q over the last axis, in UnitVector.dot's operation order."""
+    """Row-wise p.q over the last axis, added x + y + z left to right."""
     m = np.asarray(p, dtype=float) * np.asarray(q, dtype=float)
     return m[..., 0] + m[..., 1] + m[..., 2]
 
@@ -109,28 +73,48 @@ def _setting_count(n) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneFrame:
-    """Great-circle plane given by its normal and a seed direction in the
-    plane."""
+def check_frames(frames: ArrayLike) -> np.ndarray:
+    """The two measurement planes as a new read-only (2, 2, 3) float array,
+    rows (normal, seed) per plane.
 
-    normal: UnitVector
-    seed: UnitVector
-
-    def __post_init__(self) -> None:
-        if abs(self.normal.dot(self.seed)) > NORM_TOLERANCE:
-            raise ValueError(
-                f"seed not in plane: normal.seed = {self.normal.dot(self.seed)!r}"
-            )
+    Refuses, with one ValueError each, any other shape; a row whose norm is
+    more than NORM_TOLERANCE from 1 (zero, NaN and inf included); a seed out
+    of its plane; and normals that are not orthogonal, since the model bound
+    holds only for orthogonal planes.  A row whose |v|^2 is more than
+    _RENORM_SKIP from 1 is divided by its norm; any other is kept as given.
+    """
+    rows = np.array(frames, dtype=float)  # a copy, made read-only below
+    if rows.shape != (2, 2, 3):
+        raise ValueError(f"need two planes of (normal, seed) rows, shape (2, 2, 3); got {rows.shape}")
+    planes = rows.tolist()  # plain floats: each check is a few scalar operations
+    for p, plane in enumerate(planes):
+        for i, (x, y, z) in enumerate(plane):
+            n2 = x * x + y * y + z * z
+            if not abs(math.sqrt(n2) - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
+                raise ValueError(f"not a unit vector: |v| = {math.sqrt(n2)!r}")
+            if abs(n2 - 1.0) > _RENORM_SKIP:
+                n = math.sqrt(n2)
+                rows[p, i] = plane[i] = [x / n, y / n, z / n]
+        (nx, ny, nz), (sx, sy, sz) = plane
+        dot = nx * sx + ny * sy + nz * sz
+        if abs(dot) > NORM_TOLERANCE:
+            raise ValueError(f"seed not in plane: normal.seed = {dot!r}")
+    (ax, ay, az), (bx, by, bz) = planes[0][0], planes[1][0]
+    dot = ax * bx + ay * by + az * bz
+    if abs(dot) > NORM_TOLERANCE:
+        raise ValueError(f"plane normals must be orthogonal, got n1.n2 = {dot!r}")
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
 class ScheduleEntry:
-    """One rotated setting: Alice's direction and Bob's at offsets 0 and phi."""
+    """One rotated setting: Alice's direction and Bob's at offsets 0 and phi,
+    each a float triple."""
 
-    alice: UnitVector
-    bob0: UnitVector
-    bobphi: UnitVector
+    alice: tuple[float, float, float]
+    bob0: tuple[float, float, float]
+    bobphi: tuple[float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,19 +122,21 @@ class SettingSchedule:
     entries: tuple[ScheduleEntry, ...]
 
 
-def plane_settings(frames: Sequence[PlaneFrame], n: int) -> tuple[np.ndarray, np.ndarray]:
+def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Alice's settings a_k = R(k pi/N) seed, k < N, R(x) the right-handed
-    turn by x about the plane normal, stacked plane by plane as
-    (len(frames) N, 3) rows, and the turned rows normal x a_k.  Each row is
-    one Rodrigues turn of the seed by math.cos and math.sin of k pi/N, so a
-    default frame's rows are exactly (cos, sin, 0) and (cos, 0, sin).  Bob's
-    aligned setting b(0) is a_k itself."""
+    turn by x about the plane normal, for frames of (planes, 2, 3) rows
+    (normal, seed), stacked plane by plane as (planes N, 3) rows, and the
+    turned rows normal x a_k.  Each row is one Rodrigues turn of the seed by
+    math.cos and math.sin of k pi/N, so a default frame's rows are exactly
+    (cos, sin, 0) and (cos, 0, sin).  Bob's aligned setting b(0) is a_k
+    itself."""
     n = _setting_count(n)
     angles = [k * math.pi / n for k in range(n)]
     c = np.array([math.cos(x) for x in angles])[:, None]
     s = np.array([math.sin(x) for x in angles])[:, None]
-    normal = np.array([np.asarray(frame.normal) for frame in frames])[:, None]  # (planes, 1, 3)
-    alice = _turn(np.array([np.asarray(frame.seed) for frame in frames])[:, None], normal, c, s)
+    frames = np.asarray(frames, dtype=float)
+    normal = frames[:, None, 0]  # (planes, 1, 3)
+    alice = _turn(frames[:, None, 1], normal, c, s)
     return alice.reshape(-1, 3), _cross(normal, alice).reshape(-1, 3)
 
 
@@ -160,10 +146,8 @@ def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.nda
     return math.cos(phi) * alice + math.sin(phi) * turned
 
 
-def schedule_rows(
-    frames: Sequence[PlaneFrame], n: int, phi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every measured setting pair (a, b) of the planes as (2 len(frames) N, 3)
+def schedule_rows(frames: ArrayLike, n: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every measured setting pair (a, b) of the planes as (2 planes N, 3)
     rows a and b, in sampling order: plane, rotation index k, then Bob at
     offset 0 (b = a_k) before offset phi (b = b_k(phi))."""
     alice, turned = plane_settings(frames, n)
@@ -173,31 +157,26 @@ def schedule_rows(
     return a, b
 
 
-def build_schedule(frame: PlaneFrame, n: int, phi: float) -> SettingSchedule:
-    """The N setting triples (a_k, b(0) = a_k, b(phi)) of one plane, as
-    UnitVectors, which rescale a row whose |v|^2 is more than 4e-15 from 1:
-    a view of schedule_rows."""
-    a, b = schedule_rows((frame,), n, phi)
-    alice = [UnitVector(*row) for row in a[::2].tolist()]
-    bob = b[1::2].tolist()
-    return SettingSchedule(tuple(ScheduleEntry(x, x, UnitVector(*y)) for x, y in zip(alice, bob)))
+def build_schedule(frame: ArrayLike, n: int, phi: float) -> SettingSchedule:
+    """The N setting triples (a_k, b(0) = a_k, b(phi)) of one plane, given as
+    its (2, 3) rows (normal, seed): a view of schedule_rows, as float
+    triples."""
+    a, b = schedule_rows([frame], n, phi)
+    alice = [tuple(row) for row in a[::2].tolist()]
+    bob = [tuple(row) for row in b[1::2].tolist()]
+    return SettingSchedule(tuple(ScheduleEntry(x, x, y) for x, y in zip(alice, bob)))
 
 
-def check_orthogonal(frames: tuple[PlaneFrame, PlaneFrame]) -> None:
-    """Reject a plane pair whose normals are not orthogonal: the model bound
-    holds only for orthogonal measurement planes."""
-    dot = frames[0].normal.dot(frames[1].normal)
-    if abs(dot) > NORM_TOLERANCE:
-        raise ValueError(f"plane normals must be orthogonal, got n1.n2 = {dot!r}")
+_DEFAULT_FRAMES = np.array([[(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], [(0.0, -1.0, 0.0), (1.0, 0.0, 0.0)]])
+_DEFAULT_FRAMES.flags.writeable = False  # shared by every caller
 
 
-def default_frames() -> tuple[PlaneFrame, PlaneFrame]:
-    """The two orthogonal measurement planes used by default.
+def default_frames() -> np.ndarray:
+    """The two orthogonal measurement planes used by default, as read-only
+    (2, 2, 3) rows (normal, seed).
 
     Plane 1 is the linear-polarization equator (normal along S3, seeded at the
     H/V axis).  Plane 2 is spanned by S1 and S3; its normal points along -S2
     so that a right-handed quarter turn takes the H/V axis to right-circular.
     """
-    plane1 = PlaneFrame(normal=UnitVector(0.0, 0.0, 1.0), seed=UnitVector(1.0, 0.0, 0.0))
-    plane2 = PlaneFrame(normal=UnitVector(0.0, -1.0, 0.0), seed=UnitVector(1.0, 0.0, 0.0))
-    return plane1, plane2
+    return _DEFAULT_FRAMES

@@ -10,25 +10,32 @@ import numpy as np
 from nlvtest._checks import _unit_rows as unit_rows
 from nlvtest.inequality import nlv_bound
 from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
-from nlvtest.sphere import PlaneFrame, UnitVector
+from nlvtest.sphere import check_frames
 
 
-def rotate(v: UnitVector, axis: UnitVector, angle: float) -> UnitVector:
-    """Rotate ``v`` by ``angle`` about ``axis`` (right-handed, Rodrigues)."""
-    return UnitVector(*turn(v, axis, angle))
+def unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) divided by its norm, as a float triple."""
+    n = math.sqrt(x * x + y * y + z * z)
+    return (x / n, y / n, z / n)
 
 
-def turn(v: UnitVector, axis: UnitVector, angle: float) -> tuple[float, float, float]:
-    """Plain-Python Rodrigues turn of ``v`` by ``angle`` about ``axis``, as a
-    float triple, in sphere._turn's operation order and not rescaled."""
+def dot(p, q) -> float:
+    """Plain-Python p.q of two float triples, added x + y + z."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def turn(v, axis, angle: float) -> tuple[float, float, float]:
+    """Plain-Python Rodrigues turn of the float triple ``v`` by ``angle``
+    about ``axis`` (right-handed), in sphere._turn's operation order and not
+    rescaled."""
     c = math.cos(angle)
     s = math.sin(angle)
-    kx, ky, kz = axis.x, axis.y, axis.z
-    d = (kx * v.x + ky * v.y + kz * v.z) * (1.0 - c)
+    (vx, vy, vz), (kx, ky, kz) = v, axis
+    d = (kx * vx + ky * vy + kz * vz) * (1.0 - c)
     return (
-        v.x * c + (ky * v.z - kz * v.y) * s + kx * d,
-        v.y * c + (kz * v.x - kx * v.z) * s + ky * d,
-        v.z * c + (kx * v.y - ky * v.x) * s + kz * d,
+        vx * c + (ky * vz - kz * vy) * s + kx * d,
+        vy * c + (kz * vx - kx * vz) * s + ky * d,
+        vz * c + (kx * vy - ky * vx) * s + kz * d,
     )
 
 
@@ -39,35 +46,35 @@ def cross(p, q) -> tuple[float, float, float]:
     return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
 
 
-def random_unit(rng: np.random.Generator) -> UnitVector:
-    """One random unit vector, redrawn while the normal draw is near zero."""
+def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
+    """One random unit vector as a float triple, redrawn while the normal
+    draw is near zero."""
     while True:
-        x, y, z = rng.normal(size=3)
+        x, y, z = rng.normal(size=3).tolist()
         norm = math.sqrt(x * x + y * y + z * z)
         if norm > 1e-6:
-            return UnitVector(x / norm, y / norm, z / norm)
+            return (x / norm, y / norm, z / norm)
 
 
-def random_frames(rng: np.random.Generator) -> tuple[PlaneFrame, PlaneFrame]:
-    """Random orthogonal plane pair with independently rotated seeds."""
+def random_frames(rng: np.random.Generator) -> np.ndarray:
+    """Random orthogonal plane pair with independently rotated seeds, as
+    sphere.check_frames returns it."""
     basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    n1 = UnitVector.normalized(*basis[:, 0])
-    n2 = UnitVector.normalized(*basis[:, 1])
-    shared = UnitVector.normalized(*basis[:, 2])
-    seed1 = rotate(shared, n1, rng.uniform(0.0, 2.0 * math.pi))
-    seed2 = rotate(shared, n2, rng.uniform(0.0, 2.0 * math.pi))
-    return (PlaneFrame(normal=n1, seed=seed1), PlaneFrame(normal=n2, seed=seed2))
+    n1, n2, shared = (unit(*basis[:, i].tolist()) for i in range(3))
+    seed1 = turn(shared, n1, rng.uniform(0.0, 2.0 * math.pi))
+    seed2 = turn(shared, n2, rng.uniform(0.0, 2.0 * math.pi))
+    return check_frames([(n1, seed1), (n2, seed2)])
 
 
-def plane_setting_pairs(frame: PlaneFrame, n: int, phi: float):
-    """One plane's N settings in plain Python, as float triple pairs
-    (a_k, b_k): a_k the seed turned by k pi/N about the normal, and Bob's
-    b_k = cos(phi) a_k + sin(phi) (normal x a_k), neither rescaled.  Bob's
-    aligned setting b_k(0) is a_k itself."""
+def plane_setting_pairs(frame, n: int, phi: float):
+    """One plane's N settings in plain Python, from its rows (normal, seed),
+    as float triple pairs (a_k, b_k): a_k the seed turned by k pi/N about
+    the normal, and Bob's b_k = cos(phi) a_k + sin(phi) (normal x a_k),
+    neither rescaled.  Bob's aligned setting b_k(0) is a_k itself."""
     c, s = math.cos(phi), math.sin(phi)
-    normal = (frame.normal.x, frame.normal.y, frame.normal.z)
+    normal, seed = np.asarray(frame, dtype=float).tolist()
     for k in range(n):
-        a = turn(frame.seed, frame.normal, k * math.pi / n)
+        a = turn(seed, normal, k * math.pi / n)
         t = cross(normal, a)
         yield a, (c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2])
 
@@ -167,8 +174,7 @@ def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
             checked += candidates.size
         if margins[j] > best_margin:
             best_margin = float(margins[j])
-            best = (UnitVector.normalized(*grid[i].tolist()),
-                    UnitVector.normalized(*grid[candidates[j]].tolist()))
+            best = (tuple(grid[i].tolist()), tuple(grid[candidates[j]].tolist()))
         if feasible.size:
             break
     return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)

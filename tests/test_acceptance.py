@@ -15,7 +15,7 @@ from nlvtest.inequality import l_n, nlv_bound, optimal_phi
 from nlvtest.leggett import explicit_model_margin, product_ensemble, scan_explicit_model
 from nlvtest.quantum import singlet, singlet_L
 from nlvtest.simulate import ExperimentConfig, replicate
-from nlvtest.sphere import UnitVector, default_frames, schedule_rows
+from nlvtest.sphere import default_frames, schedule_rows
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -118,12 +118,13 @@ def test_06_local_mixtures_never_violate():
             vec = rng.normal(size=3)
             norm = np.linalg.norm(vec)
             if norm > 1e-6:
-                return UnitVector(*(vec / norm))
+                return vec / norm
 
     for _ in range(1000):
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
-        ens = product_ensemble([(float(w), rand_unit(), rand_unit()) for w in weights])
+        u, v = np.array([(rand_unit(), rand_unit()) for _ in weights]).transpose(1, 0, 2)
+        ens = product_ensemble(weights, u, v)
         for n in range(1, 6):
             for rep in l_n(ens, frames, n, phis):
                 worst = max(worst, rep.l_value - rep.bound)

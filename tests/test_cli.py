@@ -172,11 +172,25 @@ class TestSimulate:
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
-    def test_reproducible_from_manifest(self, tmp_path):
+    # the plane lines as the manifest prints them; the custom plane-2 seed is
+    # 1e-12 off unit, so it is stored rescaled
+    @pytest.mark.parametrize("planes, printed", [
+        ("", ("0.0,0.0,1.0", "1.0,0.0,0.0", "0.0,-1.0,0.0", "1.0,0.0,0.0")),
+        ("plane1_normal = 0,0,1\nplane1_seed = 0.6,0.8,0\n"
+         "plane2_normal = 0.8,-0.6,0\nplane2_seed = 0.6000000000006,0.8000000000008,0\n",
+         ("0.0,0.0,1.0", "0.6,0.8,0.0", "0.8,-0.6,0.0", "0.6,0.7999999999999999,0.0")),
+    ], ids=["default", "custom"])
+    def test_reproducible_from_manifest(self, tmp_path, planes, printed):
+        config = ()
+        if planes:
+            (tmp_path / "planes.cfg").write_text(planes)
+            config = ("--config", str(tmp_path / "planes.cfg"))
         out = tmp_path / "orig.csv"
-        run("simulate", "--n", "2", "--phi", "17.5", "--runs", "2", "--seed", "41",
+        run("simulate", *config, "--n", "2", "--phi", "17.5", "--runs", "2", "--seed", "41",
             "--output", str(out))
         manifest = read_manifest(out)
+        keys = [f"config.plane{i}_{row}" for i in (1, 2) for row in ("normal", "seed")]
+        assert tuple(manifest[key] for key in keys) == printed
         # rebuild the run purely from what the manifest recorded
         cfg = tmp_path / "replay.cfg"
         cfg.write_text(
@@ -276,7 +290,7 @@ class TestConfigParsing:
         assert parsed.state == "visibilities:0.99,0.98,0.97"
         assert parsed.rng_seed == 77
         assert parsed.subtract_accidentals is True
-        assert np.asarray(parsed.frames[0].seed).tolist() == [0.0, 1.0, 0.0]
+        assert parsed.frames[0, 1].tolist() == [0.0, 1.0, 0.0]
 
     def test_unknown_key_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -393,6 +407,17 @@ class TestBadInput:
         # the exact counts (605 and 305 digits) would say no more than the ceiling
         line = assert_one_line_error(run(*argv), capsys, "over 1000000", named)
         assert len(line) < 200
+
+    @pytest.mark.parametrize("vector, named", [
+        ("nan,0,1", "not a unit vector: |v| = nan"),
+        ("0,0,2", "not a unit vector: |v| = 2.0"),
+        ("0,0,1,0", "expected three components, got 4"),
+    ])
+    def test_bad_plane_vector_is_one_line(self, tmp_path, capsys, vector, named):
+        cfg = tmp_path / "planes.cfg"
+        cfg.write_text(f"plane1_normal = {vector}\n")
+        code = run("predict", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys, "planes.cfg", named)
 
     def test_library_value_error_is_one_line(self, tmp_path, capsys):
         # the bound holds only for orthogonal planes, so both commands refuse others

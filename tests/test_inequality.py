@@ -8,7 +8,8 @@ from helpers import (
     random_frames,
     reference_l_n,
     reference_max_violation_phi,
-    rotate,
+    turn,
+    unit,
     unit_rows,
 )
 
@@ -33,7 +34,7 @@ from nlvtest.quantum import (
     singlet_L,
     werner,
 )
-from nlvtest.sphere import PlaneFrame, UnitVector, default_frames, plane_settings
+from nlvtest.sphere import default_frames, plane_settings
 
 
 class TestUCoefficient:
@@ -236,18 +237,16 @@ class TestLn:
         phi = math.radians(17)
         base = l_n(singlet(), frames, 3, phi).l_value
         for _ in range(10):
-            turned = tuple(
-                PlaneFrame(normal=f.normal, seed=rotate(f.seed, f.normal, rng.uniform(0, math.pi)))
-                for f in frames
-            )
+            turned = [
+                (normal, turn(seed, normal, rng.uniform(0, math.pi)))
+                for normal, seed in frames.tolist()
+            ]
             assert l_n(singlet(), turned, 3, phi).l_value == pytest.approx(base, abs=1e-12)
 
     def test_rejects_non_orthogonal_frames(self):
-        f1 = PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(1, 0, 0))
-        f2 = PlaneFrame(
-            normal=UnitVector.normalized(0.1, 0.0, 1.0), seed=UnitVector(0, 1, 0)
-        )
-        with pytest.raises(ValueError):
+        f1 = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+        f2 = (unit(0.1, 0.0, 1.0), (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="orthogonal"):
             l_n(singlet(), (f1, f2), 2, 0.1)
 
     def test_angle_array_gives_one_report_per_angle(self):

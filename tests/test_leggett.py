@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import random_unit, reference_scan, setting_pairs, unit_rows
+from helpers import dot, random_unit, reference_scan, setting_pairs, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +20,11 @@ from nlvtest.leggett import (
     scan_explicit_model,
 )
 from nlvtest.quantum import _SIGN_PAIRS
-from nlvtest.sphere import UnitVector, default_frames, schedule_rows
+from nlvtest.sphere import default_frames, schedule_rows
 
-S1 = UnitVector(1, 0, 0)
-S3 = UnitVector(0, 0, 1)
-# the same axes as setting rows
+# axes as setting rows; S1 and S3 name Stokes axes
 X, Y, Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+S1, S3 = X, Z
 
 
 def brute_force_c_range(x: float, y: float, samples: int = 400_001) -> tuple[float, float]:
@@ -40,10 +39,6 @@ def brute_force_c_range(x: float, y: float, samples: int = 400_001) -> tuple[flo
 
 
 # Plain-Python scalar references: one setting quadruple at a time.
-def dot(p, q) -> float:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
 def reference_c_range(u, v, a, b) -> tuple[float, float]:
     x, y = dot(a, u), dot(b, v)
     return (-1.0 + abs(x + y), 1.0 - abs(x - y))
@@ -197,14 +192,14 @@ class TestMarginals:
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            product_ensemble([(0.7, S1, S1), (0.7, S1, S1)])
+            product_ensemble([0.7, 0.7], [S1, S1], [S1, S1])
         with pytest.raises(ValueError):
-            product_ensemble([(-0.5, S1, S1), (1.5, S1, S1)])
+            product_ensemble([-0.5, 1.5], [S1, S1], [S1, S1])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                product_ensemble([(bad, S1, S1), (1.0, S1, S1)])
+                product_ensemble([bad, 1.0], [S1, S1], [S1, S1])
             with pytest.raises(ValueError):
-                product_ensemble([(1.0, S1, S1), (bad, S1, S1)])
+                product_ensemble([1.0, bad], [S1, S1], [S1, S1])
 
 
 class TestLocalEnsemblesRespectBound:
@@ -217,7 +212,7 @@ class TestLocalEnsemblesRespectBound:
             k = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(k))
             ens = product_ensemble(
-                [(float(w), random_unit(rng), random_unit(rng)) for w in weights]
+                *zip(*[(float(w), random_unit(rng), random_unit(rng)) for w in weights])
             )
             for n in range(1, 5):
                 for phi in phis:
@@ -226,7 +221,7 @@ class TestLocalEnsemblesRespectBound:
         assert worst <= 1e-12
 
     def test_aligned_mixture_saturates_at_phi_zero(self):
-        ens = product_ensemble([(1.0, S1, S1)])
+        ens = product_ensemble([1.0], [S1], [S1])
         report = l_n(ens, default_frames(), 1, 0.0)
         assert report.l_value == pytest.approx(4.0, abs=1e-12)
         assert report.bound == 4.0
@@ -270,12 +265,12 @@ class TestLocalEnsemblesRespectBound:
             weights = rng.dirichlet(np.ones(k)).tolist()
             parts = [(w, random_unit(rng), random_unit(rng)) for w in weights]
             a, b = unit_rows(rng, 2, 20)
-            stacked = product_ensemble(parts).correlation(a, b)
+            stacked = product_ensemble(*zip(*parts)).correlation(a, b)
             for row in range(20):
-                ar, br = UnitVector(*a[row]), UnitVector(*b[row])
+                ar, br = a[row].tolist(), b[row].tolist()
                 total = 0.0
                 for w, u, v in parts:
-                    total += w * (ar.dot(u) * br.dot(v))
+                    total += w * (dot(ar, u) * dot(br, v))
                 worst = max(worst, abs(stacked[row] - total))
         assert worst <= 1e-15
 
@@ -285,7 +280,7 @@ class TestLocalEnsemblesRespectBound:
         for _ in range(300):
             k = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(k)).tolist()
-            ens = product_ensemble([(w, random_unit(rng), random_unit(rng)) for w in weights])
+            ens = product_ensemble(*zip(*[(w, random_unit(rng), random_unit(rng)) for w in weights]))
             a, b = unit_rows(rng, 2, 16)
             single = [ens.correlation(a[row:row + 1], b[row:row + 1])[0] for row in range(16)]
             assert ens.correlation(a, b).tolist() == single
@@ -298,7 +293,7 @@ class TestLocalEnsemblesRespectBound:
         for _ in range(10):
             k = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(k)).tolist()
-            ens = product_ensemble([(w, random_unit(rng), random_unit(rng)) for w in weights])
+            ens = product_ensemble(*zip(*[(w, random_unit(rng), random_unit(rng)) for w in weights]))
             for n in (1, 3, 32):
                 stacked = [report.l_value for report in l_n(ens, frames, n, phis)]
                 assert stacked == [l_n(ens, frames, n, phi).l_value for phi in phis.tolist()]
@@ -330,7 +325,7 @@ class TestPureEnsemble:
         with pytest.raises(ValueError, match=r"m >= 1; got \(0,\), \(0, 3\), \(0, 3\)"):
             PureEnsemble([], np.zeros((0, 3)), np.zeros((0, 3)), _product)
         with pytest.raises(ValueError, match="m >= 1"):
-            product_ensemble([])
+            product_ensemble([], [], [])
 
     @pytest.mark.parametrize("weights, u, v", [
         (1.0, [S1], [S1]),  # weights (), not (m,)
@@ -499,7 +494,8 @@ class TestExplicitModel:
         assert res.feasible_found
         assert res.best_margin >= -1e-12
         assert explicit_model_margin(res.best_u, res.best_v, pairs) >= -1e-12
-        assert all(type(c) is float for w in (res.best_u, res.best_v) for c in (w.x, w.y, w.z))
+        assert all(type(w) is tuple and len(w) == 3 and all(type(c) is float for c in w)
+                   for w in (res.best_u, res.best_v))
 
     @pytest.mark.parametrize("n, phi_deg", list(SCAN_PINS))
     def test_scan_pins(self, n, phi_deg):
@@ -539,13 +535,12 @@ class TestExplicitModel:
             scan_explicit_model(pairs, resolution_deg=30.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_scan_takes_unit_vector_pairs_and_rows_alike(self, n):
+    def test_scan_takes_float_triple_pairs_and_rows_alike(self, n):
         phi = math.radians(15.0)
         from_rows = scan_explicit_model(schedule_pairs(n, phi), resolution_deg=3.0)
-        rows = setting_pairs(default_frames(), n, phi)
-        pairs = [(UnitVector(*a), UnitVector(*b)) for a, b in rows]
-        from_vectors = scan_explicit_model(pairs, resolution_deg=3.0)
-        assert from_vectors == from_rows  # every GridScanResult field
+        pairs = setting_pairs(default_frames(), n, phi)  # a list of float triple pairs
+        from_triples = scan_explicit_model(pairs, resolution_deg=3.0)
+        assert from_triples == from_rows  # every GridScanResult field
 
     @pytest.mark.parametrize("pairs", [[], np.zeros((0, 2, 3)), [(X, Y, Z)], [X, Y]])
     def test_scan_rejects_pairs_not_shaped_m_2_3(self, pairs):

@@ -17,10 +17,7 @@ from nlvtest.quantum import (
     singlet_L,
     werner,
 )
-from nlvtest.sphere import UnitVector
-
-S1 = UnitVector(1, 0, 0)
-# the same axes as setting rows
+# axes as setting rows
 X, Y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
 SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -48,9 +45,10 @@ def tensor_by_trace(state: TwoQubitState) -> tuple[float, float, float]:
     return tuple(expect(state, s, s) for s in STOKES)
 
 
-def qubit_rho(u: UnitVector, r: int = 1) -> np.ndarray:
+def qubit_rho(u, r: int = 1) -> np.ndarray:
     """Single-qubit state (1 + r u.sigma)/2 with Stokes vector r u, r = +-1."""
-    return 0.5 * (_ID2 + r * (u.x * _SZ + u.y * _SX + u.z * _SY))
+    x, y, z = u
+    return 0.5 * (_ID2 + r * (x * _SZ + y * _SX + z * _SY))
 
 
 class TestStateValidation:
@@ -88,12 +86,12 @@ class TestOutcomeProbability:
     order (+,+), (-,-), (-,+), (+,-)."""
 
     def test_singlet_same_setting_never_coincides(self):
-        p = outcome_probabilities(singlet(), [S1], [S1])[0]
+        p = outcome_probabilities(singlet(), [X], [X])[0]
         assert p[0] == 0.0  # (+,+)
         assert p[1] == 0.0  # (-,-)
 
     def test_singlet_orthogonal_polarizers(self):
-        p = outcome_probabilities(singlet(), [S1], [UnitVector(-1, 0, 0)])[0, 0]
+        p = outcome_probabilities(singlet(), [X], [(-1.0, 0.0, 0.0)])[0, 0]
         assert p == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_trace_oracle_random_states(self):

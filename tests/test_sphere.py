@@ -1,57 +1,126 @@
 import math
-import warnings
+import re
 
 import numpy as np
 import pytest
-from helpers import cross, random_frames, random_unit, rotate, setting_pairs, turn, unit_rows
+from helpers import cross, dot, random_frames, random_unit, setting_pairs, turn, unit, unit_rows
 
+from nlvtest.inequality import l_n, max_violation_phi
+from nlvtest.quantum import singlet
+from nlvtest.simulate import ExperimentConfig
 from nlvtest.sphere import (
-    PlaneFrame,
-    UnitVector,
     _cross,
+    _dot,
     _turn,
     build_schedule,
+    check_frames,
     default_frames,
     offset_settings,
     plane_settings,
     schedule_rows,
 )
 
+DEFAULT_ROWS = [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]]
+TILTED_ROWS = [[[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]], [[0.8, -0.6, 0.0], [0.6, 0.8, 0.0]]]
+SLOTS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # (plane, row): row 0 the normal, row 1 the seed
 
-def rodrigues_matrix(axis: UnitVector, angle: float) -> np.ndarray:
+
+def rodrigues_matrix(axis, angle: float) -> np.ndarray:
     """Independent matrix-form oracle: R = I + sin(t) K + (1 - cos(t)) K^2."""
+    x, y, z = axis
     k = np.array([
-        [0.0, -axis.z, axis.y],
-        [axis.z, 0.0, -axis.x],
-        [-axis.y, axis.x, 0.0],
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
     ])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-class TestUnitVector:
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            UnitVector(1.1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            UnitVector(0.0, 0.0, 0.0)
-        for bad in ((math.nan, 0.0, 0.0), (1.0, math.nan, 0.0), (math.inf, 0.0, 0.0)):
-            with pytest.raises(ValueError):
-                UnitVector(*bad)
+def frames_with(base, slot, row) -> list:
+    """The rows ``base`` as new nested lists, with ``row`` in ``slot``."""
+    frames = [[list(r) for r in plane] for plane in base]
+    plane, i = slot
+    frames[plane][i] = row
+    return frames
 
-    def test_accepts_and_renormalizes_near_unit(self):
-        v = UnitVector(1.0 + 5e-10, 0.0, 0.0)
-        assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) < 1e-12
 
-    def test_normalized_constructor(self):
-        v = UnitVector.normalized(3.0, 4.0, 0.0)
-        assert v.x == pytest.approx(0.6) and v.y == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            UnitVector.normalized(0.0, 0.0, 0.0)
+class TestCheckFrames:
+    @pytest.mark.parametrize("slot", SLOTS, ids=["n1", "s1", "n2", "s2"])
+    @pytest.mark.parametrize("bad", ["1.1x", "zero", "nan", "inf", "huge"])
+    def test_refuses_a_row_that_is_not_a_unit_vector(self, slot, bad):
+        plane, i = slot
+        row = {
+            "1.1x": [1.1 * x for x in DEFAULT_ROWS[plane][i]],
+            "zero": [0.0, 0.0, 0.0],
+            "nan": [math.nan, 0.0, 0.0],
+            "inf": [math.inf, 0.0, 0.0],
+            "huge": [1e200, 0.0, 0.0],
+        }[bad]
+        with pytest.raises(ValueError, match=r"^not a unit vector: \|v\| = "):
+            check_frames(frames_with(DEFAULT_ROWS, slot, row))
 
+    @pytest.mark.parametrize("slot", SLOTS, ids=["n1", "s1", "n2", "s2"])
+    def test_rescales_a_row_near_unit(self, slot):
+        plane, i = slot
+        row = [(1.0 + 5e-10) * x for x in TILTED_ROWS[plane][i]]
+        frames = check_frames(frames_with(TILTED_ROWS, slot, row))
+        assert frames.tolist() == frames_with(TILTED_ROWS, slot, list(unit(*row)))
+        assert abs(dot(frames[plane, i], frames[plane, i]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("slot", SLOTS, ids=["n1", "s1", "n2", "s2"])
+    def test_keeps_a_row_within_the_rescale_skip(self, slot):
+        # |v|^2 - 1 = 4.0e-15, within _RENORM_SKIP: stored as given
+        plane, i = slot
+        frames = frames_with(DEFAULT_ROWS, slot, [(1.0 + 1.9e-15) * x for x in DEFAULT_ROWS[plane][i]])
+        assert check_frames(frames).tolist() == frames
+
+    # unit seeds 0.1 along their plane's normal
+    @pytest.mark.parametrize("plane, seed", [(0, [0.0, 0.1, 0.9949874371066199]),
+                                             (1, [0.9949874371066199, -0.1, 0.0])])
+    def test_refuses_seed_out_of_plane(self, plane, seed):
+        with pytest.raises(ValueError, match=r"^seed not in plane: normal\.seed = "):
+            check_frames(frames_with(DEFAULT_ROWS, (plane, 1), seed))
+
+    def test_refuses_normals_that_are_not_orthogonal(self):
+        frames = [DEFAULT_ROWS[0], [list(unit(0.1, 0.0, 1.0)), [0.0, 1.0, 0.0]]]
+        with pytest.raises(ValueError, match=r"^plane normals must be orthogonal, got n1\.n2 = "):
+            check_frames(frames)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 4), (3, 2, 3), (1, 2, 3)])
+    def test_refuses_shapes_other_than_2_2_3(self, shape):
+        frames = np.zeros(shape)
+        frames[...] = 1.0 / math.sqrt(shape[-1])
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 2, 3); got {shape}") + "$"):
+            check_frames(frames)
+
+    @pytest.mark.parametrize("entry", ["l_n", "max_violation_phi", "ExperimentConfig"])
+    @pytest.mark.parametrize("planes", [1, 3])
+    def test_entry_points_take_exactly_two_planes(self, entry, planes):
+        # a third plane orthogonal to both defaults, so only the count is wrong
+        frames = (DEFAULT_ROWS + [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])[:planes]
+        call = {
+            "l_n": lambda: l_n(singlet(), frames, 2, 0.3),
+            "max_violation_phi": lambda: max_violation_phi(singlet(), frames, 2),
+            "ExperimentConfig": lambda: ExperimentConfig(frames=frames),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 2, 3); got ({planes}, 2, 3)") + "$"):
+            call()
+
+    def test_result_is_a_read_only_float_copy(self):
+        given = [[[0, 0, 1], [1, 0, 0]], [[0, -1, 0], [1, 0, 0]]]  # int components
+        frames = check_frames(given)
+        assert frames.dtype == float and frames.tolist() == DEFAULT_ROWS
+        given[0][0][2] = 5
+        assert frames[0, 0, 2] == 1.0
+        for result in (frames, default_frames(), check_frames(default_frames())):
+            with pytest.raises(ValueError, match="read-only"):
+                result[0, 0, 0] = 1.0
+
+
+class TestRowProducts:
     def test_dot_cross(self):
-        a = UnitVector(1.0, 0.0, 0.0)
-        b = UnitVector(0.0, 1.0, 0.0)
-        assert a.dot(b) == 0.0
+        a, b = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        assert _dot(a, b) == 0.0
         assert _cross(a, b).tolist() == [0.0, 0.0, 1.0]
 
     def test_row_cross_equals_np_cross_bitwise(self):
@@ -64,42 +133,25 @@ class TestUnitVector:
             assert np.array_equal(ours, theirs)
             assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
-    def test_array_rows_raise_no_warning(self):
-        # numpy 2 passes copy= to __array__; pyproject turns warnings into errors
-        a, b = UnitVector(1, 0, 0), UnitVector.normalized(0.0, 3.0, 4.0)
-        minus_a = UnitVector(-1.0, 0.0, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            row = np.asarray(a)
-            pairs = np.asarray([(a, b), (b, minus_a)], dtype=float)
-            single = np.asarray(b, dtype=np.float32)
-        assert row.dtype == float and row.tolist() == [1.0, 0.0, 0.0]
-        assert pairs.shape == (2, 2, 3)
-        assert pairs.tolist() == [
-            [[1.0, 0.0, 0.0], [0.0, b.y, b.z]], [[0.0, b.y, b.z], [-1.0, 0.0, 0.0]]
-        ]
-        assert single.dtype == np.float32
-        with pytest.raises(ValueError, match="new array"):
-            a.__array__(copy=False)
-
 
 class TestRotate:
+    # the plain-Python reference turn of the tests, and the library's row-wise one
     def test_quarter_turn_about_z(self):
-        out = rotate(UnitVector(1, 0, 0), UnitVector(0, 0, 1), math.pi / 2)
-        assert out.x == pytest.approx(0.0, abs=1e-15)
-        assert out.y == pytest.approx(1.0, abs=1e-15)
+        x, y, _ = turn((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.pi / 2)
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert y == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = random_unit(rng)
-            assert rotate(v, random_unit(rng), 0.0) == v
+            assert turn(v, random_unit(rng), 0.0) == v
 
     def test_eighth_turn(self):
-        out = rotate(UnitVector(1, 0, 0), UnitVector(0, 0, 1), math.pi / 4)
-        assert out.x == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-        assert out.y == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-        assert out.z == 0.0
+        x, y, z = turn((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.pi / 4)
+        assert x == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        assert y == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        assert z == 0.0
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(11)
@@ -107,7 +159,7 @@ class TestRotate:
             v = random_unit(rng)
             axis = random_unit(rng)
             angle = rng.uniform(-2 * math.pi, 2 * math.pi)
-            got = rotate(v, axis, angle)
+            got = turn(v, axis, angle)
             want = rodrigues_matrix(axis, angle) @ np.asarray(v)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -125,66 +177,64 @@ class TestRotate:
             axis = random_unit(rng)
             v = random_unit(rng)
             # project v into the plane orthogonal to axis
-            d = v.dot(axis)
-            v = UnitVector.normalized(
-                v.x - d * axis.x, v.y - d * axis.y, v.z - d * axis.z
-            )
+            d = dot(v, axis)
+            v = unit(*(vc - d * ac for vc, ac in zip(v, axis)))
             out = v
             for _ in range(n):
-                out = rotate(out, axis, math.pi / n)
-            assert abs(out.x + v.x) < 1e-9
-            assert abs(out.y + v.y) < 1e-9
-            assert abs(out.z + v.z) < 1e-9
-
-
-class TestPlaneFrame:
-    def test_rejects_seed_out_of_plane(self):
-        with pytest.raises(ValueError):
-            PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(0.0, 0.1, 0.9949874371066199))
+                out = turn(out, axis, math.pi / n)
+            assert all(abs(oc + vc) < 1e-9 for oc, vc in zip(out, v))
 
 
 class TestBuildSchedule:
+    # the per-plane view of schedule_rows that the benchmark's scan ops read
     def test_two_settings_at_quarter_steps(self):
-        frame = PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(1, 0, 0))
-        sched = build_schedule(frame, 2, math.radians(15))
-        assert np.asarray(sched.entries[0].alice).tolist() == [1.0, 0.0, 0.0]
-        a1 = sched.entries[1].alice
-        assert a1.x == pytest.approx(0.0, abs=1e-15)
-        assert a1.y == pytest.approx(1.0, abs=1e-15)
+        sched = build_schedule(((0, 0, 1), (1, 0, 0)), 2, math.radians(15))
+        assert sched.entries[0].alice == (1.0, 0.0, 0.0)
+        x, y, _ = sched.entries[1].alice
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert y == pytest.approx(1.0, abs=1e-15)
 
     def test_single_setting_is_seed(self):
-        frame = PlaneFrame(normal=UnitVector(0, 0, 1), seed=UnitVector(1, 0, 0))
-        sched = build_schedule(frame, 1, 0.3)
+        sched = build_schedule(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), 1, 0.3)
         assert len(sched.entries) == 1
-        assert sched.entries[0].alice == frame.seed
+        assert sched.entries[0].alice == (1.0, 0.0, 0.0)
 
     def test_three_settings_match_repeated_rotation(self):
-        frame = PlaneFrame(normal=UnitVector(0, 1, 0), seed=UnitVector(1, 0, 0))
-        sched = build_schedule(frame, 3, 0.1)
+        normal, seed = (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)
+        sched = build_schedule((normal, seed), 3, 0.1)
         for k, entry in enumerate(sched.entries):
             # the seed turned once by k pi/3, bit for bit
-            assert entry.alice == rotate(frame.seed, frame.normal, k * math.pi / 3)
+            assert entry.alice == turn(seed, normal, k * math.pi / 3)
             # angles 0, 60, 120 degrees from the seed, in the (S1, S3) plane
-            assert entry.alice.dot(frame.seed) == pytest.approx(
-                math.cos(k * math.pi / 3), abs=1e-14
-            )
-            assert entry.alice.y == pytest.approx(0.0, abs=1e-14)
+            assert dot(entry.alice, seed) == pytest.approx(math.cos(k * math.pi / 3), abs=1e-14)
+            assert entry.alice[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_bob_settings(self):
-        rng = np.random.default_rng(7)
         phi = 0.37
         frame, _ = default_frames()
         sched = build_schedule(frame, 4, phi)
         for entry in sched.entries:
             assert entry.bob0 == entry.alice
-            cx, cy, cz = _cross(frame.normal, entry.alice).tolist()
-            want = (
-                math.cos(phi) * entry.alice.x + math.sin(phi) * cx,
-                math.cos(phi) * entry.alice.y + math.sin(phi) * cy,
-                math.cos(phi) * entry.alice.z + math.sin(phi) * cz,
-            )
+            want = [math.cos(phi) * a + math.sin(phi) * t
+                    for a, t in zip(entry.alice, _cross(frame[0], entry.alice).tolist())]
             assert np.allclose(entry.bobphi, want, atol=1e-14)
-            assert abs(entry.bobphi.dot(entry.bobphi) - 1.0) < 1e-12
+            assert abs(dot(entry.bobphi, entry.bobphi) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("phi_deg", [10.0, 15.0, 20.0])
+    def test_entries_are_float_triples_of_the_plane_rows(self, n, phi_deg):
+        # the benchmark's scan pairs: each default plane's (alice, bob0) and
+        # (alice, bobphi), exactly that plane's rows of schedule_rows
+        phi = math.radians(phi_deg)
+        rows = np.stack(schedule_rows(default_frames(), n, phi), axis=1)
+        for plane, frame in enumerate(default_frames()):
+            pairs = []
+            for entry in build_schedule(frame, n, phi).entries:
+                pairs += [(entry.alice, entry.bob0), (entry.alice, entry.bobphi)]
+            assert all(type(v) is tuple and len(v) == 3 and all(type(c) is float for c in v)
+                       for pair in pairs for v in pair)
+            plane_rows = rows[2 * n * plane:2 * n * (plane + 1)].tolist()
+            assert pairs == [(tuple(a), tuple(b)) for a, b in plane_rows]
 
     def test_rejects_zero_settings(self):
         frame, _ = default_frames()
@@ -198,10 +248,9 @@ class TestPlaneSettings:
         for frames in (default_frames(), random_frames(np.random.default_rng(8))):
             alice, turned = plane_settings(frames, 4)
             assert alice.shape == turned.shape == (8, 3)
-            for j, frame in enumerate(frames):
-                normal = np.asarray(frame.normal).tolist()
+            for j, (normal, seed) in enumerate(frames.tolist()):
                 for k in range(4):
-                    a = turn(frame.seed, frame.normal, k * math.pi / 4)
+                    a = turn(seed, normal, k * math.pi / 4)
                     assert alice[4 * j + k].tolist() == list(a)
                     assert turned[4 * j + k].tolist() == list(cross(normal, a))
 
@@ -214,12 +263,11 @@ class TestPlaneSettings:
 
     def test_offset_rows_are_cos_a_plus_sin_normal_cross_a(self):
         # no rescale, even for a seed with |v|^2 - 1 = 4.0e-15, which
-        # UnitVector stores as given
-        seed = UnitVector(1.0 + 1.9e-15, 0.0, 0.0)
-        for frames in ((PlaneFrame(UnitVector(0, 0, 1), seed),),
-                       random_frames(np.random.default_rng(9))):
+        # check_frames keeps as given; one plane or two
+        seed = (1.0 + 1.9e-15, 0.0, 0.0)
+        for frames in ([((0.0, 0.0, 1.0), seed)], random_frames(np.random.default_rng(9))):
             alice, turned = plane_settings(frames, 3)
-            normals = [np.asarray(f.normal).tolist() for f in frames for _ in range(3)]
+            normals = [normal for normal, _ in np.asarray(frames).tolist() for _ in range(3)]
             for phi in np.linspace(0.0, math.pi, 181).tolist():
                 c, s = math.cos(phi), math.sin(phi)
                 want = [[c * x + s * y for x, y in zip(a, cross(normal, a))]
@@ -232,8 +280,7 @@ class TestScheduleRows:
         # per plane and setting: (alice, bob0), then (alice, bobphi), from
         # the plain-Python per-k turns
         rng = np.random.default_rng(12)
-        whole = (PlaneFrame(UnitVector(0, 0, 1), UnitVector(1, 0, 0)),
-                 PlaneFrame(UnitVector(0, -1, 0), UnitVector(1, 0, 0)))  # int components
+        whole = (((0, 0, 1), (1, 0, 0)), ((0, -1, 0), (1, 0, 0)))  # int components
         for frames in (default_frames(), whole, random_frames(rng)):
             for n in (1, 2, 3, 8):
                 phi = float(rng.uniform(-math.pi, math.pi))
@@ -251,16 +298,21 @@ class TestScheduleRows:
 
 
 class TestDefaultFrames:
+    def test_rows_are_exact(self):
+        frames = default_frames()
+        assert frames.shape == (2, 2, 3) and frames.dtype == float
+        assert frames.tolist() == DEFAULT_ROWS
+        assert check_frames(frames).tolist() == DEFAULT_ROWS
+
     def test_normals_orthogonal(self):
-        f1, f2 = default_frames()
-        assert f1.normal.dot(f2.normal) == 0.0
+        (n1, _), (n2, _) = default_frames().tolist()
+        assert dot(n1, n2) == 0.0
 
     def test_plane1_seed_is_hv_axis(self):
-        f1, _ = default_frames()
-        assert np.asarray(f1.seed).tolist() == [1.0, 0.0, 0.0]
+        assert default_frames()[0, 1].tolist() == [1.0, 0.0, 0.0]
 
     def test_plane2_quarter_turn_reaches_circular(self):
-        _, f2 = default_frames()
-        out = rotate(f2.seed, f2.normal, math.pi / 2)
-        assert out.z == pytest.approx(1.0, abs=1e-15)
-        assert abs(out.x) < 1e-15 and abs(out.y) < 1e-15
+        normal, seed = default_frames()[1].tolist()
+        x, y, z = turn(seed, normal, math.pi / 2)
+        assert z == pytest.approx(1.0, abs=1e-15)
+        assert abs(x) < 1e-15 and abs(y) < 1e-15
