@@ -31,6 +31,9 @@ def _unit_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
+_LEMMA_BLOCK = 256  # rows per N in one discrete_average call
+
+
 def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     """Randomized checks of the discrete-averaging estimate."""
     rng = np.random.default_rng(seed)
@@ -38,26 +41,28 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
 
     # lower bound and closed-form identity on random vector pairs; for the
     # equality case, c at angle pi/2 + m*pi/N from w, rotating about an axis
-    # orthogonal to w, so that xi = 0; one call per N takes both sets of rows
-    worst_slack, worst_identity, worst_eq = math.inf, 0.0, 0.0
+    # orthogonal to w, so that xi = 0.  All 16 N go in one discrete_average
+    # call per block of rows, the count on the leading axis
     per_n = max(1, trials // 16)
     w, c = _unit_rows(rng, 2, 16, per_n)
     w_eq, r = _unit_rows(rng, 2, 16, 50)
     axis = _cross(w_eq, r)
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-    for n in range(1, 17):
-        u_n = inequality.u_coefficient(n)
-        angle = (math.pi / 2.0 + rng.integers(0, n, size=50) * math.pi / n)[:, None]
-        w_n = w_eq[n - 1]
-        c_eq = w_n * np.cos(angle) + _cross(axis[n - 1], w_n) * np.sin(angle)
-        avg, xi = inequality.discrete_average(
-            np.concatenate([w[n - 1], w_n]), np.concatenate([c[n - 1], c_eq]), n
-        )
-        avg, xi, avg_eq = avg[:per_n], xi[:per_n], avg[per_n:]
-        worst_slack = min(worst_slack, float(np.min(avg - u_n)))
-        closed = (np.sin(xi) + n * u_n * np.cos(xi)) / n
-        worst_identity = max(worst_identity, float(np.max(np.abs(avg - closed))))
-        worst_eq = max(worst_eq, float(np.max(np.abs(avg_eq - u_n))))
+    n = np.arange(1, 17)[:, None]
+    # 16 draws with a scalar high, in N order, as the stream has always been
+    # drawn: one draw with an array high is not known to give the same numbers
+    m = np.stack([rng.integers(0, k, size=50) for k in range(1, 17)])
+    angle = (math.pi / 2.0 + m * math.pi / n)[..., None]
+    c_eq = w_eq * np.cos(angle) + _cross(axis, w_eq) * np.sin(angle)
+    w, c = np.concatenate([w, w_eq], axis=1), np.concatenate([c, c_eq], axis=1)
+    blocks = [inequality.discrete_average(w[:, i:i + _LEMMA_BLOCK], c[:, i:i + _LEMMA_BLOCK], n)
+              for i in range(0, w.shape[1], _LEMMA_BLOCK)]
+    avg, xi = (np.concatenate(part, axis=1) for part in zip(*blocks))
+    avg, xi, avg_eq = avg[:, :per_n], xi[:, :per_n], avg[:, per_n:]
+    u = np.array([inequality.u_coefficient(k) for k in range(1, 17)])[:, None]
+    worst_slack = float(np.min(avg - u))
+    worst_identity = float(np.max(np.abs(avg - (np.sin(xi) + n * u * np.cos(xi)) / n)))
+    worst_eq = float(np.max(np.abs(avg_eq - u)))
     results += [
         CheckResult("lemma-lower-bound", worst_slack >= -1e-12,
                     f"min(avg - u_N) = {worst_slack:.3e} over {per_n * 16} trials"),
@@ -66,15 +71,16 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
         CheckResult("lemma-equality-case", worst_eq <= 1e-9, f"max |avg - u_N| at xi = 0: {worst_eq:.3e}"),
     ]
 
-    # bound slope against a central finite difference
+    # bound slope against a central finite difference, all angles of an N in
+    # one nlv_bound call per side
     worst_slope = 0.0
     h = 1e-5
+    phi = np.linspace(0.05, math.pi - 0.05, 40)
+    cos_sign = np.array([math.cos(p / 2.0) * math.copysign(1.0, math.sin(p / 2.0)) for p in phi.tolist()])
     for n in (2, 3, 4, 8):
-        u_n = inequality.u_coefficient(n)
-        for phi in np.linspace(0.05, math.pi - 0.05, 40):
-            numeric = (inequality.nlv_bound(n, phi + h) - inequality.nlv_bound(n, phi - h)) / (2 * h)
-            exact = -u_n * math.cos(phi / 2.0) * math.copysign(1.0, math.sin(phi / 2.0))
-            worst_slope = max(worst_slope, abs(numeric - exact))
+        numeric = (inequality.nlv_bound(n, phi + h) - inequality.nlv_bound(n, phi - h)) / (2 * h)
+        exact = -inequality.u_coefficient(n) * cos_sign
+        worst_slope = max(worst_slope, float(np.max(np.abs(numeric - exact))))
     results.append(
         CheckResult(
             "bound-slope",
@@ -156,8 +162,8 @@ def leggett_suite(
     # single-setting schedules are reproducible by the explicit model
     frames = default_frames()
     u1 = np.array([1.0, 0.0, 0.0])
-    pairs = np.stack([np.stack(schedule_rows(frames, 1, math.radians(p)), axis=1)
-                      for p in np.linspace(0.0, 179.0, 50)])  # one pair set per angle
+    angles = [math.radians(p) for p in np.linspace(0.0, 179.0, 50).tolist()]
+    pairs = np.stack(schedule_rows(frames, 1, angles), axis=2)  # one pair set per angle
     n1_ok = bool((leggett.explicit_model_margin(u1, -u1, pairs) >= -1e-12).all())
     results.append(
         CheckResult(

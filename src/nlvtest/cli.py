@@ -142,7 +142,7 @@ def build_manifest(command: str, args: argparse.Namespace,
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
-        "format": "2",  # bumped whenever a printed cell or JSON field changes
+        "format": "3",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": command,

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .sphere import _cross, _dot, _setting_count
+from .sphere import _angle_list, _cross, _dot, _setting_count
 from .sphere import check_frames, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
@@ -76,18 +76,30 @@ def _normalized_or(v: np.ndarray, fallback) -> np.ndarray:
     return np.where(norm > 1e-12, v / np.where(norm > 1e-12, norm, 1.0), fallback)
 
 
-def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
+def discrete_average(w: ArrayLike, c: ArrayLike, n: ArrayLike) -> DiscreteAverage:
     """Per row of stacked (k, 3) vectors, the average of |(R^k c) . w| over
     k = 0..N-1, with R the pi/N rotation about an axis orthogonal to both.
 
     Each (R^k c).w is one closed-form Rodrigues turn by t_k = k pi/N, all k in one
     array pass: cos t_k (c.w) + sin t_k ((axis x c).w) + (1 - cos t_k)(axis.c)(axis.w).
 
+    ``n`` is one count, or an integer array of counts that broadcasts against
+    the rows' leading shape, each element refused as _setting_count refuses
+    it.  The k axis then runs to the largest count, and a row's terms from
+    its own N on are exact zeros, so each row equals its one-count call bit
+    for bit.
+
     Always >= u_coefficient(n).  The returned xi is the wrapped angle
     (angle(w, c) - pi/2) mod pi/N entering the closed form
     (sin xi + N u_N cos xi)/N.
     """
-    n = _setting_count(n)
+    shape = () if isinstance(n, int) else np.shape(n)
+    if shape:
+        counts = [_setting_count(m) for m in np.asarray(n).ravel().tolist()]
+        n, top = np.array(counts, dtype=int).reshape(shape), max(counts, default=1)
+    else:
+        n = _setting_count(n)
+        counts, top = [n], n
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
     cross = _cross(w, c)
     wx = w[..., 0]
@@ -98,20 +110,29 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: int) -> DiscreteAverage:
         np.stack([-(1.0 - wx * wx), wx * w[..., 1], wx * w[..., 2]], axis=-1), (0.0, -1.0, 0.0)
     )
     axis = _normalized_or(cross, collinear_axis)
-    # cos t_k and sin t_k along a leading k axis, ahead of the broadcast row axes
-    k_shape = (2, n) + (1,) * (len(np.broadcast_shapes(w.shape, c.shape)) - 1)
-    t = [k * math.pi / n for k in range(n)]
-    cos_t, sin_t = np.array([[math.cos(tk) for tk in t], [math.sin(tk) for tk in t]]).reshape(k_shape)
+    # cos t_k and sin t_k along a leading k axis, ahead of the broadcast row
+    # and count axes; t_k = k pi/N for each count N and k < top
+    ndim = max(len(np.broadcast_shapes(w.shape, c.shape)) - 1, len(shape))
+    t = [[k * math.pi / m for m in counts] for k in range(top)]
+    cos_sin = np.array([[[math.cos(x) for x in row] for row in t], [[math.sin(x) for x in row] for row in t]])
+    cos_t, sin_t = cos_sin.reshape((2, top) + (1,) * (ndim - len(shape)) + shape)
     cw, along = _dot(c, w), _dot(axis, c) * _dot(axis, w)
     x = np.abs(cos_t * cw + sin_t * _dot(_cross(axis, c), w) + (1.0 - cos_t) * along)
+    if shape:  # terms with k >= N add exact zeros to every sum
+        x = np.where(np.arange(top).reshape((top,) + (1,) * ndim) < n, x, 0.0)
     angle = np.arctan2(np.sqrt(_dot(cross, cross)), cw)
     xi = (angle - math.pi / 2.0) % (math.pi / n)
     return DiscreteAverage(value=np.add.accumulate(x, axis=0)[-1] / n, xi=xi)
 
 
-def nlv_bound(n: int, phi: float) -> float:
-    """Non-local-variable bound 4 - 2 u_N |sin(phi/2)|."""
-    return 4.0 - 2.0 * u_coefficient(n) * abs(math.sin(phi / 2.0))
+def nlv_bound(n: int, phi: ArrayLike):
+    """Non-local-variable bound 4 - 2 u_N |sin(phi/2)|, at one angle or per
+    entry of a 1-D array of angles (math.sin each, so an entry equals its
+    one-angle call bit for bit)."""
+    u, angles = u_coefficient(n), _angle_list(phi)
+    if angles is None:
+        return 4.0 - 2.0 * u * abs(math.sin(phi / 2.0))
+    return np.array([4.0 - 2.0 * u * abs(math.sin(p / 2.0)) for p in angles])
 
 
 def continuum_bound(phi: float) -> float:
@@ -164,18 +185,17 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
     (a_k, a_k) and each angle's (a_k, b_k(phi)), so memory does not grow with
     the array.  ``frames`` are the two planes' (2, 2, 3) rows (normal, seed),
     refused as sphere.check_frames refuses them."""
-    angles = np.asarray(phi, dtype=float)
-    if angles.ndim > 1:
-        raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
+    angles = _angle_list(phi)
     alice, turned = plane_settings(check_frames(frames), n)
-    flat, values = angles.reshape(-1).tolist(), []
+    flat, values = [float(phi)] if angles is None else angles, []
     for start in range(0, max(len(flat), 1), _ANGLE_BLOCK):  # an empty array makes one call
-        bob = [offset_settings(alice, turned, p) for p in flat[start:start + _ANGLE_BLOCK]]
-        c = source.correlation(np.concatenate([alice] * (len(bob) + 1)), np.concatenate([alice, *bob]))
+        bob = offset_settings(alice, turned, flat[start:start + _ANGLE_BLOCK])
+        c = source.correlation(np.concatenate([alice] * (len(bob) + 1)),
+                               np.concatenate([alice[None], bob]).reshape(-1, 3))
         c = c.reshape(len(bob) + 1, 2, n)
         values += _l_values(c[1:], _means(c[0])).tolist()
     reports = tuple(InequalityReport(n, p, value) for p, value in zip(flat, values))
-    return reports if angles.ndim else reports[0]
+    return reports[0] if angles is None else reports
 
 
 def optimal_phi(n: int | float) -> float:
@@ -195,7 +215,9 @@ def max_violation_phi(source, frames: ArrayLike, n: int) -> tuple[float, float]:
 
     Returns (phi, violation); violation < 0 means the source never exceeds
     the bound on the interval.  The objective is unimodal for the state
-    models in this package (a cosine plus a |sin| term).
+    models in this package (a cosine plus a |sin| term).  A maximum at an
+    end, pi/4 for a source that never violates or 0 for N = 1, is returned
+    exactly, at one more correlation call.
     """
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     alice, turned = plane_settings(check_frames(frames), n)
@@ -218,4 +240,10 @@ def max_violation_phi(source, frames: ArrayLike, n: int) -> tuple[float, float]:
             c = b - inv_golden * (b - a)
             fc = objective(c)
     phi_best = (a + b) / 2.0
-    return (phi_best, objective(phi_best))
+    best = objective(phi_best)
+    for end in (0.0, math.pi / 4.0):
+        if end in (a, b):  # the bracket never left this end (at most one)
+            at_end = objective(end)
+            if at_end > best:
+                phi_best, best = end, at_end
+    return (phi_best, best)

@@ -4,7 +4,8 @@ float array of shape (2, 2, 3), rows (normal, seed) per plane, as
 ``check_frames`` returns it.  The setting rows come in closed form,
 a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and are
 not rescaled; ``schedule_rows`` alone fixes the order of the measured
-setting pairs.
+setting pairs.  Bob's offset rows take one angle, or a 1-D array of angles
+along a leading axis.
 
 Conventions used throughout the package:
 
@@ -71,6 +72,17 @@ def _setting_count(n) -> int:
     if count < 1 or count != n:
         raise ValueError(f"need a positive integer setting count, got {n!r}")
     return count
+
+
+def _angle_list(phi) -> list[float] | None:
+    """The angles of a 1-D array ``phi`` as a list of floats, or None for one
+    angle (a number or a 0-d array); any other shape is refused."""
+    if isinstance(phi, float):  # one angle, without an array conversion
+        return None
+    angles = np.asarray(phi, dtype=float)
+    if angles.ndim > 1:
+        raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
+    return angles.tolist() if angles.ndim else None
 
 
 def check_frames(frames: ArrayLike) -> np.ndarray:
@@ -140,20 +152,29 @@ def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
     return alice.reshape(-1, 3), _cross(normal, alice).reshape(-1, 3)
 
 
-def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: float) -> np.ndarray:
+def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: ArrayLike) -> np.ndarray:
     """Bob's offset settings b(phi) = cos(phi) a + sin(phi) (normal x a) for
-    the rows of plane_settings."""
-    return math.cos(phi) * alice + math.sin(phi) * turned
+    the rows of plane_settings: (rows, 3) at one angle, or (P, rows, 3) over a
+    1-D array of P angles, each block equal to its one-angle call bit for bit
+    (math.cos and math.sin of each angle)."""
+    angles = _angle_list(phi)
+    if angles is None:
+        return math.cos(phi) * alice + math.sin(phi) * turned
+    bob = np.array([math.cos(p) for p in angles])[:, None, None] * alice
+    bob += np.array([math.sin(p) for p in angles])[:, None, None] * turned
+    return bob
 
 
-def schedule_rows(frames: ArrayLike, n: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def schedule_rows(frames: ArrayLike, n: int, phi: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Every measured setting pair (a, b) of the planes as (2 planes N, 3)
     rows a and b, in sampling order: plane, rotation index k, then Bob at
-    offset 0 (b = a_k) before offset phi (b = b_k(phi))."""
+    offset 0 (b = a_k) before offset phi (b = b_k(phi)).  Over a 1-D array of
+    P angles, a and b are (P, 2 planes N, 3), one such pair set per angle."""
     alice, turned = plane_settings(frames, n)
-    a = np.repeat(alice, 2, axis=0)
+    bob = offset_settings(alice, turned, phi)
+    a = np.repeat(alice if bob.ndim == 2 else np.broadcast_to(alice, bob.shape), 2, axis=-2)
     b = a.copy()
-    b[1::2] = offset_settings(alice, turned, phi)
+    b[..., 1::2, :] = bob
     return a, b
 
 

@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 
+from nlvtest._checks import CheckResult
 from nlvtest._checks import _unit_rows as unit_rows
-from nlvtest.inequality import nlv_bound
+from nlvtest.inequality import discrete_average, nlv_bound, u_coefficient
 from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
-from nlvtest.sphere import check_frames
+from nlvtest.sphere import _cross, check_frames
 
 
 def unit(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -122,7 +123,8 @@ def reference_l_n(state, frames, n: int, phi: float) -> float:
 
 def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
     """Golden-section search of reference_l_n - bound over [0, pi/4] to
-    0.01 degrees, step for step as inequality.max_violation_phi."""
+    0.01 degrees, step for step as inequality.max_violation_phi, with its
+    rule for a bracket that still touches 0 or pi/4."""
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
 
     def objective(phi: float) -> float:
@@ -141,7 +143,12 @@ def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
             c = hi - inv_golden * (hi - lo)
             fc = objective(c)
     best = (lo + hi) / 2.0
-    return best, objective(best)
+    value = objective(best)
+    if lo == 0.0 and objective(0.0) > value:
+        return 0.0, objective(0.0)
+    if hi == math.pi / 4.0 and objective(math.pi / 4.0) > value:
+        return math.pi / 4.0, objective(math.pi / 4.0)
+    return best, value
 
 
 def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
@@ -178,3 +185,43 @@ def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
         if feasible.size:
             break
     return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)
+
+
+def reference_lemma_suite(trials: int, seed: int) -> list[CheckResult]:
+    """_checks.lemma_suite one N at a time, from the same random stream: one
+    discrete_average call per N on its random and equality-case rows, and two
+    scalar nlv_bound calls per angle for the bound slope."""
+    rng = np.random.default_rng(seed)
+    worst_slack, worst_identity, worst_eq = math.inf, 0.0, 0.0
+    per_n = max(1, trials // 16)
+    w, c = unit_rows(rng, 2, 16, per_n)
+    w_eq, r = unit_rows(rng, 2, 16, 50)
+    axis = _cross(w_eq, r)
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    for n in range(1, 17):
+        u_n = u_coefficient(n)
+        angle = (math.pi / 2.0 + rng.integers(0, n, size=50) * math.pi / n)[:, None]
+        w_n = w_eq[n - 1]
+        c_eq = w_n * np.cos(angle) + _cross(axis[n - 1], w_n) * np.sin(angle)
+        avg, xi = discrete_average(np.concatenate([w[n - 1], w_n]), np.concatenate([c[n - 1], c_eq]), n)
+        avg, xi, avg_eq = avg[:per_n], xi[:per_n], avg[per_n:]
+        worst_slack = min(worst_slack, float(np.min(avg - u_n)))
+        closed = (np.sin(xi) + n * u_n * np.cos(xi)) / n
+        worst_identity = max(worst_identity, float(np.max(np.abs(avg - closed))))
+        worst_eq = max(worst_eq, float(np.max(np.abs(avg_eq - u_n))))
+    worst_slope = 0.0
+    h = 1e-5
+    for n in (2, 3, 4, 8):
+        u_n = u_coefficient(n)
+        for phi in np.linspace(0.05, math.pi - 0.05, 40):
+            numeric = (nlv_bound(n, phi + h) - nlv_bound(n, phi - h)) / (2 * h)
+            exact = -u_n * math.cos(phi / 2.0) * math.copysign(1.0, math.sin(phi / 2.0))
+            worst_slope = max(worst_slope, abs(numeric - exact))
+    return [
+        CheckResult("lemma-lower-bound", worst_slack >= -1e-12,
+                    f"min(avg - u_N) = {worst_slack:.3e} over {per_n * 16} trials"),
+        CheckResult("lemma-closed-form", worst_identity <= 1e-12,
+                    f"max |avg - (sin xi + N u_N cos xi)/N| = {worst_identity:.3e}"),
+        CheckResult("lemma-equality-case", worst_eq <= 1e-9, f"max |avg - u_N| at xi = 0: {worst_eq:.3e}"),
+        CheckResult("bound-slope", worst_slope <= 1e-6, f"max |finite difference - formula| = {worst_slope:.3e}"),
+    ]

@@ -97,11 +97,12 @@ class TestPredict:
         assert row.split(",")[2] == "0.0000"
 
     def test_zero_cells_print_unsigned(self, capsys):
-        # the single-setting search ends at -4.6e-9, which rounds to a zero cell
-        assert run("predict", "--state", "singlet", "--n", "1", "--phi", "15") == 0
+        # the violation at 0.01 degrees is -3.0e-8, which rounds to a zero
+        # cell; the single-setting search ends exactly at its end phi = 0
+        assert run("predict", "--state", "singlet", "--n", "1", "--phi", "0.01") == 0
         out = capsys.readouterr().out
         row = [line for line in out.splitlines() if not line.startswith("#")][1]
-        assert row.split(",")[5:] == ["0.00", "0.0000"]
+        assert row.split(",")[4:] == ["0.0000", "0.00", "0.0000"]
 
     def test_invalid_state_is_config_error(self, capsys):
         assert run("predict", "--state", "wat:1", "--n", "2", "--phi", "15") == 1
@@ -168,7 +169,7 @@ class TestSimulate:
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["python"] == platform.python_version()
         assert payload["manifest"]["numpy"] == np.__version__
-        assert payload["manifest"]["format"] == "2"
+        assert payload["manifest"]["format"] == "3"
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -232,7 +233,7 @@ class TestManifest:
     def test_records_the_output_format(self, tmp_path):
         out = tmp_path / "out.csv"
         assert run("bounds", "--n-list", "2", "--phi", "15", "--output", str(out)) == 0
-        assert read_manifest(out)["format"] == "2"
+        assert read_manifest(out)["format"] == "3"
 
 
 class TestSweep:

@@ -7,11 +7,16 @@ from helpers import (
     random_density_matrix,
     random_frames,
     reference_l_n,
+    reference_lemma_suite,
     reference_max_violation_phi,
     turn,
     unit,
     unit_rows,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlvtest._checks import lemma_suite
 
 from nlvtest.inequality import (
     _ANGLE_BLOCK,
@@ -177,6 +182,46 @@ class TestDiscreteAverage:
         with pytest.raises(ValueError):
             discrete_average([(1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0)], 0)
 
+    @given(
+        counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        layout=st.sampled_from(["leading", "per-row", "one-row"]),
+        rows=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_count_array_equals_per_count_calls(self, counts, layout, rows, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "leading":  # (k, 1) counts against (k, rows, 3) rows
+            w, c = unit_rows(rng, 2, len(counts), rows)
+            n = np.array(counts).reshape(-1, 1)
+        elif layout == "per-row":  # one count per row
+            w, c = unit_rows(rng, 2, len(counts))
+            n = np.array(counts)
+        else:  # one (3,) row against stacked rows, (k, 1) counts
+            w, c = unit_rows(rng, 1)[0], unit_rows(rng, rows)
+            n = np.array(counts).reshape(-1, 1)
+        value, xi = discrete_average(w, c, n)
+        each = np.broadcast_to(n, value.shape)
+        for m in set(counts):
+            single = discrete_average(w, c, m)
+            at_m = each == m
+            assert value[at_m].tolist() == np.broadcast_to(single.value, value.shape)[at_m].tolist()
+            assert xi[at_m].tolist() == np.broadcast_to(single.xi, xi.shape)[at_m].tolist()
+
+    @pytest.mark.parametrize("bad", [0, 2.5, math.nan])
+    def test_count_array_refuses_an_entry_that_is_not_a_count(self, bad):
+        message = re.escape(f"need a positive integer setting count, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            discrete_average([(1.0, 0.0, 0.0)], [(0.0, 0.6, 0.8)], np.array([3, bad, 2]))
+
+
+class TestLemmaSuite:
+    # one discrete_average call over all 16 N gives the per-N loop's results
+    @pytest.mark.parametrize("trials, seeds", [(1, range(6)), (17, range(6)), (2000, range(6)), (100_000, [0])])
+    def test_equals_per_n_reference(self, trials, seeds):
+        for seed in seeds:
+            assert lemma_suite(trials, seed) == reference_lemma_suite(trials, seed)
+
 
 class TestPlaneAverages:
     # L_N sums |E_j(phi) + E_j(0)| over the two planes
@@ -216,6 +261,18 @@ class TestBound:
                 exact = -u_n * math.cos(phi / 2) * math.copysign(1.0, math.sin(phi / 2))
                 worst = max(worst, abs(numeric - exact))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_angle_array_equals_per_angle_calls(self, count):
+        angles = np.random.default_rng(14).uniform(-2.0 * math.pi, 2.0 * math.pi, count)
+        for n in (1, 2, 7):
+            bounds = nlv_bound(n, angles)
+            assert bounds.shape == (count,)
+            assert bounds.tolist() == [nlv_bound(n, p) for p in angles.tolist()]
+
+    def test_refuses_angles_of_two_axes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            nlv_bound(2, [[0.1, 0.2]])
 
 
 class TestLn:
@@ -393,6 +450,42 @@ class TestMaxViolationSearch:
     def test_low_visibility_never_violates(self):
         _, violation = max_violation_phi(werner(0.96), default_frames(), 2)
         assert violation < 0.0
+
+    # the maximum lies at an end of [0, pi/4]: for a source that never
+    # violates, or whose optimum 2 arcsin(u_N / 4v) lies past pi/4, and at 0
+    # for one setting
+    @pytest.mark.parametrize("spec, n, end", [
+        ("mixed", 2, math.pi / 4.0), ("werner:0.3", 2, math.pi / 4.0), ("singlet", 1, 0.0),
+    ])
+    def test_maximum_at_an_end_is_that_end(self, spec, n, end):
+        state, frames = parse_state(spec), default_frames()
+        phi, violation = max_violation_phi(state, frames, n)
+        assert phi == end
+        assert violation == l_n(state, frames, n, end).violation
+
+    @pytest.mark.parametrize("spec, calls", [
+        ("singlet", 22), ("werner:0.96", 22), ("visibilities:0.995,0.990,0.982", 22), ("mixed", 23),
+    ])
+    def test_an_end_costs_one_correlation_call_only_when_touched(self, spec, calls):
+        # E_j(0), two probes, 18 bracket steps and the midpoint; one more for
+        # the end that the bracket still touches
+        made = []
+
+        class Counting:
+            def correlation(self, a, b):
+                made.append(len(a))
+                return parse_state(spec).correlation(a, b)
+
+        max_violation_phi(Counting(), default_frames(), 2)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("v", [0.5, 0.8, 0.96])
+    def test_low_visibility_werner_keeps_its_interior_optimum(self, v):
+        # L - bound = 2v(1 + cos phi) - 4 + 2 u_N sin(phi/2) peaks where sin(phi/2) = u_N / 4v
+        phi, _ = max_violation_phi(werner(v), default_frames(), 2)
+        assert 0.0 < phi < math.pi / 4.0
+        optimum = 2.0 * math.asin(u_coefficient(2) / (4.0 * v))
+        assert math.degrees(phi) == pytest.approx(math.degrees(optimum), abs=0.01)
 
 
 # the four predict-scan benchmark states

@@ -297,6 +297,31 @@ class TestScheduleRows:
         assert b[1::2].tolist() == offset_settings(alice, turned, 0.4).tolist()
 
 
+class TestAngleArrays:
+    # over a 1-D array of P angles, one (P, rows, 3) block per angle
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_offset_and_schedule_rows_equal_per_angle_calls(self, count):
+        rng = np.random.default_rng(13)
+        angles = rng.uniform(-math.pi, math.pi, count)
+        for frames in (default_frames(), random_frames(rng)):
+            alice, turned = plane_settings(frames, 3)
+            bob = offset_settings(alice, turned, angles.tolist())
+            assert bob.shape == (count, 6, 3)
+            assert bob.tolist() == [offset_settings(alice, turned, p).tolist() for p in angles.tolist()]
+            a, b = schedule_rows(frames, 3, angles)
+            assert a.shape == b.shape == (count, 12, 3)
+            per_angle = [schedule_rows(frames, 3, p) for p in angles.tolist()]
+            assert a.tolist() == [x.tolist() for x, _ in per_angle]
+            assert b.tolist() == [y.tolist() for _, y in per_angle]
+
+    def test_refuses_angles_of_two_axes(self):
+        alice, turned = plane_settings(default_frames(), 2)
+        with pytest.raises(ValueError, match="1-D"):
+            offset_settings(alice, turned, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            schedule_rows(default_frames(), 2, [[0.1]])
+
+
 class TestDefaultFrames:
     def test_rows_are_exact(self):
         frames = default_frames()
