@@ -31,9 +31,6 @@ def _unit_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-_LEMMA_BLOCK = 256  # rows per N in one discrete_average call
-
-
 def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     """Randomized checks of the discrete-averaging estimate."""
     rng = np.random.default_rng(seed)
@@ -42,7 +39,8 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     # lower bound and closed-form identity on random vector pairs; for the
     # equality case, c at angle pi/2 + m*pi/N from w, rotating about an axis
     # orthogonal to w, so that xi = 0.  All 16 N go in one discrete_average
-    # call per block of rows, the count on the leading axis
+    # call, the count on the leading axis; it adds the terms one k at a time,
+    # so its memory grows with the rows, not with rows times the largest N
     per_n = max(1, trials // 16)
     w, c = _unit_rows(rng, 2, 16, per_n)
     w_eq, r = _unit_rows(rng, 2, 16, 50)
@@ -55,9 +53,7 @@ def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     angle = (math.pi / 2.0 + m * math.pi / n)[..., None]
     c_eq = w_eq * np.cos(angle) + _cross(axis, w_eq) * np.sin(angle)
     w, c = np.concatenate([w, w_eq], axis=1), np.concatenate([c, c_eq], axis=1)
-    blocks = [inequality.discrete_average(w[:, i:i + _LEMMA_BLOCK], c[:, i:i + _LEMMA_BLOCK], n)
-              for i in range(0, w.shape[1], _LEMMA_BLOCK)]
-    avg, xi = (np.concatenate(part, axis=1) for part in zip(*blocks))
+    avg, xi = inequality.discrete_average(w, c, n)
     avg, xi, avg_eq = avg[:, :per_n], xi[:, :per_n], avg[:, per_n:]
     u = np.array([inequality.u_coefficient(k) for k in range(1, 17)])[:, None]
     worst_slack = float(np.min(avg - u))

@@ -80,26 +80,21 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: ArrayLike) -> DiscreteAverag
     """Per row of stacked (k, 3) vectors, the average of |(R^k c) . w| over
     k = 0..N-1, with R the pi/N rotation about an axis orthogonal to both.
 
-    Each (R^k c).w is one closed-form Rodrigues turn by t_k = k pi/N, all k in one
-    array pass: cos t_k (c.w) + sin t_k ((axis x c).w) + (1 - cos t_k)(axis.c)(axis.w).
+    Each (R^k c).w is one closed-form Rodrigues turn by t_k = k pi/N:
+    cos t_k (c.w) + sin t_k ((axis x c).w) + (1 - cos t_k)(axis.c)(axis.w).
 
     ``n`` is one count, or an integer array of counts that broadcasts against
     the rows' leading shape, each element refused as _setting_count refuses
-    it.  The k axis then runs to the largest count, and a row's terms from
-    its own N on are exact zeros, so each row equals its one-count call bit
-    for bit.
+    it.  The terms are added one k at a time, k ascending, from a table of
+    (cos t_k, sin t_k, 1 - cos t_k) per count that is zero from the count's
+    own N on, so each row equals its one-count call bit for bit.
 
     Always >= u_coefficient(n).  The returned xi is the wrapped angle
     (angle(w, c) - pi/2) mod pi/N entering the closed form
     (sin xi + N u_N cos xi)/N.
     """
-    shape = () if isinstance(n, int) else np.shape(n)
-    if shape:
-        counts = [_setting_count(m) for m in np.asarray(n).ravel().tolist()]
-        n, top = np.array(counts, dtype=int).reshape(shape), max(counts, default=1)
-    else:
-        n = _setting_count(n)
-        counts, top = [n], n
+    counts = [_setting_count(m) for m in np.ravel(n).tolist()]
+    n, top = np.reshape(counts, np.shape(n)), max(counts, default=1)
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
     cross = _cross(w, c)
     wx = w[..., 0]
@@ -110,19 +105,19 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: ArrayLike) -> DiscreteAverag
         np.stack([-(1.0 - wx * wx), wx * w[..., 1], wx * w[..., 2]], axis=-1), (0.0, -1.0, 0.0)
     )
     axis = _normalized_or(cross, collinear_axis)
-    # cos t_k and sin t_k along a leading k axis, ahead of the broadcast row
-    # and count axes; t_k = k pi/N for each count N and k < top
-    ndim = max(len(np.broadcast_shapes(w.shape, c.shape)) - 1, len(shape))
-    t = [[k * math.pi / m for m in counts] for k in range(top)]
-    cos_sin = np.array([[[math.cos(x) for x in row] for row in t], [[math.sin(x) for x in row] for row in t]])
-    cos_t, sin_t = cos_sin.reshape((2, top) + (1,) * (ndim - len(shape)) + shape)
-    cw, along = _dot(c, w), _dot(axis, c) * _dot(axis, w)
-    x = np.abs(cos_t * cw + sin_t * _dot(_cross(axis, c), w) + (1.0 - cos_t) * along)
-    if shape:  # terms with k >= N add exact zeros to every sum
-        x = np.where(np.arange(top).reshape((top,) + (1,) * ndim) < n, x, 0.0)
+    # (cos t_k, sin t_k, 1 - cos t_k) on a leading k axis, ahead of the count
+    # axes; a count's entries are zero from its own N on, so its rows' later
+    # terms add exact zeros
+    trig = [[(math.cos(t), math.sin(t), 1.0 - math.cos(t)) for t in (k * math.pi / m for k in range(m))]
+            + [(0.0, 0.0, 0.0)] * (top - m) for m in counts]
+    table = np.reshape(trig, (len(counts), top, 3)).transpose(1, 2, 0).reshape((top, 3) + n.shape)
+    cw, turned, along = _dot(c, w), _dot(_cross(axis, c), w), _dot(axis, c) * _dot(axis, w)
+    total = 0.0
+    for cos_t, sin_t, one_minus_cos in table:  # left to right in k
+        total = total + abs(cos_t * cw + sin_t * turned + one_minus_cos * along)
     angle = np.arctan2(np.sqrt(_dot(cross, cross)), cw)
     xi = (angle - math.pi / 2.0) % (math.pi / n)
-    return DiscreteAverage(value=np.add.accumulate(x, axis=0)[-1] / n, xi=xi)
+    return DiscreteAverage(value=total / n, xi=xi)
 
 
 def nlv_bound(n: int, phi: ArrayLike):

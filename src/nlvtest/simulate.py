@@ -82,8 +82,10 @@ class ExperimentConfig:
                 f"integration_time must be positive and finite, got {self.integration_time}"
             )
         seeds = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
-        if any(s < 0 for s in seeds):
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if not all(isinstance(s, int) and s >= 0 for s in seeds):
+            raise ValueError(
+                f"rng_seed must be a non-negative integer or a tuple of them, got {self.rng_seed!r}"
+            )
         object.__setattr__(self, "frames", check_frames(self.frames))
 
     def resolve_state(self) -> quantum.TwoQubitState:

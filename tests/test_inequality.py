@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlvtest._checks
 from nlvtest._checks import lemma_suite
 
 from nlvtest.inequality import (
     _ANGLE_BLOCK,
+    DiscreteAverage,
     InequalityReport,
     NoViolationError,
     continuum_bound,
@@ -208,6 +211,18 @@ class TestDiscreteAverage:
             assert value[at_m].tolist() == np.broadcast_to(single.value, value.shape)[at_m].tolist()
             assert xi[at_m].tolist() == np.broadcast_to(single.xi, xi.shape)[at_m].tolist()
 
+    def test_memory_grows_with_rows_not_with_the_largest_count(self):
+        # a padded (k, rows) term array would hold 64 terms per row here
+        w, c = unit_rows(np.random.default_rng(47), 2, 2, 20_000)
+        n = np.array([[1], [64]])
+        tracemalloc.start()
+        try:
+            discrete_average(w, c, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (w.nbytes + c.nbytes + n.nbytes)
+
     @pytest.mark.parametrize("bad", [0, 2.5, math.nan])
     def test_count_array_refuses_an_entry_that_is_not_a_count(self, bad):
         message = re.escape(f"need a positive integer setting count, got {bad!r}")
@@ -221,6 +236,29 @@ class TestLemmaSuite:
     def test_equals_per_n_reference(self, trials, seeds):
         for seed in seeds:
             assert lemma_suite(trials, seed) == reference_lemma_suite(trials, seed)
+
+    # one value of one N moved out of bounds fails its property, for every N:
+    # the equality case moved 1e-6 off u_N, or a random row 1e-6 below it
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("case, name", [("equality", "lemma-equality-case"), ("random", "lemma-lower-bound")])
+    def test_every_n_is_checked(self, monkeypatch, n, case, name):
+        original, u_n = nlvtest._checks.inequality.discrete_average, u_coefficient(n)
+        rng = np.random.default_rng(n)
+
+        def nudged(w, c, counts):
+            value, xi = original(w, c, counts)
+            at_n = np.broadcast_to(counts, value.shape) == n
+            equality = np.abs(value - u_n) <= 1e-9  # the rows built at xi = 0
+            rows = np.flatnonzero(at_n & (equality if case == "equality" else ~equality))
+            if rows.size:
+                value = value.copy()
+                row = rng.choice(rows)
+                value.flat[row] = value.flat[row] + 1e-6 if case == "equality" else u_n - 1e-6
+            return DiscreteAverage(value, xi)
+
+        assert all(result.passed for result in lemma_suite(2000, 7))
+        monkeypatch.setattr(nlvtest._checks.inequality, "discrete_average", nudged)
+        assert not {result.name: result.passed for result in lemma_suite(2000, 7)}[name]
 
 
 class TestPlaneAverages:

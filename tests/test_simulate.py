@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestConfig:
         for seed in (-1, (4, -2)):
             with pytest.raises(ValueError, match="rng_seed"):
                 ExperimentConfig(rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, (1, 2.5), "3", None])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        message = re.escape(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(rng_seed=seed)
 
 
 class TestSampleQuad:
