@@ -243,13 +243,10 @@ def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
 def cmd_bounds(args: argparse.Namespace) -> int:
     grid = _phi_grid_deg(args)
     columns = ["phi_deg"] + [f"bound_n{n}" for n in args.n_list] + ["singlet_l"]
-    rows = []
-    for deg in grid:
-        phi = math.radians(deg)
-        row = [_fmt_deg(deg)]
-        row += [_fmt4(inequality.nlv_bound(n, phi)) for n in args.n_list]
-        row.append(_fmt4(quantum.singlet_L(phi)))
-        rows.append(row)
+    phis = [math.radians(deg) for deg in grid]
+    bounds = [inequality.nlv_bound(n, phis).tolist() for n in args.n_list]
+    rows = [[_fmt_deg(deg), *(_fmt4(b) for b in cells), _fmt4(quantum.singlet_L(phi))]
+            for deg, phi, *cells in zip(grid, phis, *bounds)]
     _emit(args, build_manifest("bounds", args, None), columns, rows)
     return 0
 

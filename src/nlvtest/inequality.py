@@ -18,8 +18,11 @@ A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
 ``PureEnsemble`` (stacked component arrays and one correlation function),
 has a ``correlation(a, b)`` method mapping stacked (k, 3) settings to (k,)
 values, each row's independent of the others in the call;
-``l_n`` makes one per block of angles (one call at one angle), and each
-search step makes one.
+``l_n`` makes one per block of angles (one call at one angle).  The
+violation search takes only a ``TwoQubitState``, whose correlation is
+linear in Bob's setting: it makes two calls, one for E_j(0) and the
+turned-setting means F_j before its steps, which are float arithmetic on
+those four numbers, and one for the reported angle.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .quantum import TwoQubitState
 from .sphere import _angle_list, _cross, _dot, _setting_count
 from .sphere import check_frames, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
@@ -203,24 +207,43 @@ def optimal_phi(n: int | float) -> float:
     return 2.0 * math.asin(u / 4.0)
 
 
-def max_violation_phi(source, frames: ArrayLike, n: int) -> tuple[float, float]:
+def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[float, float]:
     """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
-    maximizing l_value - bound, on the two planes ``frames`` that
-    sphere.check_frames accepts.
+    maximizing l_value - bound of a two-qubit ``state`` on the two planes
+    ``frames`` that sphere.check_frames accepts.
 
-    Returns (phi, violation); violation < 0 means the source never exceeds
+    A state's correlation a.T.b is linear in Bob's setting b_k(phi) =
+    cos(phi) a_k + sin(phi) t_k, t_k = normal x a_k, so each plane's mean is
+    E_j(phi) = cos(phi) E_j(0) + sin(phi) F_j with F_j the mean of C(a_k, t_k).
+    One correlation call gives E_j(0) and F_j, and each step scores
+
+        sum_j |(1 + cos phi) E_j(0) + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|)
+
+    in float arithmetic.  The reported value is l_n's violation at the last
+    bracket's midpoint, and at the end of the interval that the bracket
+    still touches if there is one, from one more correlation call.  Any
+    source other than a TwoQubitState, whose correlation need not be linear
+    in b, is refused.
+
+    Returns (phi, violation); violation < 0 means the state never exceeds
     the bound on the interval.  The objective is unimodal for the state
     models in this package (a cosine plus a |sin| term).  A maximum at an
-    end, pi/4 for a source that never violates or 0 for N = 1, is returned
-    exactly, at one more correlation call.
+    end, pi/4 for a state that never violates or 0 for N = 1, is returned
+    exactly.
     """
+    if not isinstance(state, TwoQubitState):
+        raise ValueError(f"max_violation_phi needs a TwoQubitState, got {type(state).__name__}")
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     alice, turned = plane_settings(check_frames(frames), n)
-    e_zero = _means(source.correlation(alice, alice).reshape(2, n))
+    means = _means(state.correlation(np.concatenate([alice, alice]),
+                                     np.concatenate([alice, turned])).reshape(2, 2, n))
+    e_zero = means[0]
+    (e1, e2), (f1, f2) = means.tolist()
+    u = u_coefficient(n)
 
     def objective(phi: float) -> float:
-        c_phi = source.correlation(alice, offset_settings(alice, turned, phi)).reshape(2, n)
-        return float(_l_values(c_phi, e_zero)) - nlv_bound(n, phi)
+        cp, sp = 1.0 + math.cos(phi), math.sin(phi)
+        return abs(cp * e1 + sp * f1) + abs(cp * e2 + sp * f2) - (4.0 - 2.0 * u * abs(math.sin(phi / 2.0)))
 
     a, b = 0.0, math.pi / 4.0
     c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
@@ -234,11 +257,9 @@ def max_violation_phi(source, frames: ArrayLike, n: int) -> tuple[float, float]:
             b, d, fd = d, c, fc
             c = b - inv_golden * (b - a)
             fc = objective(c)
-    phi_best = (a + b) / 2.0
-    best = objective(phi_best)
-    for end in (0.0, math.pi / 4.0):
-        if end in (a, b):  # the bracket never left this end (at most one)
-            at_end = objective(end)
-            if at_end > best:
-                phi_best, best = end, at_end
-    return (phi_best, best)
+    # the midpoint, then the end the bracket never left (at most one)
+    phis = [(a + b) / 2.0] + [end for end in (0.0, math.pi / 4.0) if end in (a, b)]
+    c_phi = state.correlation(np.concatenate([alice] * len(phis)),
+                              offset_settings(alice, turned, phis).reshape(-1, 3))
+    values = (_l_values(c_phi.reshape(len(phis), 2, n), e_zero) - nlv_bound(n, phis)).tolist()
+    return max(zip(phis, values), key=lambda pair: pair[1])  # the midpoint on a tie

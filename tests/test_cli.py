@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import nlvtest
 from nlvtest import __version__
 from nlvtest.cli import ConfigError, _phi_grid_deg, build_parser, load_config, main, read_manifest
+from nlvtest.inequality import nlv_bound
+from nlvtest.quantum import singlet_L
 
 
 def data_section(path) -> str:
@@ -62,6 +65,23 @@ class TestBounds:
     def test_missing_step_is_config_error(self, capsys):
         assert run("bounds", "--n-list", "2", "--phi-range", "0:45") == 1
 
+    def test_data_section_equals_per_angle_cells(self, tmp_path):
+        # one nlv_bound call per N over the grid prints what one call per
+        # (angle, N) printed
+        n_list = (1, 2, 3, 7, 32)
+        out = tmp_path / "bounds.csv"
+        assert run("bounds", "--n-list", ",".join(map(str, n_list)), "--phi-range=-190:370",
+                   "--step", "0.37", "--output", str(out)) == 0
+        grid = _phi_grid_deg(argparse.Namespace(phi=None, phi_range=(-190.0, 370.0), step=0.37))
+        lines = ["phi_deg," + ",".join(f"bound_n{n}" for n in n_list) + ",singlet_l"]
+        for deg in grid:
+            phi = math.radians(deg)
+            cells = [nlv_bound(n, phi) for n in n_list] + [singlet_L(phi)]
+            lines.append(",".join([f"{round(deg, 2) + 0.0:.2f}"]
+                                  + [f"{round(x, 4) + 0.0:.4f}" for x in cells]))
+        assert len(lines) == 1515
+        assert data_section(out) == "\n".join(lines)
+
     def test_grid_holds_at_most_a_million_angles(self):
         def grid(lo, hi, step):
             return _phi_grid_deg(argparse.Namespace(phi=None, phi_range=(lo, hi), step=step))
@@ -107,6 +127,33 @@ class TestPredict:
     def test_invalid_state_is_config_error(self, capsys):
         assert run("predict", "--state", "wat:1", "--n", "2", "--phi", "15") == 1
         assert "error" in capsys.readouterr().err
+
+    # the four predict-scan benchmark states, and custom planes with the state
+    # in the config file; the plane-2 seed is 1e-12 off unit, so it is stored
+    # rescaled
+    @pytest.mark.parametrize("argv", [
+        *(("--state", spec) for spec in
+          ("singlet", "werner:0.96", "colored:0.98", "visibilities:0.995,0.990,0.982")),
+        ("--config", "PLANES"),
+    ])
+    def test_reproducible_from_manifest(self, tmp_path, argv):
+        (tmp_path / "planes.cfg").write_text(
+            "state = visibilities:0.995,0.990,0.982\nplane1_seed = 0.6,0.8,0\n"
+            "plane2_normal = 0.8,-0.6,0\nplane2_seed = 0.6000000000006,0.8000000000008,0\n"
+        )
+        argv = [str(tmp_path / "planes.cfg") if arg == "PLANES" else arg for arg in argv]
+        out = tmp_path / "orig.csv"
+        assert run("predict", *argv, "--n", "3", "--phi", "17.5", "--output", str(out)) == 0
+        manifest = read_manifest(out)
+        # rebuild the run purely from what the manifest recorded
+        keys = [f"plane{i}_{row}" for i in (1, 2) for row in ("normal", "seed")]
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(f"state = {manifest['config.state']}\n"
+                       + "".join(f"{key} = {manifest['config.' + key]}\n" for key in keys))
+        replay = tmp_path / "replay.csv"
+        assert run("predict", "--config", str(cfg), "--n", manifest["n"],
+                   "--phi", manifest["phi_deg"], "--output", str(replay)) == 0
+        assert data_section(replay) == data_section(out)
 
 
 class TestSimulate:

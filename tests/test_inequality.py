@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlvtest._checks
+import nlvtest.quantum
 from nlvtest._checks import lemma_suite
 
 from nlvtest.inequality import (
@@ -33,6 +34,7 @@ from nlvtest.inequality import (
     optimal_phi,
     u_coefficient,
 )
+from nlvtest.leggett import product_ensemble
 from nlvtest.quantum import (
     TwoQubitState,
     bell_diagonal,
@@ -501,21 +503,48 @@ class TestMaxViolationSearch:
         assert phi == end
         assert violation == l_n(state, frames, n, end).violation
 
-    @pytest.mark.parametrize("spec, calls", [
-        ("singlet", 22), ("werner:0.96", 22), ("visibilities:0.995,0.990,0.982", 22), ("mixed", 23),
+    # rows per call: E_j(0) and F_j from the (a_k, a_k) and (a_k, t_k) rows of
+    # both planes, then the midpoint and, for "mixed", the end pi/4 that the
+    # bracket still touches
+    @pytest.mark.parametrize("spec, rows", [
+        ("singlet", [8, 4]), ("werner:0.96", [8, 4]),
+        ("visibilities:0.995,0.990,0.982", [8, 4]), ("mixed", [8, 8]),
     ])
-    def test_an_end_costs_one_correlation_call_only_when_touched(self, spec, calls):
-        # E_j(0), two probes, 18 bracket steps and the midpoint; one more for
-        # the end that the bracket still touches
-        made = []
+    def test_a_search_makes_two_correlation_calls(self, monkeypatch, spec, rows):
+        made, real = [], nlvtest.quantum.correlation
 
-        class Counting:
-            def correlation(self, a, b):
-                made.append(len(a))
-                return parse_state(spec).correlation(a, b)
+        def counting(state, a, b):
+            made.append(len(a))
+            return real(state, a, b)
 
-        max_violation_phi(Counting(), default_frames(), 2)
-        assert len(made) == calls
+        monkeypatch.setattr(nlvtest.quantum, "correlation", counting)
+        max_violation_phi(parse_state(spec), default_frames(), 2)
+        assert made == rows
+
+    # a Leggett ensemble's correlation need not be linear in Bob's setting
+    @pytest.mark.parametrize("source, name", [
+        (product_ensemble([1.0], [(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)]), "PureEnsemble"),
+        (None, "NoneType"),
+    ])
+    def test_refuses_a_source_that_is_not_a_state(self, source, name):
+        with pytest.raises(ValueError, match=f"needs a TwoQubitState, got {name}$"):
+            max_violation_phi(source, default_frames(), 2)
+
+    def test_closed_form_objective_equals_l_n_violation(self):
+        # the premise of the search: E_j(phi) = cos phi E_j(0) + sin phi F_j,
+        # also for the singlet, whose C(a_k, a_k) = -1 sits at the clamp
+        rng = np.random.default_rng(46)
+        cases = [(singlet(), default_frames()), (singlet(), random_frames(rng))]
+        cases += [(TwoQubitState(random_density_matrix(rng)), random_frames(rng)) for _ in range(8)]
+        for state, frames in cases:
+            for n in (1, 2, 3, 7):
+                alice, turned = plane_settings(frames, n)
+                e_zero = state.correlation(alice, alice).reshape(2, n).mean(axis=1)
+                f = state.correlation(alice, turned).reshape(2, n).mean(axis=1)
+                for phi in [0.0, math.pi / 4.0, *rng.uniform(0.0, math.pi, size=4).tolist()]:
+                    closed = np.abs((1.0 + math.cos(phi)) * e_zero + math.sin(phi) * f).sum()
+                    closed -= 4.0 - 2.0 * u_coefficient(n) * abs(math.sin(phi / 2.0))
+                    assert closed == pytest.approx(l_n(state, frames, n, phi).violation, abs=1e-14)
 
     @pytest.mark.parametrize("v", [0.5, 0.8, 0.96])
     def test_low_visibility_werner_keeps_its_interior_optimum(self, v):
@@ -564,6 +593,17 @@ class TestPlainPythonReference:
                     assert l_n(state, frames, n, phi).l_value == reference_l_n(
                         state, frames, n, phi
                     )
+
+    def test_max_violation_phi_on_random_states_equals_reference(self):
+        # the closed-form steps take the reference's per-step L_N path
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            frames = random_frames(rng)
+            state = TwoQubitState(random_density_matrix(rng))
+            for n in (1, 3, 7):
+                assert max_violation_phi(state, frames, n) == reference_max_violation_phi(
+                    state, frames, n
+                )
 
 
 class TestSingletCrossCheck:
