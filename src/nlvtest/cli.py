@@ -91,24 +91,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()
-    return config_from_values(values, source=str(path))
-
-
-def config_from_values(values: dict[str, str], source: str) -> ExperimentConfig:
     if "state" in values and "visibilities" in values:
-        raise ConfigError(f"{source}: 'state' and 'visibilities' are mutually exclusive")
+        raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
     kwargs: dict = {}
     try:
         for key in ("pair_rate", "accidental_rate", "integration_time"):
             if key in values:
                 kwargs[key] = float(values[key])
         if "state" in values:
-            quantum.parse_state(values["state"])  # validate early
             kwargs["state"] = values["state"]
         if "visibilities" in values:
-            spec = "visibilities:" + values["visibilities"]
-            quantum.parse_state(spec)
-            kwargs["state"] = spec
+            kwargs["state"] = "visibilities:" + values["visibilities"]
         if "seed" in values:
             kwargs["rng_seed"] = int(values["seed"])
         if "subtract_accidentals" in values:
@@ -120,9 +113,7 @@ def config_from_values(values: dict[str, str], source: str) -> ExperimentConfig:
         ]
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{source}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +196,11 @@ def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str]
         sys.stdout.write(text)
 
 
-def _fmt(x: float, digits: int) -> str:
-    """``x`` to ``digits`` decimals, a cell that rounds to zero unsigned:
-    Python 3.10 has no "z" format option, so round first and add 0.0."""
-    return f"{round(x, digits) + 0.0:.{digits}f}"
-
-
-def _fmt_deg(x: float) -> str:
-    return _fmt(x, 2)
-
-
-def _fmt4(x: float) -> str:
-    return _fmt(x, 4)
-
-
-def _fmt_opt(x: float | None, digits: int) -> str:
-    """``x`` to ``digits`` decimals, or a blank cell for an undefined value."""
-    return "" if x is None else _fmt(x, digits)
+def _fmt(x: float | None, digits: int) -> str:
+    """``x`` to ``digits`` decimals, a blank cell for an undefined (None)
+    value, and a cell that rounds to zero unsigned: Python 3.10 has no "z"
+    format option, so round first and add 0.0."""
+    return "" if x is None else f"{round(x, digits) + 0.0:.{digits}f}"
 
 
 def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
@@ -245,7 +224,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     columns = ["phi_deg"] + [f"bound_n{n}" for n in args.n_list] + ["singlet_l"]
     phis = [math.radians(deg) for deg in grid]
     bounds = [inequality.nlv_bound(n, phis).tolist() for n in args.n_list]
-    rows = [[_fmt_deg(deg), *(_fmt4(b) for b in cells), _fmt4(quantum.singlet_L(phi))]
+    rows = [[_fmt(deg, 2), *(_fmt(b, 4) for b in cells), _fmt(quantum.singlet_L(phi), 4)]
             for deg, phi, *cells in zip(grid, phis, *bounds)]
     _emit(args, build_manifest("bounds", args, None), columns, rows)
     return 0
@@ -253,9 +232,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.state:
-        config = dataclasses.replace(config, state=args.state)
-    state = config.resolve_state()
+    state = config.two_qubit_state
     phi = math.radians(args.phi)
     report = inequality.l_n(state, config.frames, args.n, phi)
     best_phi, best_violation = inequality.max_violation_phi(state, config.frames, args.n)
@@ -265,12 +242,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ]
     rows = [[
         str(args.n),
-        _fmt_deg(args.phi),
-        _fmt4(report.l_value),
-        _fmt4(report.bound),
-        _fmt4(report.violation),
-        _fmt_deg(math.degrees(best_phi)),
-        _fmt4(best_violation),
+        _fmt(args.phi, 2),
+        _fmt(report.l_value, 4),
+        _fmt(report.bound, 4),
+        _fmt(report.violation, 4),
+        _fmt(math.degrees(best_phi), 2),
+        _fmt(best_violation, 4),
     ]]
     _emit(args, build_manifest("predict", args, config), columns, rows)
     return 0
@@ -286,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     phi = math.radians(args.phi)
     summary = simulate.replicate(config, args.n, phi, args.runs)
-    n, deg = str(args.n), _fmt_deg(args.phi)
+    n, deg = str(args.n), _fmt(args.phi, 2)
     rows = []
     for run_idx, outcome in enumerate(summary.outcomes):
         seed_text = "-".join(str(s) for s in derive_seed(config.rng_seed, run_idx))
@@ -295,16 +272,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                          f"degenerate-data ({outcome})", "", ""])
         else:
             rows.append([
-                str(run_idx), n, deg, _fmt4(outcome.l_value), _fmt4(outcome.sigma),
-                _fmt4(outcome.bound), _fmt_opt(outcome.violation_sigmas, 2),
+                str(run_idx), n, deg, _fmt(outcome.l_value, 4), _fmt(outcome.sigma, 4),
+                _fmt(outcome.bound, 4), _fmt(outcome.violation_sigmas, 2),
                 seed_text, "ok", "", "",
             ])
     if summary.reports:
         rows.append([
-            "summary", n, deg, _fmt4(summary.mean_l), _fmt4(summary.mean_sigma),
-            _fmt4(inequality.nlv_bound(args.n, phi)), _fmt_opt(summary.mean_violation, 2),
-            "", "summary", _fmt_opt(summary.std_l, 4),
-            _fmt_opt(summary.std_over_sigma, 3),
+            "summary", n, deg, _fmt(summary.mean_l, 4), _fmt(summary.mean_sigma, 4),
+            _fmt(inequality.nlv_bound(args.n, phi), 4), _fmt(summary.mean_violation, 2),
+            "", "summary", _fmt(summary.std_l, 4), _fmt(summary.std_over_sigma, 3),
         ])
     _emit(args, build_manifest("simulate", args, config), _SIM_COLUMNS, rows)
     if not summary.reports:
@@ -315,7 +291,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    state = config.resolve_state()
+    state = config.two_qubit_state
     grid = _phi_grid_deg(args)
     columns = [
         "n", "phi_deg", "bound", "analytic_l", "singlet_l",
@@ -334,11 +310,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             failures = summary.runs - succeeded
             any_success = any_success or succeeded > 0
             rows.append([
-                str(n), _fmt_deg(deg), _fmt4(analytic.bound),
-                _fmt4(analytic.l_value), _fmt4(quantum.singlet_L(analytic.phi)),
-                _fmt_opt(summary.mean_l, 4), _fmt_opt(summary.std_l, 4),
-                _fmt_opt(summary.mean_sigma, 4),
-                _fmt_opt(summary.mean_violation, 2), str(succeeded),
+                str(n), _fmt(deg, 2), _fmt(analytic.bound, 4),
+                _fmt(analytic.l_value, 4), _fmt(quantum.singlet_L(analytic.phi), 4),
+                _fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
+                _fmt(summary.mean_violation, 2), str(succeeded),
                 "ok" if failures == 0 else f"degenerate-data x{failures}",
             ])
     _emit(args, build_manifest("sweep", args, config), columns, rows)
@@ -367,12 +342,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    """The --config file's config, or the defaults, under the given flags."""
+    given = {}
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, rng_seed=args.seed)
+        given["rng_seed"] = args.seed
     if getattr(args, "subtract_accidentals", False):
-        config = dataclasses.replace(config, subtract_accidentals=True)
-    return config
+        given["subtract_accidentals"] = True
+    if getattr(args, "state", None) is not None:
+        given["state"] = args.state
+    if not args.config:
+        return ExperimentConfig(**given)
+    config = load_config(args.config)
+    return dataclasses.replace(config, **given) if given else config
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +390,9 @@ def _parse_n_list(text: str) -> list[int]:
     values = [_positive_int(s) for s in text.split(",") if s.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"need positive setting counts, got {text!r}")
+    for i, n in enumerate(values):
+        if n in values[:i]:  # a repeated N would print its columns or cells twice
+            raise argparse.ArgumentTypeError(f"setting count {n} repeated in {text!r}")
     return values
 
 

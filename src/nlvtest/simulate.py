@@ -60,9 +60,10 @@ class DegenerateDataError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Source, detection, and schedule parameters for one simulated run;
-    ``frames`` holds the two measurement planes as sphere.check_frames
-    returns them."""
+    """Source, detection, and schedule parameters for one simulated run.
+    ``frames`` holds the two measurement planes as sphere.check_frames returns
+    them, and ``two_qubit_state`` the ``state`` spec as quantum.parse_state
+    returns it: a spec it refuses raises its ValueError at construction."""
 
     pair_rate: float = DEFAULT_PAIR_RATE
     accidental_rate: float = DEFAULT_ACCIDENTAL_RATE
@@ -71,6 +72,7 @@ class ExperimentConfig:
     frames: np.ndarray = field(default_factory=default_frames)
     rng_seed: int | tuple[int, ...] = 0
     subtract_accidentals: bool = False
+    two_qubit_state: quantum.TwoQubitState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pair_rate < math.inf:
@@ -87,9 +89,7 @@ class ExperimentConfig:
                 f"rng_seed must be a non-negative integer or a tuple of them, got {self.rng_seed!r}"
             )
         object.__setattr__(self, "frames", check_frames(self.frames))
-
-    def resolve_state(self) -> quantum.TwoQubitState:
-        return quantum.parse_state(self.state)
+        object.__setattr__(self, "two_qubit_state", quantum.parse_state(self.state))
 
 
 def estimate_C(counts: ArrayLike, shift: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     pairs (+,+), (-,-), (-,+), (+,-).  They depend on the config's state,
     rates and planes, not on its seed.
     """
-    p = quantum.outcome_probabilities(config.resolve_state(), *schedule_rows(config.frames, n, phi))
+    p = quantum.outcome_probabilities(config.two_qubit_state, *schedule_rows(config.frames, n, phi))
     t = config.integration_time
     return config.pair_rate * p * t + config.accidental_rate * t
 

@@ -15,6 +15,7 @@ from nlvtest import __version__
 from nlvtest.cli import ConfigError, _phi_grid_deg, build_parser, load_config, main, read_manifest
 from nlvtest.inequality import nlv_bound
 from nlvtest.quantum import singlet_L
+from nlvtest.simulate import ExperimentConfig
 
 
 def data_section(path) -> str:
@@ -307,6 +308,32 @@ class TestSweep:
         assert rows[0].split(",")[:5] == ["n", "phi_deg", "bound", "analytic_l", "singlet_l"]
         assert len(rows) == 1 + 2 * 2  # two N values, two angles each
 
+    def test_reproducible_from_manifest(self, tmp_path):
+        # a sparse source with custom planes, so the cells mix ok and degenerate runs
+        (tmp_path / "sweep.cfg").write_text(
+            "pair_rate = 0.6\naccidental_rate = 0.05\nstate = werner:0.95\n"
+            "subtract_accidentals = true\nplane1_seed = 0.6,0.8,0\n"
+            "plane2_normal = 0.8,-0.6,0\nplane2_seed = 0.6000000000006,0.8000000000008,0\n"
+        )
+        out = tmp_path / "orig.csv"
+        assert run("sweep", "--config", str(tmp_path / "sweep.cfg"), "--n-list", "3,1",
+                   "--phi-range=-5:12.5", "--step", "8.75", "--runs", "4", "--seed", "23",
+                   "--output", str(out)) == 0
+        manifest = read_manifest(out)
+        # rebuild the sweep purely from what the manifest recorded
+        keys = ["pair_rate", "accidental_rate", "integration_time", "state",
+                "subtract_accidentals"] + [f"plane{i}_{row}" for i in (1, 2)
+                                           for row in ("normal", "seed")]
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(f"seed = {manifest['seed']}\n"
+                       + "".join(f"{key} = {manifest['config.' + key]}\n" for key in keys))
+        replay = tmp_path / "replay.csv"
+        assert run("sweep", "--config", str(cfg), "--n-list", manifest["n_list"],
+                   f"--phi-range={manifest['phi_range_deg']}", "--step", manifest["step_deg"],
+                   "--runs", manifest["runs"], "--output", str(replay)) == 0
+        assert data_section(replay) == data_section(out)
+        assert "degenerate-data" in data_section(out) and ",ok" in data_section(out)
+
 
 class TestCheck:
     def test_quick_suites_pass(self, capsys):
@@ -375,6 +402,13 @@ class TestConfigParsing:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_state_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("state = wat:1\n")
+        code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
+        line = assert_one_line_error(code, capsys)
+        assert line == f"error: {cfg}: unknown state spec 'wat:1'"
+
     @pytest.mark.parametrize("line", [
         "pair_rate = nan", "pair_rate = inf", "accidental_rate = nan",
         "integration_time = inf", "seed = -2",
@@ -419,6 +453,18 @@ class TestBadInput:
             "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg", "check-grid-deg-neg"])
     def test_non_positive_count(self, capsys, argv, flag, value):
         assert_one_line_error(run(*argv), capsys, flag, repr(value))
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n-list", "2,3,2", "--phi", "15"),
+        ("bounds", "--n-list", "2,2", "--phi", "15", "--format", "json"),
+        ("sweep", "--n-list", "3,2,2", "--phi-range", "10:15", "--step", "5", "--runs", "2"),
+    ], ids=["bounds", "bounds-json", "sweep"])
+    def test_repeated_setting_count(self, capsys, argv):
+        assert_one_line_error(run(*argv), capsys, "--n-list", "setting count 2 repeated")
+
+    def test_empty_state_spec(self, capsys):
+        code = run("predict", "--state", "", "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys, "unknown state spec ''")
 
     def test_scan_resolution_above_180(self, capsys):
         # argparse rejects a negative --grid-deg; the scan rejects one above 180
@@ -475,6 +521,41 @@ class TestBadInput:
                      ("simulate", "--n", "2", "--phi", "15", "--runs", "2", "--seed", "1")):
             code = run(argv[0], "--config", str(cfg), *argv[1:])
             assert_one_line_error(code, capsys, "orthogonal")
+
+
+class TestConfigFromArgs:
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--state", "singlet", "--n", "2", "--phi", "15"),
+        ("simulate", "--n", "2", "--phi", "15", "--seed", "3", "--subtract-accidentals"),
+    ], ids=["predict", "simulate"])
+    def test_one_config_per_command(self, tmp_path, monkeypatch, argv):
+        built = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counted(config):
+            built.append(config)
+            post_init(config)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+        assert run(*argv, "--output", str(tmp_path / "out.csv")) == 0
+        assert len(built) == 1
+
+    def test_flags_override_the_file(self, tmp_path):
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text("seed = 5\nsubtract_accidentals = true\nstate = werner:0.9\n")
+        out = tmp_path / "out.csv"
+
+        def manifest(*argv):
+            assert run(*argv, "--config", str(cfg), "--n", "2", "--phi", "15",
+                       "--output", str(out)) == 0
+            recorded = read_manifest(out)
+            return (recorded["seed"], recorded["config.subtract_accidentals"],
+                    recorded["config.state"])
+
+        assert manifest("simulate", "--seed", "6") == ("6", "true", "werner:0.9")
+        assert manifest("simulate") == ("5", "true", "werner:0.9")
+        assert manifest("predict", "--state", "singlet") == ("5", "true", "singlet")
+        assert manifest("predict") == ("5", "true", "werner:0.9")
 
 
 # In-process calls share one parser; each must print what the same argv

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlvtest.inequality import InequalityReport
-from nlvtest.quantum import outcome_probabilities
+from nlvtest.quantum import outcome_probabilities, parse_state
 from nlvtest.simulate import (
     DegenerateDataError,
     ExperimentConfig,
@@ -38,7 +38,7 @@ def reference_run(config, n, phi):
     """The sequential sampler: settings in sampling order, one scalar Poisson
     draw per sign pair (+,+), (-,-), (-,+), (+,-), each setting estimated
     as soon as it is drawn."""
-    state = config.resolve_state()
+    state = config.two_qubit_state
     rng = np.random.default_rng(config.rng_seed)
     t = config.integration_time
     accidental = config.accidental_rate * t
@@ -98,6 +98,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="rng_seed"):
                 ExperimentConfig(rng_seed=seed)
 
+    def test_state_spec_is_parsed_at_construction(self):
+        cfg = ExperimentConfig(state="werner:0.9")
+        assert np.allclose(cfg.two_qubit_state.rho, parse_state("werner:0.9").rho)
+        assert "two_qubit_state" not in repr(cfg)
+        for build in (lambda: ExperimentConfig(state="wat:1"),
+                      lambda: dataclasses.replace(cfg, state="wat:1")):
+            with pytest.raises(ValueError, match="^unknown state spec 'wat:1'$"):
+                build()
+
     @pytest.mark.parametrize("seed", [1.5, math.nan, (1, 2.5), "3", None])
     def test_refuses_a_seed_that_is_not_an_integer(self, seed):
         message = re.escape(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
@@ -136,7 +145,7 @@ class TestSampleQuad:
         for n, phi, state in ((1, 0.0, "singlet"), (4, math.radians(15), "werner:0.9"),
                               (8, 1.1, "bell_diagonal:-0.5,0.2,-0.1")):
             cfg = ExperimentConfig(state=state, pair_rate=1234.5, accidental_rate=0.7)
-            p = outcome_probabilities(cfg.resolve_state(), *schedule_rows(cfg.frames, n, phi))
+            p = outcome_probabilities(cfg.two_qubit_state, *schedule_rows(cfg.frames, n, phi))
             t = cfg.integration_time
             want = cfg.pair_rate * p * t + cfg.accidental_rate * t
             assert mean_table(cfg, n, phi).tolist() == want.tolist()  # bit for bit
@@ -343,7 +352,7 @@ class TestRunExperiment:
         )
         # row 0 of the N = 1 table is the setting pair (a, a)
         a, b = schedule_rows(cfg.frames, 1, phi)
-        p = outcome_probabilities(cfg.resolve_state(), a[:1], b[:1])[0]
+        p = outcome_probabilities(cfg.two_qubit_state, a[:1], b[:1])[0]
         true_c = float(p @ [1.0, 1.0, -1.0, -1.0])  # (+,+) + (-,-) - (-,+) - (+,-)
         counts = np.random.default_rng(19).poisson(mean_table(cfg, 1, phi)[0], size=(10_000, 4))
         c_hats = [estimate_C(row)[0] for row in counts.tolist()]
