@@ -196,7 +196,7 @@ def leggett_suite(
                 "two-setting-scan-infeasible",
                 not scan.feasible_found,
                 f"grid {scan.grid_size} points, best margin {scan.best_margin:.3e} "
-                f"({scan.candidates_checked} candidates fully checked)",
+                f"({scan.candidates_checked} candidates checked)",
             )
         )
     return results

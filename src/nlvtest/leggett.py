@@ -15,9 +15,12 @@ and one correlation function C(u, v; a, b) covering every component.
 Settings are stacked (k, 3) rows (one evaluation is k = 1), and each
 function is elementwise arithmetic on the projections a.u, b.v and a.b: the
 interval, the (k, 4) outcome tables in the quantum sign order (+,+), (-,-),
-(-,+), (+,-), and the explicit model's validity margin, written once for
-the direct evaluation and the sphere-grid scan of whether one component
-can reproduce a whole setting schedule.
+(-,+), (+,-), and the explicit model's validity margin.  The margin is
+written once, on its u half (from a.u and a.b) and its v half (from b.v),
+for the direct evaluation and for the sphere-grid scan of whether one
+component can reproduce a whole setting schedule; the scan computes each
+half once per grid point and drops a candidate as soon as its first pair
+columns show that it cannot win.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ _POSITIVITY_TOL = 1e-12
 # correlation may leave its interval by four times the entry tolerance.
 _INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
 _SCAN_TOL = 1e-12  # slack on the scan's pivot interval and its feasibility test
-_SCAN_BLOCK = 2048  # candidate rows the scan scores per _margin call, whole u segments
+_SCAN_BLOCK = 2048  # candidates per block of the scan, whole u segments
+_SCAN_HEAD = 3  # pair columns the scan scores on every candidate of a block
 
 
 class ConstraintViolationError(ValueError):
@@ -169,10 +173,13 @@ def product_ensemble(weights: ArrayLike, u: ArrayLike, v: ArrayLike) -> PureEnse
     return PureEnsemble(weights, u, v, _product_correlation)
 
 
-def _margin(x, y, d):
-    """(1 - s y) - |d + s x| minimised over s = +-1, elementwise on the
-    projections x = u.a, y = v.b and d = a.b."""
-    return np.minimum((1.0 - y) - np.abs(d + x), (1.0 + y) - np.abs(d - x))
+def _margin(u_half, v_half):
+    """The explicit model's margin min((1 - y) - |d + x|, (1 + y) - |d - x|),
+    elementwise, from its u half (|d + x|, |d - x|) and its v half
+    (1 - y, 1 + y), each a pair of like-shaped arrays, where x = u.a,
+    y = v.b and d = a.b are the projections on one measured pair."""
+    (plus, minus), (low, high) = u_half, v_half
+    return np.minimum(low - plus, high - minus)
 
 
 def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.ndarray:
@@ -190,7 +197,8 @@ def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.nd
     a, b = pairs[..., 0, :], pairs[..., 1, :]
     x = _dot(np.asarray(u, dtype=float)[..., None, :], a)
     y = _dot(np.asarray(v, dtype=float)[..., None, :], b)
-    return _margin(x, y, _dot(a, b)).min(axis=-1)
+    d = _dot(a, b)
+    return _margin((np.abs(d + x), np.abs(d - x)), (1.0 - y, 1.0 + y)).min(axis=-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,15 +236,27 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     (NaN too) is refused with a ValueError naming the first such row.  Every
     (u, v) grid pair is covered: the condition on one measured pair, the
     pivot with the narrowest interval on average, bounds v.b to an interval
-    set by u alone, so grid points v outside it are excluded wholesale.  The
-    survivors are taken in flat order, by u index and then in pivot order,
-    and scored with the full margin one block at a time: whole u segments,
-    about _SCAN_BLOCK candidates per _margin call.  The scan stops at the
-    first feasible candidate in flat order, which is the best pair, and
-    ``candidates_checked`` counts the candidates up to it; otherwise the best
-    pair is the first flat argmax and every survivor is counted.  With
+    set by u alone, so grid points v outside it are excluded wholesale.  With
     aligned pairs (a = b) in the schedule the pivot pins v.a to -u.a within
     _SCAN_TOL, which prunes all but near-antipodal pairs.
+
+    The survivors, the candidates, are taken in flat order, by u index and
+    then in pivot order, one block of whole u segments (about _SCAN_BLOCK
+    candidates) at a time.  Each half of the margin is computed once per grid
+    point and stored pair-major, one pair column per row, so a block is
+    scored one pair column at a time.  Every candidate of a block gets the
+    minimum over the first _SCAN_HEAD columns; t is the full margin of the
+    candidate with the best such minimum, and only the candidates whose
+    minimum is at least min(-_SCAN_TOL, max(best so far, t)) are scored on
+    the other columns.  Dropping the others is sound: a minimum over more
+    columns can only be lower, so a dropped candidate's margin is below
+    -_SCAN_TOL, hence not feasible, and below max(best so far, t), hence
+    worse than an earlier block's best or than the candidate scoring t; it
+    can be neither the first feasible candidate nor the first best.  The
+    result is that of scoring every candidate in full.  The scan stops at
+    the first feasible candidate in flat order, which is the best pair, and
+    ``candidates_checked`` counts the candidates up to it; otherwise the best
+    pair is the first flat argmax and every candidate is counted.
     """
     rows = np.asarray(pairs, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
@@ -254,15 +274,45 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
 
+    # The margin's halves, pair-major (m, n_grid) so that a pair column is one
+    # row: the u half |d + u.a|, |d - u.a| in grid order, the v half 1 - v.b,
+    # 1 + v.b in pivot order.  Each (n_grid, m) array is freed once used, and
+    # the v half reuses the width's buffer, so that at most four such arrays
+    # are live at once: a fresh one costs page faults.
     ua = grid @ a_mat.T  # (n_grid, m)
-    vb = grid @ b_mat.T
-    hi = 1.0 - np.abs(d + ua) + _SCAN_TOL
-    lo = -1.0 + np.abs(d - ua) - _SCAN_TOL
-    pivot = int(np.argmin(np.median(hi - lo, axis=0)))
-    order = np.argsort(vb[:, pivot], kind="stable")
-    j_lo = np.searchsorted(vb[order, pivot], lo[:, pivot], side="left")
-    j_hi = np.searchsorted(vb[order, pivot], hi[:, pivot], side="right")
+    u_half = (np.add(d[:, None], ua.T, order="C"), np.subtract(d[:, None], ua.T, order="C"))
+    del ua
+    for h in u_half:
+        np.abs(h, out=h)
 
+    def interval(rows):
+        """The bounds hi, lo that the condition on pairs ``rows`` sets on v.b."""
+        return 1.0 - u_half[0][rows] + _SCAN_TOL, -1.0 + u_half[1][rows] - _SCAN_TOL
+
+    width, lo = interval(slice(None))
+    width -= lo  # hi - lo, in place
+    del lo
+    pivot = int(np.argmin(np.median(width, axis=1, overwrite_input=True)))
+    hi, lo = interval(pivot)
+    vb = grid @ b_mat.T
+    order = np.argsort(vb[:, pivot], kind="stable")
+    j_lo = np.searchsorted(vb[order, pivot], lo, side="left")
+    j_hi = np.searchsorted(vb[order, pivot], hi, side="right")
+    # v.b in pivot order, one row per pair, into the width's buffer: with mode
+    # "clip" (order is in range) take writes to the row itself, not to a copy
+    y = width
+    for c in range(y.shape[0]):
+        np.take(vb[:, c], order, out=y[c], mode="clip")
+    del vb
+    v_half = (1.0 - y, np.add(1.0, y, out=y))  # 1 + v.b written over v.b, once 1 - v.b is taken
+
+    def score(cols, ui, vi):
+        """The margin's minimum over pair columns ``cols`` for candidates (ui, vi)."""
+        u = [h[cols].take(ui, axis=-1) for h in u_half]
+        v = [h[cols].take(vi, axis=-1) for h in v_half]
+        return _margin(u, v).min(axis=0, initial=math.inf)
+
+    head, tail = slice(None, _SCAN_HEAD), slice(_SCAN_HEAD, None)
     segs = np.flatnonzero(j_hi > j_lo)  # the u indices with survivors, in order
     lens = (j_hi - j_lo)[segs]
     ends = np.cumsum(lens)  # flat position after each segment
@@ -274,15 +324,21 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
         total = int(ends[stop - 1]) - base
         offs = ends[start:stop] - seg_lens - base  # each segment's offset in the block
         ui = np.repeat(seg, seg_lens)
-        cand = order[np.repeat(j_lo[seg] - offs, seg_lens) + np.arange(total)]
-        margins = _margin(ua[ui], vb[cand], d).min(axis=1)
+        vi = np.repeat(j_lo[seg] - offs, seg_lens) + np.arange(total)
+        bound = score(head, ui, vi)  # an upper bound on each candidate's margin
+        k = int(np.argmax(bound))
+        t = float(score(slice(None), ui[k], vi[k]))
+        kept = np.flatnonzero(bound >= min(-_SCAN_TOL, max(best_margin, t)))
+        start, checked = stop, base + total
+        if not kept.size:  # no candidate of the block beats an earlier block's best
+            continue
+        margins = np.minimum(bound[kept], score(tail, ui[kept], vi[kept]))
         feasible = np.flatnonzero(margins >= -_SCAN_TOL)
         j = int(feasible[0]) if feasible.size else int(np.argmax(margins))
         if margins[j] > best_margin:
             best_margin = float(margins[j])
-            best = (tuple(grid[ui[j]].tolist()), tuple(grid[cand[j]].tolist()))
-        checked = base + (j + 1 if feasible.size else total)
+            best = (tuple(grid[ui[kept[j]]].tolist()), tuple(grid[order[vi[kept[j]]]].tolist()))
         if feasible.size:  # the scan stops at the first one in flat order
+            checked = base + int(kept[j]) + 1
             break
-        start = stop
     return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)

@@ -213,8 +213,11 @@ def parse_state(spec: str) -> TwoQubitState:
 
     Accepted forms: ``singlet``, ``mixed``, ``werner:V``, ``colored:V``,
     ``bell_diagonal:t1,t2,t3`` and ``visibilities:v1,v2,v3`` (shorthand for
-    bell_diagonal(-v1, -v2, -v3)).
+    bell_diagonal(-v1, -v2, -v3)).  A spec that is not a str is refused
+    with a ValueError naming its type.
     """
+    if not isinstance(spec, str):
+        raise ValueError(f"state spec must be a str, got {type(spec).__name__}")
     name, _, arg = spec.strip().partition(":")
     name = name.strip().lower()
     try:

@@ -10,7 +10,7 @@ import numpy as np
 from nlvtest._checks import CheckResult
 from nlvtest._checks import _unit_rows as unit_rows
 from nlvtest.inequality import discrete_average, nlv_bound, u_coefficient
-from nlvtest.leggett import _SCAN_TOL, GridScanResult, _margin, _sphere_grid
+from nlvtest.leggett import _SCAN_TOL, GridScanResult, _sphere_grid
 from nlvtest.sphere import _cross, check_frames
 
 
@@ -154,7 +154,9 @@ def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
 def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
     """scan_explicit_model's grid and pivot windows, scored one grid point u
     at a time: each u's surviving v in pivot order, stopping at the first
-    feasible pair, else keeping the first best margin with a strict >."""
+    feasible pair, else keeping the first best margin with a strict >.  Every
+    candidate gets the full margin over all pairs, written out here rather
+    than taken from leggett._margin, and nothing is pruned."""
     rows = np.asarray(pairs, dtype=float)
     grid = _sphere_grid(round(180.0 / resolution_deg))
     a_mat, b_mat = rows[:, 0], rows[:, 1]
@@ -171,7 +173,8 @@ def reference_scan(pairs, resolution_deg: float) -> GridScanResult:
     best_margin, best, checked = -math.inf, (None, None), 0
     for i in np.flatnonzero(j_hi > j_lo):
         candidates = order[j_lo[i]:j_hi[i]]
-        margins = _margin(ua[i], vb[candidates], d).min(axis=1)
+        x, y = ua[i], vb[candidates]
+        margins = np.minimum((1.0 - y) - np.abs(d + x), (1.0 + y) - np.abs(d - x)).min(axis=1)
         feasible = np.flatnonzero(margins >= -_SCAN_TOL)
         if feasible.size:  # the scan stops at the first one in pivot order
             j = int(feasible[0])

@@ -146,13 +146,14 @@ def test_07_explicit_model_feasibility():
             break
     pairs2 = np.stack(schedule_rows(frames, 2, math.radians(15.0)), axis=1)
     scan = scan_explicit_model(pairs2, resolution_deg=1.0)
-    ok = n1_ok and not scan.feasible_found
+    # every one of the 650,178 candidates left by the pivot interval is checked
+    ok = n1_ok and not scan.feasible_found and scan.candidates_checked == 650178
     report(
         "criterion-7 explicit-model-feasibility",
         ok,
         f"single-setting construction feasible on 50 angles: {n1_ok}; "
         f"two-setting scan over {scan.grid_size}^2 grid pairs found nothing "
-        f"(best margin {scan.best_margin:.3e})",
+        f"(best margin {scan.best_margin:.3e}, {scan.candidates_checked} candidates checked)",
     )
 
 

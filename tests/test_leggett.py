@@ -523,6 +523,26 @@ class TestExplicitModel:
         assert res.feasible_found and res.candidates_checked > 10 * _SCAN_BLOCK
         assert repr(res) == repr(reference_scan(pairs, 3.0))
 
+    # At phi = 0 every pair is aligned and v = -u has a margin of exactly 0.0,
+    # on the -_SCAN_TOL edge of the prune and of the feasibility test.
+    @pytest.mark.parametrize("resolution", [6.0, 10.0])
+    @pytest.mark.parametrize("phi_deg", [0.0, 90.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scan_prunes_nothing_that_can_win(self, n, phi_deg, resolution):
+        pairs = schedule_pairs(n, math.radians(phi_deg))
+        res = scan_explicit_model(pairs, resolution_deg=resolution)
+        assert repr(res) == repr(reference_scan(pairs, resolution))
+
+    # Three pairs of the N = 2 schedule, infeasible on these grids: with no more
+    # pairs than head columns every candidate is scored in full before the
+    # prune, so the block's best pair must survive its own threshold.
+    @pytest.mark.parametrize("resolution", [10.0, 20.0, 30.0])
+    def test_scan_keeps_a_best_pair_set_by_the_head_columns(self, resolution):
+        pairs = schedule_pairs(2, math.radians(15.0))[[1, 3, 5]]
+        res = scan_explicit_model(pairs, resolution_deg=resolution)
+        assert not res.feasible_found
+        assert repr(res) == repr(reference_scan(pairs, resolution))
+
     @pytest.mark.parametrize("row", [[math.nan] * 3, [math.inf, 0.0, 0.0], [0.0] * 3,
                                      [2.0, 0.0, 0.0], [1e200, 0.0, 0.0]],
                              ids=["nan", "inf", "zero", "twice", "huge"])

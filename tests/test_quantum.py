@@ -296,3 +296,8 @@ class TestParseState:
         for spec in ("nope", "werner:", "werner:2", "bell_diagonal:1,2", "singlet:x"):
             with pytest.raises(ValueError):
                 parse_state(spec)
+
+    @pytest.mark.parametrize("spec, name", [(None, "NoneType"), (3, "int"), (b"singlet", "bytes")])
+    def test_refuses_a_spec_that_is_not_a_str(self, spec, name):
+        with pytest.raises(ValueError, match=f"^state spec must be a str, got {name}$"):
+            parse_state(spec)

@@ -107,6 +107,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="^unknown state spec 'wat:1'$"):
                 build()
 
+    @pytest.mark.parametrize("state, name", [(None, "NoneType"), (3, "int"), (b"singlet", "bytes")])
+    def test_refuses_a_state_spec_that_is_not_a_str(self, state, name):
+        cfg = ExperimentConfig()
+        for build in (lambda: ExperimentConfig(state=state),
+                      lambda: dataclasses.replace(cfg, state=state)):
+            with pytest.raises(ValueError, match=f"^state spec must be a str, got {name}$"):
+                build()
+
     @pytest.mark.parametrize("seed", [1.5, math.nan, (1, 2.5), "3", None])
     def test_refuses_a_seed_that_is_not_an_integer(self, seed):
         message = re.escape(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
