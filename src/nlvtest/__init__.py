@@ -47,7 +47,6 @@ from .simulate import (
     estimate_C,
     mean_table,
     replicate,
-    run_experiment,
 )
 from .sphere import (
     SettingSchedule,
@@ -70,6 +69,5 @@ __all__ = [
     "u_coefficient", "discrete_average", "l_n",
     "nlv_bound", "continuum_bound",
     "optimal_phi", "max_violation_phi",
-    "ExperimentConfig", "DegenerateDataError", "estimate_C", "mean_table",
-    "run_experiment", "replicate",
+    "ExperimentConfig", "DegenerateDataError", "estimate_C", "mean_table", "replicate",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _checks, inequality, quantum, simulate
-from .simulate import DegenerateDataError, ExperimentConfig, derive_seed
+from .simulate import DegenerateDataError, ExperimentConfig
 from .sphere import default_frames
 
 __all__ = ["main", "ConfigError", "load_config", "read_manifest"]
@@ -266,7 +266,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n, deg = str(args.n), _fmt(args.phi, 2)
     rows = []
     for run_idx, outcome in enumerate(summary.outcomes):
-        seed_text = "-".join(str(s) for s in derive_seed(config.rng_seed, run_idx))
+        seed_text = f"{config.rng_seed}-{run_idx}"
         if isinstance(outcome, DegenerateDataError):
             rows.append([str(run_idx), n, deg, "", "", "", "", seed_text,
                          f"degenerate-data ({outcome})", "", ""])
@@ -302,10 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for n in args.n_list:
         analytic_reports = inequality.l_n(state, config.frames, n, [math.radians(d) for d in grid])
         for phi_idx, (deg, analytic) in enumerate(zip(grid, analytic_reports)):
-            cell_config = dataclasses.replace(
-                config, rng_seed=derive_seed(config.rng_seed, n, phi_idx)
-            )
-            summary = simulate.replicate(cell_config, n, analytic.phi, args.runs)
+            summary = simulate.replicate(config, n, analytic.phi, args.runs, cell=(n, phi_idx))
             succeeded = len(summary.reports)
             failures = summary.runs - succeeded
             any_success = any_success or succeeded > 0
@@ -481,9 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -135,7 +135,9 @@ def nlv_bound(n: int, phi: ArrayLike):
 
 
 def continuum_bound(phi: float) -> float:
-    """All-directions limit of the bound: 4 - (4/pi)|sin(phi/2)|."""
+    """All-directions limit of the bound: 4 - (4/pi)|sin(phi/2)|, at one
+    angle, refused as every angle input is if it is NaN or infinite."""
+    _angle_list(phi)
     return 4.0 - (4.0 / math.pi) * abs(math.sin(phi / 2.0))
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "DegenerateDataError",
     "estimate_C",
     "mean_table",
-    "run_experiment",
     "ReplicateSummary",
     "replicate",
 ]
@@ -51,11 +50,17 @@ DEFAULT_STATE = "visibilities:0.995,0.990,0.982"
 
 
 class DegenerateDataError(RuntimeError):
-    """All four counts of a quad vanished; the estimator is undefined."""
+    """A run's outcome when all four counts of a quad vanished, so the
+    estimator is undefined; ``setting`` names the first such quad."""
 
     def __init__(self, message: str, setting: tuple | None = None):
         super().__init__(message)
         self.setting = setting
+
+
+def _is_non_negative_int(value) -> bool:
+    """True for an int >= 0 that is not a bool (True would seed as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +75,7 @@ class ExperimentConfig:
     integration_time: float = DEFAULT_INTEGRATION_TIME
     state: str = DEFAULT_STATE
     frames: np.ndarray = field(default_factory=default_frames)
-    rng_seed: int | tuple[int, ...] = 0
+    rng_seed: int = 0
     subtract_accidentals: bool = False
     two_qubit_state: quantum.TwoQubitState = field(init=False, repr=False)
 
@@ -83,11 +88,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"integration_time must be positive and finite, got {self.integration_time}"
             )
-        seeds = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
-        if not all(isinstance(s, int) and s >= 0 for s in seeds):
-            raise ValueError(
-                f"rng_seed must be a non-negative integer or a tuple of them, got {self.rng_seed!r}"
-            )
+        if not _is_non_negative_int(self.rng_seed):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         object.__setattr__(self, "frames", check_frames(self.frames))
         object.__setattr__(self, "two_qubit_state", quantum.parse_state(self.state))
 
@@ -100,9 +102,16 @@ def estimate_C(counts: ArrayLike, shift: float | None = None) -> tuple[np.ndarra
     With ``shift`` (the expected accidentals per port, rate * duration) the
     estimates use the counts minus ``shift``, floored at zero, while the
     variances keep the raw Poisson counts.  A row whose total is not
-    positive has no estimate: both of its entries are NaN.
+    positive has no estimate: both of its entries are NaN.  A count that is
+    negative, NaN or infinite, and a shift that is negative or not finite,
+    are refused with a ValueError naming the value.
     """
     rows = np.asarray(counts)
+    bad = ~((rows >= 0) & (rows < math.inf))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"counts must be finite and non-negative, got {rows[bad][0].item()!r}")
+    if shift is not None and not 0.0 <= shift < math.inf:
+        raise ValueError(f"shift must be non-negative and finite, got {shift!r}")
     raw_same = rows[..., 0] + rows[..., 1]
     raw_diff = rows[..., 2] + rows[..., 3]
     if shift is None:
@@ -136,7 +145,7 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
 
 
 def _counting_runs(
-    config: ExperimentConfig, n: int, phi: float, seeds: Sequence[int | tuple[int, ...]],
+    config: ExperimentConfig, n: int, phi: float, seeds: Sequence[tuple[int, ...]],
 ) -> list[InequalityReport | DegenerateDataError]:
     """Each seed's run, drawn and estimated together: its report, or a
     DegenerateDataError naming its first setting without counts."""
@@ -159,22 +168,6 @@ def _counting_runs(
         else:
             outcomes.append(InequalityReport(n, phi, l_value, sigma))
     return outcomes
-
-
-def run_experiment(config: ExperimentConfig, n: int, phi: float) -> InequalityReport:
-    """Simulate one full 4N-setting measurement and assemble the report.
-
-    All 16N counts come from one Poisson draw over the (4N, 4) mean table,
-    in its row-major order: plane 1 then plane 2, rotation index ascending,
-    Bob at offset 0 then phi, sign pairs (+,+), (-,-), (-,+), (+,-).  The
-    report's sigma adds the per-setting variances in quadrature
-    (independent settings).  Raises DegenerateDataError at a setting
-    without counts.
-    """
-    (outcome,) = _counting_runs(config, n, phi, [config.rng_seed])
-    if isinstance(outcome, DegenerateDataError):
-        raise outcome
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -206,28 +199,26 @@ class ReplicateSummary:
         return self.std_l / self.mean_sigma
 
 
-def derive_seed(base: int | tuple[int, ...] | Sequence[int], *parts: int) -> tuple[int, ...]:
-    """Deterministic per-cell seed: the base seed extended by index parts."""
-    if isinstance(base, int):
-        return (base, *parts)
-    return (*tuple(base), *parts)
-
-
-def replicate(config: ExperimentConfig, n: int, phi: float, runs: int) -> ReplicateSummary:
-    """Run ``runs`` experiments seeded ``derive_seed(config.rng_seed, run)``
-    and summarize them.
+def replicate(config: ExperimentConfig, n: int, phi: float, runs: int,
+              cell: tuple[int, ...] = ()) -> ReplicateSummary:
+    """Run ``runs`` experiments, run r seeded ``(config.rng_seed, *cell, r)``,
+    and summarize them.  ``cell`` keeps apart the runs of several replicates
+    on one config: a sweep passes each (N, phi) cell's (N, phi index).
 
     A run whose counts vanish is kept in ``outcomes`` as its
     DegenerateDataError, in run order; the statistics cover the other runs.
     ``std_l`` (ddof=1) is None below two such runs, ``mean_l`` and
     ``mean_sigma`` are None when there are none, and ``mean_violation``
     averages the runs whose ``violation_sigmas`` is defined (None if none
-    is).  Raises ValueError for ``runs < 1``.
+    is).  Raises ValueError for ``runs`` other than a positive int and for
+    ``cell`` other than a tuple of non-negative ints (bools refused in both).
     """
-    if runs < 1:
-        raise ValueError(f"need at least 1 run, got {runs}")
+    if not (_is_non_negative_int(runs) and runs >= 1):
+        raise ValueError(f"need a positive integer run count, got {runs!r}")
+    if not (isinstance(cell, tuple) and all(_is_non_negative_int(i) for i in cell)):
+        raise ValueError(f"cell must be a tuple of non-negative integers, got {cell!r}")
     outcomes = _counting_runs(
-        config, n, phi, [derive_seed(config.rng_seed, run_idx) for run_idx in range(runs)])
+        config, n, phi, [(config.rng_seed, *cell, run_idx) for run_idx in range(runs)])
     reports = [o for o in outcomes if isinstance(o, InequalityReport)]
     l_values = np.array([r.l_value for r in reports])
     violations = [r.violation_sigmas for r in reports if r.violation_sigmas is not None]

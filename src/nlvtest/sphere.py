@@ -76,13 +76,19 @@ def _setting_count(n) -> int:
 
 def _angle_list(phi) -> list[float] | None:
     """The angles of a 1-D array ``phi`` as a list of floats, or None for one
-    angle (a number or a 0-d array); any other shape is refused."""
+    angle (a number or a 0-d array).  Any other shape, and a NaN or infinite
+    angle, is refused with a ValueError naming it."""
     if isinstance(phi, float):  # one angle, without an array conversion
-        return None
-    angles = np.asarray(phi, dtype=float)
-    if angles.ndim > 1:
-        raise ValueError(f"need one angle or a 1-D array of angles, got shape {angles.shape}")
-    return angles.tolist() if angles.ndim else None
+        one, angles = True, [phi]
+    else:
+        array = np.asarray(phi, dtype=float)
+        if array.ndim > 1:
+            raise ValueError(f"need one angle or a 1-D array of angles, got shape {array.shape}")
+        one, angles = array.ndim == 0, np.atleast_1d(array).tolist()
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"need a finite angle, got {angle!r}")
+    return None if one else angles
 
 
 def check_frames(frames: ArrayLike) -> np.ndarray:

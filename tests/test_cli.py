@@ -12,10 +12,12 @@ import pytest
 
 import nlvtest
 from nlvtest import __version__
-from nlvtest.cli import ConfigError, _phi_grid_deg, build_parser, load_config, main, read_manifest
+from nlvtest.cli import (
+    ConfigError, _fmt, _phi_grid_deg, build_parser, load_config, main, read_manifest,
+)
 from nlvtest.inequality import nlv_bound
 from nlvtest.quantum import singlet_L
-from nlvtest.simulate import ExperimentConfig
+from nlvtest.simulate import ExperimentConfig, replicate
 
 
 def data_section(path) -> str:
@@ -682,3 +684,17 @@ class TestGolden:
         argv = [str(tmp_path / f"{arg}.cfg") if arg in CONFIGS else arg for arg in argv]
         assert run(*argv, "--output", str(out)) == 0
         assert data_section(out) == expected
+
+    def test_sweep_cells_are_replicates_seeded_by_cell(self):
+        # each sweep-sparse-mixed cell summarises replicate(..., cell=(N, phi
+        # index)), whose run r is seeded (3, N, phi index, r); without the
+        # cell, run r is seeded (3, r) and the cell's numbers change
+        _, expected = GOLDEN["sweep-sparse-mixed"]
+        config = ExperimentConfig(pair_rate=1.0, accidental_rate=0.0, rng_seed=3)
+        for phi_idx, line in enumerate(expected.splitlines()[1:]):
+            cells = line.split(",")
+            phi = math.radians(float(cells[1]))
+            summary = replicate(config, 2, phi, 10, cell=(2, phi_idx))
+            assert [_fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
+                    _fmt(summary.mean_violation, 2), str(len(summary.reports))] == cells[5:10]
+            assert replicate(config, 2, phi, 10).mean_l != summary.mean_l

@@ -44,7 +44,8 @@ from nlvtest.quantum import (
     singlet_L,
     werner,
 )
-from nlvtest.sphere import default_frames, plane_settings
+from nlvtest.simulate import ExperimentConfig, mean_table, replicate
+from nlvtest.sphere import default_frames, offset_settings, plane_settings, schedule_rows
 
 
 class TestUCoefficient:
@@ -479,6 +480,34 @@ class TestSettingCount:
     def test_integral_float_counts_as_its_integer(self, entry):
         two = _COUNT_ENTRY_POINTS[entry]
         assert np.asarray(two(2.0)).tolist() == np.asarray(two(2)).tolist()
+
+
+_ANGLE_ENTRY_POINTS = {
+    "nlv_bound": lambda phi: nlv_bound(2, phi),
+    "continuum_bound": continuum_bound,
+    "InequalityReport": lambda phi: InequalityReport(2, phi, 3.0),
+    "l_n": lambda phi: l_n(singlet(), default_frames(), 2, phi),
+    "offset_settings": lambda phi: offset_settings(*plane_settings(default_frames(), 2), phi),
+    "schedule_rows": lambda phi: schedule_rows(default_frames(), 2, phi),
+    "mean_table": lambda phi: mean_table(ExperimentConfig(), 2, phi),
+    "replicate": lambda phi: replicate(ExperimentConfig(), 2, phi, 1),
+}
+_ANGLE_ARRAY_ENTRY_POINTS = ("nlv_bound", "l_n", "offset_settings", "schedule_rows")
+
+
+class TestFiniteAngle:
+    # every angle input passes sphere._angle_list, which refuses NaN and +-inf
+    # before any row is built; a NaN angle used to give a NaN bound or fail
+    # deep inside with "correlation/probability nan outside ..."
+    @pytest.mark.parametrize("entry, phi, bad", [
+        *((entry, x, x) for entry in _ANGLE_ENTRY_POINTS for x in (math.nan, math.inf, -math.inf)),
+        *((entry, [0.1, math.nan, math.inf], math.nan) for entry in _ANGLE_ARRAY_ENTRY_POINTS),
+        ("nlv_bound", np.array(-math.inf), -math.inf),
+    ])
+    def test_refuses_an_angle_that_is_not_finite(self, entry, phi, bad):
+        message = re.escape(f"need a finite angle, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _ANGLE_ENTRY_POINTS[entry](phi)
 
 
 class TestMaxViolationSearch:

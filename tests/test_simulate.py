@@ -13,11 +13,9 @@ from nlvtest.quantum import outcome_probabilities, parse_state
 from nlvtest.simulate import (
     DegenerateDataError,
     ExperimentConfig,
-    derive_seed,
     estimate_C,
     mean_table,
     replicate,
-    run_experiment,
 )
 from nlvtest.sphere import schedule_rows
 
@@ -34,12 +32,12 @@ def law(state, a, b, r_a, r_b):
     return min(1.0, max(0.0, ((1.0 + r_a * x) + r_b * (y + r_a * c)) / 4.0))
 
 
-def reference_run(config, n, phi):
-    """The sequential sampler: settings in sampling order, one scalar Poisson
-    draw per sign pair (+,+), (-,-), (-,+), (+,-), each setting estimated
-    as soon as it is drawn."""
+def reference_run(config, n, phi, seed):
+    """The sequential sampler seeded ``seed``: settings in sampling order, one
+    scalar Poisson draw per sign pair (+,+), (-,-), (-,+), (+,-), each
+    setting estimated as soon as it is drawn."""
     state = config.two_qubit_state
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     t = config.integration_time
     accidental = config.accidental_rate * t
     l_value = 0.0
@@ -75,6 +73,22 @@ def reference_run(config, n, phi):
     return InequalityReport(n, phi, l_value, math.sqrt(variance))
 
 
+def assert_matches_reference(outcome, config, n, phi, seed):
+    """``outcome`` is reference_run's report for ``seed``, or the same
+    DegenerateDataError (message and setting) that it raises."""
+    try:
+        expected = reference_run(config, n, phi, seed)
+    except DegenerateDataError as exc:
+        assert isinstance(outcome, DegenerateDataError)
+        assert (str(outcome), outcome.setting) == (str(exc), exc.setting)
+    else:
+        assert outcome == expected
+
+
+# a replicate's cell: none, or a short tuple as sweep passes (N, phi index)
+cells = st.one_of(st.just(()), st.lists(st.integers(0, 2**16), min_size=1, max_size=3).map(tuple))
+
+
 class TestConfig:
     def test_defaults_match_apparatus(self):
         cfg = ExperimentConfig()
@@ -94,9 +108,8 @@ class TestConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=name):
                     ExperimentConfig(**{name: value})
-        for seed in (-1, (4, -2)):
-            with pytest.raises(ValueError, match="rng_seed"):
-                ExperimentConfig(rng_seed=seed)
+        with pytest.raises(ValueError, match="rng_seed"):
+            ExperimentConfig(rng_seed=-1)
 
     def test_state_spec_is_parsed_at_construction(self):
         cfg = ExperimentConfig(state="werner:0.9")
@@ -115,9 +128,10 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^state spec must be a str, got {name}$"):
                 build()
 
-    @pytest.mark.parametrize("seed", [1.5, math.nan, (1, 2.5), "3", None])
+    # a bool would print seed=True in the manifest, which --seed cannot read back
+    @pytest.mark.parametrize("seed", [1.5, math.nan, (1, 2), "3", None, True, False])
     def test_refuses_a_seed_that_is_not_an_integer(self, seed):
-        message = re.escape(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
+        message = re.escape(f"rng_seed must be a non-negative integer, got {seed!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(rng_seed=seed)
 
@@ -166,7 +180,7 @@ class TestSampleQuad:
         draw = np.random.default_rng(99).poisson(means)
         assert (np.random.default_rng(99).poisson(means) == draw).all()
         cfg = ExperimentConfig(rng_seed=99)
-        assert run_experiment(cfg, 3, phi) == run_experiment(cfg, 3, phi)
+        assert replicate(cfg, 3, phi, 1).outcomes == replicate(cfg, 3, phi, 1).outcomes
 
     @given(
         n=st.integers(1, 6),
@@ -179,24 +193,19 @@ class TestSampleQuad:
         accidental_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
         subtract=st.booleans(),
         seed=st.integers(0, 2**32),
+        cell=cells,
     )
     @settings(max_examples=80, deadline=None)
     def test_run_matches_sequential_reference(
-        self, n, phi_deg, state, pair_rate, accidental_rate, subtract, seed
+        self, n, phi_deg, state, pair_rate, accidental_rate, subtract, seed, cell
     ):
         cfg = ExperimentConfig(
             pair_rate=pair_rate, accidental_rate=accidental_rate, state=state,
             rng_seed=seed, subtract_accidentals=subtract,
         )
         phi = math.radians(phi_deg)
-        try:
-            expected = reference_run(cfg, n, phi)
-        except DegenerateDataError as exc:
-            with pytest.raises(DegenerateDataError) as info:
-                run_experiment(cfg, n, phi)
-            assert (str(info.value), info.value.setting) == (str(exc), exc.setting)
-        else:
-            assert run_experiment(cfg, n, phi) == expected
+        (outcome,) = replicate(cfg, n, phi, 1, cell).outcomes
+        assert_matches_reference(outcome, cfg, n, phi, (seed, *cell, 0))
 
 
 class TestEstimator:
@@ -219,8 +228,23 @@ class TestEstimator:
     def test_empty_quad_raises(self):
         # an empty row has no estimate, and a run that draws one raises
         assert np.isnan(estimate_C((0, 0, 0, 0))).all()
-        with pytest.raises(DegenerateDataError):
-            run_experiment(ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0), 1, 0.0)
+        (outcome,) = replicate(ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0), 1, 0.0, 1).outcomes
+        assert isinstance(outcome, DegenerateDataError)
+
+    # a negative count used to give C = 1.0 with sigma 0, and a NaN shift
+    # turned every row into "no counts"
+    @pytest.mark.parametrize("counts, shift, bad", [
+        ((-1, 3, 0, 0), None, "counts must be finite and non-negative, got -1"),
+        ([[5, 5, 5, 5], [2.0, math.nan, 1.0, 0.0]], None,
+         "counts must be finite and non-negative, got nan"),
+        ((1.0, math.inf, 1.0, 0.0), 0.5, "counts must be finite and non-negative, got inf"),
+        ((10, 20, 30, 40), -0.5, "shift must be non-negative and finite, got -0.5"),
+        ((10, 20, 30, 40), math.nan, "shift must be non-negative and finite, got nan"),
+        ((10, 20, 30, 40), math.inf, "shift must be non-negative and finite, got inf"),
+    ])
+    def test_refuses_bad_counts_and_shifts(self, counts, shift, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            estimate_C(counts, shift)
 
     def test_rows_estimate_as_single_quads(self):
         rows = [[[100, 100, 0, 0], [75, 75, 25, 25]], [[0, 0, 0, 0], [3, 0, 1, 2]]]
@@ -281,13 +305,18 @@ class TestSubtraction:
 
     def test_all_floored_leads_to_degenerate_error(self):
         assert np.isnan(estimate_C((1, 1, 0, 1), 0.41 * 4.0)).all()  # shift 1.64 floors everything
-        # seed 7 draws (0, 1, 1, 1) at the last N = 1 setting and no empty quad
+        # run 0 of seed 7, drawn from (7, 0), has (0, 1, 1, 1) at the last N = 1
+        # setting, no empty quad, and a count above the shift in every other quad
         cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.41, rng_seed=7,
                                subtract_accidentals=True)
-        with pytest.raises(DegenerateDataError) as info:
-            run_experiment(cfg, 1, 0.0)
-        assert info.value.setting == (2, 0, "phi")
-        assert run_experiment(dataclasses.replace(cfg, subtract_accidentals=False), 1, 0.0)
+        draw = np.random.default_rng((7, 0)).poisson(mean_table(cfg, 1, 0.0))
+        assert draw[3].tolist() == [0, 1, 1, 1]
+        assert (draw.sum(axis=1) > 0).all() and (draw[:3].max(axis=1) > 1.64).all()
+        (outcome,) = replicate(cfg, 1, 0.0, 1).outcomes
+        assert isinstance(outcome, DegenerateDataError)
+        assert outcome.setting == (2, 0, "phi")
+        (raw,) = replicate(dataclasses.replace(cfg, subtract_accidentals=False), 1, 0.0, 1).outcomes
+        assert isinstance(raw, InequalityReport)
 
     def test_variance_uses_raw_counts(self):
         counts = (1000, 1000, 100, 100)
@@ -301,18 +330,18 @@ class TestSubtraction:
         assert sigma_adj == pytest.approx(expected, abs=1e-15)
 
 
-class TestRunExperiment:
+class TestOneRun:
     def test_bit_reproducible(self):
         cfg = ExperimentConfig(rng_seed=123)
-        r1 = run_experiment(cfg, 3, math.radians(15))
-        r2 = run_experiment(cfg, 3, math.radians(15))
+        (r1,) = replicate(cfg, 3, math.radians(15), 1).reports
+        (r2,) = replicate(cfg, 3, math.radians(15), 1).reports
         assert r1.l_value == r2.l_value
         assert r1.sigma == r2.sigma
         assert r1.violation_sigmas == r2.violation_sigmas
 
     def test_report_shape(self):
         cfg = ExperimentConfig(rng_seed=7)
-        report = run_experiment(cfg, 2, math.radians(15))
+        (report,) = replicate(cfg, 2, math.radians(15), 1).reports
         assert report.n == 2
         assert report.sigma > 0.0
         assert report.violation_sigmas == pytest.approx(
@@ -323,9 +352,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             pair_rate=1e-9, accidental_rate=0.0, rng_seed=11, state="singlet"
         )
-        with pytest.raises(DegenerateDataError) as info:
-            run_experiment(cfg, 2, math.radians(15))
-        assert info.value.setting == (1, 0, "0")
+        (outcome,) = replicate(cfg, 2, math.radians(15), 1).outcomes
+        assert isinstance(outcome, DegenerateDataError)
+        assert outcome.setting == (1, 0, "0")
 
     def test_large_statistics_converge_to_analytic(self):
         # law-of-large-numbers check at ~1e9 and ~1e13 pairs per setting
@@ -335,13 +364,13 @@ class TestRunExperiment:
         cfg9 = ExperimentConfig(
             pair_rate=2.5e8, accidental_rate=0.0, state=state_spec, rng_seed=13
         )
-        report9 = run_experiment(cfg9, 4, phi)
+        (report9,) = replicate(cfg9, 4, phi, 1).reports
         assert report9.sigma < 1e-5
         assert abs(report9.l_value - analytic) < 5 * report9.sigma
         cfg13 = ExperimentConfig(
             pair_rate=2.5e12, accidental_rate=0.0, state=state_spec, rng_seed=13
         )
-        report13 = run_experiment(cfg13, 4, phi)
+        (report13,) = replicate(cfg13, 4, phi, 1).reports
         assert abs(report13.l_value - analytic) < 1e-6
 
     def test_sigma_scales_with_integration_time(self):
@@ -380,10 +409,6 @@ class TestRunExperiment:
 
 
 class TestReplicate:
-    def test_seed_derivation(self):
-        assert derive_seed(5, 1, 2) == (5, 1, 2)
-        assert derive_seed((5, 1), 2) == (5, 1, 2)
-
     def test_minimum_two_runs(self):
         # a spread needs two runs with data; a single run is summarized without one
         with pytest.raises(ValueError):
@@ -403,12 +428,7 @@ class TestReplicate:
         assert failed == [4, 7]
         assert len(summary.reports) == 8
         for run_idx, outcome in enumerate(summary.outcomes):
-            run_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(3, run_idx))
-            if run_idx in failed:
-                with pytest.raises(DegenerateDataError):
-                    run_experiment(run_cfg, 2, math.radians(15))
-            else:
-                assert outcome == run_experiment(run_cfg, 2, math.radians(15))
+            assert_matches_reference(outcome, cfg, 2, math.radians(15), (3, run_idx))
         l_values = [r.l_value for r in summary.reports]
         assert summary.mean_l == pytest.approx(np.mean(l_values), abs=1e-15)
         assert summary.std_l == pytest.approx(np.std(l_values, ddof=1), abs=1e-15)
@@ -425,25 +445,32 @@ class TestReplicate:
         subtract=st.booleans(),
         seed=st.integers(0, 2**32),
         runs=st.integers(1, 6),
+        cell=cells,
     )
     @settings(max_examples=40, deadline=None)
     def test_runs_match_single_runs(
-        self, n, phi_deg, pair_rate, accidental_rate, subtract, seed, runs
+        self, n, phi_deg, pair_rate, accidental_rate, subtract, seed, runs, cell
     ):
         # at 0.5-4 pairs/s some runs are degenerate and some have sigma 0
         cfg = ExperimentConfig(pair_rate=pair_rate, accidental_rate=accidental_rate,
                                rng_seed=seed, subtract_accidentals=subtract)
         phi = math.radians(phi_deg)
-        summary = replicate(cfg, n, phi, runs)
+        summary = replicate(cfg, n, phi, runs, cell)
         assert summary.runs == runs
         for i, outcome in enumerate(summary.outcomes):
-            single = dataclasses.replace(cfg, rng_seed=derive_seed(seed, i))
-            if isinstance(outcome, DegenerateDataError):
-                with pytest.raises(DegenerateDataError) as info:
-                    run_experiment(single, n, phi)
-                assert (str(info.value), info.value.setting) == (str(outcome), outcome.setting)
-            else:
-                assert outcome == run_experiment(single, n, phi)
+            assert_matches_reference(outcome, cfg, n, phi, (seed, *cell, i))
+
+    @pytest.mark.parametrize("runs", [0, -1, 2.5, True, "3", None])
+    def test_refuses_a_run_count_that_is_not_a_positive_int(self, runs):
+        message = re.escape(f"need a positive integer run count, got {runs!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replicate(ExperimentConfig(), 2, 0.1, runs)
+
+    @pytest.mark.parametrize("cell", [[2, 0], (2, -1), (2, 1.0), (True,), (2, "0"), 5, None])
+    def test_refuses_a_cell_that_is_not_a_tuple_of_non_negative_ints(self, cell):
+        message = re.escape(f"cell must be a tuple of non-negative integers, got {cell!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replicate(ExperimentConfig(), 2, 0.1, 1, cell)
 
     def test_all_degenerate_has_no_statistics(self):
         cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0, rng_seed=11)
