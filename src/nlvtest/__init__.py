@@ -10,7 +10,6 @@ experiment with propagated counting errors.
 __version__ = "0.1.0"
 
 from .inequality import (
-    InequalityReport,
     NoViolationError,
     continuum_bound,
     discrete_average,
@@ -42,7 +41,6 @@ from .quantum import (
     werner,
 )
 from .simulate import (
-    DegenerateDataError,
     ExperimentConfig,
     estimate_C,
     mean_table,
@@ -65,9 +63,9 @@ __all__ = [
     "ConstraintViolationError", "leggett_outcomes", "admissible_C_range",
     "PureEnsemble", "product_ensemble",
     "explicit_model_margin", "scan_explicit_model",
-    "InequalityReport", "NoViolationError",
+    "NoViolationError",
     "u_coefficient", "discrete_average", "l_n",
     "nlv_bound", "continuum_bound",
     "optimal_phi", "max_violation_phi",
-    "ExperimentConfig", "DegenerateDataError", "estimate_C", "mean_table", "replicate",
+    "ExperimentConfig", "estimate_C", "mean_table", "replicate",
 ]

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _checks, inequality, quantum, simulate
-from .simulate import DegenerateDataError, ExperimentConfig
-from .sphere import default_frames
+from .simulate import ExperimentConfig
+from .sphere import default_frames, row_setting
 
 __all__ = ["main", "ConfigError", "load_config", "read_manifest"]
 
@@ -234,7 +234,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     state = config.two_qubit_state
     phi = math.radians(args.phi)
-    report = inequality.l_n(state, config.frames, args.n, phi)
+    l_value = inequality.l_n(state, config.frames, args.n, phi)
+    bound = inequality.nlv_bound(args.n, phi)
     best_phi, best_violation = inequality.max_violation_phi(state, config.frames, args.n)
     columns = [
         "n", "phi_deg", "l_value", "bound", "violation",
@@ -243,9 +244,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rows = [[
         str(args.n),
         _fmt(args.phi, 2),
-        _fmt(report.l_value, 4),
-        _fmt(report.bound, 4),
-        _fmt(report.violation, 4),
+        _fmt(l_value, 4),
+        _fmt(bound, 4),
+        _fmt(l_value - bound, 4),
         _fmt(math.degrees(best_phi), 2),
         _fmt(best_violation, 4),
     ]]
@@ -263,27 +264,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     phi = math.radians(args.phi)
     summary = simulate.replicate(config, args.n, phi, args.runs)
-    n, deg = str(args.n), _fmt(args.phi, 2)
+    n, deg, bound = str(args.n), _fmt(args.phi, 2), inequality.nlv_bound(args.n, phi)
     rows = []
-    for run_idx, outcome in enumerate(summary.outcomes):
+    for run_idx, (l_value, sigma, z, empty_row) in enumerate(zip(
+            summary.l_values.tolist(), summary.sigmas.tolist(),
+            summary.violation_sigmas.tolist(), summary.empty_rows.tolist())):
         seed_text = f"{config.rng_seed}-{run_idx}"
-        if isinstance(outcome, DegenerateDataError):
+        if empty_row >= 0:
+            setting = "plane {}, setting {}, theta={}".format(*row_setting(args.n, empty_row))
             rows.append([str(run_idx), n, deg, "", "", "", "", seed_text,
-                         f"degenerate-data ({outcome})", "", ""])
+                         f"degenerate-data (no counts at {setting})", "", ""])
         else:
             rows.append([
-                str(run_idx), n, deg, _fmt(outcome.l_value, 4), _fmt(outcome.sigma, 4),
-                _fmt(outcome.bound, 4), _fmt(outcome.violation_sigmas, 2),
-                seed_text, "ok", "", "",
+                str(run_idx), n, deg, _fmt(l_value, 4), _fmt(sigma, 4), _fmt(bound, 4),
+                _fmt(None if math.isnan(z) else z, 2), seed_text, "ok", "", "",
             ])
-    if summary.reports:
+    if summary.mean_l is not None:
         rows.append([
             "summary", n, deg, _fmt(summary.mean_l, 4), _fmt(summary.mean_sigma, 4),
-            _fmt(inequality.nlv_bound(args.n, phi), 4), _fmt(summary.mean_violation, 2),
+            _fmt(bound, 4), _fmt(summary.mean_violation, 2),
             "", "summary", _fmt(summary.std_l, 4), _fmt(summary.std_over_sigma, 3),
         ])
     _emit(args, build_manifest("simulate", args, config), _SIM_COLUMNS, rows)
-    if not summary.reports:
+    if summary.mean_l is None:
         print("error: every run produced degenerate data", file=sys.stderr)
         return 3
     return 0
@@ -299,16 +302,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     any_success = False
+    phis = [math.radians(d) for d in grid]
     for n in args.n_list:
-        analytic_reports = inequality.l_n(state, config.frames, n, [math.radians(d) for d in grid])
-        for phi_idx, (deg, analytic) in enumerate(zip(grid, analytic_reports)):
-            summary = simulate.replicate(config, n, analytic.phi, args.runs, cell=(n, phi_idx))
-            succeeded = len(summary.reports)
-            failures = summary.runs - succeeded
+        analytic = inequality.l_n(state, config.frames, n, phis).tolist()
+        bounds = inequality.nlv_bound(n, phis).tolist()
+        for phi_idx, (deg, phi, l_value, bound) in enumerate(zip(grid, phis, analytic, bounds)):
+            summary = simulate.replicate(config, n, phi, args.runs, cell=(n, phi_idx))
+            failures = int(np.count_nonzero(summary.empty_rows >= 0))
+            succeeded = summary.runs - failures
             any_success = any_success or succeeded > 0
             rows.append([
-                str(n), _fmt(deg, 2), _fmt(analytic.bound, 4),
-                _fmt(analytic.l_value, 4), _fmt(quantum.singlet_L(analytic.phi), 4),
+                str(n), _fmt(deg, 2), _fmt(bound, 4),
+                _fmt(l_value, 4), _fmt(quantum.singlet_L(phi), 4),
                 _fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
                 _fmt(summary.mean_violation, 2), str(succeeded),
                 "ok" if failures == 0 else f"degenerate-data x{failures}",

@@ -18,7 +18,9 @@ A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
 ``PureEnsemble`` (stacked component arrays and one correlation function),
 has a ``correlation(a, b)`` method mapping stacked (k, 3) settings to (k,)
 values, each row's independent of the others in the call;
-``l_n`` makes one per block of angles (one call at one angle).  The
+``l_n`` makes one per block of angles (one call at one angle).  It returns
+plain numbers, L_N as a float or a float array per angle, so a violation
+is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The
 violation search takes only a ``TwoQubitState``, whose correlation is
 linear in Bob's setting: it makes two calls, one for E_j(0) and the
 turned-setting means F_j before its steps, which are float arithmetic on
@@ -28,7 +30,6 @@ those four numbers, and one for the reported angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,6 @@ from .sphere import check_frames, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
-    "InequalityReport",
     "NoViolationError",
     "u_coefficient",
     "DiscreteAverage",
@@ -141,34 +141,6 @@ def continuum_bound(phi: float) -> float:
     return 4.0 - (4.0 / math.pi) * abs(math.sin(phi / 2.0))
 
 
-@dataclass(frozen=True, slots=True)
-class InequalityReport:
-    """One evaluation of the correlation sum against its bound: ``bound`` is
-    nlv_bound(n, phi) and ``violation_sigmas`` (L - bound)/sigma, None at
-    sigma 0."""
-
-    n: int
-    phi: float
-    l_value: float
-    sigma: float = 0.0
-    bound: float = field(init=False)
-    violation_sigmas: float | None = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.sigma >= 0.0:  # also rejects NaN
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not -1e-12 <= self.l_value <= 4.0 + 4.0 * self.sigma + 1e-12:
-            raise ValueError(f"correlation sum {self.l_value} out of range")
-        bound = nlv_bound(self.n, self.phi)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "violation_sigmas",
-                           (self.l_value - bound) / self.sigma if self.sigma > 0.0 else None)
-
-    @property
-    def violation(self) -> float:
-        return self.l_value - self.bound
-
-
 def _means(c: np.ndarray) -> np.ndarray:
     """E_j from correlations (..., planes, N): each plane's N values added left
     to right, over N (np.add.accumulate adds in order; np.sum does not)."""
@@ -181,11 +153,12 @@ def _l_values(c_phi: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
 
 
 def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
-    """L_N of a noiseless source at one angle, or a tuple of reports over a 1-D array
-    of angles: per block of up to _ANGLE_BLOCK angles, one correlation call on
-    (a_k, a_k) and each angle's (a_k, b_k(phi)), so memory does not grow with
-    the array.  ``frames`` are the two planes' (2, 2, 3) rows (normal, seed),
-    refused as sphere.check_frames refuses them."""
+    """L_N of a noiseless source: a float at one angle, or a (P,) float array
+    over a 1-D array of P angles.  Per block of up to _ANGLE_BLOCK angles it
+    makes one correlation call on (a_k, a_k) and each angle's (a_k, b_k(phi)),
+    so memory does not grow with the array.  ``frames`` are the two planes'
+    (2, 2, 3) rows (normal, seed), refused as sphere.check_frames refuses
+    them."""
     angles = _angle_list(phi)
     alice, turned = plane_settings(check_frames(frames), n)
     flat, values = [float(phi)] if angles is None else angles, []
@@ -195,8 +168,7 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
                                np.concatenate([alice[None], bob]).reshape(-1, 3))
         c = c.reshape(len(bob) + 1, 2, n)
         values += _l_values(c[1:], _means(c[0])).tolist()
-    reports = tuple(InequalityReport(n, p, value) for p, value in zip(flat, values))
-    return reports[0] if angles is None else reports
+    return values[0] if angles is None else np.array(values)
 
 
 def optimal_phi(n: int | float) -> float:
@@ -211,7 +183,7 @@ def optimal_phi(n: int | float) -> float:
 
 def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[float, float]:
     """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
-    maximizing l_value - bound of a two-qubit ``state`` on the two planes
+    maximizing L_N - bound of a two-qubit ``state`` on the two planes
     ``frames`` that sphere.check_frames accepts.
 
     A state's correlation a.T.b is linear in Bob's setting b_k(phi) =
@@ -221,7 +193,7 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[
 
         sum_j |(1 + cos phi) E_j(0) + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|)
 
-    in float arithmetic.  The reported value is l_n's violation at the last
+    in float arithmetic.  The reported value is L_N - bound at the last
     bracket's midpoint, and at the end of the interval that the bracket
     still touches if there is one, from one more correlation call.  Any
     source other than a TwoQubitState, whose correlation need not be linear

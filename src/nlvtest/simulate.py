@@ -13,28 +13,28 @@ A run's means depend only on (config, N, phi): they form one (4N, 4) table,
 rows in sampling order (plane, rotation index, Bob at offset 0 then phi) and
 columns in sign order (+,+), (-,-), (-,+), (+,-).  Each seeded run draws its
 16N counts with one Poisson call over that table; a replicate estimates all
-its runs in one array pass over the stacked (runs, 4N, 4) counts.  That pass
-keeps the bits of a scalar loop in sampling order: its sums add columns in
-that order, and a float's square is np.float_power(x, 2.0), libm pow as in
-Python's x ** 2 (x * x and np.power round about 1 double in 1,000 otherwise).
+its runs in one array pass over the stacked (runs, 4N, 4) counts, which
+gives per-run arrays (L, sigma, violation in sigmas, first empty row) and
+the statistics over them.  That pass keeps the bits of a scalar loop in
+sampling order: its sums add columns in that order, and a float's square is
+np.float_power(x, 2.0), libm pow as in Python's x ** 2 (x * x and np.power
+round about 1 double in 1,000 otherwise).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from . import quantum
-from .inequality import InequalityReport
-from .sphere import check_frames, default_frames, schedule_rows
+from .inequality import nlv_bound
+from .sphere import _setting_count, check_frames, default_frames, schedule_rows
 
 __all__ = [
     "ExperimentConfig",
-    "DegenerateDataError",
     "estimate_C",
     "mean_table",
     "ReplicateSummary",
@@ -48,14 +48,11 @@ DEFAULT_ACCIDENTAL_RATE = 0.41
 DEFAULT_INTEGRATION_TIME = 4.0
 DEFAULT_STATE = "visibilities:0.995,0.990,0.982"
 
-
-class DegenerateDataError(RuntimeError):
-    """A run's outcome when all four counts of a quad vanished, so the
-    estimator is undefined; ``setting`` names the first such quad."""
-
-    def __init__(self, message: str, setting: tuple | None = None):
-        super().__init__(message)
-        self.setting = setting
+# numpy's Poisson draw refuses a mean above about 9.2e18; a config whose
+# (pair_rate + accidental_rate) * integration_time exceeds this is refused
+MAX_POISSON_MEAN = 1e18
+# counts a replicate may hold at once, runs x 16N (8 bytes each)
+MAX_REPLICATE_COUNTS = 10_000_000
 
 
 def _is_non_negative_int(value) -> bool:
@@ -88,6 +85,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"integration_time must be positive and finite, got {self.integration_time}"
             )
+        mean = (self.pair_rate + self.accidental_rate) * self.integration_time
+        if not mean <= MAX_POISSON_MEAN:
+            raise ValueError("(pair_rate + accidental_rate) * integration_time must be at most "
+                             f"{MAX_POISSON_MEAN:g}, got {mean!r}")
         if not _is_non_negative_int(self.rng_seed):
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         object.__setattr__(self, "frames", check_frames(self.frames))
@@ -144,59 +145,33 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     return config.pair_rate * p * t + config.accidental_rate * t
 
 
-def _counting_runs(
-    config: ExperimentConfig, n: int, phi: float, seeds: Sequence[tuple[int, ...]],
-) -> list[InequalityReport | DegenerateDataError]:
-    """Each seed's run, drawn and estimated together: its report, or a
-    DegenerateDataError naming its first setting without counts."""
-    means = mean_table(config, n, phi)
-    counts = np.stack([np.random.default_rng(seed).poisson(means) for seed in seeds])
-    shift = (config.accidental_rate * config.integration_time
-             if config.subtract_accidentals else None)
-    c_hat, sigma_c = estimate_C(counts, shift)  # (runs, 4N)
-    # cumsum adds the columns one by one in sampling order; np.sum pairs them
-    e_sums = np.cumsum(c_hat.reshape(len(seeds), -1, 2 * n) / n, axis=-1)[..., -1]
-    l_values = np.cumsum(np.abs(e_sums), axis=-1)[:, -1]
-    variances = np.cumsum(np.float_power(sigma_c, 2.0) / n**2, axis=-1)[:, -1]
-    outcomes: list[InequalityReport | DegenerateDataError] = []
-    for run_idx, (l_value, sigma) in enumerate(zip(l_values.tolist(), np.sqrt(variances).tolist())):
-        if math.isnan(l_value):
-            row = int(np.argmax(np.isnan(c_hat[run_idx])))
-            setting = (row // (2 * n) + 1, row % (2 * n) // 2, ("0", "phi")[row % 2])
-            outcomes.append(DegenerateDataError(
-                "no counts at plane {}, setting {}, theta={}".format(*setting), setting=setting))
-        else:
-            outcomes.append(InequalityReport(n, phi, l_value, sigma))
-    return outcomes
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateSummary:
-    """Aggregate of independently seeded runs at one (N, phi), taken over the
-    runs that produced data; a statistic with too few such runs is None."""
+    """Independently seeded runs at one (N, phi), as per-run arrays, and
+    statistics over the runs that produced data.
 
-    outcomes: tuple[InequalityReport | DegenerateDataError, ...]
+    ``l_values`` and ``sigmas`` are NaN for a run with an empty setting, and
+    ``violation_sigmas`` (L - nlv_bound)/sigma is NaN there and at sigma 0.
+    ``empty_rows`` holds each run's first sampling row without counts
+    (sphere.row_setting names it), or -1 for a run with data.  ``std_l``
+    (ddof=1) is None below two runs with data, ``mean_l`` and ``mean_sigma``
+    are None without one, ``mean_violation`` averages the defined
+    ``violation_sigmas`` (None if none is), and ``std_over_sigma``, the
+    spread over the mean propagated sigma and near 1 when the error
+    propagation is calibrated, is None without a spread or at a zero mean
+    sigma.
+    """
+
+    l_values: np.ndarray
+    sigmas: np.ndarray
+    violation_sigmas: np.ndarray
+    empty_rows: np.ndarray
+    runs: int
     mean_l: float | None
     std_l: float | None
     mean_sigma: float | None
     mean_violation: float | None
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def reports(self) -> tuple[InequalityReport, ...]:
-        return tuple(o for o in self.outcomes if isinstance(o, InequalityReport))
-
-    @property
-    def std_over_sigma(self) -> float | None:
-        """Empirical spread over mean propagated sigma; near 1 when the
-        error propagation is calibrated.  None without a spread or with a
-        zero mean sigma."""
-        if self.std_l is None or not self.mean_sigma:
-            return None
-        return self.std_l / self.mean_sigma
+    std_over_sigma: float | None
 
 
 def replicate(config: ExperimentConfig, n: int, phi: float, runs: int,
@@ -205,27 +180,44 @@ def replicate(config: ExperimentConfig, n: int, phi: float, runs: int,
     and summarize them.  ``cell`` keeps apart the runs of several replicates
     on one config: a sweep passes each (N, phi) cell's (N, phi index).
 
-    A run whose counts vanish is kept in ``outcomes`` as its
-    DegenerateDataError, in run order; the statistics cover the other runs.
-    ``std_l`` (ddof=1) is None below two such runs, ``mean_l`` and
-    ``mean_sigma`` are None when there are none, and ``mean_violation``
-    averages the runs whose ``violation_sigmas`` is defined (None if none
-    is).  Raises ValueError for ``runs`` other than a positive int and for
-    ``cell`` other than a tuple of non-negative ints (bools refused in both).
+    Raises ValueError for ``runs`` other than a positive int, for ``cell``
+    other than a tuple of non-negative ints (bools refused in both), and,
+    before anything is drawn, for runs x 16N counts above
+    MAX_REPLICATE_COUNTS.
     """
     if not (_is_non_negative_int(runs) and runs >= 1):
         raise ValueError(f"need a positive integer run count, got {runs!r}")
     if not (isinstance(cell, tuple) and all(_is_non_negative_int(i) for i in cell)):
         raise ValueError(f"cell must be a tuple of non-negative integers, got {cell!r}")
-    outcomes = _counting_runs(
-        config, n, phi, [(config.rng_seed, *cell, run_idx) for run_idx in range(runs)])
-    reports = [o for o in outcomes if isinstance(o, InequalityReport)]
-    l_values = np.array([r.l_value for r in reports])
-    violations = [r.violation_sigmas for r in reports if r.violation_sigmas is not None]
+    n = _setting_count(n)
+    if runs * 16 * n > MAX_REPLICATE_COUNTS:
+        raise ValueError(f"{runs} runs at N = {n} draw {runs * 16 * n} counts, "
+                         f"over the ceiling of {MAX_REPLICATE_COUNTS}")
+    means = mean_table(config, n, phi)
+    counts = np.stack([np.random.default_rng((config.rng_seed, *cell, run_idx)).poisson(means)
+                       for run_idx in range(runs)])
+    shift = (config.accidental_rate * config.integration_time
+             if config.subtract_accidentals else None)
+    c_hat, sigma_c = estimate_C(counts, shift)  # (runs, 4N)
+    # cumsum adds the columns one by one in sampling order; np.sum pairs them
+    e_sums = np.cumsum(c_hat.reshape(runs, -1, 2 * n) / n, axis=-1)[..., -1]
+    l_values = np.cumsum(np.abs(e_sums), axis=-1)[:, -1]
+    sigmas = np.sqrt(np.cumsum(np.float_power(sigma_c, 2.0) / n**2, axis=-1)[:, -1])
+    empty = np.isnan(c_hat)
+    empty_rows = np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
+    violation_sigmas = np.divide(l_values - nlv_bound(n, phi), sigmas,
+                                 out=np.full(runs, np.nan), where=sigmas > 0.0)
+    data = empty_rows < 0
+    l_data, sigma_data = l_values[data], sigmas[data]
+    defined = violation_sigmas[~np.isnan(violation_sigmas)]
+    std_l = float(l_data.std(ddof=1)) if l_data.size > 1 else None
+    mean_sigma = float(sigma_data.mean()) if l_data.size else None
     return ReplicateSummary(
-        outcomes=tuple(outcomes),
-        mean_l=float(l_values.mean()) if reports else None,
-        std_l=float(l_values.std(ddof=1)) if len(reports) > 1 else None,
-        mean_sigma=float(np.mean([r.sigma for r in reports])) if reports else None,
-        mean_violation=float(np.mean(violations)) if violations else None,
+        l_values=l_values, sigmas=sigmas, violation_sigmas=violation_sigmas,
+        empty_rows=empty_rows, runs=runs,
+        mean_l=float(l_data.mean()) if l_data.size else None,
+        std_l=std_l,
+        mean_sigma=mean_sigma,
+        mean_violation=float(defined.mean()) if defined.size else None,
+        std_over_sigma=std_l / mean_sigma if std_l is not None and mean_sigma else None,
     )

@@ -4,8 +4,8 @@ float array of shape (2, 2, 3), rows (normal, seed) per plane, as
 ``check_frames`` returns it.  The setting rows come in closed form,
 a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and are
 not rescaled; ``schedule_rows`` alone fixes the order of the measured
-setting pairs.  Bob's offset rows take one angle, or a 1-D array of angles
-along a leading axis.
+setting pairs, and ``row_setting`` names one of its rows.  Bob's offset
+rows take one angle, or a 1-D array of angles along a leading axis.
 
 Conventions used throughout the package:
 
@@ -29,6 +29,7 @@ __all__ = [
     "plane_settings",
     "offset_settings",
     "schedule_rows",
+    "row_setting",
     "build_schedule",
     "default_frames",
 ]
@@ -182,6 +183,13 @@ def schedule_rows(frames: ArrayLike, n: int, phi: ArrayLike) -> tuple[np.ndarray
     b = a.copy()
     b[..., 1::2, :] = bob
     return a, b
+
+
+def row_setting(n: int, row: int) -> tuple[int, int, str]:
+    """The measured pair at sampling row ``row`` of schedule_rows for N
+    settings: (plane, starting at 1; rotation index k; Bob's offset "0" or
+    "phi")."""
+    return row // (2 * n) + 1, row % (2 * n) // 2, ("0", "phi")[row % 2]
 
 
 def build_schedule(frame: ArrayLike, n: int, phi: float) -> SettingSchedule:

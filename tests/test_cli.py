@@ -504,6 +504,23 @@ class TestBadInput:
         line = assert_one_line_error(run(*argv), capsys, "over 1000000", named)
         assert len(line) < 200
 
+    @pytest.mark.parametrize("text, named", [
+        ("pair_rate = 1e300\n", "got 4e+300"),
+        ("accidental_rate = 1e200\nintegration_time = 1e200\n", "got inf"),
+    ], ids=["pair-rate", "accidental-times-time"])
+    def test_rates_whose_poisson_means_overflow_are_one_line(self, tmp_path, capsys, text, named):
+        # numpy's Poisson draw refuses such means with "lam value too large"
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys, str(cfg), "pair_rate", "accidental_rate",
+                              "integration_time", named)
+
+    def test_runs_over_the_count_ceiling_are_one_line(self, capsys):
+        # 1,000,000 runs of 64 counts each are refused before anything is drawn
+        code = run("simulate", "--n", "4", "--phi", "15", "--runs", "1000000")
+        assert_one_line_error(code, capsys, "1000000 runs", "N = 4", "10000000")
+
     @pytest.mark.parametrize("vector, named", [
         ("nan,0,1", "not a unit vector: |v| = nan"),
         ("0,0,2", "not a unit vector: |v| = 2.0"),
@@ -696,5 +713,5 @@ class TestGolden:
             phi = math.radians(float(cells[1]))
             summary = replicate(config, 2, phi, 10, cell=(2, phi_idx))
             assert [_fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
-                    _fmt(summary.mean_violation, 2), str(len(summary.reports))] == cells[5:10]
+                    _fmt(summary.mean_violation, 2), str(np.count_nonzero(summary.empty_rows < 0))] == cells[5:10]
             assert replicate(config, 2, phi, 10).mean_l != summary.mean_l

@@ -24,7 +24,6 @@ from nlvtest._checks import lemma_suite
 from nlvtest.inequality import (
     _ANGLE_BLOCK,
     DiscreteAverage,
-    InequalityReport,
     NoViolationError,
     continuum_bound,
     discrete_average,
@@ -269,12 +268,12 @@ class TestPlaneAverages:
     def test_singlet_aligned(self):
         # E_j(0) = -1 and E_j(phi) = -cos(phi) in both planes
         phi = math.radians(25)
-        report = l_n(singlet(), default_frames(), 3, phi)
-        assert report.l_value == pytest.approx(2 * (1 + math.cos(phi)), abs=1e-12)
+        value = l_n(singlet(), default_frames(), 3, phi)
+        assert value == pytest.approx(2 * (1 + math.cos(phi)), abs=1e-12)
 
     def test_mixed_source_is_zero(self):
-        report = l_n(maximally_mixed(), default_frames(), 2, 0.4)
-        assert report.l_value == pytest.approx(0.0, abs=1e-12)
+        value = l_n(maximally_mixed(), default_frames(), 2, 0.4)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_anisotropic_tensor_average(self):
         # for N >= 2 the plane-j average collapses to cos(theta) (t1 + t_other)/2
@@ -284,7 +283,7 @@ class TestPlaneAverages:
         for n in (2, 3, 4, 5):
             for phi in (0.0, math.radians(15), math.radians(40)):
                 expected = (1 + math.cos(phi)) * (abs(t1 + t2) + abs(t1 + t3)) / 2
-                assert l_n(state, frames, n, phi).l_value == pytest.approx(expected, abs=1e-12)
+                assert l_n(state, frames, n, phi) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBound:
@@ -318,28 +317,27 @@ class TestBound:
 
 class TestLn:
     def test_singlet_fifteen_degrees(self):
-        report = l_n(singlet(), default_frames(), 2, math.radians(15))
-        assert report.l_value == pytest.approx(3.9318516525781366, abs=1e-12)
-        assert f"{report.bound:.4f}" == "3.8695"
-        assert report.sigma == 0.0
-        assert report.violation_sigmas is None
+        value = l_n(singlet(), default_frames(), 2, math.radians(15))
+        assert type(value) is float
+        assert value == pytest.approx(3.9318516525781366, abs=1e-12)
+        assert f"{nlv_bound(2, math.radians(15)):.4f}" == "3.8695"
 
     def test_mixed_source_never_violates(self):
-        report = l_n(maximally_mixed(), default_frames(), 3, math.radians(10))
-        assert report.l_value == pytest.approx(0.0, abs=1e-12)
-        assert report.l_value <= report.bound
+        value = l_n(maximally_mixed(), default_frames(), 3, math.radians(10))
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert value <= nlv_bound(3, math.radians(10))
 
     def test_seed_choice_irrelevant_for_singlet(self):
         rng = np.random.default_rng(43)
         frames = default_frames()
         phi = math.radians(17)
-        base = l_n(singlet(), frames, 3, phi).l_value
+        base = l_n(singlet(), frames, 3, phi)
         for _ in range(10):
             turned = [
                 (normal, turn(seed, normal, rng.uniform(0, math.pi)))
                 for normal, seed in frames.tolist()
             ]
-            assert l_n(singlet(), turned, 3, phi).l_value == pytest.approx(base, abs=1e-12)
+            assert l_n(singlet(), turned, 3, phi) == pytest.approx(base, abs=1e-12)
 
     def test_rejects_non_orthogonal_frames(self):
         f1 = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
@@ -350,8 +348,9 @@ class TestLn:
     def test_angle_array_gives_one_report_per_angle(self):
         frames = default_frames()
         assert l_n(singlet(), frames, 2, 0.3) == l_n(singlet(), frames, 2, [0.3])[0]
-        assert len(l_n(singlet(), frames, 2, [0.3])) == 1
-        assert l_n(singlet(), frames, 2, []) == ()
+        assert l_n(singlet(), frames, 2, [0.3]).shape == (1,)
+        empty = l_n(singlet(), frames, 2, [])
+        assert (empty.shape, empty.dtype) == ((0,), np.float64)
         with pytest.raises(ValueError, match="1-D"):
             l_n(singlet(), frames, 2, [[0.3]])
 
@@ -359,9 +358,7 @@ class TestLn:
         state, frames = parse_state("visibilities:0.995,0.990,0.982"), default_frames()
         phis = np.random.default_rng(46).uniform(-math.pi, math.pi, 20_000).tolist()
         stacked = l_n(state, frames, 2, phis)
-        assert [(r.phi, r.l_value) for r in stacked] == [
-            (phi, l_n(state, frames, 2, phi).l_value) for phi in phis
-        ]
+        assert stacked.tolist() == [l_n(state, frames, 2, phi) for phi in phis]
 
     def test_one_correlation_call_per_angle_block(self):
         calls = []
@@ -378,41 +375,25 @@ class TestLn:
         l_n(Counting(), frames, 3, np.zeros(2 * _ANGLE_BLOCK + 1))
         assert calls == [(_ANGLE_BLOCK + 1) * 6] * 2 + [2 * 6]
 
-    def test_report_derives_bound_and_violation_sigmas(self):
-        phi = math.radians(15)
-        measured = InequalityReport(4, phi, 3.9, 0.02)
-        assert measured.bound == nlv_bound(4, phi)
-        assert measured.violation == 3.9 - nlv_bound(4, phi)
-        assert measured.violation_sigmas == (3.9 - nlv_bound(4, phi)) / 0.02
-        exact = InequalityReport(4, phi, 3.9)
-        assert (exact.sigma, exact.bound, exact.violation_sigmas) == (0.0, measured.bound, None)
-        for sigma in (-0.01, math.nan):
-            with pytest.raises(ValueError, match="sigma"):
-                InequalityReport(4, phi, 3.9, sigma)
-        for l_value in (-0.1, 4.1, math.nan):
-            with pytest.raises(ValueError, match="out of range"):
-                InequalityReport(4, phi, l_value)
-        assert InequalityReport(4, phi, 4.05, 0.02).l_value == 4.05  # within 4 sigma of 4
-
 
 class TestContinuum:
     # the all-directions sum is L_N on an M-point grid per plane
     def test_singlet_tight_at_zero(self):
-        value = l_n(singlet(), default_frames(), 36, 0.0).l_value
+        value = l_n(singlet(), default_frames(), 36, 0.0)
         assert value == pytest.approx(4.0, abs=1e-12)
         assert continuum_bound(0.0) == 4.0
 
     def test_matches_finite_n_for_rotation_invariant_source(self):
         phi = math.radians(21)
-        base = l_n(singlet(), default_frames(), 2, phi).l_value
+        base = l_n(singlet(), default_frames(), 2, phi)
         for k in (1, 2, 5):
-            value = l_n(singlet(), default_frames(), 2 * k, phi).l_value
+            value = l_n(singlet(), default_frames(), 2 * k, phi)
             assert value == pytest.approx(base, abs=1e-12)
 
     def test_noisy_state_analytic_average(self):
         # closed form: (1 + cos phi) (|t1+t2| + |t1+t3|) / 2
         phi = math.radians(15)
-        value = l_n(bell_diagonal(-0.995, -0.990, -0.982), default_frames(), 360, phi).l_value
+        value = l_n(bell_diagonal(-0.995, -0.990, -0.982), default_frames(), 360, phi)
         expected = (1 + math.cos(phi)) * (abs(-0.995 - 0.990) + abs(-0.995 - 0.982)) / 2
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(3.8944990618786437, abs=1e-12)
@@ -422,9 +403,9 @@ class TestContinuum:
     def test_grid_exactness_for_finite_harmonics(self):
         state = bell_diagonal(-0.8, -0.7, -0.6)
         phi = math.radians(12)
-        reference = l_n(state, default_frames(), 720, phi).l_value
+        reference = l_n(state, default_frames(), 720, phi)
         for m in (2, 3, 8, 75):
-            value = l_n(state, default_frames(), m, phi).l_value
+            value = l_n(state, default_frames(), m, phi)
             assert value == pytest.approx(reference, abs=1e-12)
 
 
@@ -485,7 +466,6 @@ class TestSettingCount:
 _ANGLE_ENTRY_POINTS = {
     "nlv_bound": lambda phi: nlv_bound(2, phi),
     "continuum_bound": continuum_bound,
-    "InequalityReport": lambda phi: InequalityReport(2, phi, 3.0),
     "l_n": lambda phi: l_n(singlet(), default_frames(), 2, phi),
     "offset_settings": lambda phi: offset_settings(*plane_settings(default_frames(), 2), phi),
     "schedule_rows": lambda phi: schedule_rows(default_frames(), 2, phi),
@@ -530,7 +510,7 @@ class TestMaxViolationSearch:
         state, frames = parse_state(spec), default_frames()
         phi, violation = max_violation_phi(state, frames, n)
         assert phi == end
-        assert violation == l_n(state, frames, n, end).violation
+        assert violation == l_n(state, frames, n, end) - nlv_bound(n, end)
 
     # rows per call: E_j(0) and F_j from the (a_k, a_k) and (a_k, t_k) rows of
     # both planes, then the midpoint and, for "mixed", the end pi/4 that the
@@ -573,7 +553,7 @@ class TestMaxViolationSearch:
                 for phi in [0.0, math.pi / 4.0, *rng.uniform(0.0, math.pi, size=4).tolist()]:
                     closed = np.abs((1.0 + math.cos(phi)) * e_zero + math.sin(phi) * f).sum()
                     closed -= 4.0 - 2.0 * u_coefficient(n) * abs(math.sin(phi / 2.0))
-                    assert closed == pytest.approx(l_n(state, frames, n, phi).violation, abs=1e-14)
+                    assert closed == pytest.approx(l_n(state, frames, n, phi) - nlv_bound(n, phi), abs=1e-14)
 
     @pytest.mark.parametrize("v", [0.5, 0.8, 0.96])
     def test_low_visibility_werner_keeps_its_interior_optimum(self, v):
@@ -599,10 +579,10 @@ class TestPlainPythonReference:
         for n in (1, 2, 3, 8, 32):
             stacked = l_n(state, frames, n, phis)
             assert len(stacked) == len(phis)
-            for phi, report in zip(phis, stacked):
+            for phi, value in zip(phis, stacked.tolist()):
                 expected = reference_l_n(state, frames, n, phi)
-                assert l_n(state, frames, n, phi).l_value == expected
-                assert (report.phi, report.l_value) == (phi, expected)
+                assert l_n(state, frames, n, phi) == expected
+                assert value == expected
 
     @pytest.mark.parametrize("spec", REFERENCE_STATES)
     def test_max_violation_phi_equals_reference(self, spec):
@@ -619,7 +599,7 @@ class TestPlainPythonReference:
             state = TwoQubitState(random_density_matrix(rng))
             for n in (1, 3, 7):
                 for phi in (0.0, 0.3, 2.0):
-                    assert l_n(state, frames, n, phi).l_value == reference_l_n(
+                    assert l_n(state, frames, n, phi) == reference_l_n(
                         state, frames, n, phi
                     )
 
@@ -642,7 +622,7 @@ class TestSingletCrossCheck:
             frames = random_frames(rng)
             for n in (1, 2, 4):
                 for phi in np.linspace(0.0, math.pi, 7):
-                    report = l_n(singlet(), frames, n, float(phi))
-                    assert report.l_value == pytest.approx(
+                    value = l_n(singlet(), frames, n, float(phi))
+                    assert value == pytest.approx(
                         singlet_L(float(phi)), abs=1e-12
                     )

@@ -7,7 +7,7 @@ from helpers import dot, random_unit, reference_scan, setting_pairs, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvtest.inequality import l_n
+from nlvtest.inequality import l_n, nlv_bound
 from nlvtest.leggett import (
     _SCAN_BLOCK,
     ConstraintViolationError,
@@ -216,15 +216,13 @@ class TestLocalEnsemblesRespectBound:
             )
             for n in range(1, 5):
                 for phi in phis:
-                    report = l_n(ens, frames, n, float(phi))
-                    worst = max(worst, report.l_value - report.bound)
+                    worst = max(worst, l_n(ens, frames, n, float(phi)) - nlv_bound(n, float(phi)))
         assert worst <= 1e-12
 
     def test_aligned_mixture_saturates_at_phi_zero(self):
         ens = product_ensemble([1.0], [S1], [S1])
-        report = l_n(ens, default_frames(), 1, 0.0)
-        assert report.l_value == pytest.approx(4.0, abs=1e-12)
-        assert report.bound == 4.0
+        assert l_n(ens, default_frames(), 1, 0.0) == pytest.approx(4.0, abs=1e-12)
+        assert nlv_bound(1, 0.0) == 4.0
 
     def test_inadmissible_component_rejected(self):
         # at a = b = S1 the interval of u = v = S1 is [1, 1], so C = -1 is no model
@@ -239,7 +237,7 @@ class TestLocalEnsemblesRespectBound:
             return np.stack([(x * y)[0], (1.0 - np.abs(x - y))[1]])
 
         edge = PureEnsemble([0.5, 0.5], [S1, S1], [S1, S3], edge_corr)
-        assert l_n(edge, default_frames(), 2, math.radians(15.0)).l_value >= 0.0
+        assert l_n(edge, default_frames(), 2, math.radians(15.0)) >= 0.0
 
     def test_violation_names_first_settings_row(self):
         # C = -1 fits u = v = S1 only where b.v = -a.u = -1: rows 0 and 1
@@ -295,8 +293,8 @@ class TestLocalEnsemblesRespectBound:
             weights = rng.dirichlet(np.ones(k)).tolist()
             ens = product_ensemble(*zip(*[(w, random_unit(rng), random_unit(rng)) for w in weights]))
             for n in (1, 3, 32):
-                stacked = [report.l_value for report in l_n(ens, frames, n, phis)]
-                assert stacked == [l_n(ens, frames, n, phi).l_value for phi in phis.tolist()]
+                stacked = l_n(ens, frames, n, phis).tolist()
+                assert stacked == [l_n(ens, frames, n, phi) for phi in phis.tolist()]
 
 
 def _counted(corr):

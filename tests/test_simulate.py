@@ -8,16 +8,17 @@ from helpers import plane_setting_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvtest.inequality import InequalityReport
+import nlvtest.simulate
+from nlvtest.inequality import nlv_bound
 from nlvtest.quantum import outcome_probabilities, parse_state
 from nlvtest.simulate import (
-    DegenerateDataError,
+    MAX_REPLICATE_COUNTS,
     ExperimentConfig,
     estimate_C,
     mean_table,
     replicate,
 )
-from nlvtest.sphere import schedule_rows
+from nlvtest.sphere import row_setting, schedule_rows
 
 SIGN_PAIRS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -35,7 +36,8 @@ def law(state, a, b, r_a, r_b):
 def reference_run(config, n, phi, seed):
     """The sequential sampler seeded ``seed``: settings in sampling order, one
     scalar Poisson draw per sign pair (+,+), (-,-), (-,+), (+,-), each
-    setting estimated as soon as it is drawn."""
+    setting estimated as soon as it is drawn.  Returns (L, sigma), or the
+    (plane, k, offset) of the first setting without counts."""
     state = config.two_qubit_state
     rng = np.random.default_rng(seed)
     t = config.integration_time
@@ -59,10 +61,7 @@ def reference_run(config, n, phi, seed):
                     same, diff = raw_same, raw_diff
                 total = same + diff
                 if total <= 0:
-                    raise DegenerateDataError(
-                        f"no counts at plane {plane_idx + 1}, setting {k}, theta={label}",
-                        setting=(plane_idx + 1, k, label),
-                    )
+                    return plane_idx + 1, k, label
                 c_hat = (same - diff) / total
                 sigma_c = math.sqrt(
                     ((1.0 - c_hat) ** 2 * raw_same + (1.0 + c_hat) ** 2 * raw_diff) / total**2
@@ -70,19 +69,31 @@ def reference_run(config, n, phi, seed):
                 e_sum += c_hat / n
                 variance += sigma_c**2 / n**2
         l_value += abs(e_sum)
-    return InequalityReport(n, phi, l_value, math.sqrt(variance))
+    return l_value, math.sqrt(variance)
 
 
-def assert_matches_reference(outcome, config, n, phi, seed):
-    """``outcome`` is reference_run's report for ``seed``, or the same
-    DegenerateDataError (message and setting) that it raises."""
-    try:
-        expected = reference_run(config, n, phi, seed)
-    except DegenerateDataError as exc:
-        assert isinstance(outcome, DegenerateDataError)
-        assert (str(outcome), outcome.setting) == (str(exc), exc.setting)
+def assert_matches_reference(summary, run_idx, config, n, phi, seed):
+    """Run ``run_idx`` of ``summary`` is reference_run's for ``seed``: its L
+    and sigma, with (L - bound)/sigma, NaN at sigma 0; or NaN throughout and
+    the same first setting without counts."""
+    expected = reference_run(config, n, phi, seed)
+    l_value, sigma = summary.l_values[run_idx].item(), summary.sigmas[run_idx].item()
+    z, empty_row = summary.violation_sigmas[run_idx].item(), summary.empty_rows[run_idx].item()
+    if len(expected) == 3:
+        assert row_setting(n, empty_row) == expected
+        assert math.isnan(l_value) and math.isnan(sigma) and math.isnan(z)
     else:
-        assert outcome == expected
+        assert (empty_row, l_value, sigma) == (-1, *expected)
+        if sigma > 0.0:
+            assert z == (l_value - nlv_bound(n, phi)) / sigma
+        else:
+            assert math.isnan(z)
+
+
+def assert_same_runs(first, second):
+    """Two summaries hold the same per-run arrays, bit for bit (NaN equal)."""
+    for name in ("l_values", "sigmas", "violation_sigmas", "empty_rows"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
 
 # a replicate's cell: none, or a short tuple as sweep passes (N, phi index)
@@ -110,6 +121,22 @@ class TestConfig:
                     ExperimentConfig(**{name: value})
         with pytest.raises(ValueError, match="rng_seed"):
             ExperimentConfig(rng_seed=-1)
+
+    # numpy's Poisson draw refuses a mean above about 9.2e18 ("lam value too
+    # large"), so the largest port mean is bounded when the config is built
+    @pytest.mark.parametrize("fields", [
+        {"pair_rate": 1e300},
+        {"accidental_rate": 1e200, "integration_time": 1e200},
+        {"pair_rate": 3e17},
+    ])
+    def test_refuses_rates_whose_poisson_means_overflow(self, fields):
+        cfg = {"pair_rate": 1860.0, "accidental_rate": 0.41, "integration_time": 4.0, **fields}
+        mean = (cfg["pair_rate"] + cfg["accidental_rate"]) * cfg["integration_time"]
+        message = re.escape("(pair_rate + accidental_rate) * integration_time must be at most "
+                            f"1e+18, got {mean!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**fields)
+        assert ExperimentConfig(pair_rate=2.5e17, accidental_rate=0.0).pair_rate == 2.5e17
 
     def test_state_spec_is_parsed_at_construction(self):
         cfg = ExperimentConfig(state="werner:0.9")
@@ -180,7 +207,7 @@ class TestSampleQuad:
         draw = np.random.default_rng(99).poisson(means)
         assert (np.random.default_rng(99).poisson(means) == draw).all()
         cfg = ExperimentConfig(rng_seed=99)
-        assert replicate(cfg, 3, phi, 1).outcomes == replicate(cfg, 3, phi, 1).outcomes
+        assert_same_runs(replicate(cfg, 3, phi, 1), replicate(cfg, 3, phi, 1))
 
     @given(
         n=st.integers(1, 6),
@@ -204,8 +231,7 @@ class TestSampleQuad:
             rng_seed=seed, subtract_accidentals=subtract,
         )
         phi = math.radians(phi_deg)
-        (outcome,) = replicate(cfg, n, phi, 1, cell).outcomes
-        assert_matches_reference(outcome, cfg, n, phi, (seed, *cell, 0))
+        assert_matches_reference(replicate(cfg, n, phi, 1, cell), 0, cfg, n, phi, (seed, *cell, 0))
 
 
 class TestEstimator:
@@ -226,10 +252,10 @@ class TestEstimator:
         assert sigma == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_quad_raises(self):
-        # an empty row has no estimate, and a run that draws one raises
+        # an empty row has no estimate, and a run that draws one has no L
         assert np.isnan(estimate_C((0, 0, 0, 0))).all()
-        (outcome,) = replicate(ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0), 1, 0.0, 1).outcomes
-        assert isinstance(outcome, DegenerateDataError)
+        summary = replicate(ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0), 1, 0.0, 1)
+        assert summary.empty_rows.tolist() == [0] and np.isnan(summary.l_values).all()
 
     # a negative count used to give C = 1.0 with sigma 0, and a NaN shift
     # turned every row into "no counts"
@@ -312,11 +338,10 @@ class TestSubtraction:
         draw = np.random.default_rng((7, 0)).poisson(mean_table(cfg, 1, 0.0))
         assert draw[3].tolist() == [0, 1, 1, 1]
         assert (draw.sum(axis=1) > 0).all() and (draw[:3].max(axis=1) > 1.64).all()
-        (outcome,) = replicate(cfg, 1, 0.0, 1).outcomes
-        assert isinstance(outcome, DegenerateDataError)
-        assert outcome.setting == (2, 0, "phi")
-        (raw,) = replicate(dataclasses.replace(cfg, subtract_accidentals=False), 1, 0.0, 1).outcomes
-        assert isinstance(raw, InequalityReport)
+        (row,) = replicate(cfg, 1, 0.0, 1).empty_rows.tolist()
+        assert row_setting(1, row) == (2, 0, "phi")
+        raw = replicate(dataclasses.replace(cfg, subtract_accidentals=False), 1, 0.0, 1)
+        assert raw.empty_rows.tolist() == [-1]
 
     def test_variance_uses_raw_counts(self):
         counts = (1000, 1000, 100, 100)
@@ -333,28 +358,42 @@ class TestSubtraction:
 class TestOneRun:
     def test_bit_reproducible(self):
         cfg = ExperimentConfig(rng_seed=123)
-        (r1,) = replicate(cfg, 3, math.radians(15), 1).reports
-        (r2,) = replicate(cfg, 3, math.radians(15), 1).reports
-        assert r1.l_value == r2.l_value
-        assert r1.sigma == r2.sigma
-        assert r1.violation_sigmas == r2.violation_sigmas
+        r1 = replicate(cfg, 3, math.radians(15), 1)
+        r2 = replicate(cfg, 3, math.radians(15), 1)
+        assert r1.empty_rows.tolist() == r2.empty_rows.tolist() == [-1]
+        assert r1.l_values[0] == r2.l_values[0]
+        assert r1.sigmas[0] == r2.sigmas[0]
+        assert r1.violation_sigmas[0] == r2.violation_sigmas[0]
 
     def test_report_shape(self):
         cfg = ExperimentConfig(rng_seed=7)
-        (report,) = replicate(cfg, 2, math.radians(15), 1).reports
-        assert report.n == 2
-        assert report.sigma > 0.0
-        assert report.violation_sigmas == pytest.approx(
-            (report.l_value - report.bound) / report.sigma
+        summary = replicate(cfg, 2, math.radians(15), 1)
+        assert summary.runs == 1 and summary.empty_rows.tolist() == [-1]
+        (l_value,), (sigma,) = summary.l_values.tolist(), summary.sigmas.tolist()
+        assert sigma > 0.0
+        assert summary.violation_sigmas[0] == pytest.approx(
+            (l_value - nlv_bound(2, math.radians(15))) / sigma
         )
+
+    def test_violation_sigmas_are_derived_exactly(self):
+        # at one pair per second runs 0, 1, 3 and 5 have sigma 0, and 4 and 7
+        # no counts at some setting
+        phi = math.radians(15)
+        summary = replicate(ExperimentConfig(pair_rate=1.0, accidental_rate=0.0, rng_seed=3),
+                            2, phi, 10)
+        zero = summary.sigmas == 0.0
+        assert np.flatnonzero(zero).tolist() == [0, 1, 3, 5]
+        positive = summary.sigmas > 0.0
+        assert summary.violation_sigmas[positive].tolist() == (
+            (summary.l_values[positive] - nlv_bound(2, phi)) / summary.sigmas[positive]).tolist()
+        assert np.isnan(summary.violation_sigmas[~positive]).all()
 
     def test_degenerate_data_identifies_setting(self):
         cfg = ExperimentConfig(
             pair_rate=1e-9, accidental_rate=0.0, rng_seed=11, state="singlet"
         )
-        (outcome,) = replicate(cfg, 2, math.radians(15), 1).outcomes
-        assert isinstance(outcome, DegenerateDataError)
-        assert outcome.setting == (1, 0, "0")
+        (row,) = replicate(cfg, 2, math.radians(15), 1).empty_rows.tolist()
+        assert row_setting(2, row) == (1, 0, "0")
 
     def test_large_statistics_converge_to_analytic(self):
         # law-of-large-numbers check at ~1e9 and ~1e13 pairs per setting
@@ -364,14 +403,16 @@ class TestOneRun:
         cfg9 = ExperimentConfig(
             pair_rate=2.5e8, accidental_rate=0.0, state=state_spec, rng_seed=13
         )
-        (report9,) = replicate(cfg9, 4, phi, 1).reports
-        assert report9.sigma < 1e-5
-        assert abs(report9.l_value - analytic) < 5 * report9.sigma
+        run9 = replicate(cfg9, 4, phi, 1)
+        assert run9.empty_rows.tolist() == [-1]
+        assert run9.sigmas[0] < 1e-5
+        assert abs(run9.l_values[0] - analytic) < 5 * run9.sigmas[0]
         cfg13 = ExperimentConfig(
             pair_rate=2.5e12, accidental_rate=0.0, state=state_spec, rng_seed=13
         )
-        (report13,) = replicate(cfg13, 4, phi, 1).reports
-        assert abs(report13.l_value - analytic) < 1e-6
+        run13 = replicate(cfg13, 4, phi, 1)
+        assert run13.empty_rows.tolist() == [-1]
+        assert abs(run13.l_values[0] - analytic) < 1e-6
 
     def test_sigma_scales_with_integration_time(self):
         phi = math.radians(15)
@@ -415,7 +456,7 @@ class TestReplicate:
             replicate(ExperimentConfig(), 2, 0.1, 0)
         summary = replicate(ExperimentConfig(), 2, 0.1, 1)
         assert summary.runs == 1
-        assert summary.mean_l == summary.reports[0].l_value
+        assert summary.mean_l == summary.l_values[0]
         assert summary.std_l is None
         assert summary.std_over_sigma is None
 
@@ -423,17 +464,15 @@ class TestReplicate:
         # one pair per second: some runs see no counts at some setting
         cfg = ExperimentConfig(pair_rate=1.0, accidental_rate=0.0, rng_seed=3)
         summary = replicate(cfg, 2, math.radians(15), 10)
-        failed = [i for i, o in enumerate(summary.outcomes)
-                  if isinstance(o, DegenerateDataError)]
+        failed = np.flatnonzero(summary.empty_rows >= 0).tolist()
         assert failed == [4, 7]
-        assert len(summary.reports) == 8
-        for run_idx, outcome in enumerate(summary.outcomes):
-            assert_matches_reference(outcome, cfg, 2, math.radians(15), (3, run_idx))
-        l_values = [r.l_value for r in summary.reports]
+        assert np.count_nonzero(summary.empty_rows < 0) == 8
+        for run_idx in range(summary.runs):
+            assert_matches_reference(summary, run_idx, cfg, 2, math.radians(15), (3, run_idx))
+        l_values = [summary.l_values[i] for i in range(10) if i not in failed]
         assert summary.mean_l == pytest.approx(np.mean(l_values), abs=1e-15)
         assert summary.std_l == pytest.approx(np.std(l_values, ddof=1), abs=1e-15)
-        defined = [r.violation_sigmas for r in summary.reports
-                   if r.violation_sigmas is not None]
+        defined = [z for z in summary.violation_sigmas.tolist() if not math.isnan(z)]
         assert len(defined) == 4  # the sigma-0 runs have no violation
         assert summary.mean_violation == pytest.approx(np.mean(defined), abs=1e-15)
 
@@ -457,14 +496,26 @@ class TestReplicate:
         phi = math.radians(phi_deg)
         summary = replicate(cfg, n, phi, runs, cell)
         assert summary.runs == runs
-        for i, outcome in enumerate(summary.outcomes):
-            assert_matches_reference(outcome, cfg, n, phi, (seed, *cell, i))
+        for i in range(runs):
+            assert_matches_reference(summary, i, cfg, n, phi, (seed, *cell, i))
 
     @pytest.mark.parametrize("runs", [0, -1, 2.5, True, "3", None])
     def test_refuses_a_run_count_that_is_not_a_positive_int(self, runs):
         message = re.escape(f"need a positive integer run count, got {runs!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             replicate(ExperimentConfig(), 2, 0.1, runs)
+
+    @pytest.mark.parametrize("runs, n", [(625_001, 1), (1_000_000, 4), (1, 10_000_000)])
+    def test_refuses_more_counts_than_the_ceiling_before_drawing(self, monkeypatch, runs, n):
+        # runs x 16N counts over the ceiling: refused before the mean table is built
+        def unreachable(*args):
+            raise AssertionError("mean_table called")
+
+        monkeypatch.setattr(nlvtest.simulate, "mean_table", unreachable)
+        message = re.escape(f"{runs} runs at N = {n} draw {runs * 16 * n} counts, "
+                            f"over the ceiling of {MAX_REPLICATE_COUNTS}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replicate(ExperimentConfig(), n, 0.1, runs)
 
     @pytest.mark.parametrize("cell", [[2, 0], (2, -1), (2, 1.0), (True,), (2, "0"), 5, None])
     def test_refuses_a_cell_that_is_not_a_tuple_of_non_negative_ints(self, cell):
@@ -475,8 +526,8 @@ class TestReplicate:
     def test_all_degenerate_has_no_statistics(self):
         cfg = ExperimentConfig(pair_rate=1e-9, accidental_rate=0.0, rng_seed=11)
         summary = replicate(cfg, 2, math.radians(15), 3)
-        assert summary.runs == 3 and summary.reports == ()
-        assert all(isinstance(o, DegenerateDataError) for o in summary.outcomes)
+        assert summary.runs == 3 and (summary.empty_rows >= 0).all()
+        assert np.isnan([summary.l_values, summary.sigmas, summary.violation_sigmas]).all()
         assert (summary.mean_l, summary.std_l, summary.mean_sigma,
                 summary.mean_violation, summary.std_over_sigma) == (None,) * 5
 
@@ -484,7 +535,7 @@ class TestReplicate:
         summary = replicate(ExperimentConfig(rng_seed=29), 2, math.radians(15), 2)
         assert summary.runs == 2
         assert summary.std_l >= 0.0
-        assert len(summary.reports) == 2
+        assert summary.empty_rows.tolist() == [-1, -1]
 
     def test_propagation_ratio_near_one(self):
         summary = replicate(ExperimentConfig(rng_seed=31), 2, math.radians(15), 300)

@@ -17,6 +17,7 @@ from nlvtest.sphere import (
     default_frames,
     offset_settings,
     plane_settings,
+    row_setting,
     schedule_rows,
 )
 
@@ -288,6 +289,12 @@ class TestScheduleRows:
                 assert a.shape == b.shape == (4 * n, 3)
                 pairs = np.asarray(setting_pairs(frames, n, phi))
                 assert np.stack([a, b], axis=1).tolist() == pairs.tolist()
+
+    def test_row_setting_names_rows_in_sampling_order(self):
+        for n in (1, 2, 5):
+            assert [row_setting(n, row) for row in range(4 * n)] == [
+                (plane, k, offset) for plane in (1, 2) for k in range(n) for offset in ("0", "phi")
+            ]
 
     def test_rows_are_plane_and_offset_settings(self):
         frames = default_frames()
