@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .inequality import (
     NoViolationError,
-    continuum_bound,
     discrete_average,
     l_n,
     max_violation_phi,
@@ -65,7 +64,7 @@ __all__ = [
     "explicit_model_margin", "scan_explicit_model",
     "NoViolationError",
     "u_coefficient", "discrete_average", "l_n",
-    "nlv_bound", "continuum_bound",
+    "nlv_bound",
     "optimal_phi", "max_violation_phi",
     "ExperimentConfig", "estimate_C", "mean_table", "replicate",
 ]

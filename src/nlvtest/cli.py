@@ -233,10 +233,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     state = config.two_qubit_state
-    phi = math.radians(args.phi)
-    l_value = inequality.l_n(state, config.frames, args.n, phi)
-    bound = inequality.nlv_bound(args.n, phi)
-    best_phi, best_violation = inequality.max_violation_phi(state, config.frames, args.n)
+    best_phi = inequality.max_violation_phi(state, config.frames, args.n)
+    phis = [math.radians(args.phi), best_phi]
+    l_value, best_l = inequality.l_n(state, config.frames, args.n, phis).tolist()
+    bound, best_bound = inequality.nlv_bound(args.n, phis).tolist()
     columns = [
         "n", "phi_deg", "l_value", "bound", "violation",
         "best_phi_deg", "best_violation",
@@ -248,7 +248,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _fmt(bound, 4),
         _fmt(l_value - bound, 4),
         _fmt(math.degrees(best_phi), 2),
-        _fmt(best_violation, 4),
+        _fmt(best_l - best_bound, 4),
     ]]
     _emit(args, build_manifest("predict", args, config), columns, rows)
     return 0

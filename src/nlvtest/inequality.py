@@ -7,8 +7,8 @@ source of the kind described in the leggett module obeys
         <= 4 - 2 u_N |sin(phi/2)|,      u_N = cot(pi/2N) / N,
 
 where E_j is the N-setting average of correlation coefficients in plane j.
-As N grows u_N -> 2/pi and the continuum bound 4 - (4/pi)|sin(phi/2)|
-(``continuum_bound``) is recovered.  A two-qubit state's correlations carry
+As N grows u_N -> 2/pi, and the continuum bound 4 - (4/pi)|sin(phi/2)| is
+nlv_bound(math.inf, phi).  A two-qubit state's correlations carry
 only angular harmonics that N >= 2 rotated settings average exactly, so its
 L_N for any N >= 2 already is the all-directions sum.  The quantum singlet
 prediction is 2(1 + cos phi), which exceeds the bound for N >= 2 over a
@@ -20,11 +20,10 @@ has a ``correlation(a, b)`` method mapping stacked (k, 3) settings to (k,)
 values, each row's independent of the others in the call;
 ``l_n`` makes one per block of angles (one call at one angle).  It returns
 plain numbers, L_N as a float or a float array per angle, so a violation
-is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The
-violation search takes only a ``TwoQubitState``, whose correlation is
-linear in Bob's setting: it makes two calls, one for E_j(0) and the
-turned-setting means F_j before its steps, which are float arithmetic on
-those four numbers, and one for the reported angle.
+is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The violation search
+takes only a ``TwoQubitState``, whose correlation is linear in Bob's
+setting, and returns an angle: one call gives E_j(0) and the turned-setting
+means F_j, and its steps are float arithmetic on those four numbers.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "discrete_average",
     "l_n",
     "nlv_bound",
-    "continuum_bound",
     "optimal_phi",
     "max_violation_phi",
 ]
@@ -60,8 +58,11 @@ class NoViolationError(ValueError):
     """The requested optimum does not exist (the bound is unreachable)."""
 
 
-def u_coefficient(n: int) -> float:
-    """Discrete-averaging constant u_N = cot(pi/2N)/N; 0 at N=1, -> 2/pi."""
+def u_coefficient(n: int | float) -> float:
+    """Discrete-averaging constant u_N = cot(pi/2N)/N; 0 at N=1, and its
+    limit 2/pi at n = math.inf."""
+    if n == math.inf:
+        return 2.0 / math.pi
     n = _setting_count(n)
     if n == 1:
         return 0.0  # cot(pi/2) is exactly zero
@@ -124,32 +125,19 @@ def discrete_average(w: ArrayLike, c: ArrayLike, n: ArrayLike) -> DiscreteAverag
     return DiscreteAverage(value=total / n, xi=xi)
 
 
-def nlv_bound(n: int, phi: ArrayLike):
+def nlv_bound(n: int | float, phi: ArrayLike):
     """Non-local-variable bound 4 - 2 u_N |sin(phi/2)|, at one angle or per
-    entry of a 1-D array of angles (math.sin each, so an entry equals its
-    one-angle call bit for bit)."""
-    u, angles = u_coefficient(n), _angle_list(phi)
-    if angles is None:
-        return 4.0 - 2.0 * u * abs(math.sin(phi / 2.0))
-    return np.array([4.0 - 2.0 * u * abs(math.sin(p / 2.0)) for p in angles])
-
-
-def continuum_bound(phi: float) -> float:
-    """All-directions limit of the bound: 4 - (4/pi)|sin(phi/2)|, at one
-    angle, refused as every angle input is if it is NaN or infinite."""
-    _angle_list(phi)
-    return 4.0 - (4.0 / math.pi) * abs(math.sin(phi / 2.0))
+    entry of a 1-D array of angles (math.sin of each); n = math.inf gives
+    the all-directions bound 4 - (4/pi)|sin(phi/2)|."""
+    u, (angles, one) = u_coefficient(n), _angle_list(phi)
+    values = [4.0 - 2.0 * u * abs(math.sin(p / 2.0)) for p in angles]
+    return values[0] if one else np.array(values)
 
 
 def _means(c: np.ndarray) -> np.ndarray:
     """E_j from correlations (..., planes, N): each plane's N values added left
     to right, over N (np.add.accumulate adds in order; np.sum does not)."""
     return np.add.accumulate(c, axis=-1)[..., -1] / c.shape[-1]
-
-
-def _l_values(c_phi: np.ndarray, e_zero: np.ndarray) -> np.ndarray:
-    """L_N from C(a_k, b_k(phi)), (..., planes, N), and E_j(0): the |E_j(phi) + E_j(0)| in order."""
-    return np.add.accumulate(abs(_means(c_phi) + e_zero), axis=-1)[..., -1]
 
 
 def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
@@ -159,29 +147,29 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
     so memory does not grow with the array.  ``frames`` are the two planes'
     (2, 2, 3) rows (normal, seed), refused as sphere.check_frames refuses
     them."""
-    angles = _angle_list(phi)
+    angles, one = _angle_list(phi)
     alice, turned = plane_settings(check_frames(frames), n)
-    flat, values = [float(phi)] if angles is None else angles, []
-    for start in range(0, max(len(flat), 1), _ANGLE_BLOCK):  # an empty array makes one call
-        bob = offset_settings(alice, turned, flat[start:start + _ANGLE_BLOCK])
+    values = []
+    for start in range(0, max(len(angles), 1), _ANGLE_BLOCK):  # an empty array makes one call
+        bob = offset_settings(alice, turned, angles[start:start + _ANGLE_BLOCK])
         c = source.correlation(np.concatenate([alice] * (len(bob) + 1)),
                                np.concatenate([alice[None], bob]).reshape(-1, 3))
-        c = c.reshape(len(bob) + 1, 2, n)
-        values += _l_values(c[1:], _means(c[0])).tolist()
-    return values[0] if angles is None else np.array(values)
+        c = c.reshape(len(bob) + 1, 2, n)  # the aligned rows, then one block per angle
+        values += np.add.accumulate(abs(_means(c[1:]) + _means(c[0])), axis=-1)[:, -1].tolist()
+    return values[0] if one else np.array(values)
 
 
 def optimal_phi(n: int | float) -> float:
     """Difference angle maximizing the ideal singlet violation:
     2 arcsin(u_N / 4).  ``n`` is an integral count, or math.inf for the
     continuum limit."""
-    u = 2.0 / math.pi if n == math.inf else u_coefficient(n)
+    u = u_coefficient(n)
     if u == 0.0:
         raise NoViolationError("the single-setting inequality cannot be violated")
     return 2.0 * math.asin(u / 4.0)
 
 
-def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[float, float]:
+def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
     """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
     maximizing L_N - bound of a two-qubit ``state`` on the two planes
     ``frames`` that sphere.check_frames accepts.
@@ -189,21 +177,20 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[
     A state's correlation a.T.b is linear in Bob's setting b_k(phi) =
     cos(phi) a_k + sin(phi) t_k, t_k = normal x a_k, so each plane's mean is
     E_j(phi) = cos(phi) E_j(0) + sin(phi) F_j with F_j the mean of C(a_k, t_k).
-    One correlation call gives E_j(0) and F_j, and each step scores
+    One correlation call gives E_j(0) and F_j, and the search scores
 
         sum_j |(1 + cos phi) E_j(0) + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|)
 
-    in float arithmetic.  The reported value is L_N - bound at the last
-    bracket's midpoint, and at the end of the interval that the bracket
-    still touches if there is one, from one more correlation call.  Any
-    source other than a TwoQubitState, whose correlation need not be linear
-    in b, is refused.
+    in float arithmetic, at each step and then at the last bracket's
+    midpoint and the end of the interval that the bracket still touches, if
+    there is one, taking the midpoint on a tie.  Any source other than a
+    TwoQubitState, whose correlation need not be linear in b, is refused.
 
-    Returns (phi, violation); violation < 0 means the state never exceeds
-    the bound on the interval.  The objective is unimodal for the state
-    models in this package (a cosine plus a |sin| term).  A maximum at an
-    end, pi/4 for a state that never violates or 0 for N = 1, is returned
-    exactly.
+    Returns the angle; its violation is l_n(...) - nlv_bound(n, phi), < 0
+    when the state never exceeds the bound on the interval.  The objective
+    is unimodal for the state models in this package (a cosine plus a |sin|
+    term).  A maximum at an end, pi/4 for a state that never violates or 0
+    for N = 1, is returned exactly.
     """
     if not isinstance(state, TwoQubitState):
         raise ValueError(f"max_violation_phi needs a TwoQubitState, got {type(state).__name__}")
@@ -211,7 +198,6 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[
     alice, turned = plane_settings(check_frames(frames), n)
     means = _means(state.correlation(np.concatenate([alice, alice]),
                                      np.concatenate([alice, turned])).reshape(2, 2, n))
-    e_zero = means[0]
     (e1, e2), (f1, f2) = means.tolist()
     u = u_coefficient(n)
 
@@ -231,9 +217,6 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> tuple[
             b, d, fd = d, c, fc
             c = b - inv_golden * (b - a)
             fc = objective(c)
-    # the midpoint, then the end the bracket never left (at most one)
-    phis = [(a + b) / 2.0] + [end for end in (0.0, math.pi / 4.0) if end in (a, b)]
-    c_phi = state.correlation(np.concatenate([alice] * len(phis)),
-                              offset_settings(alice, turned, phis).reshape(-1, 3))
-    values = (_l_values(c_phi.reshape(len(phis), 2, n), e_zero) - nlv_bound(n, phis)).tolist()
-    return max(zip(phis, values), key=lambda pair: pair[1])  # the midpoint on a tie
+    # the midpoint, then the end the bracket never left (at most one); max
+    # keeps the first of equal scores
+    return max([(a + b) / 2.0] + [end for end in (0.0, math.pi / 4.0) if end in (a, b)], key=objective)

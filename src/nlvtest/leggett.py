@@ -296,8 +296,8 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     hi, lo = interval(pivot)
     vb = grid @ b_mat.T
     order = np.argsort(vb[:, pivot], kind="stable")
-    j_lo = np.searchsorted(vb[order, pivot], lo, side="left")
-    j_hi = np.searchsorted(vb[order, pivot], hi, side="right")
+    keys = vb[order, pivot]  # the pivot column of v.b, ascending
+    j_lo, j_hi = np.searchsorted(keys, lo, side="left"), np.searchsorted(keys, hi, side="right")
     # v.b in pivot order, one row per pair, into the width's buffer: with mode
     # "clip" (order is in range) take writes to the row itself, not to a copy
     y = width

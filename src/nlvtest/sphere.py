@@ -5,7 +5,8 @@ float array of shape (2, 2, 3), rows (normal, seed) per plane, as
 a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and are
 not rescaled; ``schedule_rows`` alone fixes the order of the measured
 setting pairs, and ``row_setting`` names one of its rows.  Bob's offset
-rows take one angle, or a 1-D array of angles along a leading axis.
+rows are computed over a 1-D array of angles along a leading axis, and
+one angle gets its one block without that axis.
 
 Conventions used throughout the package:
 
@@ -38,6 +39,9 @@ __all__ = [
 # so that its stored components satisfy |v| = 1 to ~1e-15.
 NORM_TOLERANCE = 1e-9
 _RENORM_SKIP = 4e-15  # skip division when norm^2 is already this close to 1
+# Settings per plane at most: the setting rows, and the correlation rows of
+# each l_n block of angles, grow linearly with N.
+MAX_SETTINGS = 1_000
 
 
 def _dot(p, q):
@@ -75,21 +79,19 @@ def _setting_count(n) -> int:
     return count
 
 
-def _angle_list(phi) -> list[float] | None:
-    """The angles of a 1-D array ``phi`` as a list of floats, or None for one
-    angle (a number or a 0-d array).  Any other shape, and a NaN or infinite
-    angle, is refused with a ValueError naming it."""
-    if isinstance(phi, float):  # one angle, without an array conversion
-        one, angles = True, [phi]
-    else:
-        array = np.asarray(phi, dtype=float)
-        if array.ndim > 1:
-            raise ValueError(f"need one angle or a 1-D array of angles, got shape {array.shape}")
-        one, angles = array.ndim == 0, np.atleast_1d(array).tolist()
+def _angle_list(phi) -> tuple[list[float], bool]:
+    """The angles of ``phi`` as a list of floats, and whether ``phi`` is one
+    angle (a number or a 0-d array) rather than a 1-D array.  Any other
+    shape, and a NaN or infinite angle, is refused with a ValueError naming
+    it."""
+    array = np.asarray(phi, dtype=float)
+    if array.ndim > 1:
+        raise ValueError(f"need one angle or a 1-D array of angles, got shape {array.shape}")
+    angles = array.reshape(-1).tolist()
     for angle in angles:
         if not math.isfinite(angle):
             raise ValueError(f"need a finite angle, got {angle!r}")
-    return None if one else angles
+    return angles, array.ndim == 0
 
 
 def check_frames(frames: ArrayLike) -> np.ndarray:
@@ -148,8 +150,11 @@ def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
     turned rows normal x a_k.  Each row is one Rodrigues turn of the seed by
     math.cos and math.sin of k pi/N, so a default frame's rows are exactly
     (cos, sin, 0) and (cos, 0, sin).  Bob's aligned setting b(0) is a_k
-    itself."""
+    itself.  More than MAX_SETTINGS settings are refused before any row is
+    built."""
     n = _setting_count(n)
+    if n > MAX_SETTINGS:
+        raise ValueError(f"need at most {MAX_SETTINGS} settings per plane, got {n}")
     angles = [k * math.pi / n for k in range(n)]
     c = np.array([math.cos(x) for x in angles])[:, None]
     s = np.array([math.sin(x) for x in angles])[:, None]
@@ -161,15 +166,13 @@ def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: ArrayLike) -> np.ndarray:
     """Bob's offset settings b(phi) = cos(phi) a + sin(phi) (normal x a) for
-    the rows of plane_settings: (rows, 3) at one angle, or (P, rows, 3) over a
-    1-D array of P angles, each block equal to its one-angle call bit for bit
-    (math.cos and math.sin of each angle)."""
-    angles = _angle_list(phi)
-    if angles is None:
-        return math.cos(phi) * alice + math.sin(phi) * turned
+    the rows of plane_settings: (P, rows, 3) over a 1-D array of P angles,
+    from math.cos and math.sin of each angle, or the one (rows, 3) block of
+    one angle."""
+    angles, one = _angle_list(phi)
     bob = np.array([math.cos(p) for p in angles])[:, None, None] * alice
     bob += np.array([math.sin(p) for p in angles])[:, None, None] * turned
-    return bob
+    return bob[0] if one else bob
 
 
 def schedule_rows(frames: ArrayLike, n: int, phi: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +181,12 @@ def schedule_rows(frames: ArrayLike, n: int, phi: ArrayLike) -> tuple[np.ndarray
     offset 0 (b = a_k) before offset phi (b = b_k(phi)).  Over a 1-D array of
     P angles, a and b are (P, 2 planes N, 3), one such pair set per angle."""
     alice, turned = plane_settings(frames, n)
-    bob = offset_settings(alice, turned, phi)
-    a = np.repeat(alice if bob.ndim == 2 else np.broadcast_to(alice, bob.shape), 2, axis=-2)
+    angles, one = _angle_list(phi)
+    bob = offset_settings(alice, turned, angles)
+    a = np.repeat(np.broadcast_to(alice, bob.shape), 2, axis=-2)
     b = a.copy()
     b[..., 1::2, :] = bob
-    return a, b
+    return (a[0], b[0]) if one else (a, b)
 
 
 def row_setting(n: int, row: int) -> tuple[int, int, str]:

@@ -494,6 +494,14 @@ class TestBadInput:
                      ("bounds", "--n-list", "2", "--phi-range", "0:1e308", "--step", "1e-10")):
             assert_one_line_error(run(*argv), capsys, "angles", "1000000")
 
+    @pytest.mark.parametrize("argv", [
+        ("predict", "--n", "1001", "--phi", "15"),
+        ("sweep", "--n-list", "2,1001", "--phi-range", "10:20", "--step", "5", "--runs", "1"),
+    ], ids=["predict", "sweep"])
+    def test_settings_over_the_ceiling(self, capsys, argv):
+        # refused in sphere.plane_settings before any setting row is built
+        assert_one_line_error(run(*argv), capsys, "at most 1000 settings per plane", "1001")
+
     @pytest.mark.parametrize("argv, named", [
         (("check", "leggett", "--trials", "10", "--ensembles", "1", "--grid-deg", "1e-300"),
          "1e-300 degree grid"),

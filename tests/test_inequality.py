@@ -25,7 +25,6 @@ from nlvtest.inequality import (
     _ANGLE_BLOCK,
     DiscreteAverage,
     NoViolationError,
-    continuum_bound,
     discrete_average,
     l_n,
     max_violation_phi,
@@ -61,6 +60,9 @@ class TestUCoefficient:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 2.0 / math.pi
         assert u_coefficient(100_000) == pytest.approx(2.0 / math.pi, abs=1e-9)
+
+    def test_infinite_count_is_the_limit_exactly(self):
+        assert u_coefficient(math.inf) == 2.0 / math.pi
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -381,7 +383,7 @@ class TestContinuum:
     def test_singlet_tight_at_zero(self):
         value = l_n(singlet(), default_frames(), 36, 0.0)
         assert value == pytest.approx(4.0, abs=1e-12)
-        assert continuum_bound(0.0) == 4.0
+        assert nlv_bound(math.inf, 0.0) == 4.0
 
     def test_matches_finite_n_for_rotation_invariant_source(self):
         phi = math.radians(21)
@@ -397,8 +399,8 @@ class TestContinuum:
         expected = (1 + math.cos(phi)) * (abs(-0.995 - 0.990) + abs(-0.995 - 0.982)) / 2
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(3.8944990618786437, abs=1e-12)
-        assert f"{continuum_bound(phi):.4f}" == "3.8338"
-        assert value > continuum_bound(phi)
+        assert f"{nlv_bound(math.inf, phi):.4f}" == "3.8338"
+        assert value > nlv_bound(math.inf, phi)
 
     def test_grid_exactness_for_finite_harmonics(self):
         state = bell_diagonal(-0.8, -0.7, -0.6)
@@ -445,12 +447,13 @@ _COUNT_ENTRY_POINTS = {
 
 
 class TestSettingCount:
-    # optimal_phi takes math.inf as the continuum limit
+    # u_coefficient, and so optimal_phi, takes math.inf as the continuum
+    # limit; the setting rows and the discrete average need a finite count
     @pytest.mark.parametrize("entry, n", [
         (entry, n)
         for entry in _COUNT_ENTRY_POINTS
         for n in (2.7, math.nan, 0, -1, math.inf)
-        if (entry, n) != ("optimal_phi", math.inf)
+        if not (entry in ("u_coefficient", "optimal_phi") and n == math.inf)
     ])
     def test_refuses_a_count_that_is_not_a_positive_integer(self, entry, n):
         message = re.escape(f"need a positive integer setting count, got {n!r}")
@@ -465,14 +468,14 @@ class TestSettingCount:
 
 _ANGLE_ENTRY_POINTS = {
     "nlv_bound": lambda phi: nlv_bound(2, phi),
-    "continuum_bound": continuum_bound,
+    "nlv_bound_continuum": lambda phi: nlv_bound(math.inf, phi),
     "l_n": lambda phi: l_n(singlet(), default_frames(), 2, phi),
     "offset_settings": lambda phi: offset_settings(*plane_settings(default_frames(), 2), phi),
     "schedule_rows": lambda phi: schedule_rows(default_frames(), 2, phi),
     "mean_table": lambda phi: mean_table(ExperimentConfig(), 2, phi),
     "replicate": lambda phi: replicate(ExperimentConfig(), 2, phi, 1),
 }
-_ANGLE_ARRAY_ENTRY_POINTS = ("nlv_bound", "l_n", "offset_settings", "schedule_rows")
+_ANGLE_ARRAY_ENTRY_POINTS = ("nlv_bound", "nlv_bound_continuum", "l_n", "offset_settings", "schedule_rows")
 
 
 class TestFiniteAngle:
@@ -492,13 +495,13 @@ class TestFiniteAngle:
 
 class TestMaxViolationSearch:
     def test_singlet_peak_matches_formula(self):
-        phi, violation = max_violation_phi(singlet(), default_frames(), 2)
+        phi = max_violation_phi(singlet(), default_frames(), 2)
         assert math.degrees(phi) == pytest.approx(math.degrees(optimal_phi(2)), abs=0.05)
-        assert violation > 0.0
+        assert l_n(singlet(), default_frames(), 2, phi) - nlv_bound(2, phi) > 0.0
 
     def test_low_visibility_never_violates(self):
-        _, violation = max_violation_phi(werner(0.96), default_frames(), 2)
-        assert violation < 0.0
+        phi = max_violation_phi(werner(0.96), default_frames(), 2)
+        assert l_n(werner(0.96), default_frames(), 2, phi) - nlv_bound(2, phi) < 0.0
 
     # the maximum lies at an end of [0, pi/4]: for a source that never
     # violates, or whose optimum 2 arcsin(u_N / 4v) lies past pi/4, and at 0
@@ -507,19 +510,13 @@ class TestMaxViolationSearch:
         ("mixed", 2, math.pi / 4.0), ("werner:0.3", 2, math.pi / 4.0), ("singlet", 1, 0.0),
     ])
     def test_maximum_at_an_end_is_that_end(self, spec, n, end):
-        state, frames = parse_state(spec), default_frames()
-        phi, violation = max_violation_phi(state, frames, n)
-        assert phi == end
-        assert violation == l_n(state, frames, n, end) - nlv_bound(n, end)
+        assert max_violation_phi(parse_state(spec), default_frames(), n) == end
 
     # rows per call: E_j(0) and F_j from the (a_k, a_k) and (a_k, t_k) rows of
-    # both planes, then the midpoint and, for "mixed", the end pi/4 that the
-    # bracket still touches
-    @pytest.mark.parametrize("spec, rows", [
-        ("singlet", [8, 4]), ("werner:0.96", [8, 4]),
-        ("visibilities:0.995,0.990,0.982", [8, 4]), ("mixed", [8, 8]),
-    ])
-    def test_a_search_makes_two_correlation_calls(self, monkeypatch, spec, rows):
+    # both planes; the midpoint and, for "mixed", the end pi/4 that the
+    # bracket still touches are scored in closed form like the steps
+    @pytest.mark.parametrize("spec", ["singlet", "werner:0.96", "visibilities:0.995,0.990,0.982", "mixed"])
+    def test_a_search_makes_one_correlation_call(self, monkeypatch, spec):
         made, real = [], nlvtest.quantum.correlation
 
         def counting(state, a, b):
@@ -528,7 +525,7 @@ class TestMaxViolationSearch:
 
         monkeypatch.setattr(nlvtest.quantum, "correlation", counting)
         max_violation_phi(parse_state(spec), default_frames(), 2)
-        assert made == rows
+        assert made == [8]
 
     # a Leggett ensemble's correlation need not be linear in Bob's setting
     @pytest.mark.parametrize("source, name", [
@@ -558,7 +555,7 @@ class TestMaxViolationSearch:
     @pytest.mark.parametrize("v", [0.5, 0.8, 0.96])
     def test_low_visibility_werner_keeps_its_interior_optimum(self, v):
         # L - bound = 2v(1 + cos phi) - 4 + 2 u_N sin(phi/2) peaks where sin(phi/2) = u_N / 4v
-        phi, _ = max_violation_phi(werner(v), default_frames(), 2)
+        phi = max_violation_phi(werner(v), default_frames(), 2)
         assert 0.0 < phi < math.pi / 4.0
         optimum = 2.0 * math.asin(u_coefficient(2) / (4.0 * v))
         assert math.degrees(phi) == pytest.approx(math.degrees(optimum), abs=0.01)
@@ -568,9 +565,16 @@ class TestMaxViolationSearch:
 REFERENCE_STATES = ("singlet", "werner:0.96", "colored:0.98", "visibilities:0.995,0.990,0.982")
 
 
+def searched(state, frames, n: int) -> tuple[float, float]:
+    """max_violation_phi's angle and the violation there, as cmd_predict reports them."""
+    phi = max_violation_phi(state, frames, n)
+    return phi, l_n(state, frames, n, phi) - nlv_bound(n, phi)
+
+
 class TestPlainPythonReference:
-    # l_n and max_violation_phi equal, bit for bit, a scalar per-setting
-    # evaluation with left-to-right plane sums (tests/helpers.py)
+    # l_n, and max_violation_phi's angle with l_n - nlv_bound there, equal,
+    # bit for bit, a scalar per-setting evaluation with left-to-right plane
+    # sums (tests/helpers.py)
     @pytest.mark.parametrize("spec", REFERENCE_STATES)
     def test_l_n_equals_reference(self, spec):
         # at one angle per call and over an angle array in one call
@@ -588,9 +592,7 @@ class TestPlainPythonReference:
     def test_max_violation_phi_equals_reference(self, spec):
         state, frames = parse_state(spec), default_frames()
         for n in (1, 2, 3, 8, 32):
-            assert max_violation_phi(state, frames, n) == reference_max_violation_phi(
-                state, frames, n
-            )
+            assert searched(state, frames, n) == reference_max_violation_phi(state, frames, n)
 
     def test_random_frames_and_states_equal_reference(self):
         rng = np.random.default_rng(45)
@@ -610,9 +612,7 @@ class TestPlainPythonReference:
             frames = random_frames(rng)
             state = TwoQubitState(random_density_matrix(rng))
             for n in (1, 3, 7):
-                assert max_violation_phi(state, frames, n) == reference_max_violation_phi(
-                    state, frames, n
-                )
+                assert searched(state, frames, n) == reference_max_violation_phi(state, frames, n)
 
 
 class TestSingletCrossCheck:

@@ -9,6 +9,7 @@ from nlvtest.inequality import l_n, max_violation_phi
 from nlvtest.quantum import singlet
 from nlvtest.simulate import ExperimentConfig
 from nlvtest.sphere import (
+    MAX_SETTINGS,
     _cross,
     _dot,
     _turn,
@@ -261,6 +262,19 @@ class TestPlaneSettings:
             angles = [k * math.pi / n for k in range(n)]
             assert alice[:n].tolist() == [[math.cos(x), math.sin(x), 0.0] for x in angles]
             assert alice[n:].tolist() == [[math.cos(x), 0.0, math.sin(x)] for x in angles]
+
+    @pytest.mark.parametrize("entry", ["plane_settings", "schedule_rows", "l_n", "max_violation_phi"])
+    def test_refuses_more_than_max_settings(self, entry):
+        # the one builder of setting rows refuses before it allocates them
+        n = MAX_SETTINGS + 1
+        call = {
+            "plane_settings": lambda: plane_settings(default_frames(), n),
+            "schedule_rows": lambda: schedule_rows(default_frames(), n, 0.3),
+            "l_n": lambda: l_n(singlet(), default_frames(), n, [0.1, 0.2]),
+            "max_violation_phi": lambda: max_violation_phi(singlet(), default_frames(), n),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^need at most {MAX_SETTINGS} settings per plane, got {n}$"):
+            call()
 
     def test_offset_rows_are_cos_a_plus_sin_normal_cross_a(self):
         # no rescale, even for a seed with |v|^2 - 1 = 4.0e-15, which

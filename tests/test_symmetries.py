@@ -1,16 +1,22 @@
 """Symmetries of L_N and of the violation search, as Hypothesis properties:
-Werner scaling, swapping the two planes, and SO(3) covariance (a state
-turned by U (x) U, measured on planes turned by U's rotation R)."""
+Werner scaling, swapping the two planes, SO(3) covariance (a state turned
+by U (x) U, measured on planes turned by U's rotation R), and the rotation
+invariance of the explicit-model margin and the admissible correlation
+interval.  Each of these maps a party swap (a transposed T) and phi -> -phi
+onto itself, so one pinned value, L_N of a state with an asymmetric T,
+fixes the orientation."""
 
 import math
 
 import numpy as np
-from helpers import random_density_matrix, random_frames
+from helpers import random_density_matrix, random_frames, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvtest.inequality import l_n, max_violation_phi
+from nlvtest.inequality import l_n, max_violation_phi, nlv_bound
+from nlvtest.leggett import admissible_C_range, explicit_model_margin
 from nlvtest.quantum import _STOKES_PAULIS, TwoQubitState, parse_state, singlet, werner
+from nlvtest.sphere import default_frames
 
 seeds = st.integers(0, 2**32 - 1)
 counts = st.integers(1, 8)
@@ -68,10 +74,55 @@ def test_so3_covariance(state, seed, q, n, phis):
     turned_frames = frames @ r.T
     worst = np.max(np.abs(l_n(turned, turned_frames, n, phis) - l_n(state, frames, n, phis)))
     assert worst <= 1e-14
-    (phi, violation), (phi0, violation0) = (max_violation_phi(turned, turned_frames, n),
-                                            max_violation_phi(state, frames, n))
-    assert abs(violation - violation0) <= 1e-14
+    phi, phi0 = max_violation_phi(turned, turned_frames, n), max_violation_phi(state, frames, n)
+    violation = l_n(turned, turned_frames, n, phi) - nlv_bound(n, phi)
+    assert abs(violation - (l_n(state, frames, n, phi0) - nlv_bound(n, phi0))) <= 1e-14
     # at N = 1 a state without correlations scores -4 at every angle, and
     # any angle is its maximizer
     if n > 1 or np.any(state.t):
         assert abs(phi - phi0) <= 1e-14
+
+
+@given(seed=seeds, q=quaternions, k=st.integers(1, 6), m=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_margin_and_admissible_range_are_rotation_invariant(seed, q, k, m):
+    # both read u, v, a and b only through a.u, b.v and a.b, which one
+    # rotation R of every vector keeps
+    rng = np.random.default_rng(seed)
+    u, v, a, b = unit_rows(rng, 4, k)
+    pairs = unit_rows(rng, m, 2)
+    _, r = su2_and_rotation(q)
+    ru, rv, ra, rb, rpairs = (x @ r.T for x in (u, v, a, b, pairs))
+    margin = explicit_model_margin(ru, rv, rpairs)
+    assert np.max(np.abs(margin - explicit_model_margin(u, v, pairs))) <= 1e-14
+    for end, end0 in zip(admissible_C_range(ru, rv, ra, rb), admissible_C_range(u, v, a, b)):
+        assert np.max(np.abs(end - end0)) <= 1e-14
+
+
+def h_d_mixture(p: float) -> TwoQubitState:
+    """p singlet + (1 - p) |H><H| (x) |D><D|, D = +45 degrees: Stokes tensor
+    T = -p I + (1 - p) x y^T, rows Alice's axis."""
+    h, d = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    product = np.kron(np.outer(h, h), np.outer(d, d))
+    return TwoQubitState(p * singlet().rho + (1.0 - p) * product)
+
+
+@given(p=st.floats(0.0, 1.0), n=st.integers(2, 8), phis=angles)
+@settings(max_examples=40, deadline=None)
+def test_asymmetric_tensor_pins_the_orientation(p, n, phis):
+    # on the default planes, a_k = (cos t, sin t, 0) in plane 1 and
+    # (cos t, 0, sin t) in plane 2, t = k pi/N, so only plane 1 sees the x y^T
+    # term, whose mean cos t sin(t + phi) is sin(phi)/2 for N >= 2: L_N =
+    # |-p(1 + cos phi) + (1 - p) sin(phi)/2| + p(1 + cos phi).  A transposed T,
+    # or Bob turned the other way (phi -> -phi), flips the sign of the sin term.
+    state = h_d_mixture(p)
+    x, y = np.eye(3)[:2]
+    assert np.max(np.abs(np.array(state.t) - (-p * np.eye(3) + (1.0 - p) * np.outer(x, y)))) <= 1e-15
+    cp = 1.0 + np.cos(phis)
+    expected = np.abs(-p * cp + (1.0 - p) * np.sin(phis) / 2.0) + p * cp
+    assert np.max(np.abs(l_n(state, default_frames(), n, phis) - expected)) <= 1e-14
+
+
+def test_asymmetric_tensor_at_15_degrees():
+    # the pinned value; the transposed T would give 2.4109
+    assert f"{l_n(h_d_mixture(0.6), default_frames(), 2, math.radians(15.0)):.4f}" == "2.3073"
