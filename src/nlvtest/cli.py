@@ -323,16 +323,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # the leggett suite's own flags, as given; the suite's defaults fill the rest
+    given = {name: value for name, value in (("ensembles", args.ensembles), ("grid_deg", args.grid_deg))
+             if value is not None}
+    if args.suite == "lemma" and given:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        raise ValueError(f"{flag} applies to the leggett suite, which check lemma does not run")
     results = []
     if args.suite in ("lemma", "all"):
         results += _checks.lemma_suite(trials=args.trials, seed=args.seed)
     if args.suite in ("leggett", "all"):
-        results += _checks.leggett_suite(
-            trials=args.trials,
-            seed=args.seed,
-            ensembles=args.ensembles,
-            grid_deg=args.grid_deg,
-        )
+        results += _checks.leggett_suite(trials=args.trials, seed=args.seed, **given)
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -465,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("check", help="run the property suites")
     check.add_argument("suite", choices=("lemma", "leggett", "all"))
     check.add_argument("--trials", type=_positive_int, default=100_000)
-    check.add_argument("--ensembles", type=_positive_int, default=100)
-    check.add_argument("--grid-deg", type=_non_negative_float, default=0.0,
-                       help="also scan the two-setting schedule at this resolution")
+    check.add_argument("--ensembles", type=_positive_int, default=None,
+                       help="local ensembles of the leggett suite (default 100)")
+    check.add_argument("--grid-deg", type=_non_negative_float, default=None,
+                       help="leggett suite: also scan the two-setting schedule at this resolution")
     check.add_argument("--seed", type=_non_negative_int, default=0)
     check.set_defaults(func=cmd_check)
     return parser

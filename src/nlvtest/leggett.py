@@ -16,11 +16,11 @@ Settings are stacked (k, 3) rows (one evaluation is k = 1), and each
 function is elementwise arithmetic on the projections a.u, b.v and a.b: the
 interval, the (k, 4) outcome tables in the quantum sign order (+,+), (-,-),
 (-,+), (+,-), and the explicit model's validity margin.  The margin is
-written once, on its u half (from a.u and a.b) and its v half (from b.v),
-for the direct evaluation and for the sphere-grid scan of whether one
-component can reproduce a whole setting schedule; the scan computes each
-half once per grid point and drops a candidate as soon as its first pair
-columns show that it cannot win.
+written once, on the projections u.a, v.b and a.b, for the direct
+evaluation and for the sphere-grid scan of whether one component can
+reproduce a whole setting schedule; the scan computes the projections once
+per grid point and drops a candidate as soon as its narrowest pair columns
+show that it cannot win.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _POSITIVITY_TOL = 1e-12
 # correlation may leave its interval by four times the entry tolerance.
 _INTERVAL_TOL = 4.0 * _POSITIVITY_TOL
 _SCAN_TOL = 1e-12  # slack on the scan's pivot interval and its feasibility test
-_SCAN_BLOCK = 2048  # candidates per block of the scan, whole u segments
+_SCAN_BLOCK = 5120  # candidates per block of the scan, whole u segments; sized by measurement
 _SCAN_HEAD = 3  # pair columns the scan scores on every candidate of a block
 
 
@@ -173,13 +173,14 @@ def product_ensemble(weights: ArrayLike, u: ArrayLike, v: ArrayLike) -> PureEnse
     return PureEnsemble(weights, u, v, _product_correlation)
 
 
-def _margin(u_half, v_half):
+def _margin(x, y, d):
     """The explicit model's margin min((1 - y) - |d + x|, (1 + y) - |d - x|),
-    elementwise, from its u half (|d + x|, |d - x|) and its v half
-    (1 - y, 1 + y), each a pair of like-shaped arrays, where x = u.a,
-    y = v.b and d = a.b are the projections on one measured pair."""
-    (plus, minus), (low, high) = u_half, v_half
-    return np.minimum(low - plus, high - minus)
+    elementwise, where x = u.a, y = v.b and d = a.b are the projections on one
+    measured pair."""
+    low, high, t = 1.0 - y, 1.0 + y, np.add(d, x)
+    low -= np.abs(t, out=t)
+    high -= np.abs(np.subtract(d, x, out=t), out=t)
+    return np.minimum(low, high, out=low)
 
 
 def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.ndarray:
@@ -198,7 +199,7 @@ def explicit_model_margin(u: ArrayLike, v: ArrayLike, pairs: ArrayLike) -> np.nd
     x = _dot(np.asarray(u, dtype=float)[..., None, :], a)
     y = _dot(np.asarray(v, dtype=float)[..., None, :], b)
     d = _dot(a, b)
-    return _margin((np.abs(d + x), np.abs(d - x)), (1.0 - y, 1.0 + y)).min(axis=-1)
+    return _margin(*np.broadcast_arrays(x, y), d).min(axis=-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,14 +243,15 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
 
     The survivors, the candidates, are taken in flat order, by u index and
     then in pivot order, one block of whole u segments (about _SCAN_BLOCK
-    candidates) at a time.  Each half of the margin is computed once per grid
-    point and stored pair-major, one pair column per row, so a block is
-    scored one pair column at a time.  Every candidate of a block gets the
-    minimum over the first _SCAN_HEAD columns; t is the full margin of the
+    candidates) at a time.  The pair columns are ordered by median interval
+    width, except that the pivot comes last, since its window already holds
+    every candidate to its condition; the head is the first _SCAN_HEAD
+    columns of that order.  Every candidate of a block gets the
+    minimum of the margin over the head; t is the full margin of the
     candidate with the best such minimum, and only the candidates whose
     minimum is at least min(-_SCAN_TOL, max(best so far, t)) are scored on
-    the other columns.  Dropping the others is sound: a minimum over more
-    columns can only be lower, so a dropped candidate's margin is below
+    every column.  Dropping the others is sound for any head: a minimum over
+    more columns can only be lower, so a dropped candidate's margin is below
     -_SCAN_TOL, hence not feasible, and below max(best so far, t), hence
     worse than an earlier block's best or than the candidate scoring t; it
     can be neither the first feasible candidate nor the first best.  The
@@ -257,6 +259,17 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     the first feasible candidate in flat order, which is the best pair, and
     ``candidates_checked`` counts the candidates up to it; otherwise the best
     pair is the first flat argmax and every candidate is counted.
+
+    The working set is u.a and v.b, one (n_grid, m) array each in one
+    buffer, which first holds the interval widths, one pair row at a time;
+    the grid; the head columns of v.b in pivot order; n_grid-long index
+    arrays; and a block's temporaries, which grow with _SCAN_BLOCK, not
+    with the grid.  Its peak is about 4.0 (n_grid, m) arrays at 3 degrees
+    with N = 3 (m = 12) and 3.5 at 2 degrees.  One buffer, not two, keeps
+    the rest of the working set in malloc's free memory between scans:
+    glibc's malloc returns freed memory to the system only past twice the
+    largest block it has unmapped, so repeated N = 3 scans allocate without
+    page faults.
     """
     rows = np.asarray(pairs, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (2, 3) or not rows.shape[0]:
@@ -271,51 +284,44 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
     if points > 1_000_000:  # counted before the grid is built, as the CLI counts angles
         raise ValueError(f"a {resolution_deg!r} degree grid has over 1000000 points")
     grid = _sphere_grid(steps)
+    n_grid, m = grid.shape[0], rows.shape[0]
     a_mat, b_mat = rows[:, 0], rows[:, 1]
     d = np.einsum("mi,mi->m", a_mat, b_mat)
+    ua, vb = np.empty((2, n_grid, m))  # u.a and v.b per grid point and pair column, one buffer
+    np.matmul(grid, a_mat.T, out=ua)
 
-    # The margin's halves, pair-major (m, n_grid) so that a pair column is one
-    # row: the u half |d + u.a|, |d - u.a| in grid order, the v half 1 - v.b,
-    # 1 + v.b in pivot order.  Each (n_grid, m) array is freed once used, and
-    # the v half reuses the width's buffer, so that at most four such arrays
-    # are live at once: a fresh one costs page faults.
-    ua = grid @ a_mat.T  # (n_grid, m)
-    u_half = (np.add(d[:, None], ua.T, order="C"), np.subtract(d[:, None], ua.T, order="C"))
-    del ua
-    for h in u_half:
-        np.abs(h, out=h)
+    def interval(c):
+        """The bounds hi, lo that the condition on pair column c sets on v.b."""
+        x = ua[:, c]
+        return 1.0 - np.abs(d[c] + x) + _SCAN_TOL, -1.0 + np.abs(d[c] - x) - _SCAN_TOL
 
-    def interval(rows):
-        """The bounds hi, lo that the condition on pairs ``rows`` sets on v.b."""
-        return 1.0 - u_half[0][rows] + _SCAN_TOL, -1.0 + u_half[1][rows] - _SCAN_TOL
-
-    width, lo = interval(slice(None))
-    width -= lo  # hi - lo, in place
-    del lo
-    pivot = int(np.argmin(np.median(width, axis=1, overwrite_input=True)))
-    hi, lo = interval(pivot)
-    vb = grid @ b_mat.T
+    width = vb.reshape(m, n_grid)  # hi - lo, one pair column per row, in v.b's buffer
+    for c, w in enumerate(width):
+        np.subtract(*interval(c), out=w)
+    width.sort(axis=1)  # each row's median as np.median takes it, faster than its partition
+    rank = np.argsort((width[:, (n_grid - 1) // 2] + width[:, n_grid // 2]) / 2, kind="stable")
+    pivot, head = int(rank[0]), np.roll(rank, -1)[:_SCAN_HEAD]  # the pivot last: it prunes nothing
+    np.matmul(grid, b_mat.T, out=vb)
     order = np.argsort(vb[:, pivot], kind="stable")
     keys = vb[order, pivot]  # the pivot column of v.b, ascending
-    j_lo, j_hi = np.searchsorted(keys, lo, side="left"), np.searchsorted(keys, hi, side="right")
-    # v.b in pivot order, one row per pair, into the width's buffer: with mode
-    # "clip" (order is in range) take writes to the row itself, not to a copy
-    y = width
-    for c in range(y.shape[0]):
-        np.take(vb[:, c], order, out=y[c], mode="clip")
-    del vb
-    v_half = (1.0 - y, np.add(1.0, y, out=y))  # 1 + v.b written over v.b, once 1 - v.b is taken
-
-    def score(cols, ui, vi):
-        """The margin's minimum over pair columns ``cols`` for candidates (ui, vi)."""
-        u = [h[cols].take(ui, axis=-1) for h in u_half]
-        v = [h[cols].take(vi, axis=-1) for h in v_half]
-        return _margin(u, v).min(axis=0, initial=math.inf)
-
-    head, tail = slice(None, _SCAN_HEAD), slice(_SCAN_HEAD, None)
-    segs = np.flatnonzero(j_hi > j_lo)  # the u indices with survivors, in order
-    lens = (j_hi - j_lo)[segs]
+    hi, lo = interval(pivot)
+    by_lo = np.argsort(lo)  # both bounds looked up in ascending order of lo
+    firsts, lens = np.empty_like(by_lo), np.empty_like(by_lo)
+    firsts[by_lo] = np.searchsorted(keys, lo[by_lo], side="left")
+    lens[by_lo] = np.searchsorted(keys, hi[by_lo], side="right")
+    del hi, lo, by_lo, keys  # not needed by the blocks: out of the working set
+    lens -= firsts
+    segs = np.flatnonzero(lens > 0)  # the u indices with survivors, in order
+    firsts, lens = firsts[segs], lens[segs]
     ends = np.cumsum(lens)  # flat position after each segment
+    y_head, d_head = vb.T[head].take(order, axis=1), d[head, None]  # v.b in pivot order
+
+    def score(ui, vi):
+        """The margin over every pair column for candidates (ui, vi), computed
+        pair-major: numpy reduces a short inner axis slowly."""
+        x, y = ua.take(ui, axis=0).T.copy(), vb.take(order.take(vi), axis=0).T.copy()
+        return _margin(x, y, d[:, None]).min(axis=0)
+
     best_margin, best, checked, start = -math.inf, (None, None), 0, 0
     while start < segs.size:  # blocks of whole segments, >= 1 segment each
         base = int(ends[start - 1]) if start else 0  # candidates before the block
@@ -324,15 +330,16 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
         total = int(ends[stop - 1]) - base
         offs = ends[start:stop] - seg_lens - base  # each segment's offset in the block
         ui = np.repeat(seg, seg_lens)
-        vi = np.repeat(j_lo[seg] - offs, seg_lens) + np.arange(total)
-        bound = score(head, ui, vi)  # an upper bound on each candidate's margin
+        vi = np.repeat(firsts[start:stop] - offs, seg_lens) + np.arange(total)
+        bound = _margin(ua[seg][:, head].T.repeat(seg_lens, axis=1), y_head.take(vi, axis=1),
+                        d_head).min(axis=0)  # an upper bound on each candidate's margin
         k = int(np.argmax(bound))
-        t = float(score(slice(None), ui[k], vi[k]))
+        t = float(score(ui[k:k + 1], vi[k:k + 1])[0])
         kept = np.flatnonzero(bound >= min(-_SCAN_TOL, max(best_margin, t)))
         start, checked = stop, base + total
         if not kept.size:  # no candidate of the block beats an earlier block's best
             continue
-        margins = np.minimum(bound[kept], score(tail, ui[kept], vi[kept]))
+        margins = score(ui[kept], vi[kept])
         feasible = np.flatnonzero(margins >= -_SCAN_TOL)
         j = int(feasible[0]) if feasible.size else int(np.argmax(margins))
         if margins[j] > best_margin:
@@ -341,4 +348,4 @@ def scan_explicit_model(pairs: ArrayLike, resolution_deg: float = 1.0) -> GridSc
         if feasible.size:  # the scan stops at the first one in flat order
             checked = base + int(kept[j]) + 1
             break
-    return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, grid.shape[0], checked)
+    return GridScanResult(best_margin >= -_SCAN_TOL, best_margin, *best, n_grid, checked)

@@ -468,6 +468,12 @@ class TestBadInput:
         code = run("predict", "--state", "", "--n", "2", "--phi", "15")
         assert_one_line_error(code, capsys, "unknown state spec ''")
 
+    @pytest.mark.parametrize("flag, value", [("--grid-deg", "3"), ("--ensembles", "5")])
+    def test_lemma_refuses_the_leggett_suite_flags(self, capsys, flag, value):
+        # check lemma runs no scan and draws no ensembles, so it would ignore them
+        code = run("check", "lemma", "--trials", "10", flag, value)
+        assert_one_line_error(code, capsys, flag, "leggett suite")
+
     def test_scan_resolution_above_180(self, capsys):
         # argparse rejects a negative --grid-deg; the scan rejects one above 180
         code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "200")

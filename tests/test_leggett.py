@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from nlvtest.inequality import l_n, nlv_bound
 from nlvtest.leggett import (
     _SCAN_BLOCK,
+    _SCAN_HEAD,
     ConstraintViolationError,
     PureEnsemble,
     _sphere_grid,
@@ -513,17 +515,58 @@ class TestExplicitModel:
         assert res == expected  # every GridScanResult field
         assert repr(res) == repr(expected)  # and the sign of a zero margin
 
-    # the first feasible pair lies past the first block of candidates
+    # the first feasible pair lies past the first block of candidates: on the
+    # 2-degree grid, past 63,045 to 72,119 candidates
     @pytest.mark.parametrize("phi_deg", [10.0, 15.0, 20.0])
     def test_scan_finds_a_feasible_pair_past_the_first_block(self, phi_deg):
         pairs = schedule_pairs(1, math.radians(phi_deg))
-        res = scan_explicit_model(pairs, resolution_deg=3.0)
+        res = scan_explicit_model(pairs, resolution_deg=2.0)
         assert res.feasible_found and res.candidates_checked > 10 * _SCAN_BLOCK
-        assert repr(res) == repr(reference_scan(pairs, 3.0))
+        assert repr(res) == repr(reference_scan(pairs, 2.0))
+
+    # Reversed and rolled pair rows move the pivot off row 0 and the head off
+    # the first three columns; the reference scores every column of every
+    # candidate, in its own pivot order.
+    @pytest.mark.parametrize("resolution", [3.0, 6.0])
+    @pytest.mark.parametrize("phi_deg", [0.0, 15.0, 90.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("reorder", [lambda p: p[::-1], lambda p: np.roll(p, 3, axis=0)],
+                             ids=["reversed", "rolled"])
+    def test_scan_takes_pair_rows_in_any_order(self, reorder, n, phi_deg, resolution):
+        pairs = reorder(schedule_pairs(n, math.radians(phi_deg)))
+        res = scan_explicit_model(pairs, resolution_deg=resolution)
+        assert repr(res) == repr(reference_scan(pairs, resolution))
+
+    # The scan's peak traced allocation, in (n_grid, m) float64 arrays: u.a and
+    # v.b (2); the grid (3 / m), the head columns of v.b (_SCAN_HEAD / m) and at
+    # most six n_grid-long index arrays (6 / m); and a block's temporaries, at
+    # most eight arrays of (_SCAN_HEAD, _SCAN_BLOCK) floats.  The bound is at
+    # least 30% below the peak of the scan that held each half of the margin
+    # (6.69 arrays at 3 degrees, 5.75 at 2 degrees).
+    @pytest.mark.parametrize("resolution, earlier_peak", [(3.0, 6.69), (2.0, 5.75)])
+    def test_scan_working_set(self, resolution, earlier_peak):
+        pairs = schedule_pairs(3, math.radians(15.0))
+        m, steps = len(pairs), round(180.0 / resolution)
+        n_grid = (steps - 1) * 2 * steps + 2
+        scan_explicit_model(pairs, resolution_deg=resolution)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            scan_explicit_model(pairs, resolution_deg=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = 8 * n_grid * m
+        grid_terms = 8 * n_grid * (3 + _SCAN_HEAD + 6)
+        block_terms = 8 * 8 * _SCAN_HEAD * _SCAN_BLOCK
+        bound = 2 * array + grid_terms + block_terms
+        assert bound <= 0.7 * earlier_peak * array
+        assert peak <= bound, f"peak {peak / array:.2f} arrays, bound {bound / array:.2f}"
 
     # At phi = 0 every pair is aligned and v = -u has a margin of exactly 0.0,
-    # on the -_SCAN_TOL edge of the prune and of the feasibility test.
-    @pytest.mark.parametrize("resolution", [6.0, 10.0])
+    # on the -_SCAN_TOL edge of the prune and of the feasibility test.  On the
+    # 30-degree grid the two middle widths of a pair column differ, so the
+    # pivot follows the median as np.median takes it.
+    @pytest.mark.parametrize("resolution", [6.0, 10.0, 30.0])
     @pytest.mark.parametrize("phi_deg", [0.0, 90.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scan_prunes_nothing_that_can_win(self, n, phi_deg, resolution):
