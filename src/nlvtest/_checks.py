@@ -17,6 +17,10 @@ from .sphere import _cross, default_frames, schedule_rows
 
 __all__ = ["CheckResult", "lemma_suite", "leggett_suite"]
 
+# Trials a suite draws at most, refused before anything is drawn: the
+# leggett suite at 1,000,000 trials peaks near 330 MB.
+MAX_TRIALS = 1_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
@@ -31,8 +35,14 @@ def _unit_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
+def _check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise ValueError(f"need at most {MAX_TRIALS} trials, got {trials}")
+
+
 def lemma_suite(trials: int = 100_000, seed: int = 0) -> list[CheckResult]:
     """Randomized checks of the discrete-averaging estimate."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     results = []
 
@@ -98,6 +108,7 @@ def leggett_suite(
     ``grid_deg`` > 0 additionally runs the exhaustive (u, v) scan over the
     default two-setting schedule at phi = 15 deg, which should find nothing.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     results = []
 

@@ -33,26 +33,11 @@ _MANIFEST_PREFIX = "# nlvtest-manifest "
 
 
 class ConfigError(ValueError):
-    """A configuration file or state spec could not be parsed."""
+    """A configuration file, state spec, flag or output path was refused."""
 
 
 # ---------------------------------------------------------------------------
 # configuration files
-
-
-_CONFIG_KEYS = {
-    "pair_rate",
-    "accidental_rate",
-    "integration_time",
-    "state",
-    "visibilities",
-    "seed",
-    "subtract_accidentals",
-    "plane1_normal",
-    "plane1_seed",
-    "plane2_normal",
-    "plane2_seed",
-}
 
 
 def _parse_vector(text: str) -> tuple[float, float, float]:
@@ -71,6 +56,41 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _vector_text(row: np.ndarray) -> str:
+    return ",".join(repr(x) for x in row.tolist())
+
+
+# One row per config-file key: the ExperimentConfig field it sets (a plane
+# key sets one (plane, row) of ``frames``), how its text parses, and how the
+# manifest prints the stored value.  The manifest writes every key as
+# ``config.KEY``, so its config lines, prefix stripped, are a config file; a
+# flag of the same name (--seed, --state, --subtract-accidentals) overrides
+# its key.
+_FIELDS = {
+    "pair_rate": ("pair_rate", float, repr),
+    "accidental_rate": ("accidental_rate", float, repr),
+    "integration_time": ("integration_time", float, repr),
+    "state": ("state", str, str),
+    "seed": ("rng_seed", int, str),
+    "subtract_accidentals": ("subtract_accidentals", _parse_bool, lambda b: str(b).lower()),
+    **{f"plane{plane + 1}_{name}": ((plane, row), _parse_vector, _vector_text)
+       for plane in range(2) for row, name in enumerate(("normal", "seed"))},
+}
+
+
+def _fields(values: dict[str, object]) -> dict[str, object]:
+    """ExperimentConfig keyword arguments setting each key of ``values`` to
+    its parsed value; plane keys replace rows of the default frames."""
+    kwargs: dict = {}
+    for key, value in values.items():
+        field = _FIELDS[key][0]
+        if isinstance(field, tuple):  # a (plane, row) of the frames
+            kwargs.setdefault("frames", default_frames().tolist())[field[0]][field[1]] = value
+        else:
+            kwargs[field] = value
+    return kwargs
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key = value config file into an ExperimentConfig."""
     values: dict[str, str] = {}
@@ -86,32 +106,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS and key != "visibilities":
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()
-    if "state" in values and "visibilities" in values:
-        raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
-    kwargs: dict = {}
-    try:
-        for key in ("pair_rate", "accidental_rate", "integration_time"):
-            if key in values:
-                kwargs[key] = float(values[key])
+    if "visibilities" in values:  # an input alias of state = visibilities:V1,V2,V3
         if "state" in values:
-            kwargs["state"] = values["state"]
-        if "visibilities" in values:
-            kwargs["state"] = "visibilities:" + values["visibilities"]
-        if "seed" in values:
-            kwargs["rng_seed"] = int(values["seed"])
-        if "subtract_accidentals" in values:
-            kwargs["subtract_accidentals"] = _parse_bool(values["subtract_accidentals"])
-        kwargs["frames"] = [
-            [_parse_vector(values[key]) if key in values else row
-             for key, row in zip((f"plane{i}_normal", f"plane{i}_seed"), plane.tolist())]
-            for i, plane in enumerate(default_frames(), start=1)
-        ]
-        return ExperimentConfig(**kwargs)
+            raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
+        values["state"] = "visibilities:" + values.pop("visibilities")
+    try:
+        parsed = {key: parse(values[key]) for key, (_, parse, _) in _FIELDS.items() if key in values}
+        return ExperimentConfig(**_fields(parsed))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -120,20 +126,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # manifests and output
 
 
-def _vector_text(row: np.ndarray) -> str:
-    return ",".join(repr(x) for x in row.tolist())
-
-
 def build_manifest(command: str, args: argparse.Namespace,
                    config: ExperimentConfig | None) -> dict[str, str]:
     """Provenance block attached to every output: tool version, the Python
     and numpy versions (seeded draws rest on numpy's Poisson algorithm),
-    command, seed, config snapshot, and timestamp, sufficient to reproduce
-    the data section bit-exactly."""
+    command, timestamp and every config key as ``config.KEY``, sufficient to
+    reproduce the data section bit-exactly."""
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
-        "format": "3",  # bumped whenever a printed cell or JSON field changes
+        "format": "4",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": command,
@@ -149,18 +151,10 @@ def build_manifest(command: str, args: argparse.Namespace,
     if getattr(args, "phi_range", None) is not None:
         manifest["phi_range_deg"] = f"{args.phi_range[0]!r}:{args.phi_range[1]!r}"
         manifest["step_deg"] = repr(args.step)
-    if getattr(args, "state", None):
-        manifest["state"] = args.state
     if config is not None:
-        manifest["seed"] = str(config.rng_seed)
-        manifest["config.pair_rate"] = repr(config.pair_rate)
-        manifest["config.accidental_rate"] = repr(config.accidental_rate)
-        manifest["config.integration_time"] = repr(config.integration_time)
-        manifest["config.state"] = config.state
-        manifest["config.subtract_accidentals"] = str(config.subtract_accidentals).lower()
-        for i, (normal, seed) in enumerate(config.frames, start=1):
-            manifest[f"config.plane{i}_normal"] = _vector_text(normal)
-            manifest[f"config.plane{i}_seed"] = _vector_text(seed)
+        for key, (field, _, show) in _FIELDS.items():
+            stored = config.frames[field] if isinstance(field, tuple) else getattr(config, field)
+            manifest["config." + key] = show(stored)
     return manifest
 
 
@@ -191,7 +185,10 @@ def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str]
             buf.write(",".join(row) + "\n")
         text = buf.getvalue()
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -205,6 +202,8 @@ def _fmt(x: float | None, digits: int) -> str:
 
 def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
     if getattr(args, "phi", None) is not None:
+        if args.step is not None:  # it would be ignored
+            raise ConfigError("--step applies to --phi-range, not --phi")
         return [args.phi]
     lo, hi = args.phi_range
     if args.step is None or args.step <= 0.0:
@@ -345,14 +344,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config file's config, or the defaults, under the given flags."""
-    given = {}
-    if getattr(args, "seed", None) is not None:
-        given["rng_seed"] = args.seed
-    if getattr(args, "subtract_accidentals", False):
-        given["subtract_accidentals"] = True
-    if getattr(args, "state", None) is not None:
-        given["state"] = args.state
+    """The --config file's config, or the defaults, under the flags named
+    after config keys."""
+    given = _fields({key: value for key in _FIELDS
+                     if (value := getattr(args, key, None)) is not None})
     if not args.config:
         return ExperimentConfig(**given)
     config = load_config(args.config)
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--phi", type=_finite_float, required=True, help="degrees")
     sim.add_argument("--runs", type=_positive_int, default=1)
     sim.add_argument("--seed", type=_non_negative_int, default=None)
-    sim.add_argument("--subtract-accidentals", action="store_true")
+    sim.add_argument("--subtract-accidentals", action="store_true", default=None)
     _add_output_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -459,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--step", type=_finite_float, required=True, help="degrees")
     sweep.add_argument("--runs", type=_positive_int, default=10)
     sweep.add_argument("--seed", type=_non_negative_int, default=None)
-    sweep.add_argument("--subtract-accidentals", action="store_true")
+    sweep.add_argument("--subtract-accidentals", action="store_true", default=None)
     _add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

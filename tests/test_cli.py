@@ -29,6 +29,14 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def replay_config(manifest: dict[str, str], path: Path) -> Path:
+    """Write the manifest's ``config.*`` lines, prefix stripped, as the
+    config file ``path``."""
+    path.write_text("".join(f"{key[len('config.'):]} = {value}\n"
+                            for key, value in manifest.items() if key.startswith("config.")))
+    return path
+
+
 def assert_one_line_error(code, capsys, *named):
     """Exit 1 with exactly one ``error:`` line on stderr, naming each of
     ``named``, and no traceback."""
@@ -67,6 +75,11 @@ class TestBounds:
 
     def test_missing_step_is_config_error(self, capsys):
         assert run("bounds", "--n-list", "2", "--phi-range", "0:45") == 1
+
+    def test_step_without_phi_range_is_refused(self, capsys):
+        # a single --phi has no grid, so the step would be ignored
+        code = run("bounds", "--n-list", "2", "--phi", "15", "--step", "5")
+        assert_one_line_error(code, capsys, "--step", "--phi-range")
 
     def test_data_section_equals_per_angle_cells(self, tmp_path):
         # one nlv_bound call per N over the grid prints what one call per
@@ -149,10 +162,7 @@ class TestPredict:
         assert run("predict", *argv, "--n", "3", "--phi", "17.5", "--output", str(out)) == 0
         manifest = read_manifest(out)
         # rebuild the run purely from what the manifest recorded
-        keys = [f"plane{i}_{row}" for i in (1, 2) for row in ("normal", "seed")]
-        cfg = tmp_path / "replay.cfg"
-        cfg.write_text(f"state = {manifest['config.state']}\n"
-                       + "".join(f"{key} = {manifest['config.' + key]}\n" for key in keys))
+        cfg = replay_config(manifest, tmp_path / "replay.cfg")
         replay = tmp_path / "replay.csv"
         assert run("predict", "--config", str(cfg), "--n", manifest["n"],
                    "--phi", manifest["phi_deg"], "--output", str(replay)) == 0
@@ -219,7 +229,7 @@ class TestSimulate:
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["python"] == platform.python_version()
         assert payload["manifest"]["numpy"] == np.__version__
-        assert payload["manifest"]["format"] == "3"
+        assert payload["manifest"]["format"] == "4"
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -243,19 +253,7 @@ class TestSimulate:
         keys = [f"config.plane{i}_{row}" for i in (1, 2) for row in ("normal", "seed")]
         assert tuple(manifest[key] for key in keys) == printed
         # rebuild the run purely from what the manifest recorded
-        cfg = tmp_path / "replay.cfg"
-        cfg.write_text(
-            f"pair_rate = {manifest['config.pair_rate']}\n"
-            f"accidental_rate = {manifest['config.accidental_rate']}\n"
-            f"integration_time = {manifest['config.integration_time']}\n"
-            f"state = {manifest['config.state']}\n"
-            f"seed = {manifest['seed']}\n"
-            f"subtract_accidentals = {manifest['config.subtract_accidentals']}\n"
-            f"plane1_normal = {manifest['config.plane1_normal']}\n"
-            f"plane1_seed = {manifest['config.plane1_seed']}\n"
-            f"plane2_normal = {manifest['config.plane2_normal']}\n"
-            f"plane2_seed = {manifest['config.plane2_seed']}\n"
-        )
+        cfg = replay_config(manifest, tmp_path / "replay.cfg")
         replay = tmp_path / "replay.csv"
         run(
             "simulate", "--config", str(cfg), "--n", manifest["n"],
@@ -283,7 +281,7 @@ class TestManifest:
     def test_records_the_output_format(self, tmp_path):
         out = tmp_path / "out.csv"
         assert run("bounds", "--n-list", "2", "--phi", "15", "--output", str(out)) == 0
-        assert read_manifest(out)["format"] == "3"
+        assert read_manifest(out)["format"] == "4"
 
 
 class TestSweep:
@@ -323,12 +321,7 @@ class TestSweep:
                    "--output", str(out)) == 0
         manifest = read_manifest(out)
         # rebuild the sweep purely from what the manifest recorded
-        keys = ["pair_rate", "accidental_rate", "integration_time", "state",
-                "subtract_accidentals"] + [f"plane{i}_{row}" for i in (1, 2)
-                                           for row in ("normal", "seed")]
-        cfg = tmp_path / "replay.cfg"
-        cfg.write_text(f"seed = {manifest['seed']}\n"
-                       + "".join(f"{key} = {manifest['config.' + key]}\n" for key in keys))
+        cfg = replay_config(manifest, tmp_path / "replay.cfg")
         replay = tmp_path / "replay.csv"
         assert run("sweep", "--config", str(cfg), "--n-list", manifest["n_list"],
                    f"--phi-range={manifest['phi_range_deg']}", "--step", manifest["step_deg"],
@@ -474,6 +467,19 @@ class TestBadInput:
         code = run("check", "lemma", "--trials", "10", flag, value)
         assert_one_line_error(code, capsys, flag, "leggett suite")
 
+    @pytest.mark.parametrize("suite", ["lemma", "leggett", "all"])
+    def test_trials_over_the_ceiling(self, capsys, suite):
+        # refused before anything is drawn: 1e15 trials would ask for petabytes
+        for trials in ("1000001", "1000000000000000"):
+            code = run("check", suite, "--trials", trials)
+            assert_one_line_error(code, capsys, "at most 1000000 trials", trials)
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        code = run("bounds", "--n-list", "2", "--phi", "15", "--output", str(path))
+        assert_one_line_error(code, capsys, f"cannot write output {path}")
+
     def test_scan_resolution_above_180(self, capsys):
         # argparse rejects a negative --grid-deg; the scan rejects one above 180
         code = run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "200")
@@ -582,7 +588,7 @@ class TestConfigFromArgs:
             assert run(*argv, "--config", str(cfg), "--n", "2", "--phi", "15",
                        "--output", str(out)) == 0
             recorded = read_manifest(out)
-            return (recorded["seed"], recorded["config.subtract_accidentals"],
+            return (recorded["config.seed"], recorded["config.subtract_accidentals"],
                     recorded["config.state"])
 
         assert manifest("simulate", "--seed", "6") == ("6", "true", "werner:0.9")
@@ -703,6 +709,48 @@ run,n,phi_deg,l_exp,sigma,bound,violation_sigmas,seed,status,std_l,std_over_sigm
 summary,2,15.00,3.8262,0.1022,3.8695,-0.43,,summary,0.0559,0.547""",
     ),
 }
+
+
+# Every config key as the manifest prints it, in its order
+CONFIG_KEYS = [
+    "pair_rate", "accidental_rate", "integration_time", "state", "seed", "subtract_accidentals",
+    "plane1_normal", "plane1_seed", "plane2_normal", "plane2_seed",
+]
+_PREDICT = ("predict", "--n", "2", "--phi", "15")
+_SIMULATE = ("simulate", "--n", "2", "--phi", "15", "--runs", "3")
+# a command, and the flags that override config keys
+ROUND_TRIPS = {
+    "predict": (_PREDICT, ()),
+    "predict-state": (_PREDICT, ("--state", "werner:0.9")),
+    "simulate": (_SIMULATE, ()),
+    "simulate-seed-subtract": (_SIMULATE, ("--seed", "9", "--subtract-accidentals")),
+    "sweep-seed": (("sweep", "--n-list", "2", "--phi-range", "10:15", "--step", "5",
+                    "--runs", "2"), ("--seed", "9")),
+}
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("config", [None, *CONFIGS])
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_config_lines_are_a_config_file(self, tmp_path, config, name):
+        # the config lines, prefix stripped, load into a config with the same
+        # config lines, and re-run the data section byte for byte
+        command, flags = ROUND_TRIPS[name]
+        given = ()
+        if config is not None:
+            (tmp_path / "given.cfg").write_text(CONFIGS[config])
+            given = ("--config", str(tmp_path / "given.cfg"))
+        out, replay = tmp_path / "orig.csv", tmp_path / "replay.csv"
+        code = run(*command, *given, *flags, "--output", str(out))
+        cfg = replay_config(read_manifest(out), tmp_path / "replay.cfg")
+        assert run(*command, "--config", str(cfg), "--output", str(replay)) == code
+
+        def config_lines(path):
+            return {k: v for k, v in read_manifest(path).items() if k.startswith("config.")}
+
+        assert list(config_lines(out)) == ["config." + key for key in CONFIG_KEYS]
+        assert config_lines(replay) == config_lines(out)
+        assert data_section(replay) == data_section(out)
 
 
 class TestGolden:

@@ -1,8 +1,8 @@
 """Symmetries of L_N and of the violation search, as Hypothesis properties:
 Werner scaling, swapping the two planes, SO(3) covariance (a state turned
-by U (x) U, measured on planes turned by U's rotation R), and the rotation
-invariance of the explicit-model margin and the admissible correlation
-interval.  Each of these maps a party swap (a transposed T) and phi -> -phi
+by U (x) U, measured on planes turned by U's rotation R) of L_N and of the
+outcome probability table, and the rotation invariance of the
+explicit-model margin and the admissible correlation interval.  Each of these maps a party swap (a transposed T) and phi -> -phi
 onto itself, so one pinned value, L_N of a state with an asymmetric T,
 fixes the orientation."""
 
@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from nlvtest.inequality import l_n, max_violation_phi, nlv_bound
 from nlvtest.leggett import admissible_C_range, explicit_model_margin
-from nlvtest.quantum import _STOKES_PAULIS, TwoQubitState, parse_state, singlet, werner
+from nlvtest.quantum import (
+    _STOKES_PAULIS, TwoQubitState, outcome_probabilities, parse_state, singlet, werner,
+)
 from nlvtest.sphere import default_frames
 
 seeds = st.integers(0, 2**32 - 1)
@@ -41,6 +43,12 @@ def su2_and_rotation(q):
     r = [[np.trace(si @ u @ sj @ u.conj().T).real / 2.0 for sj in _STOKES_PAULIS]
          for si in _STOKES_PAULIS]
     return u, np.array(r)
+
+
+def turned_state(state: TwoQubitState, u: np.ndarray) -> TwoQubitState:
+    """``state`` turned by U (x) U."""
+    uu = np.kron(u, u)
+    return TwoQubitState(uu @ state.rho @ uu.conj().T, eigenvalue_floor=state.eigenvalue_floor)
 
 
 @given(seed=seeds, v=st.floats(0.0, 1.0), n=counts, phis=angles)
@@ -69,8 +77,7 @@ def test_so3_covariance(state, seed, q, n, phis):
     # T -> R T R^T and a -> R a leave every a.T.b as it was
     frames = random_frames(np.random.default_rng(seed))
     u, r = su2_and_rotation(q)
-    uu = np.kron(u, u)
-    turned = TwoQubitState(uu @ state.rho @ uu.conj().T, eigenvalue_floor=state.eigenvalue_floor)
+    turned = turned_state(state, u)
     turned_frames = frames @ r.T
     worst = np.max(np.abs(l_n(turned, turned_frames, n, phis) - l_n(state, frames, n, phis)))
     assert worst <= 1e-14
@@ -81,6 +88,17 @@ def test_so3_covariance(state, seed, q, n, phis):
     # any angle is its maximizer
     if n > 1 or np.any(state.t):
         assert abs(phi - phi0) <= 1e-14
+
+
+@given(state=states, seed=seeds, q=quaternions, k=st.integers(1, 6))
+@settings(max_examples=20, deadline=None)
+def test_probability_table_is_rotation_covariant(state, seed, q, k):
+    # each entry reads a and b only through a.m_A, b.m_B and a.T.b, which
+    # the turned state on the rows (R a, R b) keeps
+    a, b = unit_rows(np.random.default_rng(seed), 2, k)
+    u, r = su2_and_rotation(q)
+    table = outcome_probabilities(turned_state(state, u), a @ r.T, b @ r.T)
+    assert np.max(np.abs(table - outcome_probabilities(state, a, b))) <= 1e-14
 
 
 @given(seed=seeds, q=quaternions, k=st.integers(1, 6), m=st.integers(1, 8))
