@@ -10,12 +10,10 @@ experiment with propagated counting errors.
 __version__ = "0.1.0"
 
 from .inequality import (
-    NoViolationError,
     discrete_average,
     l_n,
     max_violation_phi,
     nlv_bound,
-    optimal_phi,
     u_coefficient,
 )
 from .leggett import (
@@ -62,9 +60,7 @@ __all__ = [
     "ConstraintViolationError", "leggett_outcomes", "admissible_C_range",
     "PureEnsemble", "product_ensemble",
     "explicit_model_margin", "scan_explicit_model",
-    "NoViolationError",
     "u_coefficient", "discrete_average", "l_n",
-    "nlv_bound",
-    "optimal_phi", "max_violation_phi",
+    "nlv_bound", "max_violation_phi",
     "ExperimentConfig", "estimate_C", "mean_table", "replicate",
 ]

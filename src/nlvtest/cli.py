@@ -135,7 +135,7 @@ def build_manifest(command: str, args: argparse.Namespace,
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
-        "format": "4",  # bumped whenever a printed cell or JSON field changes
+        "format": "5",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": command,

@@ -12,7 +12,7 @@ nlv_bound(math.inf, phi).  A two-qubit state's correlations carry
 only angular harmonics that N >= 2 rotated settings average exactly, so its
 L_N for any N >= 2 already is the all-directions sum.  The quantum singlet
 prediction is 2(1 + cos phi), which exceeds the bound for N >= 2 over a
-window of difference angles phi.
+window of difference angles phi, most at phi = 2 arcsin(u_N / 4).
 
 A correlation source, such as a quantum ``TwoQubitState`` or a Leggett
 ``PureEnsemble`` (stacked component arrays and one correlation function),
@@ -23,7 +23,9 @@ plain numbers, L_N as a float or a float array per angle, so a violation
 is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The violation search
 takes only a ``TwoQubitState``, whose correlation is linear in Bob's
 setting, and returns an angle: one call gives E_j(0) and the turned-setting
-means F_j, and its steps are float arithmetic on those four numbers.
+means F_j, and the exact maximum is the best of a few candidates, the
+interval's ends, the kinks and the roots of one quartic per smooth piece,
+each scored in float arithmetic on those four numbers.
 """
 
 from __future__ import annotations
@@ -40,22 +42,16 @@ from .sphere import check_frames, offset_settings, plane_settings
 from .sphere import build_schedule  # noqa: F401  (bench/selftest.py reads it here)
 
 __all__ = [
-    "NoViolationError",
     "u_coefficient",
     "DiscreteAverage",
     "discrete_average",
     "l_n",
     "nlv_bound",
-    "optimal_phi",
     "max_violation_phi",
 ]
 
 
 _ANGLE_BLOCK = 256  # angles per correlation call in l_n
-
-
-class NoViolationError(ValueError):
-    """The requested optimum does not exist (the bound is unreachable)."""
 
 
 def u_coefficient(n: int | float) -> float:
@@ -159,42 +155,40 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
     return values[0] if one else np.array(values)
 
 
-def optimal_phi(n: int | float) -> float:
-    """Difference angle maximizing the ideal singlet violation:
-    2 arcsin(u_N / 4).  ``n`` is an integral count, or math.inf for the
-    continuum limit."""
-    u = u_coefficient(n)
-    if u == 0.0:
-        raise NoViolationError("the single-setting inequality cannot be violated")
-    return 2.0 * math.asin(u / 4.0)
-
-
 def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
-    """Golden-section search over [0, pi/4], to 0.01 degrees, for the phi
-    maximizing L_N - bound of a two-qubit ``state`` on the two planes
-    ``frames`` that sphere.check_frames accepts.
+    """The phi in [0, pi/4] maximizing L_N - bound of a two-qubit ``state``
+    on the two planes ``frames`` that sphere.check_frames accepts, chosen
+    from a finite candidate set that holds the exact maximum.
 
     A state's correlation a.T.b is linear in Bob's setting b_k(phi) =
     cos(phi) a_k + sin(phi) t_k, t_k = normal x a_k, so each plane's mean is
-    E_j(phi) = cos(phi) E_j(0) + sin(phi) F_j with F_j the mean of C(a_k, t_k).
-    One correlation call gives E_j(0) and F_j, and the search scores
+    E_j(phi) = cos(phi) E_j + sin(phi) F_j, with E_j = E_j(0) and F_j the mean
+    of C(a_k, t_k).  One correlation call gives the four means, and the
+    objective, scored in float arithmetic, is
 
-        sum_j |(1 + cos phi) E_j(0) + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|)
+        sum_j |(1 + cos phi) E_j + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|).
 
-    in float arithmetic, at each step and then at the last bracket's
-    midpoint and the end of the interval that the bracket still touches, if
-    there is one, taking the midpoint on a tie.  Any source other than a
-    TwoQubitState, whose correlation need not be linear in b, is refused.
+    In psi = phi/2 on [0, pi/8] it is 2 cos psi sum_j |E_j cos psi + F_j sin psi|
+    + 2 u_N sin psi - 4.  The kinks, where E_j cos psi + F_j sin psi = 0, split
+    the interval into pieces.  On a piece, with s_j the sign of plane j's term
+    at its midpoint, A = s_1 E_1 + s_2 E_2 and B = s_1 F_1 + s_2 F_2, the
+    objective is A (1 + cos 2psi) + B sin 2psi + 2 u_N sin psi - 4, stationary
+    where t = tan(psi/2) solves
 
-    Returns the angle; its violation is l_n(...) - nlv_bound(n, phi), < 0
-    when the state never exceeds the bound on the interval.  The objective
-    is unimodal for the state models in this package (a cosine plus a |sin|
-    term).  A maximum at an end, pi/4 for a state that never violates or 0
-    for N = 1, is returned exactly.
+        -4A t(1 - t^2) + B((1 - t^2)^2 - 4t^2) + u_N (1 - t^4) = 0.
+
+    The candidates are the two ends, the kinks and the real part of every
+    root that falls inside its piece.  The best is returned, the smallest
+    angle on a tie, and a maximum at an end (pi/4 for the maximally mixed
+    state, 0 for the singlet at N = 1) is that end exactly.  Any source
+    other than a TwoQubitState, whose correlation need not be linear in b,
+    is refused.
+
+    Its violation is l_n(...) - nlv_bound(n, phi), < 0 when the state never
+    exceeds the bound on the interval.
     """
     if not isinstance(state, TwoQubitState):
         raise ValueError(f"max_violation_phi needs a TwoQubitState, got {type(state).__name__}")
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     alice, turned = plane_settings(check_frames(frames), n)
     means = _means(state.correlation(np.concatenate([alice, alice]),
                                      np.concatenate([alice, turned])).reshape(2, 2, n))
@@ -205,18 +199,15 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
         cp, sp = 1.0 + math.cos(phi), math.sin(phi)
         return abs(cp * e1 + sp * f1) + abs(cp * e2 + sp * f2) - (4.0 - 2.0 * u * abs(math.sin(phi / 2.0)))
 
-    a, b = 0.0, math.pi / 4.0
-    c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > math.radians(0.01):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_golden * (b - a)
-            fd = objective(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_golden * (b - a)
-            fc = objective(c)
-    # the midpoint, then the end the bracket never left (at most one); max
-    # keeps the first of equal scores
-    return max([(a + b) / 2.0] + [end for end in (0.0, math.pi / 4.0) if end in (a, b)], key=objective)
+    planes, top = ((e1, f1), (e2, f2)), math.pi / 8.0  # psi = phi/2 runs over [0, top]
+    kinks = (math.atan(-e / f) for e, f in planes if f != 0.0)
+    edges = [0.0, *sorted(psi for psi in kinks if 0.0 < psi < top), top]
+    candidates = list(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        mid = (lo + hi) / 2.0
+        s1, s2 = (math.copysign(1.0, e * math.cos(mid) + f * math.sin(mid)) for e, f in planes)
+        a, b = s1 * e1 + s2 * e2, s1 * f1 + s2 * f2
+        roots = np.roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u]).real.tolist()
+        candidates += [psi for psi in (2.0 * math.atan(t) for t in roots) if lo < psi < hi]
+    # max keeps the first of equal scores
+    return max(sorted(2.0 * psi for psi in candidates), key=objective)

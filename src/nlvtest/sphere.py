@@ -2,8 +2,9 @@
 setting schedules, stacked as (k, 3) rows.  A plane pair is one read-only
 float array of shape (2, 2, 3), rows (normal, seed) per plane, as
 ``check_frames`` returns it.  The setting rows come in closed form,
-a_k = R(k pi/N) seed, from one row-wise Rodrigues turn (``_turn``), and are
-not rescaled; ``schedule_rows`` alone fixes the order of the measured
+a_k = cos t_k seed + sin t_k (normal x seed), t_k = k pi/N, with the turned
+rows normal x a_k = cos t_k (normal x seed) - sin t_k seed, and are not
+rescaled; ``schedule_rows`` alone fixes the order of the measured
 setting pairs, and ``row_setting`` names one of its rows.  Bob's offset
 rows are computed over a 1-D array of angles along a leading axis, and
 one angle gets its one block without that axis.
@@ -59,12 +60,6 @@ def _cross(p, q):
     np.subtract(p2 * q0, p0 * q2, out=out[..., 1])
     np.subtract(p0 * q1, p1 * q0, out=out[..., 2])
     return out
-
-
-def _turn(v, axis, c, s):
-    """Rows ``v`` turned right-handed about the unit rows ``axis`` by the angle
-    with cosine ``c`` and sine ``s`` (Rodrigues), all broadcast row-wise."""
-    return v * c + _cross(axis, v) * s + axis * (_dot(axis, v)[..., None] * (1.0 - c))
 
 
 def _setting_count(n) -> int:
@@ -144,11 +139,14 @@ class SettingSchedule:
 
 
 def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's settings a_k = R(k pi/N) seed, k < N, R(x) the right-handed
-    turn by x about the plane normal, for frames of (planes, 2, 3) rows
-    (normal, seed), stacked plane by plane as (planes N, 3) rows, and the
-    turned rows normal x a_k.  Each row is one Rodrigues turn of the seed by
-    math.cos and math.sin of k pi/N, so a default frame's rows are exactly
+    """Alice's settings a_k = R(t_k) seed, t_k = k pi/N, k < N, R(x) the
+    right-handed turn by x about the plane normal, for frames of
+    (planes, 2, 3) rows (normal, seed), stacked plane by plane as
+    (planes N, 3) rows, and the turned rows normal x a_k.  With
+    w = normal x seed, both come in closed form from math.cos and math.sin
+    of t_k: a_k = cos t_k seed + sin t_k w and normal x a_k =
+    cos t_k w - sin t_k seed (to within 2 |normal.seed| <= 2e-9 for a seed
+    that check_frames accepts), so a default frame's rows are exactly
     (cos, sin, 0) and (cos, 0, sin).  Bob's aligned setting b(0) is a_k
     itself.  More than MAX_SETTINGS settings are refused before any row is
     built."""
@@ -159,9 +157,9 @@ def plane_settings(frames: ArrayLike, n: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.array([math.cos(x) for x in angles])[:, None]
     s = np.array([math.sin(x) for x in angles])[:, None]
     frames = np.asarray(frames, dtype=float)
-    normal = frames[:, None, 0]  # (planes, 1, 3)
-    alice = _turn(frames[:, None, 1], normal, c, s)
-    return alice.reshape(-1, 3), _cross(normal, alice).reshape(-1, 3)
+    seed = frames[:, None, 1]  # (planes, 1, 3)
+    w = _cross(frames[:, None, 0], seed)
+    return (c * seed + s * w).reshape(-1, 3), (c * w - s * seed).reshape(-1, 3)
 
 
 def offset_settings(alice: np.ndarray, turned: np.ndarray, phi: ArrayLike) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from nlvtest._checks import CheckResult
 from nlvtest._checks import _unit_rows as unit_rows
-from nlvtest.inequality import discrete_average, nlv_bound, u_coefficient
+from nlvtest.inequality import discrete_average, l_n, nlv_bound, u_coefficient
 from nlvtest.leggett import _SCAN_TOL, GridScanResult, _sphere_grid
 from nlvtest.sphere import _cross, check_frames
 
@@ -27,8 +27,7 @@ def dot(p, q) -> float:
 
 def turn(v, axis, angle: float) -> tuple[float, float, float]:
     """Plain-Python Rodrigues turn of the float triple ``v`` by ``angle``
-    about ``axis`` (right-handed), in sphere._turn's operation order and not
-    rescaled."""
+    about ``axis`` (right-handed), not rescaled."""
     c = math.cos(angle)
     s = math.sin(angle)
     (vx, vy, vz), (kx, ky, kz) = v, axis
@@ -67,16 +66,27 @@ def random_frames(rng: np.random.Generator) -> np.ndarray:
     return check_frames([(n1, seed1), (n2, seed2)])
 
 
-def plane_setting_pairs(frame, n: int, phi: float):
+def plane_rows(frame, n: int):
     """One plane's N settings in plain Python, from its rows (normal, seed),
-    as float triple pairs (a_k, b_k): a_k the seed turned by k pi/N about
-    the normal, and Bob's b_k = cos(phi) a_k + sin(phi) (normal x a_k),
-    neither rescaled.  Bob's aligned setting b_k(0) is a_k itself."""
-    c, s = math.cos(phi), math.sin(phi)
+    as float triple pairs (a_k, t_k) in sphere.plane_settings' closed form:
+    with w = normal x seed and x = k pi/N, a_k = cos x seed + sin x w, the
+    seed turned by x about the normal, and t_k = cos x w - sin x seed, which
+    is normal x a_k; neither rescaled."""
     normal, seed = np.asarray(frame, dtype=float).tolist()
+    w = cross(normal, seed)
     for k in range(n):
-        a = turn(seed, normal, k * math.pi / n)
-        t = cross(normal, a)
+        c, s = math.cos(k * math.pi / n), math.sin(k * math.pi / n)
+        yield (tuple(c * x + s * y for x, y in zip(seed, w)),
+               tuple(c * y - s * x for x, y in zip(seed, w)))
+
+
+def plane_setting_pairs(frame, n: int, phi: float):
+    """One plane's N settings in plain Python as float triple pairs
+    (a_k, b_k): a_k from plane_rows, and Bob's b_k = cos(phi) a_k +
+    sin(phi) t_k, not rescaled.  Bob's aligned setting b_k(0) is a_k
+    itself."""
+    c, s = math.cos(phi), math.sin(phi)
+    for a, t in plane_rows(frame, n):
         yield a, (c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2])
 
 
@@ -121,34 +131,22 @@ def reference_l_n(state, frames, n: int, phi: float) -> float:
     return value
 
 
-def reference_max_violation_phi(state, frames, n: int) -> tuple[float, float]:
-    """Golden-section search of reference_l_n - bound over [0, pi/4] to
-    0.01 degrees, step for step as inequality.max_violation_phi, with its
-    rule for a bracket that still touches 0 or pi/4."""
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(phi: float) -> float:
-        return reference_l_n(state, frames, n, phi) - nlv_bound(n, phi)
-
-    lo, hi = 0.0, math.pi / 4.0
-    c, d = hi - inv_golden * (hi - lo), lo + inv_golden * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > math.radians(0.01):
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + inv_golden * (hi - lo)
-            fd = objective(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - inv_golden * (hi - lo)
-            fc = objective(c)
-    best = (lo + hi) / 2.0
-    value = objective(best)
-    if lo == 0.0 and objective(0.0) > value:
-        return 0.0, objective(0.0)
-    if hi == math.pi / 4.0 and objective(math.pi / 4.0) > value:
-        return math.pi / 4.0, objective(math.pi / 4.0)
-    return best, value
+def grid_max_violation(state, frames, n: int) -> tuple[float, float]:
+    """An oracle for max_violation_phi that assumes nothing about the shape
+    of l_n - nlv_bound: the best (phi, value) on a 4,001-point grid over
+    [0, pi/4], refined by four rounds of a 101-point grid spanning the best
+    point's two neighbours.  Each value is an l_n - nlv_bound at that angle,
+    so the result is a lower bound on the maximum."""
+    lo, hi, points = 0.0, math.pi / 4.0, 4001
+    best = (0.0, -math.inf)
+    for _ in range(5):
+        phis = np.linspace(lo, hi, points)
+        values = l_n(state, frames, n, phis) - nlv_bound(n, phis)
+        i = int(np.argmax(values))
+        if values[i] > best[1]:
+            best = (float(phis[i]), float(values[i]))
+        lo, hi, points = phis[max(i - 1, 0)], phis[min(i + 1, points - 1)], 101
+    return best
 
 
 def reference_scan(pairs, resolution_deg: float) -> GridScanResult:

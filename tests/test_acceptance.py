@@ -11,7 +11,7 @@ from helpers import random_frames
 
 from nlvtest import _checks
 from nlvtest.cli import main as cli_main
-from nlvtest.inequality import l_n, nlv_bound, optimal_phi
+from nlvtest.inequality import l_n, max_violation_phi, nlv_bound, u_coefficient
 from nlvtest.leggett import explicit_model_margin, product_ensemble, scan_explicit_model
 from nlvtest.quantum import singlet, singlet_L
 from nlvtest.simulate import ExperimentConfig, replicate
@@ -71,13 +71,15 @@ def test_02_singlet_prediction():
 
 
 def test_03_optimal_angles():
-    two = math.degrees(optimal_phi(2))
-    cont = math.degrees(optimal_phi(math.inf))
-    ok = abs(two - 14.36) <= 0.05 and abs(cont - 18.31) <= 0.05
+    # the singlet's L_N - bound peaks where sin(phi/2) = u_N / 4
+    optimum = {n: 2.0 * math.asin(u_coefficient(n) / 4.0) for n in (2, math.inf)}
+    two, cont = math.degrees(optimum[2]), math.degrees(optimum[math.inf])
+    miss = abs(max_violation_phi(singlet(), default_frames(), 2) - optimum[2])
+    ok = abs(two - 14.36) <= 0.05 and abs(cont - 18.31) <= 0.05 and miss <= 1e-12
     report(
         "criterion-3 optimal-angles",
         ok,
-        f"two-setting optimum {two:.4f} deg, continuum optimum {cont:.4f} deg",
+        f"two-setting optimum {two:.4f} deg (search off by {miss:.1e} rad), continuum optimum {cont:.4f} deg",
     )
 
 

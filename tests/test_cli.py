@@ -229,7 +229,7 @@ class TestSimulate:
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["python"] == platform.python_version()
         assert payload["manifest"]["numpy"] == np.__version__
-        assert payload["manifest"]["format"] == "4"
+        assert payload["manifest"]["format"] == "5"
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -281,7 +281,7 @@ class TestManifest:
     def test_records_the_output_format(self, tmp_path):
         out = tmp_path / "out.csv"
         assert run("bounds", "--n-list", "2", "--phi", "15", "--output", str(out)) == 0
-        assert read_manifest(out)["format"] == "4"
+        assert read_manifest(out)["format"] == "5"
 
 
 class TestSweep:
@@ -659,7 +659,7 @@ n,phi_deg,l_value,bound,violation,best_phi_deg,best_violation
         ("predict", "--state", "werner:0.96", "--n", "3", "--phi", "25"),
         """\
 n,phi_deg,l_value,bound,violation,best_phi_deg,best_violation
-3,25.00,3.6601,3.7501,-0.0900,17.30,-0.0732""",
+3,25.00,3.6601,3.7501,-0.0900,17.29,-0.0732""",
     ),
     "simulate-default": (
         ("simulate", "--n", "3", "--phi", "15", "--runs", "3", "--seed", "1234"),

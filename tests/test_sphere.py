@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import cross, dot, random_frames, random_unit, setting_pairs, turn, unit, unit_rows
+from helpers import cross, dot, plane_rows, random_frames, random_unit, setting_pairs, turn, unit
 
 from nlvtest.inequality import l_n, max_violation_phi
 from nlvtest.quantum import singlet
@@ -12,7 +12,6 @@ from nlvtest.sphere import (
     MAX_SETTINGS,
     _cross,
     _dot,
-    _turn,
     build_schedule,
     check_frames,
     default_frames,
@@ -137,7 +136,7 @@ class TestRowProducts:
 
 
 class TestRotate:
-    # the plain-Python reference turn of the tests, and the library's row-wise one
+    # the plain-Python reference turn of the tests
     def test_quarter_turn_about_z(self):
         x, y, _ = turn((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.pi / 2)
         assert x == pytest.approx(0.0, abs=1e-15)
@@ -164,14 +163,6 @@ class TestRotate:
             got = turn(v, axis, angle)
             want = rodrigues_matrix(axis, angle) @ np.asarray(v)
             assert np.allclose(got, want, atol=1e-12)
-
-    def test_norm_preserved_many_trials(self):
-        # the library's row-wise turn, which does not rescale its output
-        rng = np.random.default_rng(2)
-        v, axis = unit_rows(rng, 2, 100_000)
-        angle = rng.uniform(0.0, 2 * math.pi, size=(100_000, 1))
-        out = _turn(v, axis, np.cos(angle), np.sin(angle))
-        assert np.abs((out * out).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_half_turn_flips_in_plane_vector(self):
         rng = np.random.default_rng(3)
@@ -246,15 +237,17 @@ class TestBuildSchedule:
 
 class TestPlaneSettings:
     def test_rows_follow_the_rotation_recurrence(self):
-        # each a_k is the plain-Python turn of the seed by k pi/N, bit for bit
+        # each (a_k, normal x a_k) is the plain-Python closed form, bit for
+        # bit, and a_k the seed turned by k pi/N
         for frames in (default_frames(), random_frames(np.random.default_rng(8))):
             alice, turned = plane_settings(frames, 4)
             assert alice.shape == turned.shape == (8, 3)
             for j, (normal, seed) in enumerate(frames.tolist()):
-                for k in range(4):
-                    a = turn(seed, normal, k * math.pi / 4)
+                for k, (a, t) in enumerate(plane_rows((normal, seed), 4)):
                     assert alice[4 * j + k].tolist() == list(a)
-                    assert turned[4 * j + k].tolist() == list(cross(normal, a))
+                    assert turned[4 * j + k].tolist() == list(t)
+                    assert np.allclose(a, turn(seed, normal, k * math.pi / 4), rtol=0.0, atol=1e-15)
+                    assert np.allclose(t, cross(normal, a), rtol=0.0, atol=1e-15)
 
     def test_default_frame_rows_are_exact_cos_and_sin(self):
         for n in range(1, 1001):
@@ -277,16 +270,16 @@ class TestPlaneSettings:
             call()
 
     def test_offset_rows_are_cos_a_plus_sin_normal_cross_a(self):
+        # the turned rows t_k = normal x a_k in the plain-Python closed form;
         # no rescale, even for a seed with |v|^2 - 1 = 4.0e-15, which
         # check_frames keeps as given; one plane or two
         seed = (1.0 + 1.9e-15, 0.0, 0.0)
         for frames in ([((0.0, 0.0, 1.0), seed)], random_frames(np.random.default_rng(9))):
             alice, turned = plane_settings(frames, 3)
-            normals = [normal for normal, _ in np.asarray(frames).tolist() for _ in range(3)]
+            rows = [pair for frame in np.asarray(frames).tolist() for pair in plane_rows(frame, 3)]
             for phi in np.linspace(0.0, math.pi, 181).tolist():
                 c, s = math.cos(phi), math.sin(phi)
-                want = [[c * x + s * y for x, y in zip(a, cross(normal, a))]
-                        for normal, a in zip(normals, alice.tolist())]
+                want = [[c * x + s * y for x, y in zip(a, t)] for a, t in rows]
                 assert offset_settings(alice, turned, phi).tolist() == want
 
 
