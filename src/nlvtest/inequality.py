@@ -150,7 +150,7 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
         bob = offset_settings(alice, turned, angles[start:start + _ANGLE_BLOCK])
         c = source.correlation(np.concatenate([alice] * (len(bob) + 1)),
                                np.concatenate([alice[None], bob]).reshape(-1, 3))
-        c = c.reshape(len(bob) + 1, 2, n)  # the aligned rows, then one block per angle
+        c = c.reshape(len(bob) + 1, 2, -1)  # the aligned rows, then one block per angle
         values += np.add.accumulate(abs(_means(c[1:]) + _means(c[0])), axis=-1)[:, -1].tolist()
     return values[0] if one else np.array(values)
 
@@ -191,7 +191,7 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
         raise ValueError(f"max_violation_phi needs a TwoQubitState, got {type(state).__name__}")
     alice, turned = plane_settings(check_frames(frames), n)
     means = _means(state.correlation(np.concatenate([alice, alice]),
-                                     np.concatenate([alice, turned])).reshape(2, 2, n))
+                                     np.concatenate([alice, turned])).reshape(2, 2, -1))
     (e1, e2), (f1, f2) = means.tolist()
     u = u_coefficient(n)
 

@@ -413,12 +413,16 @@ _COUNT_ENTRY_POINTS = {
     "plane_settings": lambda n: plane_settings(default_frames(), n),
     "u_coefficient": u_coefficient,
     "discrete_average": lambda n: discrete_average([(1.0, 0.0, 0.0)], [(0.0, 0.6, 0.8)], n),
+    "l_n": lambda n: l_n(singlet(), default_frames(), n, 0.1),
+    "max_violation_phi": lambda n: max_violation_phi(singlet(), default_frames(), n),
 }
 
 
 class TestSettingCount:
-    # u_coefficient takes math.inf as the continuum limit; the setting rows
-    # and the discrete average need a finite count
+    # u_coefficient takes math.inf as the continuum limit; the setting rows,
+    # and so l_n and the violation search, and the discrete average need a
+    # finite count.  An integral float count used to fail in l_n and the
+    # search with a TypeError from reshape
     @pytest.mark.parametrize("entry, n", [
         (entry, n)
         for entry in _COUNT_ENTRY_POINTS
@@ -465,7 +469,7 @@ class TestFiniteAngle:
 
 
 class TestMaxViolationSearch:
-    def test_singlet_peak_is_two_asin_u_over_four(self):
+    def test_singlet_peak_matches_formula(self):
         # L - bound = 2(1 + cos phi) - 4 + 2 u_N sin(phi/2) peaks where sin(phi/2) = u_N / 4
         for n in range(2, 65):
             phi = max_violation_phi(singlet(), default_frames(), n)
@@ -596,6 +600,15 @@ class TestPlainPythonReference:
                     assert l_n(state, frames, n, phi) == reference_l_n(
                         state, frames, n, phi
                     )
+
+    def test_max_violation_phi_on_random_states_reaches_the_grid_maximum(self):
+        # random frames too, and an odd N that the property above leaves out
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            frames = random_frames(rng)
+            state = TwoQubitState(random_density_matrix(rng))
+            for n in (1, 3, 7):
+                assert searched(state, frames, n)[1] >= grid_max_violation(state, frames, n)[1] - 1e-12
 
 
 class TestSingletCrossCheck:

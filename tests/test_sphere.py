@@ -249,6 +249,16 @@ class TestPlaneSettings:
                     assert np.allclose(a, turn(seed, normal, k * math.pi / 4), rtol=0.0, atol=1e-15)
                     assert np.allclose(t, cross(normal, a), rtol=0.0, atol=1e-15)
 
+    def test_norm_preserved_many_trials(self):
+        # the closed form does not rescale its rows: unit and orthogonal to
+        # within rounding for any frames that check_frames accepts
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            alice, turned = plane_settings(random_frames(rng), 8)
+            for rows in (alice, turned):
+                assert np.abs((rows * rows).sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs((alice * turned).sum(axis=1)).max() < 1e-12
+
     def test_default_frame_rows_are_exact_cos_and_sin(self):
         for n in range(1, 1001):
             alice, _ = plane_settings(default_frames(), n)
