@@ -43,16 +43,11 @@ from .simulate import (
     mean_table,
     replicate,
 )
-from .sphere import (
-    SettingSchedule,
-    build_schedule,
-    check_frames,
-    default_frames,
-)
+from .sphere import check_frames, default_frames
 
 __all__ = [
     "__version__",
-    "SettingSchedule", "build_schedule", "check_frames", "default_frames",
+    "check_frames", "default_frames",
     "TwoQubitState",
     "outcome_probabilities", "correlation",
     "singlet", "werner", "colored_noise", "bell_diagonal", "maximally_mixed",

@@ -71,53 +71,38 @@ class DiscreteAverage(NamedTuple):
     xi: np.ndarray  # decomposition angle in [0, pi/N)
 
 
-def _normalized_or(v: np.ndarray, fallback) -> np.ndarray:
-    """Rows of ``v`` scaled to unit length, or ``fallback`` where |v| <= 1e-12."""
-    norm = np.sqrt(_dot(v, v))[..., None]
-    return np.where(norm > 1e-12, v / np.where(norm > 1e-12, norm, 1.0), fallback)
-
-
 def discrete_average(w: ArrayLike, c: ArrayLike, n: ArrayLike) -> DiscreteAverage:
     """Per row of stacked (k, 3) vectors, the average of |(R^k c) . w| over
-    k = 0..N-1, with R the pi/N rotation about an axis orthogonal to both.
+    k = 0..N-1, with R the pi/N rotation in the plane of w and c.
 
-    Each (R^k c).w is one closed-form Rodrigues turn by t_k = k pi/N:
-    cos t_k (c.w) + sin t_k ((axis x c).w) + (1 - cos t_k)(axis.c)(axis.w).
+    Each term is (R^k c).w = cos t_k (c.w) - sin t_k |w x c|, t_k = k pi/N:
+    the value depends only on c.w and |w x c|, whichever way R turns, so no
+    rotation axis is built and collinear rows need no branch.
 
     ``n`` is one count, or an integer array of counts that broadcasts against
     the rows' leading shape, each element refused as _setting_count refuses
     it.  The terms are added one k at a time, k ascending, from a table of
-    (cos t_k, sin t_k, 1 - cos t_k) per count that is zero from the count's
-    own N on, so each row equals its one-count call bit for bit.
+    (cos t_k, sin t_k) per count that is zero from the count's own N on, so
+    each row equals its one-count call bit for bit.
 
     Always >= u_coefficient(n).  The returned xi is the wrapped angle
     (angle(w, c) - pi/2) mod pi/N entering the closed form
     (sin xi + N u_N cos xi)/N.
     """
-    counts = [_setting_count(m) for m in np.ravel(n).tolist()]
+    counts = [_setting_count(m) for m in np.ravel(np.array(n, dtype=object)).tolist()]
     n, top = np.reshape(counts, np.shape(n)), max(counts, default=1)
-    w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
     cross = _cross(w, c)
-    wx = w[..., 0]
-    # collinear w, c: any axis orthogonal to w; pick the lexicographically
-    # smallest one (minimize x, then y) for determinism; for w = +-e1, whose
-    # circle has x = 0, that is (0, -1, 0)
-    collinear_axis = _normalized_or(
-        np.stack([-(1.0 - wx * wx), wx * w[..., 1], wx * w[..., 2]], axis=-1), (0.0, -1.0, 0.0)
-    )
-    axis = _normalized_or(cross, collinear_axis)
-    # (cos t_k, sin t_k, 1 - cos t_k) on a leading k axis, ahead of the count
-    # axes; a count's entries are zero from its own N on, so its rows' later
-    # terms add exact zeros
-    trig = [[(math.cos(t), math.sin(t), 1.0 - math.cos(t)) for t in (k * math.pi / m for k in range(m))]
-            + [(0.0, 0.0, 0.0)] * (top - m) for m in counts]
-    table = np.reshape(trig, (len(counts), top, 3)).transpose(1, 2, 0).reshape((top, 3) + n.shape)
-    cw, turned, along = _dot(c, w), _dot(_cross(axis, c), w), _dot(axis, c) * _dot(axis, w)
+    cw, sw = _dot(c, w), np.sqrt(_dot(cross, cross))
+    # (cos t_k, sin t_k) on a leading k axis, ahead of the count axes; a
+    # count's entries are zero from its own N on, so its rows' later terms
+    # add exact zeros
+    trig = [[(math.cos(t), math.sin(t)) for t in (k * math.pi / m for k in range(m))]
+            + [(0.0, 0.0)] * (top - m) for m in counts]
+    table = np.reshape(trig, (len(counts), top, 2)).transpose(1, 2, 0).reshape((top, 2) + n.shape)
     total = 0.0
-    for cos_t, sin_t, one_minus_cos in table:  # left to right in k
-        total = total + abs(cos_t * cw + sin_t * turned + one_minus_cos * along)
-    angle = np.arctan2(np.sqrt(_dot(cross, cross)), cw)
-    xi = (angle - math.pi / 2.0) % (math.pi / n)
+    for cos_t, sin_t in table:  # left to right in k
+        total = total + abs(cos_t * cw - sin_t * sw)
+    xi = (np.arctan2(sw, cw) - math.pi / 2.0) % (math.pi / n)
     return DiscreteAverage(value=total / n, xi=xi)
 
 

@@ -64,9 +64,10 @@ def _cross(p, q):
 
 def _setting_count(n) -> int:
     """``n`` as an int: a positive integer, or a float with a positive
-    integral value.  Anything else is refused, naming the value."""
+    integral value.  Anything else, a bool included (True would count as
+    one setting), is refused, naming the value."""
     try:
-        count = int(n)
+        count = 0 if isinstance(n, (bool, np.bool_)) else int(n)
     except (TypeError, ValueError, OverflowError):  # a non-number, NaN, inf
         count = 0
     if count < 1 or count != n:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    dot,
     grid_max_violation,
     random_density_matrix,
     random_frames,
@@ -68,25 +69,17 @@ class TestUCoefficient:
 
 
 def reference_discrete_average(w, c, n: int) -> tuple[float, float]:
-    """Plain-Python scalar reference: one (w, c) pair at a time, each R^k c
-    one Rodrigues turn by k pi/N dotted with w, the terms added in k order."""
+    """Plain-Python scalar reference: one (w, c) pair at a time, each term
+    (R^k c).w = cos t_k (c.w) - sin t_k |w x c|, t_k = k pi/N, added in k
+    order."""
     ax, ay, az = w[1] * c[2] - w[2] * c[1], w[2] * c[0] - w[0] * c[2], w[0] * c[1] - w[1] * c[0]
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm > 1e-12:
-        ax, ay, az = ax / norm, ay / norm, az / norm
-    else:
-        px, py, pz = -(1.0 - w[0] * w[0]), w[0] * w[1], w[0] * w[2]
-        pn = math.sqrt(px * px + py * py + pz * pz)
-        ax, ay, az = (px / pn, py / pn, pz / pn) if pn > 1e-12 else (0.0, -1.0, 0.0)
+    sw = math.sqrt(ax * ax + ay * ay + az * az)
     cw = c[0] * w[0] + c[1] * w[1] + c[2] * w[2]
-    turned = (ay * c[2] - az * c[1]) * w[0] + (az * c[0] - ax * c[2]) * w[1] + (ax * c[1] - ay * c[0]) * w[2]
-    along = (ax * c[0] + ay * c[1] + az * c[2]) * (ax * w[0] + ay * w[1] + az * w[2])
     total = 0.0
     for k in range(n):
         t = k * math.pi / n
-        total += abs(math.cos(t) * cw + math.sin(t) * turned + (1.0 - math.cos(t)) * along)
-    angle = math.atan2(norm, w[0] * c[0] + w[1] * c[1] + w[2] * c[2])
-    return total / n, (angle - math.pi / 2.0) % (math.pi / n)
+        total += abs(math.cos(t) * cw - math.sin(t) * sw)
+    return total / n, (math.atan2(sw, cw) - math.pi / 2.0) % (math.pi / n)
 
 
 class TestDiscreteAverage:
@@ -121,7 +114,7 @@ class TestDiscreteAverage:
     def test_rows_equal_scalar_reference(self):
         rng = np.random.default_rng(43)
         w, c = unit_rows(rng, 2, 300)
-        # collinear rows take the deterministic axis, +-e1 its own branch
+        # collinear rows, +-e1 among them, have |w x c| = 0 and no rotation axis
         e1, s = (1.0, 0.0, 0.0), (0.6, 0.8, 0.0)
         w = np.concatenate([w, [s, s, e1, e1]])
         c = np.concatenate([c, [s, (-0.6, -0.8, 0.0), e1, (-1.0, 0.0, 0.0)]])
@@ -164,6 +157,33 @@ class TestDiscreteAverage:
             oracle = math.fsum(abs(math.cos(alpha + k * math.pi / n)) for k in range(n)) / n
             assert abs(value - oracle) <= 2e-15
 
+    def test_near_collinear_rows_match_fsum_oracle(self):
+        # c = +-w cos eps + p sin eps, p orthogonal to w, and the rows scaled
+        # off unit length.  A unit axis built from w x c inherits the cross
+        # product's rounding, relative to its tiny norm, and missed these
+        # rows by up to 1.7e-11 at eps = 2e-12; the fallback axis taken below
+        # |w x c| = 1e-12 assumed a unit w and missed the scaled rows by 0.45
+        rng = np.random.default_rng(48)
+        rows = [((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), 0.0), ((0.6, 0.8, 0.0), (0.0, 0.0, 0.0), 0.0)]
+        for w, r in zip(unit_rows(rng, 3).tolist(), unit_rows(rng, 3).tolist()):
+            p = unit(*np.cross(w, r).tolist())
+            for eps in (0.0, 1e-13, 3e-13, 9e-13, 2e-12, 5e-12, 1e-10, 1e-6):
+                for sign in (1.0, -1.0):
+                    c = tuple(sign * wi * math.cos(eps) + pi * math.sin(eps) for wi, pi in zip(w, p))
+                    rows += [(w, c, eps), (tuple(3.0 * x for x in w), tuple(0.3 * x for x in c), eps)]
+        w, c = np.array([w for w, _, _ in rows]), np.array([c for _, c, _ in rows])
+        for n in (2, 5, 16):
+            avg, _ = discrete_average(w, c, n)
+            for (wi, ci, eps), value in zip(rows, avg.tolist()):
+                alpha = math.atan2(math.hypot(*np.cross(wi, ci).tolist()), math.fsum(np.multiply(wi, ci).tolist()))
+                scale = math.hypot(*wi) * math.hypot(*ci)
+                oracle = scale * math.fsum(abs(math.cos(alpha + k * math.pi / n)) for k in range(n)) / n
+                assert math.isfinite(value) and abs(value - oracle) <= 2e-15
+                if eps >= 1e-6:  # far enough from collinear for a well-defined turn axis
+                    axis = unit(*np.cross(wi, ci).tolist())
+                    turned = math.fsum(abs(dot(turn(ci, axis, k * math.pi / n), wi)) for k in range(n)) / n
+                    assert abs(value - turned) <= 2e-15
+
     def test_lower_bound_moderate_trials(self):
         rng = np.random.default_rng(42)
         w, c = unit_rows(rng, 2, 16, 200)
@@ -178,7 +198,7 @@ class TestDiscreteAverage:
             avg, _ = discrete_average([w, w], [w, minus_w], n)
             oracle = sum(abs(math.cos(k * math.pi / n)) for k in range(n)) / n
             assert avg.tolist() == pytest.approx([oracle, oracle], abs=1e-12)
-        # repeated calls give identical results (deterministic axis choice)
+        # repeated calls give identical results (no axis is chosen: |w x c| = 0)
         first, second = discrete_average([w], [w], 7), discrete_average([w], [w], 7)
         assert first.value.tolist() == second.value.tolist()
         assert first.xi.tolist() == second.xi.tolist()
@@ -412,6 +432,7 @@ class TestContinuum:
 _COUNT_ENTRY_POINTS = {
     "plane_settings": lambda n: plane_settings(default_frames(), n),
     "u_coefficient": u_coefficient,
+    "nlv_bound": lambda n: nlv_bound(n, 0.3),
     "discrete_average": lambda n: discrete_average([(1.0, 0.0, 0.0)], [(0.0, 0.6, 0.8)], n),
     "l_n": lambda n: l_n(singlet(), default_frames(), n, 0.1),
     "max_violation_phi": lambda n: max_violation_phi(singlet(), default_frames(), n),
@@ -419,18 +440,31 @@ _COUNT_ENTRY_POINTS = {
 
 
 class TestSettingCount:
-    # u_coefficient takes math.inf as the continuum limit; the setting rows,
-    # and so l_n and the violation search, and the discrete average need a
-    # finite count.  An integral float count used to fail in l_n and the
+    # u_coefficient, and so nlv_bound, takes math.inf as the continuum limit;
+    # the setting rows, and so l_n and the violation search, and the discrete
+    # average need a finite count.  An integral float count used to fail in l_n and the
     # search with a TypeError from reshape
     @pytest.mark.parametrize("entry, n", [
         (entry, n)
         for entry in _COUNT_ENTRY_POINTS
         for n in (2.7, math.nan, 0, -1, math.inf, -math.inf)
-        if not (entry == "u_coefficient" and n == math.inf)
+        if not (entry in ("u_coefficient", "nlv_bound") and n == math.inf)
     ])
     def test_refuses_a_count_that_is_not_a_positive_integer(self, entry, n):
         message = re.escape(f"need a positive integer setting count, got {n!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _COUNT_ENTRY_POINTS[entry](n)
+
+    # a bool is refused as replicate refuses a bool run count; True used to
+    # count as one setting, so u_coefficient(True) was 0.0
+    @pytest.mark.parametrize("entry, n, bad", [
+        *((entry, n, n) for entry in sorted(_COUNT_ENTRY_POINTS) for n in (True, False, np.True_)),
+        ("discrete_average", np.array([True, True]), True),
+        ("discrete_average", [2, False], False),
+        ("discrete_average", np.array([[3], [np.True_]], dtype=object), np.True_),
+    ])
+    def test_refuses_a_bool_count(self, entry, n, bad):
+        message = re.escape(f"need a positive integer setting count, got {bad!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             _COUNT_ENTRY_POINTS[entry](n)
 
