@@ -31,7 +31,7 @@ from numpy.typing import ArrayLike
 
 from . import quantum
 from .inequality import nlv_bound
-from .sphere import _setting_count, check_frames, default_frames, schedule_rows
+from .sphere import _angle_list, _setting_count, check_frames, default_frames, schedule_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -103,11 +103,17 @@ def estimate_C(counts: ArrayLike, shift: float | None = None) -> tuple[np.ndarra
     With ``shift`` (the expected accidentals per port, rate * duration) the
     estimates use the counts minus ``shift``, floored at zero, while the
     variances keep the raw Poisson counts.  A row whose total is not
-    positive has no estimate: both of its entries are NaN.  A count that is
-    negative, NaN or infinite, and a shift that is negative or not finite,
-    are refused with a ValueError naming the value.
+    positive has no estimate: both of its entries are NaN.  Counts whose
+    last axis is not 4 (a bare number included), or whose dtype is not an
+    integer or real float one (bool included), are refused with a ValueError
+    naming the shape or dtype; a count that is negative, NaN or infinite,
+    and a shift that is negative or not finite, with one naming the value.
     """
     rows = np.asarray(counts)
+    if rows.dtype.kind not in "iuf":
+        raise ValueError(f"counts must be integers or real floats, got dtype {rows.dtype}")
+    if rows.shape[-1:] != (4,):
+        raise ValueError(f"need rows of four counts, shape (..., 4); got {rows.shape}")
     bad = ~((rows >= 0) & (rows < math.inf))  # NaN fails both
     if bad.any():
         raise ValueError(f"counts must be finite and non-negative, got {rows[bad][0].item()!r}")
@@ -138,8 +144,11 @@ def mean_table(config: ExperimentConfig, n: int, phi: float) -> np.ndarray:
     Rows are the measured pairs of sphere.schedule_rows, in sampling order
     (plane, rotation index k, Bob at offset 0 then phi); columns the sign
     pairs (+,+), (-,-), (-,+), (+,-).  They depend on the config's state,
-    rates and planes, not on its seed.
+    rates and planes, not on its seed.  ``phi`` is one angle: an array of
+    angles is refused, naming its shape, before any row is built.
     """
+    if not _angle_list(phi)[1]:
+        raise ValueError(f"need one angle, got shape {np.shape(phi)}")
     p = quantum.outcome_probabilities(config.two_qubit_state, *schedule_rows(config.frames, n, phi))
     t = config.integration_time
     return config.pair_rate * p * t + config.accidental_rate * t

@@ -45,15 +45,25 @@ _RENORM_SKIP = 4e-15  # skip division when norm^2 is already this close to 1
 MAX_SETTINGS = 1_000
 
 
+def _rows(p, q):
+    """p and q as float arrays of rows of three components along the last
+    axis; any other last axis, on either, is refused, naming both shapes."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape[-1:] != (3,) or q.shape[-1:] != (3,):
+        raise ValueError(f"need rows of three components, got shapes {p.shape} and {q.shape}")
+    return p, q
+
+
 def _dot(p, q):
     """Row-wise p.q over the last axis, added x + y + z left to right."""
-    m = np.asarray(p, dtype=float) * np.asarray(q, dtype=float)
+    p, q = _rows(p, q)
+    m = p * q
     return m[..., 0] + m[..., 1] + m[..., 2]
 
 
 def _cross(p, q):
     """Row-wise p x q over the last axis, in np.cross's operation order."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = _rows(p, q)
     p0, p1, p2, q0, q1, q2 = p[..., 0], p[..., 1], p[..., 2], q[..., 0], q[..., 1], q[..., 2]
     out = np.empty(np.broadcast_shapes(p.shape, q.shape))
     np.subtract(p1 * q2, p2 * q1, out=out[..., 0])

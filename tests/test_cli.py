@@ -338,6 +338,21 @@ class TestCheck:
         assert "PASS lemma-lower-bound" in out
         assert "PASS single-setting-model-feasible" in out
 
+    def test_leggett_scan_passes(self, capsys):
+        # the benchmark's 3-degree scan of the two-setting schedule, run through
+        assert run("check", "leggett", "--trials", "100", "--ensembles", "1", "--grid-deg", "3") == 0
+        out = capsys.readouterr().out
+        assert "PASS two-setting-scan-infeasible: grid 7082 points" in out
+        assert "74178 candidates checked" in out
+        assert out.splitlines()[-1] == "6/6 properties passed"
+
+    def test_failing_property_exits_2(self, capsys, monkeypatch):
+        failing = nlvtest._checks.CheckResult("made-up", False, "fails on purpose")
+        monkeypatch.setattr(nlvtest._checks, "lemma_suite", lambda **kwargs: [failing])
+        assert run("check", "lemma") == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL made-up: fails on purpose", "0/1 properties passed"]
+
 
 class TestConfigParsing:
     def test_full_round_trip(self, tmp_path):
@@ -404,6 +419,12 @@ class TestConfigParsing:
         line = assert_one_line_error(code, capsys)
         assert line == f"error: {cfg}: unknown state spec 'wat:1'"
 
+    def test_bool_that_does_not_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text("subtract_accidentals = maybe\n")
+        code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert_one_line_error(code, capsys, "bool.cfg", "not a boolean: 'maybe'")
+
     @pytest.mark.parametrize("line", [
         "pair_rate = nan", "pair_rate = inf", "accidental_rate = nan",
         "integration_time = inf", "seed = -2",
@@ -456,6 +477,16 @@ class TestBadInput:
     ], ids=["bounds", "bounds-json", "sweep"])
     def test_repeated_setting_count(self, capsys, argv):
         assert_one_line_error(run(*argv), capsys, "--n-list", "setting count 2 repeated")
+
+    @pytest.mark.parametrize("argv, named", [
+        (("predict", "--n", "abc", "--phi", "15"), ("--n", "need a positive integer, got 'abc'")),
+        (("bounds", "--n-list", "2", "--phi-range", "5", "--step", "1"),
+         ("--phi-range", "bad angle range '5', expected LO:HI")),
+        (("bounds", "--n-list", "2", "--phi-range", "5:1", "--step", "1"),
+         ("--phi-range", "empty angle range '5:1'")),
+    ], ids=["n-not-a-number", "phi-range-without-colon", "phi-range-reversed"])
+    def test_flag_value_that_does_not_parse(self, capsys, argv, named):
+        assert_one_line_error(run(*argv), capsys, *named)
 
     def test_empty_state_spec(self, capsys):
         code = run("predict", "--state", "", "--n", "2", "--phi", "15")

@@ -502,6 +502,21 @@ class TestFiniteAngle:
             _ANGLE_ENTRY_POINTS[entry](phi)
 
 
+class TestOneAngle:
+    # mean_table and replicate describe one angle: an array is refused before
+    # replicate draws a count that numpy could not broadcast against it
+    @pytest.mark.parametrize("entry", sorted(set(_ANGLE_ENTRY_POINTS) - set(_ANGLE_ARRAY_ENTRY_POINTS)))
+    @pytest.mark.parametrize("phi", [[0.26], np.array([0.1, 0.2])], ids=["list-of-one", "array-of-two"])
+    def test_refuses_an_angle_array_before_any_row_is_built(self, monkeypatch, entry, phi):
+        def unreachable(*args):
+            raise AssertionError("schedule_rows called")
+
+        monkeypatch.setattr("nlvtest.simulate.schedule_rows", unreachable)
+        message = re.escape(f"need one angle, got shape {np.shape(phi)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _ANGLE_ENTRY_POINTS[entry](phi)
+
+
 class TestMaxViolationSearch:
     def test_singlet_peak_matches_formula(self):
         # L - bound = 2(1 + cos phi) - 4 + 2 u_N sin(phi/2) peaks where sin(phi/2) = u_N / 4

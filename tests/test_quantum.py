@@ -52,6 +52,10 @@ def qubit_rho(u, r: int = 1) -> np.ndarray:
 
 
 class TestStateValidation:
+    def test_rejects_a_matrix_that_is_not_4x4(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be 4x4, got \(3, 3\)$"):
+            TwoQubitState(np.eye(3, dtype=complex) / 3.0)
+
     def test_rejects_non_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho = rho + 1e-6 * np.array([[0, 1j, 0, 0]] + [[0] * 4] * 3)

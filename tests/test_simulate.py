@@ -163,7 +163,7 @@ class TestConfig:
             ExperimentConfig(rng_seed=seed)
 
 
-class TestSampleQuad:
+class TestMeanTableQuads:
     """A quad is one row of the mean table, drawn as part of a run's single
     Poisson call."""
 
@@ -267,6 +267,15 @@ class TestEstimator:
         ((10, 20, 30, 40), -0.5, "shift must be non-negative and finite, got -0.5"),
         ((10, 20, 30, 40), math.nan, "shift must be non-negative and finite, got nan"),
         ((10, 20, 30, 40), math.inf, "shift must be non-negative and finite, got inf"),
+        # rows it cannot read as (n_pp, n_mm, n_mp, n_pm), refused by shape or dtype
+        ([[10, 10, 0, 0, 999]], None, "need rows of four counts, shape (..., 4); got (1, 5)"),
+        (np.ones((2, 3)), None, "need rows of four counts, shape (..., 4); got (2, 3)"),
+        (7, None, "need rows of four counts, shape (..., 4); got ()"),
+        (np.array(7.0), 0.5, "need rows of four counts, shape (..., 4); got ()"),
+        ([[True, False, True, True]], None, "counts must be integers or real floats, got dtype bool"),
+        (("1", "2", "3", "4"), None, "counts must be integers or real floats, got dtype <U1"),
+        ((1 + 0j, 1, 1, 1), None, "counts must be integers or real floats, got dtype complex128"),
+        ([[1, 2, 3, None]], None, "counts must be integers or real floats, got dtype object"),
     ])
     def test_refuses_bad_counts_and_shifts(self, counts, shift, bad):
         with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):

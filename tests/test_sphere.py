@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from helpers import cross, dot, plane_rows, random_frames, random_unit, setting_pairs, turn, unit
 
-from nlvtest.inequality import l_n, max_violation_phi
-from nlvtest.quantum import singlet
+from nlvtest.inequality import discrete_average, l_n, max_violation_phi
+from nlvtest.leggett import admissible_C_range, explicit_model_margin, leggett_outcomes
+from nlvtest.quantum import correlation, outcome_probabilities, singlet
 from nlvtest.simulate import ExperimentConfig
 from nlvtest.sphere import (
     MAX_SETTINGS,
@@ -43,6 +44,16 @@ def frames_with(base, slot, row) -> list:
     plane, i = slot
     frames[plane][i] = row
     return frames
+
+
+_ROW_ENTRY_POINTS = {
+    "admissible_C_range": lambda r: admissible_C_range(r, r, r, r),
+    "explicit_model_margin": lambda r: explicit_model_margin(r, r, [[r, r]]),
+    "leggett_outcomes": lambda r: leggett_outcomes([r], [r], [r], [r], [0.0]),
+    "discrete_average": lambda r: discrete_average(r, r, 2),
+    "correlation": lambda r: correlation(singlet(), r, r),
+    "outcome_probabilities": lambda r: outcome_probabilities(singlet(), r, r),
+}
 
 
 class TestCheckFrames:
@@ -134,8 +145,25 @@ class TestRowProducts:
             assert np.array_equal(ours, theirs)
             assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
+    @pytest.mark.parametrize("product", [_dot, _cross])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_refuses_rows_that_are_not_three_components_on_either_side(self, product, width):
+        bad, good = np.zeros((5, width)), np.zeros((1, 3))
+        for p, q in ((bad, good), (good, bad)):
+            message = re.escape(f"need rows of three components, got shapes {p.shape} and {q.shape}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                product(p, q)
 
-class TestRotate:
+    # every setting-row input is read through _dot or _cross, so no entry point
+    # reads a four-component row by its first three components
+    @pytest.mark.parametrize("entry", sorted(_ROW_ENTRY_POINTS))
+    @pytest.mark.parametrize("row", [[1.0, 0.0], [1.0, 0.0, 0.0, 7.0]], ids=["two", "four"])
+    def test_entry_points_refuse_rows_that_are_not_three_components(self, entry, row):
+        with pytest.raises(ValueError, match="^need rows of three components, got shapes "):
+            _ROW_ENTRY_POINTS[entry](row)
+
+
+class TestReferenceTurn:
     # the plain-Python reference turn of the tests
     def test_quarter_turn_about_z(self):
         x, y, _ = turn((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.pi / 2)
