@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, _checks, inequality, quantum, simulate
 from .simulate import ExperimentConfig
-from .sphere import default_frames, row_setting
+from .sphere import default_frames, plane_settings, row_setting
 
 __all__ = ["main", "ConfigError", "load_config", "read_manifest"]
 
@@ -93,7 +93,7 @@ def _fields(values: dict[str, object]) -> dict[str, object]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key = value config file into an ExperimentConfig."""
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value text)
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -110,13 +110,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        values[key] = (lineno, value.strip())
     if "visibilities" in values:  # an input alias of state = visibilities:V1,V2,V3
         if "state" in values:
             raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
-        values["state"] = "visibilities:" + values.pop("visibilities")
+        lineno, value = values.pop("visibilities")
+        values["state"] = (lineno, "visibilities:" + value)
+    parsed = {}
+    for key, (_, parse, _) in _FIELDS.items():
+        if key in values:
+            lineno, value = values[key]
+            try:
+                parsed[key] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
-        parsed = {key: parse(values[key]) for key, (_, parse, _) in _FIELDS.items() if key in values}
         return ExperimentConfig(**_fields(parsed))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -232,9 +240,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     state = config.two_qubit_state
-    best_phi = inequality.max_violation_phi(state, config.frames, args.n)
+    # one set of setting rows for the search and L: the config has checked its frames
+    rows = plane_settings(config.frames, args.n)
+    best_phi = inequality._max_violation_phi(state, *rows, args.n)
     phis = [math.radians(args.phi), best_phi]
-    l_value, best_l = inequality.l_n(state, config.frames, args.n, phis).tolist()
+    l_value, best_l = inequality._l_n(state, *rows, phis)
     bound, best_bound = inequality.nlv_bound(args.n, phis).tolist()
     columns = [
         "n", "phi_deg", "l_value", "bound", "violation",

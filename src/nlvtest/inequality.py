@@ -24,8 +24,13 @@ is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The violation search
 takes only a ``TwoQubitState``, whose correlation is linear in Bob's
 setting, and returns an angle: one call gives E_j(0) and the turned-setting
 means F_j, and the exact maximum is the best of a few candidates, the
-interval's ends, the kinks and the roots of one quartic per smooth piece,
-each scored in float arithmetic on those four numbers.
+interval's ends, the kinks and the real roots of one quartic per smooth
+piece, each scored in float arithmetic on those four numbers.  The roots
+are isolated in plain floats, between the roots of the quartic's
+derivatives, with no eigensolver.  Both ``l_n`` and the search check their
+frames and build the setting rows, then hand them to a body (``_l_n``,
+``_max_violation_phi``) that a caller holding rows already, such as
+``predict``, calls directly.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ __all__ = [
 
 
 _ANGLE_BLOCK = 256  # angles per correlation call in l_n
+_EPS = 2.0 ** -52  # float spacing at 1
+_SOLVE_STEPS = 100  # at most, per root: Newton takes a few, 100 halvings shrink a bracket 1e30-fold
 
 
 def u_coefficient(n: int | float) -> float:
@@ -129,15 +136,21 @@ def l_n(source, frames: ArrayLike, n: int, phi: ArrayLike):
     (2, 2, 3) rows (normal, seed), refused as sphere.check_frames refuses
     them."""
     angles, one = _angle_list(phi)
-    alice, turned = plane_settings(check_frames(frames), n)
+    values = _l_n(source, *plane_settings(check_frames(frames), n), angles)
+    return values[0] if one else np.array(values)
+
+
+def _l_n(source, alice: np.ndarray, turned: np.ndarray, angles: list[float]) -> list[float]:
+    """l_n's body: L_N per angle of a list of finite angles, on the rows
+    (alice, turned) of sphere.plane_settings."""
     values = []
-    for start in range(0, max(len(angles), 1), _ANGLE_BLOCK):  # an empty array makes one call
+    for start in range(0, max(len(angles), 1), _ANGLE_BLOCK):  # an empty list makes one call
         bob = offset_settings(alice, turned, angles[start:start + _ANGLE_BLOCK])
         c = source.correlation(np.concatenate([alice] * (len(bob) + 1)),
                                np.concatenate([alice[None], bob]).reshape(-1, 3))
         c = c.reshape(len(bob) + 1, 2, -1)  # the aligned rows, then one block per angle
         values += np.add.accumulate(abs(_means(c[1:]) + _means(c[0])), axis=-1)[:, -1].tolist()
-    return values[0] if one else np.array(values)
+    return values
 
 
 def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
@@ -162,19 +175,27 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
 
         -4A t(1 - t^2) + B((1 - t^2)^2 - 4t^2) + u_N (1 - t^4) = 0.
 
-    The candidates are the two ends, the kinks and the real part of every
-    root that falls inside its piece.  The best is returned, the smallest
-    angle on a tie, and a maximum at an end (pi/4 for the maximally mixed
-    state, 0 for the singlet at N = 1) is that end exactly.  Any source
-    other than a TwoQubitState, whose correlation need not be linear in b,
-    is refused.
+    The candidates are the two ends, the kinks and every real root of that
+    quartic inside its piece, found without an eigensolver: _real_roots
+    isolates the stretches where the quartic is monotone, between the roots
+    of its derivative, and solves each sign change by bracketed Newton steps.
+    A smooth piece's maximum lies at an end or at such a stationary point.
+    The best is returned, the smallest angle on a tie, and a maximum at an end
+    (pi/4 for the maximally mixed state, 0 for the singlet at N = 1) is that
+    end exactly.  Any source other than a TwoQubitState, whose correlation
+    need not be linear in b, is refused.
 
     Its violation is l_n(...) - nlv_bound(n, phi), < 0 when the state never
     exceeds the bound on the interval.
     """
     if not isinstance(state, TwoQubitState):
         raise ValueError(f"max_violation_phi needs a TwoQubitState, got {type(state).__name__}")
-    alice, turned = plane_settings(check_frames(frames), n)
+    return _max_violation_phi(state, *plane_settings(check_frames(frames), n), n)
+
+
+def _max_violation_phi(state: TwoQubitState, alice: np.ndarray, turned: np.ndarray, n: int) -> float:
+    """max_violation_phi's body, on the rows (alice, turned) that
+    sphere.plane_settings builds for N = ``n``."""
     means = _means(state.correlation(np.concatenate([alice, alice]),
                                      np.concatenate([alice, turned])).reshape(2, 2, -1))
     (e1, e2), (f1, f2) = means.tolist()
@@ -192,7 +213,75 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
         mid = (lo + hi) / 2.0
         s1, s2 = (math.copysign(1.0, e * math.cos(mid) + f * math.sin(mid)) for e, f in planes)
         a, b = s1 * e1 + s2 * e2, s1 * f1 + s2 * f2
-        roots = np.roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u]).real.tolist()
+        roots = _real_roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u],
+                            math.tan(lo / 2.0), math.tan(hi / 2.0))
         candidates += [psi for psi in (2.0 * math.atan(t) for t in roots) if lo < psi < hi]
     # max keeps the first of equal scores
     return max(sorted(2.0 * psi for psi in candidates), key=objective)
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    """The polynomial with ``coeffs``, highest power first, at ``x``."""
+    value = 0.0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
+    """The real roots in [lo, hi] of the polynomial with float ``coeffs``,
+    highest power first, ascending and each once.
+
+    Zero leading coefficients are dropped; a constant, the zero polynomial
+    included, has no root to isolate, and a linear one has its root in
+    closed form.  Otherwise the roots of the derivative, found the same way,
+    cut [lo, hi] into stretches on which the polynomial is monotone.  An end
+    of a stretch where its value is within four times Horner's rounding
+    bound, degree eps sum_k |c_k| |x|^k, of zero is a root (so is a double
+    root, at a root of the derivative); a stretch whose ends have opposite
+    signs holds one more, found by _solve.
+    """
+    while coeffs and coeffs[0] == 0.0:
+        coeffs = coeffs[1:]
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return []
+    if degree == 1:
+        root = -coeffs[1] / coeffs[0]
+        return [root] if lo <= root <= hi else []
+    slope = [c * (degree - k) for k, c in enumerate(coeffs[:-1])]
+    ends = [lo, *_real_roots(slope, lo, hi), hi]
+    slack = [4.0 * degree * _EPS * abs(c) for c in coeffs]
+    values = [_horner(coeffs, x) for x in ends]
+    values = [0.0 if abs(v) <= _horner(slack, abs(x)) else v for x, v in zip(ends, values)]
+    roots = [x for x, v in zip(ends, values) if v == 0.0]
+    roots += [_solve(coeffs, slope, x0, x1, v0 < 0.0)
+              for x0, x1, v0, v1 in zip(ends, ends[1:], values, values[1:]) if min(v0, v1) < 0.0 < max(v0, v1)]
+    return sorted(set(roots))
+
+
+def _solve(coeffs: list[float], slope: list[float], lo: float, hi: float, rising: bool) -> float:
+    """The one root in (lo, hi) of a polynomial that is monotone there, below
+    zero at the ``lo`` end if ``rising`` and above it otherwise: Newton steps
+    from the midpoint, each kept inside the shrinking bracket or replaced by
+    its midpoint, until a step moves nothing or the bracket is two adjacent
+    floats."""
+    x = 0.5 * (lo + hi)
+    for _ in range(_SOLVE_STEPS):
+        value = _horner(coeffs, x)
+        if value == 0.0:
+            break
+        if (value < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        d = _horner(slope, x)
+        step = x - value / d if d != 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        if step == x:
+            break
+        x = step
+    return x

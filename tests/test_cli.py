@@ -110,6 +110,40 @@ class TestBounds:
             grid(0.0, 1_000_000.0, 1.0)
 
 
+# predict's data rows for the benchmark's states, N = 2, 3, 4, 8, 16 and 32,
+# phi = 15 degrees
+PREDICT_GRID = {
+    "singlet": """
+2,15.00,3.9319,3.8695,0.0624,14.36,0.0625
+3,15.00,3.9319,3.8493,0.0826,16.60,0.0833
+4,15.00,3.9319,3.8424,0.0894,17.36,0.0911
+8,15.00,3.9319,3.8360,0.0959,18.08,0.0987
+16,15.00,3.9319,3.8343,0.0975,18.26,0.1007
+32,15.00,3.9319,3.8339,0.0979,18.30,0.1012""",
+    "werner:0.96": """
+2,15.00,3.7746,3.8695,-0.0949,14.96,-0.0949
+3,15.00,3.7746,3.8493,-0.0747,17.29,-0.0732
+4,15.00,3.7746,3.8424,-0.0679,18.09,-0.0651
+8,15.00,3.7746,3.8360,-0.0614,18.84,-0.0572
+16,15.00,3.7746,3.8343,-0.0598,19.02,-0.0551
+32,15.00,3.7746,3.8339,-0.0594,19.07,-0.0546""",
+    "colored:0.98": """
+2,15.00,3.8925,3.8695,0.0231,14.51,0.0231
+3,15.00,3.8925,3.8493,0.0433,16.77,0.0442
+4,15.00,3.8925,3.8424,0.0501,17.53,0.0520
+8,15.00,3.8925,3.8360,0.0566,18.26,0.0597
+16,15.00,3.8925,3.8343,0.0582,18.44,0.0617
+32,15.00,3.8925,3.8339,0.0586,18.49,0.0622""",
+    "visibilities:0.995,0.990,0.982": """
+2,15.00,3.8945,3.8695,0.0250,14.50,0.0251
+3,15.00,3.8945,3.8493,0.0452,16.76,0.0461
+4,15.00,3.8945,3.8424,0.0521,17.52,0.0539
+8,15.00,3.8945,3.8360,0.0585,18.25,0.0617
+16,15.00,3.8945,3.8343,0.0602,18.43,0.0636
+32,15.00,3.8945,3.8339,0.0606,18.48,0.0641""",
+}
+
+
 class TestPredict:
     def test_singlet_three_settings(self, capsys):
         assert run("predict", "--state", "singlet", "--n", "3", "--phi", "15") == 0
@@ -139,6 +173,41 @@ class TestPredict:
         out = capsys.readouterr().out
         row = [line for line in out.splitlines() if not line.startswith("#")][1]
         assert row.split(",")[4:] == ["0.0000", "0.00", "0.0000"]
+
+    # one predict builds its setting rows once, for both the search and L, and
+    # finds the search's stationary points with no eigensolver
+    @pytest.mark.parametrize("spec, n", [
+        *((spec, 4) for spec in PREDICT_GRID), ("mixed", 1), ("singlet", 1),
+    ])
+    def test_one_setting_build_and_no_eigensolver(self, monkeypatch, capsys, spec, n):
+        built, real = [], nlvtest.sphere.plane_settings
+
+        def counting(frames, count):
+            built.append(count)
+            return real(frames, count)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nlvtest"]:
+            if getattr(module, "plane_settings", None) is real:
+                monkeypatch.setattr(module, "plane_settings", counting)
+        monkeypatch.setattr(np, "roots", refused)
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        assert run("predict", "--state", spec, "--n", str(n), "--phi", "15") == 0
+        assert built == [n]
+
+    @pytest.mark.parametrize("spec", sorted(PREDICT_GRID))
+    def test_benchmark_grid_unchanged(self, capsys, spec):
+        # the predict-scan states at phi = 15 degrees, recorded from the
+        # np.roots search that the eigensolver-free one replaced
+        rows = []
+        for n in (2, 3, 4, 8, 16, 32):
+            assert run("predict", "--state", spec, "--n", str(n), "--phi", "15") == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+            assert lines[0] == "n,phi_deg,l_value,bound,violation,best_phi_deg,best_violation"
+            rows += lines[1:]
+        assert rows == PREDICT_GRID[spec].split()
 
     def test_invalid_state_is_config_error(self, capsys):
         assert run("predict", "--state", "wat:1", "--n", "2", "--phi", "15") == 1
@@ -424,6 +493,19 @@ class TestConfigParsing:
         cfg.write_text("subtract_accidentals = maybe\n")
         code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
         assert_one_line_error(code, capsys, "bool.cfg", "not a boolean: 'maybe'")
+
+    # a value that does not parse is named by file, line and key
+    @pytest.mark.parametrize("text, message", [
+        ("pair_rate = fast\n", "1: pair_rate: could not convert string to float: 'fast'"),
+        ("# planes\nplane1_normal = 0,0,x\n",
+         "2: plane1_normal: could not convert string to float: 'x'"),
+        ("seed = 4\n\nsubtract_accidentals = maybe\n", "3: subtract_accidentals: not a boolean: 'maybe'"),
+    ], ids=["float", "vector", "bool"])
+    def test_value_that_does_not_parse_names_line_and_key(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(text)
+        code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
+        assert assert_one_line_error(code, capsys) == f"error: {cfg}:{message}"
 
     @pytest.mark.parametrize("line", [
         "pair_rate = nan", "pair_rate = inf", "accidental_rate = nan",

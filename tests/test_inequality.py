@@ -24,6 +24,7 @@ from nlvtest._checks import lemma_suite
 
 from nlvtest.inequality import (
     _ANGLE_BLOCK,
+    _real_roots,
     DiscreteAverage,
     discrete_average,
     l_n,
@@ -604,6 +605,68 @@ class TestMaxViolationSearch:
         phi = max_violation_phi(werner(v), default_frames(), 2)
         assert 0.0 < phi < math.pi / 4.0
         assert phi == pytest.approx(2.0 * math.asin(u_coefficient(2) / (4.0 * v)), abs=1e-12)
+
+
+def assert_roots_match_np_roots(coeffs, lo, hi):
+    """_real_roots(coeffs, lo, hi), ascending and in [lo, hi], agrees within
+    1e-12 with the test's oracle: the real parts of np.roots' roots with
+    |imag| <= 1e-6 (both of a double root's pair) that lie within 1e-12 of
+    [lo, hi]."""
+    found = _real_roots(list(coeffs), lo, hi)
+    expected = [r.real for r in np.roots(coeffs) if abs(r.imag) <= 1e-6 and lo - 1e-12 <= r.real <= hi + 1e-12]
+    assert found == sorted(found)
+    assert all(lo <= t <= hi for t in found)
+    assert all(any(abs(t - r) <= 1e-12 for t in found) for r in expected)
+    assert all(any(abs(t - r) <= 1e-12 for r in expected) for t in found)
+    return found
+
+
+class TestRealRoots:
+    # the search's interval in t = tan(psi/2), psi in [0, pi/8]
+    TOP = math.tan(math.pi / 16.0)
+
+    def test_random_search_quartics(self):
+        # the search's own form in A, B and u_N, on random pieces of [0, TOP]
+        # and on wider intervals that hold more roots
+        rng = np.random.default_rng(48)
+        for _ in range(2000):
+            a, b = rng.uniform(-2.0, 2.0, size=2).tolist()
+            u = u_coefficient(int(rng.integers(1, 65)))
+            lo, hi = sorted(rng.uniform(0.0, self.TOP, size=2).tolist())
+            for interval in ((lo, hi), (0.0, self.TOP), (-3.0, 3.0)):
+                assert_roots_match_np_roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u], *interval)
+
+    def test_random_quartics(self):
+        rng = np.random.default_rng(49)
+        counts = []
+        for _ in range(2000):
+            coeffs = rng.normal(size=5).tolist()
+            counts.append(len(assert_roots_match_np_roots(coeffs, -2.0, 2.0)))
+        assert set(counts) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("coeffs, lo, hi, roots", [
+        # a zero leading coefficient: the singlet at N = 1, a root at the end 0
+        ([0.0, 8.0, 0.0, -8.0, 0.0], 0.0, TOP, [0.0]),
+        ([0.0, 8.0, 0.0, -8.0, 0.0], -2.0, 2.0, [-1.0, 0.0, 1.0]),
+        # every coefficient zero (the maximally mixed state at N = 1), and a constant
+        ([0.0] * 5, 0.0, TOP, []),
+        ([0.0, 0.0, 0.0, 0.0, 1.5], 0.0, TOP, []),
+        # a linear polynomial with its root at an end
+        ([0.0, 0.0, 0.0, 8.0, -1.0], 0.0, 0.125, [0.125]),
+        # a double root, inside and at either end; 0.1 and 0.17, which no
+        # float holds, leave the quartic a rounding error off zero there
+        (np.poly([0.125, 0.125, -2.0, 3.0]).tolist(), 0.0, 0.2, [0.125]),
+        (np.poly([0.1, 0.1, -2.0, 3.0]).tolist(), 0.0, 0.2, [0.1]),
+        (np.poly([0.17, 0.17, -2.0, 3.0]).tolist(), 0.0, 0.2, [0.17]),
+        (np.poly([0.125, 0.125, -2.0, 3.0]).tolist(), 0.125, 0.2, [0.125]),
+        (np.poly([0.125, 0.125, -2.0, 3.0]).tolist(), 0.0, 0.125, [0.125]),
+        # a simple root exactly at a piece end, from either side
+        (np.poly([0.125, 0.5, -2.0, 3.0]).tolist(), 0.0, 0.125, [0.125]),
+        (np.poly([0.125, 0.5, -2.0, 3.0]).tolist(), 0.125, 0.2, [0.125]),
+        (np.poly([0.125, 0.1875, -2.0, 3.0]).tolist(), 0.0, 0.2, [0.125, 0.1875]),
+    ])
+    def test_degenerate_quartics(self, coeffs, lo, hi, roots):
+        assert assert_roots_match_np_roots(coeffs, lo, hi) == pytest.approx(roots, abs=1e-12)
 
 
 # the four predict-scan benchmark states
