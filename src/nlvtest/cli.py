@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import math
 import platform
@@ -60,6 +59,11 @@ def _vector_text(row: np.ndarray) -> str:
     return ",".join(repr(x) for x in row.tolist())
 
 
+def _parse_state(text: str) -> str:
+    quantum.parse_state(text)  # refused at its line; the config parses it again
+    return text
+
+
 # One row per config-file key: the ExperimentConfig field it sets (a plane
 # key sets one (plane, row) of ``frames``), how its text parses, and how the
 # manifest prints the stored value.  The manifest writes every key as
@@ -70,12 +74,22 @@ _FIELDS = {
     "pair_rate": ("pair_rate", float, repr),
     "accidental_rate": ("accidental_rate", float, repr),
     "integration_time": ("integration_time", float, repr),
-    "state": ("state", str, str),
+    "state": ("state", _parse_state, str),
     "seed": ("rng_seed", int, str),
     "subtract_accidentals": ("subtract_accidentals", _parse_bool, lambda b: str(b).lower()),
     **{f"plane{plane + 1}_{name}": ((plane, row), _parse_vector, _vector_text)
        for plane in range(2) for row, name in enumerate(("normal", "seed"))},
 }
+# The command flags a manifest records, in its order: the manifest key, the
+# flag's attribute and how its value prints; a flag not given is left out.
+_COMMAND_KEYS = (
+    ("n", "n", str),
+    ("runs", "runs", str),
+    ("n_list", "n_list", lambda ns: ",".join(str(n) for n in ns)),
+    ("phi_deg", "phi", repr),
+    ("phi_range_deg", "phi_range", lambda r: f"{r[0]!r}:{r[1]!r}"),
+    ("step_deg", "step", repr),
+)
 
 
 def _fields(values: dict[str, object]) -> dict[str, object]:
@@ -92,38 +106,35 @@ def _fields(values: dict[str, object]) -> dict[str, object]:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat key = value config file into an ExperimentConfig."""
-    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value text)
+    """Parse a flat key = value config file into an ExperimentConfig, in
+    one pass that refuses the first bad line where it stands."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    given: set[str] = set()
+    parsed = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        name, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        if key not in _FIELDS and key != "visibilities":
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = (lineno, value.strip())
-    if "visibilities" in values:  # an input alias of state = visibilities:V1,V2,V3
-        if "state" in values:
+        if name not in _FIELDS and name != "visibilities":
+            raise ConfigError(f"{path}:{lineno}: unknown key {name!r}")
+        if name in given:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {name!r}")
+        given.add(name)
+        if {"state", "visibilities"} <= given:
             raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
-        lineno, value = values.pop("visibilities")
-        values["state"] = (lineno, "visibilities:" + value)
-    parsed = {}
-    for key, (_, parse, _) in _FIELDS.items():
-        if key in values:
-            lineno, value = values[key]
-            try:
-                parsed[key] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+        key = name
+        if name == "visibilities":  # an input alias of state = visibilities:V1,V2,V3
+            key, value = "state", "visibilities:" + value
+        try:
+            parsed[key] = _FIELDS[key][1](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {name}: {exc}") from None
     try:
         return ExperimentConfig(**_fields(parsed))
     except (ValueError, TypeError) as exc:
@@ -134,31 +145,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # manifests and output
 
 
-def build_manifest(command: str, args: argparse.Namespace,
-                   config: ExperimentConfig | None) -> dict[str, str]:
+def build_manifest(args: argparse.Namespace, config: ExperimentConfig | None) -> dict[str, str]:
     """Provenance block attached to every output: tool version, the Python
     and numpy versions (seeded draws rest on numpy's Poisson algorithm),
-    command, timestamp and every config key as ``config.KEY``, sufficient to
-    reproduce the data section bit-exactly."""
+    command, timestamp, the command's flags and every config key as
+    ``config.KEY``, sufficient to reproduce the data section bit-exactly."""
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
         "format": "5",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "command": command,
+        "command": args.subcommand,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    for key in ("n", "runs"):
-        if getattr(args, key, None) is not None:
-            manifest[key] = str(getattr(args, key))
-    if getattr(args, "n_list", None):
-        manifest["n_list"] = ",".join(str(n) for n in args.n_list)
-    if getattr(args, "phi", None) is not None:
-        manifest["phi_deg"] = repr(args.phi)
-    if getattr(args, "phi_range", None) is not None:
-        manifest["phi_range_deg"] = f"{args.phi_range[0]!r}:{args.phi_range[1]!r}"
-        manifest["step_deg"] = repr(args.step)
+    for key, attr, show in _COMMAND_KEYS:
+        if (value := getattr(args, attr, None)) is not None:
+            manifest[key] = show(value)
     if config is not None:
         for key, (field, _, show) in _FIELDS.items():
             stored = config.frames[field] if isinstance(field, tuple) else getattr(config, field)
@@ -179,19 +182,12 @@ def read_manifest(path: str | Path) -> dict[str, str]:
 def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str],
           rows: list[list[str]]) -> None:
     if args.format == "json":
-        payload = {
-            "manifest": manifest,
-            "records": [dict(zip(columns, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        records = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps({"manifest": manifest, "records": records}, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        for key, value in manifest.items():
-            buf.write(f"{_MANIFEST_PREFIX}{key}={value}\n")
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(row) + "\n")
-        text = buf.getvalue()
+        lines = [f"{_MANIFEST_PREFIX}{key}={value}" for key, value in manifest.items()]
+        lines += [",".join(row) for row in [columns, *rows]]
+        text = "".join(line + "\n" for line in lines)
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -233,7 +229,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     bounds = [inequality.nlv_bound(n, phis).tolist() for n in args.n_list]
     rows = [[_fmt(deg, 2), *(_fmt(b, 4) for b in cells), _fmt(quantum.singlet_L(phi), 4)]
             for deg, phi, *cells in zip(grid, phis, *bounds)]
-    _emit(args, build_manifest("bounds", args, None), columns, rows)
+    _emit(args, build_manifest(args, None), columns, rows)
     return 0
 
 
@@ -259,7 +255,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _fmt(math.degrees(best_phi), 2),
         _fmt(best_l - best_bound, 4),
     ]]
-    _emit(args, build_manifest("predict", args, config), columns, rows)
+    _emit(args, build_manifest(args, config), columns, rows)
     return 0
 
 
@@ -294,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _fmt(bound, 4), _fmt(summary.mean_violation, 2),
             "", "summary", _fmt(summary.std_l, 4), _fmt(summary.std_over_sigma, 3),
         ])
-    _emit(args, build_manifest("simulate", args, config), _SIM_COLUMNS, rows)
+    _emit(args, build_manifest(args, config), _SIM_COLUMNS, rows)
     if summary.mean_l is None:
         print("error: every run produced degenerate data", file=sys.stderr)
         return 3
@@ -327,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _fmt(summary.mean_violation, 2), str(succeeded),
                 "ok" if failures == 0 else f"degenerate-data x{failures}",
             ])
-    _emit(args, build_manifest("sweep", args, config), columns, rows)
+    _emit(args, build_manifest(args, config), columns, rows)
     return 0 if any_success else 3
 
 
@@ -343,12 +339,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         results += _checks.lemma_suite(trials=args.trials, seed=args.seed)
     if args.suite in ("leggett", "all"):
         results += _checks.leggett_suite(trials=args.trials, seed=args.seed, **given)
-    failed = 0
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        if not result.passed:
-            failed += 1
-        print(f"{status} {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    failed = sum(not result.passed for result in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return 2 if failed else 0
 
@@ -414,11 +407,6 @@ def _parse_phi_range(text: str) -> tuple[float, float]:
     return (lo_f, hi_f)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", metavar="PATH", default=None)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The nlvtest parser, built on the first call and shared after it."""
@@ -428,44 +416,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nlvtest {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # the flags two or more subcommands share, each declared once
+    output, config, point, seeded = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--output", metavar="PATH", default=None)
+    config.add_argument("--config", metavar="PATH", default=None)
+    point.add_argument("--n", type=_positive_int, required=True)
+    point.add_argument("--phi", type=_finite_float, required=True, help="degrees")
+    seeded.add_argument("--seed", type=_non_negative_int, default=None)
+    seeded.add_argument("--subtract-accidentals", action="store_true", default=None)
 
-    bounds = subs.add_parser("bounds", help="tabulate the model bound and singlet curve")
+    bounds = subs.add_parser("bounds", parents=[output],
+                             help="tabulate the model bound and singlet curve")
     bounds.add_argument("--n-list", type=_parse_n_list, required=True)
     group = bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--phi", type=_finite_float, help="difference angle in degrees")
     group.add_argument("--phi-range", type=_parse_phi_range, metavar="LO:HI")
     bounds.add_argument("--step", type=_finite_float, default=None, help="grid step in degrees")
-    _add_output_flags(bounds)
     bounds.set_defaults(func=cmd_bounds)
 
-    predict = subs.add_parser("predict", help="analytic prediction for a state")
+    predict = subs.add_parser("predict", parents=[config, point, output],
+                              help="analytic prediction for a state")
     predict.add_argument("--state", default=None,
                          help="state spec, e.g. singlet or werner:0.96")
-    predict.add_argument("--config", metavar="PATH", default=None)
-    predict.add_argument("--n", type=_positive_int, required=True)
-    predict.add_argument("--phi", type=_finite_float, required=True, help="degrees")
-    _add_output_flags(predict)
     predict.set_defaults(func=cmd_predict)
 
-    sim = subs.add_parser("simulate", help="seeded Monte Carlo counting runs")
-    sim.add_argument("--config", metavar="PATH", default=None)
-    sim.add_argument("--n", type=_positive_int, required=True)
-    sim.add_argument("--phi", type=_finite_float, required=True, help="degrees")
+    sim = subs.add_parser("simulate", parents=[config, point, seeded, output],
+                          help="seeded Monte Carlo counting runs")
     sim.add_argument("--runs", type=_positive_int, default=1)
-    sim.add_argument("--seed", type=_non_negative_int, default=None)
-    sim.add_argument("--subtract-accidentals", action="store_true", default=None)
-    _add_output_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    sweep = subs.add_parser("sweep", help="grid of simulations over (N, phi)")
-    sweep.add_argument("--config", metavar="PATH", default=None)
+    sweep = subs.add_parser("sweep", parents=[config, seeded, output],
+                            help="grid of simulations over (N, phi)")
     sweep.add_argument("--n-list", type=_parse_n_list, required=True)
     sweep.add_argument("--phi-range", type=_parse_phi_range, required=True, metavar="LO:HI")
     sweep.add_argument("--step", type=_finite_float, required=True, help="degrees")
     sweep.add_argument("--runs", type=_positive_int, default=10)
-    sweep.add_argument("--seed", type=_non_negative_int, default=None)
-    sweep.add_argument("--subtract-accidentals", action="store_true", default=None)
-    _add_output_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     check = subs.add_parser("check", help="run the property suites")

@@ -264,7 +264,7 @@ def _solve(coeffs: list[float], slope: list[float], lo: float, hi: float, rising
     """The one root in (lo, hi) of a polynomial that is monotone there, below
     zero at the ``lo`` end if ``rising`` and above it otherwise: Newton steps
     from the midpoint, each kept inside the shrinking bracket or replaced by
-    its midpoint, until a step moves nothing or the bracket is two adjacent
+    its midpoint, until the value is zero or the bracket is two adjacent
     floats."""
     x = 0.5 * (lo + hi)
     for _ in range(_SOLVE_STEPS):
@@ -281,7 +281,5 @@ def _solve(coeffs: list[float], slope: list[float], lo: float, hi: float, rising
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
                 break
-        if step == x:
-            break
         x = step
     return x

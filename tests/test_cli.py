@@ -332,6 +332,85 @@ class TestSimulate:
         assert data_section(replay) == data_section(out)
 
 
+# One argv per command form, recorded before the shared flags moved to argparse
+# parent parsers: its parsed namespace (without func), and its manifest's
+# command lines in order, then the config keys it sets apart from the defaults
+# (None for check, which prints no manifest).
+COMMAND_PINS = {
+    "bounds-phi": (
+        ("bounds", "--n-list", "2,3", "--phi", "15"),
+        {"subcommand": "bounds", "n_list": [2, 3], "phi": 15.0, "phi_range": None,
+         "step": None, "format": "csv", "output": None},
+        ([("command", "bounds"), ("n_list", "2,3"), ("phi_deg", "15.0")], None),
+    ),
+    "bounds-phi-range": (
+        ("bounds", "--n-list", "4", "--phi-range", "0:10", "--step", "5"),
+        {"subcommand": "bounds", "n_list": [4], "phi": None, "phi_range": (0.0, 10.0),
+         "step": 5.0, "format": "csv", "output": None},
+        ([("command", "bounds"), ("n_list", "4"), ("phi_range_deg", "0.0:10.0"),
+          ("step_deg", "5.0")], None),
+    ),
+    "predict-state": (
+        ("predict", "--state", "werner:0.9", "--n", "3", "--phi", "20"),
+        {"subcommand": "predict", "state": "werner:0.9", "config": None, "n": 3, "phi": 20.0,
+         "format": "csv", "output": None},
+        ([("command", "predict"), ("n", "3"), ("phi_deg", "20.0")], {"state": "werner:0.9"}),
+    ),
+    "simulate-subtract-seed": (
+        ("simulate", "--n", "2", "--phi", "15", "--runs", "2", "--subtract-accidentals",
+         "--seed", "4"),
+        {"subcommand": "simulate", "config": None, "n": 2, "phi": 15.0, "runs": 2, "seed": 4,
+         "subtract_accidentals": True, "format": "csv", "output": None},
+        ([("command", "simulate"), ("n", "2"), ("runs", "2"), ("phi_deg", "15.0")],
+         {"seed": "4", "subtract_accidentals": "true"}),
+    ),
+    "sweep": (
+        ("sweep", "--n-list", "2,3", "--phi-range", "10:15", "--step", "5", "--runs", "2"),
+        {"subcommand": "sweep", "config": None, "n_list": [2, 3], "phi_range": (10.0, 15.0),
+         "step": 5.0, "runs": 2, "seed": None, "subtract_accidentals": None, "format": "csv",
+         "output": None},
+        ([("command", "sweep"), ("runs", "2"), ("n_list", "2,3"), ("phi_range_deg", "10.0:15.0"),
+          ("step_deg", "5.0")], {}),
+    ),
+    "check-leggett": (
+        ("check", "leggett", "--ensembles", "3", "--grid-deg", "30"),
+        {"subcommand": "check", "suite": "leggett", "trials": 100000, "ensembles": 3,
+         "grid_deg": 30.0, "seed": 0},
+        None,
+    ),
+}
+# the manifest's config lines of the default config, in order
+DEFAULT_CONFIG_LINES = {
+    "pair_rate": "1860.0", "accidental_rate": "0.41", "integration_time": "4.0",
+    "state": "visibilities:0.995,0.990,0.982", "seed": "0", "subtract_accidentals": "false",
+    "plane1_normal": "0.0,0.0,1.0", "plane1_seed": "1.0,0.0,0.0",
+    "plane2_normal": "0.0,-1.0,0.0", "plane2_seed": "1.0,0.0,0.0",
+}
+
+
+class TestCommandPins:
+    @pytest.mark.parametrize("name", sorted(COMMAND_PINS))
+    def test_parsed_flags_unchanged(self, name):
+        argv, namespace, _ = COMMAND_PINS[name]
+        parsed = vars(build_parser().parse_args(list(argv)))
+        del parsed["func"]
+        assert parsed == namespace
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(name for name, pin in COMMAND_PINS.items() if pin[2]))
+    def test_manifest_lines_unchanged(self, tmp_path, name, fmt):
+        argv, _, (command, config) = COMMAND_PINS[name]
+        out = tmp_path / f"out.{fmt}"
+        assert run(*argv, "--format", fmt, "--output", str(out)) == 0
+        manifest = read_manifest(out) if fmt == "csv" else json.loads(out.read_text())["manifest"]
+        expected = [("tool", "nlvtest"), ("version", __version__), ("format", "5"), *command]
+        if config is not None:
+            expected += [("config." + key, value)
+                         for key, value in {**DEFAULT_CONFIG_LINES, **config}.items()]
+        assert [(key, value) for key, value in manifest.items()
+                if key not in ("timestamp", "python", "numpy")] == expected
+
+
 class TestManifest:
     @pytest.mark.parametrize("argv", [
         ("bounds", "--n-list", "2", "--phi", "15"),
@@ -458,10 +537,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(cfg)
 
-    def test_state_and_visibilities_conflict(self, tmp_path):
+    @pytest.mark.parametrize("lines", [
+        ("state = singlet", "visibilities = 0.9,0.9,0.9"),
+        ("visibilities = 0.9,0.9,0.9", "state = singlet"),
+    ], ids=["state-first", "visibilities-first"])
+    def test_state_and_visibilities_conflict(self, tmp_path, lines):
         cfg = tmp_path / "conflict.cfg"
-        cfg.write_text("state = singlet\nvisibilities = 0.9,0.9,0.9\n")
+        cfg.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="mutually exclusive"):
+            load_config(cfg)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # the file is read in one pass, each line refused where it stands
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("seed = 1\npair_rate = fast\n\npair_rte = 1\n")
+        with pytest.raises(ConfigError, match=r"two\.cfg:2: pair_rate: "):
             load_config(cfg)
 
     def test_bad_value_wrapped(self, tmp_path):
@@ -486,7 +576,7 @@ class TestConfigParsing:
         cfg.write_text("state = wat:1\n")
         code = run("simulate", "--config", str(cfg), "--n", "2", "--phi", "15")
         line = assert_one_line_error(code, capsys)
-        assert line == f"error: {cfg}: unknown state spec 'wat:1'"
+        assert line == f"error: {cfg}:1: state: unknown state spec 'wat:1'"
 
     def test_bool_that_does_not_parse(self, tmp_path, capsys):
         cfg = tmp_path / "bool.cfg"
@@ -500,7 +590,9 @@ class TestConfigParsing:
         ("# planes\nplane1_normal = 0,0,x\n",
          "2: plane1_normal: could not convert string to float: 'x'"),
         ("seed = 4\n\nsubtract_accidentals = maybe\n", "3: subtract_accidentals: not a boolean: 'maybe'"),
-    ], ids=["float", "vector", "bool"])
+        ("visibilities = 0.9,x\n",
+         "1: visibilities: invalid state spec 'visibilities:0.9,x': could not convert string to float: 'x'"),
+    ], ids=["float", "vector", "bool", "visibilities"])
     def test_value_that_does_not_parse_names_line_and_key(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "f.cfg"
         cfg.write_text(text)
