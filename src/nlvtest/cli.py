@@ -2,9 +2,9 @@
 Monte Carlo runs, (N, phi) sweeps, and the property-check suites.
 
 Output is CSV with a commented manifest header (or a JSON mirror via
---format json).  Angles are printed in degrees with 2 decimals; correlation
-sums and bounds with 4 decimals.  Exit codes: 0 success, 1 usage, config
-or input error, 2 property-check failure, 3 degenerate data.  The argument
+--format json); a float cell prints the decimals ``_DECIMALS`` gives its
+column, 4 if it names none.  Exit codes: 0 success, 1 usage, config or
+input error, 2 property-check failure, 3 degenerate data.  The argument
 parser is built once per process, on the first call of main.
 """
 
@@ -127,7 +127,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {name!r}")
         given.add(name)
         if {"state", "visibilities"} <= given:
-            raise ConfigError(f"{path}: 'state' and 'visibilities' are mutually exclusive")
+            raise ConfigError(f"{path}:{lineno}: 'state' and 'visibilities' are mutually exclusive")
         key = name
         if name == "visibilities":  # an input alias of state = visibilities:V1,V2,V3
             key, value = "state", "visibilities:" + value
@@ -179,15 +179,37 @@ def read_manifest(path: str | Path) -> dict[str, str]:
     return manifest
 
 
-def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str],
-          rows: list[list[str]]) -> None:
+# The float columns not printed to 4 decimals: angles and sigma counts 2, std_over_sigma 3
+_DECIMALS = {"phi_deg": 2, "best_phi_deg": 2, "violation_sigmas": 2, "mean_violation": 2,
+             "std_over_sigma": 3}
+
+
+def _cell(value, column: str) -> str:
+    """One data cell's text: text and ints as they are, a blank for None or
+    NaN, a float to its column's decimals and unsigned if it rounds to zero
+    (Python 3.10 has no "z" format option, so round first and add 0.0)."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        digits = _DECIMALS.get(column, 4)
+        return f"{round(value, digits) + 0.0:.{digits}f}"
+    return "" if value is None else str(value)
+
+
+def _emit(args: argparse.Namespace, config: ExperimentConfig | None, columns: list[str],
+          rows: list[list]) -> None:
+    """Write the command's manifest and ``rows`` of values under ``columns``."""
+    manifest = build_manifest(args, config)
+    # text needs no call: most of a simulate run row is text formatted once per op
+    rows = [[value if isinstance(value, str) else _cell(value, column)
+             for column, value in zip(columns, row)] for row in rows]
     if args.format == "json":
         records = [dict(zip(columns, row)) for row in rows]
         text = json.dumps({"manifest": manifest, "records": records}, indent=2) + "\n"
     else:
         lines = [f"{_MANIFEST_PREFIX}{key}={value}" for key, value in manifest.items()]
         lines += [",".join(row) for row in [columns, *rows]]
-        text = "".join(line + "\n" for line in lines)
+        text = "\n".join(lines) + "\n"
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -195,13 +217,6 @@ def _emit(args: argparse.Namespace, manifest: dict[str, str], columns: list[str]
             raise ConfigError(f"cannot write output {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _fmt(x: float | None, digits: int) -> str:
-    """``x`` to ``digits`` decimals, a blank cell for an undefined (None)
-    value, and a cell that rounds to zero unsigned: Python 3.10 has no "z"
-    format option, so round first and add 0.0."""
-    return "" if x is None else f"{round(x, digits) + 0.0:.{digits}f}"
 
 
 def _phi_grid_deg(args: argparse.Namespace) -> list[float]:
@@ -227,9 +242,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     columns = ["phi_deg"] + [f"bound_n{n}" for n in args.n_list] + ["singlet_l"]
     phis = [math.radians(deg) for deg in grid]
     bounds = [inequality.nlv_bound(n, phis).tolist() for n in args.n_list]
-    rows = [[_fmt(deg, 2), *(_fmt(b, 4) for b in cells), _fmt(quantum.singlet_L(phi), 4)]
-            for deg, phi, *cells in zip(grid, phis, *bounds)]
-    _emit(args, build_manifest(args, None), columns, rows)
+    rows = [[deg, *cells, quantum.singlet_L(phi)] for deg, phi, *cells in zip(grid, phis, *bounds)]
+    _emit(args, None, columns, rows)
     return 0
 
 
@@ -246,55 +260,36 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "n", "phi_deg", "l_value", "bound", "violation",
         "best_phi_deg", "best_violation",
     ]
-    rows = [[
-        str(args.n),
-        _fmt(args.phi, 2),
-        _fmt(l_value, 4),
-        _fmt(bound, 4),
-        _fmt(l_value - bound, 4),
-        _fmt(math.degrees(best_phi), 2),
-        _fmt(best_l - best_bound, 4),
-    ]]
-    _emit(args, build_manifest(args, config), columns, rows)
+    rows = [[args.n, args.phi, l_value, bound, l_value - bound, math.degrees(best_phi),
+             best_l - best_bound]]
+    _emit(args, config, columns, rows)
     return 0
-
-
-_SIM_COLUMNS = [
-    "run", "n", "phi_deg", "l_exp", "sigma", "bound", "violation_sigmas",
-    "seed", "status", "std_l", "std_over_sigma",
-]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     phi = math.radians(args.phi)
     summary = simulate.replicate(config, args.n, phi, args.runs)
-    n, deg, bound = str(args.n), _fmt(args.phi, 2), inequality.nlv_bound(args.n, phi)
+    columns = [
+        "run", "n", "phi_deg", "l_exp", "sigma", "bound", "violation_sigmas",
+        "seed", "status", "std_l", "std_over_sigma",
+    ]
+    n, deg = _cell(args.n, "n"), _cell(args.phi, "phi_deg")  # per-op constants, formatted once
+    bound = _cell(inequality.nlv_bound(args.n, phi), "bound")
     rows = []
     for run_idx, (l_value, sigma, z, empty_row) in enumerate(zip(
             summary.l_values.tolist(), summary.sigmas.tolist(),
             summary.violation_sigmas.tolist(), summary.empty_rows.tolist())):
-        seed_text = f"{config.rng_seed}-{run_idx}"
-        if empty_row >= 0:
-            setting = "plane {}, setting {}, theta={}".format(*row_setting(args.n, empty_row))
-            rows.append([str(run_idx), n, deg, "", "", "", "", seed_text,
-                         f"degenerate-data (no counts at {setting})", "", ""])
-        else:
-            rows.append([
-                str(run_idx), n, deg, _fmt(l_value, 4), _fmt(sigma, 4), _fmt(bound, 4),
-                _fmt(None if math.isnan(z) else z, 2), seed_text, "ok", "", "",
-            ])
+        status = "ok" if empty_row < 0 else (  # a run without data: L, sigma and z are NaN
+            "degenerate-data (no counts at plane {}, setting {}, theta={})".format(
+                *row_setting(args.n, empty_row)))
+        rows.append([run_idx, n, deg, l_value, sigma, bound if empty_row < 0 else None, z,
+                     f"{config.rng_seed}-{run_idx}", status, "", ""])
     if summary.mean_l is not None:
-        rows.append([
-            "summary", n, deg, _fmt(summary.mean_l, 4), _fmt(summary.mean_sigma, 4),
-            _fmt(bound, 4), _fmt(summary.mean_violation, 2),
-            "", "summary", _fmt(summary.std_l, 4), _fmt(summary.std_over_sigma, 3),
-        ])
-    _emit(args, build_manifest(args, config), _SIM_COLUMNS, rows)
-    if summary.mean_l is None:
-        print("error: every run produced degenerate data", file=sys.stderr)
-        return 3
-    return 0
+        rows.append(["summary", n, deg, summary.mean_l, summary.mean_sigma, bound,
+                     summary.mean_violation, "", "summary", summary.std_l, summary.std_over_sigma])
+    _emit(args, config, columns, rows)
+    return 0 if summary.mean_l is not None else 3
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -306,7 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "mean_l_exp", "std_l", "mean_sigma", "mean_violation", "runs", "status",
     ]
     rows = []
-    any_success = False
     phis = [math.radians(d) for d in grid]
     for n in args.n_list:
         analytic = inequality.l_n(state, config.frames, n, phis).tolist()
@@ -314,17 +308,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for phi_idx, (deg, phi, l_value, bound) in enumerate(zip(grid, phis, analytic, bounds)):
             summary = simulate.replicate(config, n, phi, args.runs, cell=(n, phi_idx))
             failures = int(np.count_nonzero(summary.empty_rows >= 0))
-            succeeded = summary.runs - failures
-            any_success = any_success or succeeded > 0
             rows.append([
-                str(n), _fmt(deg, 2), _fmt(bound, 4),
-                _fmt(l_value, 4), _fmt(quantum.singlet_L(phi), 4),
-                _fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
-                _fmt(summary.mean_violation, 2), str(succeeded),
+                n, deg, bound, l_value, quantum.singlet_L(phi), summary.mean_l, summary.std_l,
+                summary.mean_sigma, summary.mean_violation, summary.runs - failures,
                 "ok" if failures == 0 else f"degenerate-data x{failures}",
             ])
-    _emit(args, build_manifest(args, config), columns, rows)
-    return 0 if any_success else 3
+    _emit(args, config, columns, rows)
+    return 0 if any(row[-2] for row in rows) else 3  # the runs column: a cell had data
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -472,10 +462,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits for usage errors, --help, --version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if code == 3:  # simulate and sweep have printed what data they had
+        print("error: every run produced degenerate data", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import pytest
 import nlvtest
 from nlvtest import __version__
 from nlvtest.cli import (
-    ConfigError, _fmt, _phi_grid_deg, build_parser, load_config, main, read_manifest,
+    _DECIMALS, ConfigError, _cell, _phi_grid_deg, build_parser, load_config, main, read_manifest,
 )
 from nlvtest.inequality import nlv_bound
 from nlvtest.quantum import singlet_L
@@ -278,14 +278,20 @@ class TestSimulate:
         assert summary[header.index("std_l")] == ""
         assert summary[header.index("std_over_sigma")] == ""
 
-    def test_degenerate_config_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--n", "2", "--phi", "15"),
+        ("sweep", "--n-list", "2", "--phi-range", "10:20", "--step", "5"),
+    ], ids=["simulate", "sweep"])
+    def test_degenerate_config_exits_3(self, tmp_path, capsys, command):
+        # every run degenerate: the rows print, then one error: line says why
         cfg = tmp_path / "dead.cfg"
         cfg.write_text("pair_rate = 1e-9\naccidental_rate = 0\nstate = singlet\n")
-        code = run(
-            "simulate", "--config", str(cfg), "--n", "2", "--phi", "15",
-            "--runs", "2", "--seed", "3", "--output", str(tmp_path / "out.csv"),
-        )
+        code = run(*command, "--config", str(cfg), "--runs", "2", "--seed", "3",
+                   "--output", str(tmp_path / "out.csv"))
         assert code == 3
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "error: every run produced degenerate data"]
         rows = data_section(tmp_path / "out.csv").splitlines()
         assert all("degenerate-data" in row for row in rows[1:])
 
@@ -544,7 +550,9 @@ class TestConfigParsing:
     def test_state_and_visibilities_conflict(self, tmp_path, lines):
         cfg = tmp_path / "conflict.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="mutually exclusive"):
+        # refused at the second of the two lines, which it names
+        with pytest.raises(ConfigError,
+                           match=r"conflict\.cfg:2: 'state' and 'visibilities' are mutually exclusive"):
             load_config(cfg)
 
     def test_first_bad_line_wins(self, tmp_path):
@@ -968,6 +976,13 @@ class TestGolden:
         argv = [str(tmp_path / f"{arg}.cfg") if arg in CONFIGS else arg for arg in argv]
         assert run(*argv, "--output", str(out)) == 0
         assert data_section(out) == expected
+        # _emit gives both formats their cells: each JSON record holds the
+        # CSV header's columns, and its cells joined are the CSV row
+        assert run(*argv, "--format", "json", "--output", str(tmp_path / "out.json")) == 0
+        records = json.loads((tmp_path / "out.json").read_text())["records"]
+        header, *rows = expected.splitlines()
+        assert [list(record) for record in records] == [header.split(",")] * len(rows)
+        assert [",".join(record.values()) for record in records] == rows
 
     def test_sweep_cells_are_replicates_seeded_by_cell(self):
         # each sweep-sparse-mixed cell summarises replicate(..., cell=(N, phi
@@ -979,6 +994,13 @@ class TestGolden:
             cells = line.split(",")
             phi = math.radians(float(cells[1]))
             summary = replicate(config, 2, phi, 10, cell=(2, phi_idx))
-            assert [_fmt(summary.mean_l, 4), _fmt(summary.std_l, 4), _fmt(summary.mean_sigma, 4),
-                    _fmt(summary.mean_violation, 2), str(np.count_nonzero(summary.empty_rows < 0))] == cells[5:10]
+            values = (summary.mean_l, summary.std_l, summary.mean_sigma, summary.mean_violation,
+                      int(np.count_nonzero(summary.empty_rows < 0)))
+            columns = ("mean_l_exp", "std_l", "mean_sigma", "mean_violation", "runs")
+            assert [_cell(value, column) for value, column in zip(values, columns)] == cells[5:10]
             assert replicate(config, 2, phi, 10).mean_l != summary.mean_l
+
+    def test_every_decimals_entry_is_a_printed_column(self):
+        printed_columns = {column for _, expected in GOLDEN.values()
+                           for column in expected.splitlines()[0].split(",")}
+        assert set(_DECIMALS) <= printed_columns
