@@ -153,7 +153,7 @@ def build_manifest(args: argparse.Namespace, config: ExperimentConfig | None) ->
     manifest = {
         "tool": "nlvtest",
         "version": __version__,
-        "format": "5",  # bumped whenever a printed cell or JSON field changes
+        "format": "6",  # bumped whenever a printed cell or JSON field changes
         "python": platform.python_version(),
         "numpy": np.__version__,
         "command": args.subcommand,
@@ -281,7 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             summary.l_values.tolist(), summary.sigmas.tolist(),
             summary.violation_sigmas.tolist(), summary.empty_rows.tolist())):
         status = "ok" if empty_row < 0 else (  # a run without data: L, sigma and z are NaN
-            "degenerate-data (no counts at plane {}, setting {}, theta={})".format(
+            "degenerate-data (no counts at plane {}; setting {}; theta={})".format(
                 *row_setting(args.n, empty_row)))
         rows.append([run_idx, n, deg, l_value, sigma, bound if empty_row < 0 else None, z,
                      f"{config.rng_seed}-{run_idx}", status, "", ""])
@@ -373,8 +373,7 @@ def _checked(convert, valid, need: str):
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
-_non_negative_float = _checked(float, lambda x: 0.0 <= x < math.inf,
-                               "a non-negative finite number")
+_positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=_positive_int, default=100_000)
     check.add_argument("--ensembles", type=_positive_int, default=None,
                        help="local ensembles of the leggett suite (default 100)")
-    check.add_argument("--grid-deg", type=_non_negative_float, default=None,
+    check.add_argument("--grid-deg", type=_positive_float, default=None,
                        help="leggett suite: also scan the two-setting schedule at this resolution")
     check.add_argument("--seed", type=_non_negative_int, default=0)
     check.set_defaults(func=cmd_check)

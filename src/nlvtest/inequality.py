@@ -24,10 +24,11 @@ is ``l_n(...) - nlv_bound(n, phi)``, in either form.  The violation search
 takes only a ``TwoQubitState``, whose correlation is linear in Bob's
 setting, and returns an angle: one call gives E_j(0) and the turned-setting
 means F_j, and the exact maximum is the best of a few candidates, the
-interval's ends, the kinks and the real roots of one quartic per smooth
-piece, each scored in float arithmetic on those four numbers.  The roots
-are isolated in plain floats, between the roots of the quartic's
-derivatives, with no eigensolver.  Both ``l_n`` and the search check their
+interval's ends and the stationary points of each sign choice of the |.|
+terms that occurs, each scored in float arithmetic on those four numbers.
+The stationary points are the real roots of one quartic per sign choice,
+isolated in plain floats, between the roots of the quartic's derivatives,
+with no eigensolver.  Both ``l_n`` and the search check their
 frames and build the setting rows, then hand them to a body (``_l_n``,
 ``_max_violation_phi``) that a caller holding rows already, such as
 ``predict``, calls directly.
@@ -35,6 +36,7 @@ frames and build the setting rows, then hand them to a body (``_l_n``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -167,23 +169,25 @@ def max_violation_phi(state: TwoQubitState, frames: ArrayLike, n: int) -> float:
         sum_j |(1 + cos phi) E_j + sin phi F_j| - (4 - 2 u_N |sin(phi/2)|).
 
     In psi = phi/2 on [0, pi/8] it is 2 cos psi sum_j |E_j cos psi + F_j sin psi|
-    + 2 u_N sin psi - 4.  The kinks, where E_j cos psi + F_j sin psi = 0, split
-    the interval into pieces.  On a piece, with s_j the sign of plane j's term
-    at its midpoint, A = s_1 E_1 + s_2 E_2 and B = s_1 F_1 + s_2 F_2, the
-    objective is A (1 + cos 2psi) + B sin 2psi + 2 u_N sin psi - 4, stationary
-    where t = tan(psi/2) solves
+    + 2 u_N sin psi - 4.  As |x| = max(x, -x), that is the maximum over sign
+    pairs (s_1, s_2) of the smooth branches A (1 + cos 2psi) + B sin 2psi +
+    2 u_N sin psi - 4, with A = s_1 E_1 + s_2 E_2 and B = s_1 F_1 + s_2 F_2.
+    Where the objective peaks, the branch attaining the peak peaks too, so
+    the maximum lies at an end or where t = tan(psi/2) solves that branch's
 
         -4A t(1 - t^2) + B((1 - t^2)^2 - 4t^2) + u_N (1 - t^4) = 0.
 
-    The candidates are the two ends, the kinks and every real root of that
-    quartic inside its piece, found without an eigensolver: _real_roots
-    isolates the stretches where the quartic is monotone, between the roots
-    of its derivative, and solves each sign change by bracketed Newton steps.
-    A smooth piece's maximum lies at an end or at such a stationary point.
-    The best is returned, the smallest angle on a tie, and a maximum at an end
-    (pi/4 for the maximally mixed state, 0 for the singlet at N = 1) is that
-    end exactly.  Any source other than a TwoQubitState, whose correlation
-    need not be linear in b, is refused.
+    Plane j's term E_j cos psi + F_j sin psi changes sign at most once on
+    [0, pi/8], so the signs that occur are its signs at the two ends.  The
+    candidates are the two ends and, for each sign pair drawn from those,
+    every real root of its quartic on the whole interval, found without an
+    eigensolver: _real_roots isolates the stretches where the quartic is
+    monotone, between the roots of its derivative, and solves each sign
+    change by bracketed Newton steps.  Every candidate is scored by the
+    objective itself.  The best is returned, the smallest angle on a tie,
+    and a maximum at an end (pi/4 for the maximally mixed state, 0 for the
+    singlet at N = 1) is that end exactly.  Any source other than a
+    TwoQubitState, whose correlation need not be linear in b, is refused.
 
     Its violation is l_n(...) - nlv_bound(n, phi), < 0 when the state never
     exceeds the bound on the interval.
@@ -205,17 +209,15 @@ def _max_violation_phi(state: TwoQubitState, alice: np.ndarray, turned: np.ndarr
         cp, sp = 1.0 + math.cos(phi), math.sin(phi)
         return abs(cp * e1 + sp * f1) + abs(cp * e2 + sp * f2) - (4.0 - 2.0 * u * abs(math.sin(phi / 2.0)))
 
-    planes, top = ((e1, f1), (e2, f2)), math.pi / 8.0  # psi = phi/2 runs over [0, top]
-    kinks = (math.atan(-e / f) for e, f in planes if f != 0.0)
-    edges = [0.0, *sorted(psi for psi in kinks if 0.0 < psi < top), top]
-    candidates = list(edges)
-    for lo, hi in zip(edges, edges[1:]):
-        mid = (lo + hi) / 2.0
-        s1, s2 = (math.copysign(1.0, e * math.cos(mid) + f * math.sin(mid)) for e, f in planes)
+    top = math.pi / 8.0  # psi = phi/2 runs over [0, top]
+    # each plane's term, signed at the two ends: the only signs it takes
+    signs = [{math.copysign(1.0, e), math.copysign(1.0, e * math.cos(top) + f * math.sin(top))}
+             for e, f in ((e1, f1), (e2, f2))]
+    candidates = [0.0, top]
+    for s1, s2 in itertools.product(*signs):
         a, b = s1 * e1 + s2 * e2, s1 * f1 + s2 * f2
-        roots = _real_roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u],
-                            math.tan(lo / 2.0), math.tan(hi / 2.0))
-        candidates += [psi for psi in (2.0 * math.atan(t) for t in roots) if lo < psi < hi]
+        roots = _real_roots([b - u, 4.0 * a, -6.0 * b, -4.0 * a, b + u], 0.0, math.tan(top / 2.0))
+        candidates += [2.0 * math.atan(t) for t in roots]
     # max keeps the first of equal scores
     return max(sorted(2.0 * psi for psi in candidates), key=objective)
 
@@ -271,10 +273,7 @@ def _solve(coeffs: list[float], slope: list[float], lo: float, hi: float, rising
         value = _horner(coeffs, x)
         if value == 0.0:
             break
-        if (value < 0.0) == rising:
-            lo = x
-        else:
-            hi = x
+        lo, hi = (x, hi) if (value < 0.0) == rising else (lo, x)
         d = _horner(slope, x)
         step = x - value / d if d != 0.0 else lo
         if not lo < step < hi:

@@ -58,10 +58,10 @@ class TwoQubitState:
     Stokes axis), stored as tuples of floats.
 
     ``eigenvalue_floor`` is the allowed positivity slack.  It is strict by
-    default; bell_diagonal loosens it for tensors reconstructed from
-    measured visibilities, which can sit marginally outside the physical
-    set while still giving valid probabilities for every product
-    measurement.
+    default; bell_diagonal, which builds every named state, loosens it for
+    tensors reconstructed from measured visibilities, which can sit
+    marginally outside the physical set while still giving valid
+    probabilities for every product measurement.
     """
 
     rho: np.ndarray
@@ -145,40 +145,6 @@ def correlation(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
     return np.minimum(1.0, np.maximum(-1.0, c))
 
 
-# (|HV> - |VH>)(<HV| - <VH|) / 2 with exact +-0.5 entries
-_SINGLET_RHO = np.outer([0, 1, -1, 0], [0, 1, -1, 0]).astype(complex) / 2.0
-# H/V-correlated product noise: (|HV><HV| + |VH><VH|) / 2
-_HV_NOISE = np.diag([0, 0.5, 0.5, 0]).astype(complex)
-
-
-def singlet() -> TwoQubitState:
-    """The pure singlet state |psi-> = (|HV> - |VH>)/sqrt(2)."""
-    return TwoQubitState(_SINGLET_RHO)
-
-
-def maximally_mixed() -> TwoQubitState:
-    return TwoQubitState(np.eye(4, dtype=complex) / 4.0)
-
-
-def werner(v: float) -> TwoQubitState:
-    """Singlet mixed with white noise: v*singlet + (1-v)*I/4."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
-    return TwoQubitState(v * _SINGLET_RHO + (1.0 - v) * np.eye(4, dtype=complex) / 4.0)
-
-
-def colored_noise(v: float) -> TwoQubitState:
-    """Singlet mixed with H/V-correlated product noise.
-
-    The noise term (|HV><HV| + |VH><VH|)/2 keeps the H/V-basis correlation
-    perfect while degrading the two conjugate bases, so the Stokes correlation
-    tensor is (-1, -v, -v).
-    """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
-    return TwoQubitState(v * _SINGLET_RHO + (1.0 - v) * _HV_NOISE)
-
-
 # Visibility triples reconstructed from counting data can overshoot the
 # Bell-diagonal positivity set by a few parts in 1e-3 (correlated estimation
 # errors); product-measurement probabilities remain valid as long as every
@@ -188,7 +154,8 @@ _VISIBILITY_SLACK = 5e-3
 
 def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
     """State with correlation tensor diag(t1, t2, t3) in the Stokes basis and
-    maximally mixed marginals.
+    maximally mixed marginals: rho = (I + sum_i t_i s_i (x) s_i)/4.  Every
+    named state below is one.
 
     Tensors outside the positivity set by more than the visibility-
     reconstruction slack are rejected, as is any |t_i| > 1.
@@ -203,38 +170,69 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
     return TwoQubitState(rho, eigenvalue_floor=-_VISIBILITY_SLACK)
 
 
+def singlet() -> TwoQubitState:
+    """The pure singlet state |psi-> = (|HV> - |VH>)/sqrt(2): tensor (-1, -1, -1)."""
+    return bell_diagonal(-1.0, -1.0, -1.0)
+
+
+def maximally_mixed() -> TwoQubitState:
+    """I/4: tensor (0, 0, 0)."""
+    return bell_diagonal(0.0, 0.0, 0.0)
+
+
+def werner(v: float) -> TwoQubitState:
+    """Singlet mixed with white noise, v*singlet + (1-v)*I/4: tensor (-v, -v, -v)."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {v}")
+    return bell_diagonal(-v, -v, -v)
+
+
+def colored_noise(v: float) -> TwoQubitState:
+    """Singlet mixed with H/V-correlated product noise (|HV><HV| + |VH><VH|)/2,
+    which keeps the H/V-basis correlation perfect while degrading the two
+    conjugate bases: tensor (-1, -v, -v)."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {v}")
+    return bell_diagonal(-1.0, -v, -v)
+
+
 def singlet_L(phi: float) -> float:
     """Closed-form singlet prediction for the correlation sum: 2(1 + cos phi)."""
     return 2.0 * (1.0 + math.cos(phi))
 
 
-def parse_state(spec: str) -> TwoQubitState:
-    """Build a state from a compact text spec.
+# spec name, aliases included -> (parameter count, constructor on the parsed numbers)
+_SPECS = {
+    "singlet": (0, singlet),
+    "mixed": (0, maximally_mixed), "maximally_mixed": (0, maximally_mixed),
+    "werner": (1, werner),
+    "colored": (1, colored_noise), "colored_noise": (1, colored_noise),
+    "bell_diagonal": (3, bell_diagonal),
+    "visibilities": (3, lambda v1, v2, v3: bell_diagonal(-v1, -v2, -v3)),
+}
 
-    Accepted forms: ``singlet``, ``mixed``, ``werner:V``, ``colored:V``,
-    ``bell_diagonal:t1,t2,t3`` and ``visibilities:v1,v2,v3`` (shorthand for
-    bell_diagonal(-v1, -v2, -v3)).  A spec that is not a str is refused
-    with a ValueError naming its type.
+
+def parse_state(spec: str) -> TwoQubitState:
+    """Build a state from a compact text spec ``NAME`` or ``NAME:P1,P2,...``.
+
+    Accepted forms, each a bell_diagonal tensor: ``singlet`` (-1, -1, -1),
+    ``mixed`` (0, 0, 0), ``werner:V`` (-V, -V, -V), ``colored:V``
+    (-1, -V, -V), ``bell_diagonal:t1,t2,t3`` (t1, t2, t3) and
+    ``visibilities:v1,v2,v3`` (-v1, -v2, -v3).  The name is checked first,
+    then the parameter count, then the numbers.  A spec that is not a str
+    is refused with a ValueError naming its type.
     """
     if not isinstance(spec, str):
         raise ValueError(f"state spec must be a str, got {type(spec).__name__}")
     name, _, arg = spec.strip().partition(":")
     name = name.strip().lower()
+    if name not in _SPECS:
+        raise ValueError(f"unknown state spec {spec!r}")
+    count, build = _SPECS[name]
+    params = arg.split(",") if arg else []
     try:
-        if name in ("singlet", "mixed", "maximally_mixed"):
-            if arg:
-                raise ValueError(f"{name} takes no parameters")
-            return singlet() if name == "singlet" else maximally_mixed()
-        if name == "werner":
-            return werner(float(arg))
-        if name in ("colored", "colored_noise"):
-            return colored_noise(float(arg))
-        if name == "bell_diagonal":
-            t1, t2, t3 = (float(s) for s in arg.split(","))
-            return bell_diagonal(t1, t2, t3)
-        if name == "visibilities":
-            v1, v2, v3 = (float(s) for s in arg.split(","))
-            return bell_diagonal(-v1, -v2, -v3)
+        if len(params) != count:
+            raise ValueError(f"{name} takes {count} parameter{'s' * (count != 1)}, got {len(params)}")
+        return build(*map(float, params))
     except ValueError as exc:
         raise ValueError(f"invalid state spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown state spec {spec!r}")

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -304,7 +305,7 @@ class TestSimulate:
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["python"] == platform.python_version()
         assert payload["manifest"]["numpy"] == np.__version__
-        assert payload["manifest"]["format"] == "5"
+        assert payload["manifest"]["format"] == "6"
         assert len(payload["records"]) == 3
         assert payload["records"][0]["status"] == "ok"
 
@@ -409,7 +410,7 @@ class TestCommandPins:
         out = tmp_path / f"out.{fmt}"
         assert run(*argv, "--format", fmt, "--output", str(out)) == 0
         manifest = read_manifest(out) if fmt == "csv" else json.loads(out.read_text())["manifest"]
-        expected = [("tool", "nlvtest"), ("version", __version__), ("format", "5"), *command]
+        expected = [("tool", "nlvtest"), ("version", __version__), ("format", "6"), *command]
         if config is not None:
             expected += [("config." + key, value)
                          for key, value in {**DEFAULT_CONFIG_LINES, **config}.items()]
@@ -435,7 +436,7 @@ class TestManifest:
     def test_records_the_output_format(self, tmp_path):
         out = tmp_path / "out.csv"
         assert run("bounds", "--n-list", "2", "--phi", "15", "--output", str(out)) == 0
-        assert read_manifest(out)["format"] == "5"
+        assert read_manifest(out)["format"] == "6"
 
 
 class TestSweep:
@@ -598,8 +599,8 @@ class TestConfigParsing:
         ("# planes\nplane1_normal = 0,0,x\n",
          "2: plane1_normal: could not convert string to float: 'x'"),
         ("seed = 4\n\nsubtract_accidentals = maybe\n", "3: subtract_accidentals: not a boolean: 'maybe'"),
-        ("visibilities = 0.9,x\n",
-         "1: visibilities: invalid state spec 'visibilities:0.9,x': could not convert string to float: 'x'"),
+        ("visibilities = 0.9,0.8,x\n",
+         "1: visibilities: invalid state spec 'visibilities:0.9,0.8,x': could not convert string to float: 'x'"),
     ], ids=["float", "vector", "bool", "visibilities"])
     def test_value_that_does_not_parse_names_line_and_key(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "f.cfg"
@@ -646,9 +647,11 @@ class TestBadInput:
          "--seed", "-1"),
         (("check", "lemma", "--seed", "-1"), "--seed", "-1"),
         (("check", "leggett", "--grid-deg", "-1"), "--grid-deg", "-1"),
+        (("check", "leggett", "--trials", "10", "--ensembles", "1", "--grid-deg", "0"), "--grid-deg", "0"),
     ], ids=["simulate-n-0", "predict-n-0", "simulate-runs-0", "sweep-runs-neg",
             "check-trials-0", "check-ensembles-neg", "bounds-n-list-0",
-            "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg", "check-grid-deg-neg"])
+            "simulate-seed-neg", "sweep-seed-neg", "check-seed-neg", "check-grid-deg-neg",
+            "check-grid-deg-0"])
     def test_non_positive_count(self, capsys, argv, flag, value):
         assert_one_line_error(run(*argv), capsys, flag, repr(value))
 
@@ -892,10 +895,10 @@ run,n,phi_deg,l_exp,sigma,bound,violation_sigmas,seed,status,std_l,std_over_sigm
 1,2,15.00,4.0000,0.0000,3.8695,,3-1,ok,,
 2,2,15.00,3.8000,0.1789,3.8695,-0.39,3-2,ok,,
 3,2,15.00,4.0000,0.0000,3.8695,,3-3,ok,,
-4,2,15.00,,,,,3-4,degenerate-data (no counts at plane 1, setting 0, theta=0),,
+4,2,15.00,,,,,3-4,degenerate-data (no counts at plane 1; setting 0; theta=0),,
 5,2,15.00,4.0000,0.0000,3.8695,,3-5,ok,,
 6,2,15.00,3.8889,0.1048,3.8695,0.19,3-6,ok,,
-7,2,15.00,,,,,3-7,degenerate-data (no counts at plane 1, setting 1, theta=0),,
+7,2,15.00,,,,,3-7,degenerate-data (no counts at plane 1; setting 1; theta=0),,
 8,2,15.00,3.6000,0.2191,3.8695,-1.23,3-8,ok,,
 9,2,15.00,3.7321,0.1765,3.8695,-0.78,3-9,ok,,
 summary,2,15.00,3.8776,0.0849,3.8695,-0.55,,summary,0.1532,1.804""",
@@ -966,14 +969,18 @@ class TestManifestRoundTrip:
         assert data_section(replay) == data_section(out)
 
 
+def golden_argv(tmp_path, name: str) -> list[str]:
+    """GOLDEN[name]'s command, its config names replaced by files in ``tmp_path``."""
+    for key, text in CONFIGS.items():
+        (tmp_path / f"{key}.cfg").write_text(text)
+    return [str(tmp_path / f"{arg}.cfg") if arg in CONFIGS else arg for arg in GOLDEN[name][0]]
+
+
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_data_section_unchanged(self, tmp_path, name):
-        argv, expected = GOLDEN[name]
-        for key, text in CONFIGS.items():
-            (tmp_path / f"{key}.cfg").write_text(text)
+        argv, expected = golden_argv(tmp_path, name), GOLDEN[name][1]
         out = tmp_path / "out.csv"
-        argv = [str(tmp_path / f"{arg}.cfg") if arg in CONFIGS else arg for arg in argv]
         assert run(*argv, "--output", str(out)) == 0
         assert data_section(out) == expected
         # _emit gives both formats their cells: each JSON record holds the
@@ -983,6 +990,16 @@ class TestGolden:
         header, *rows = expected.splitlines()
         assert [list(record) for record in records] == [header.split(",")] * len(rows)
         assert [",".join(record.values()) for record in records] == rows
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_row_has_the_header_field_count(self, tmp_path, name):
+        # read as CSV, no cell spills into the next column: a degenerate
+        # status names its setting without commas
+        out = tmp_path / "out.csv"
+        assert run(*golden_argv(tmp_path, name), "--output", str(out)) == 0
+        with open(out, newline="") as handle:
+            header, *rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
+        assert rows and all(len(row) == len(header) for row in rows)
 
     def test_sweep_cells_are_replicates_seeded_by_cell(self):
         # each sweep-sparse-mixed cell summarises replicate(..., cell=(N, phi

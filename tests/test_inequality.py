@@ -599,6 +599,25 @@ class TestMaxViolationSearch:
         assert (best_phi, phi) == (math.pi / 4.0, math.pi / 4.0)
         assert value >= best - 1e-12
 
+    # a plane's term E_j cos psi + F_j sin psi changes sign inside
+    # (0, pi/8): plane 2's for seed 1, both planes' for seed 52; the search
+    # takes each sign pair from the terms' signs at the two ends
+    @pytest.mark.parametrize("seed, changing, expected", [
+        (1, [False, True], 0.7853981633974483),
+        (52, [True, True], 0.7853981633974483),
+    ])
+    def test_terms_that_change_sign_inside_the_interval(self, seed, changing, expected):
+        rng = np.random.default_rng(seed)
+        state, frames = TwoQubitState(random_density_matrix(rng)), random_frames(rng)
+        alice, turned = plane_settings(frames, 2)
+        e = state.correlation(alice, alice).reshape(2, 2).mean(axis=1).tolist()
+        f = state.correlation(alice, turned).reshape(2, 2).mean(axis=1).tolist()
+        top = math.pi / 8.0
+        at_top = [e_j * math.cos(top) + f_j * math.sin(top) for e_j, f_j in zip(e, f)]
+        assert [(e_j > 0.0) != (t_j > 0.0) for e_j, t_j in zip(e, at_top)] == changing
+        assert searched(state, frames, 2)[1] >= grid_max_violation(state, frames, 2)[1] - 1e-12
+        assert max_violation_phi(state, frames, 2) == expected
+
     @pytest.mark.parametrize("v", [0.5, 0.8, 0.96])
     def test_low_visibility_werner_keeps_its_interior_optimum(self, v):
         # L - bound = 2v(1 + cos phi) - 4 + 2 u_N sin(phi/2) peaks where sin(phi/2) = u_N / 4v

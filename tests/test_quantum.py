@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,34 @@ class TestParseState:
         for spec in ("nope", "werner:", "werner:2", "bell_diagonal:1,2", "singlet:x"):
             with pytest.raises(ValueError):
                 parse_state(spec)
+
+    # the name is checked first, then the parameter count, then the numbers:
+    # "singlet:x" is refused for its count, not for "x"
+    @pytest.mark.parametrize("spec, message", [
+        ("singlet:x", "singlet takes 0 parameters, got 1"),
+        ("werner:", "werner takes 1 parameter, got 0"),
+        ("werner:1,2", "werner takes 1 parameter, got 2"),
+        ("bell_diagonal:1,2", "bell_diagonal takes 3 parameters, got 2"),
+    ])
+    def test_refuses_a_wrong_parameter_count(self, spec, message):
+        with pytest.raises(ValueError, match=f"^invalid state spec {re.escape(repr(spec))}: {message}$"):
+            parse_state(spec)
+
+    # every named spec, aliases included, is the Bell-diagonal state of its
+    # documented tensor, with maximally mixed marginals
+    @pytest.mark.parametrize("spec, tensor", [
+        ("singlet", (-1.0, -1.0, -1.0)),
+        ("mixed", (0.0, 0.0, 0.0)),
+        ("maximally_mixed", (0.0, 0.0, 0.0)),
+        *[(f"werner:{v}", (-v, -v, -v)) for v in (0.0, 0.5, 0.96, 1.0)],
+        *[(f"{name}:{v}", (-1.0, -v, -v)) for name in ("colored", "colored_noise")
+          for v in (0.0, 0.5, 0.96, 1.0)],
+    ])
+    def test_named_specs_have_their_documented_tensor(self, spec, tensor):
+        state = parse_state(spec)
+        assert np.allclose(state.m_a, 0.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(state.m_b, 0.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(state.t, np.diag(tensor), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("spec, name", [(None, "NoneType"), (3, "int"), (b"singlet", "bytes")])
     def test_refuses_a_spec_that_is_not_a_str(self, spec, name):
