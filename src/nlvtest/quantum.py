@@ -1,13 +1,17 @@
 """Two-qubit quantum predictions in the Stokes picture.
 
-States are 4x4 density matrices on the H/V (x) H/V product basis with
-|H> = (1, 0), |V> = (0, 1).  The Pauli operator measuring along a Stokes
-direction n is sigma(n) = n1*sz + n2*sx + n3*sy, so that (S1, S2, S3)
-eigenbases are (H/V, +-45 deg, circular) respectively.
+A state is its Stokes terms: marginal vectors m_A, m_B and correlation
+tensor T, with T_ij = Tr[rho (s_i (x) s_j)] for a density matrix rho on the
+H/V (x) H/V product basis, |H> = (1, 0), |V> = (0, 1).  The Pauli operator
+measuring along a Stokes direction n is sigma(n) = n1*sz + n2*sx + n3*sy,
+so that (S1, S2, S3) eigenbases are (H/V, +-45 deg, circular) respectively.
 
-On construction a state is reduced to its Stokes terms: marginal vectors
-m_A, m_B and correlation tensor T, T_ij = Tr[rho (s_i (x) s_j)].  Predictions
-follow from the law P(r_A, r_B) = (1 + r_A x + r_B y + r_A r_B c)/4 with
+Two constructors validate a state.  TwoQubitState.from_density_matrix reads
+a general rho, checks it (Hermitian, unit trace, positive) and contracts it
+once into its terms.  bell_diagonal stores the tensor diag(t1, t2, t3) as
+given, with zero marginals, and checks positivity in closed form; it builds
+every named state.  Predictions follow from the law
+P(r_A, r_B) = (1 + r_A x + r_B y + r_A r_B c)/4 with
 (x, y, c) = (a.m_A, b.m_B, a.T.b), which the leggett module shares with
 (x, y, c) = (a.u, b.v, C) for a model component.
 """
@@ -15,7 +19,7 @@ follow from the law P(r_A, r_B) = (1 + r_A x + r_B y + r_A r_B c)/4 with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -35,61 +39,58 @@ __all__ = [
     "parse_state",
 ]
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-# Stokes-ordered Pauli vector: S1 = H/V, S2 = +-45, S3 = circular
-_STOKES_PAULIS = (_SZ, _SX, _SY)
-# _STOKES_BASIS[i, j] = s_i (x) s_j with s_0 the identity
-_STOKES_BASIS = np.array(
-    [[np.kron(p, q) for q in (_ID2, *_STOKES_PAULIS)] for p in (_ID2, *_STOKES_PAULIS)]
-)
-
-_HERMITICITY_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_EIGENVALUE_FLOOR = -1e-10
+# s_0 = identity, then the Stokes-ordered Paulis: S1 = H/V, S2 = +-45, S3 = circular
+_PAULIS = ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]])
+# _STOKES_BASIS[i, j] = s_i (x) s_j
+_STOKES_BASIS = np.array([[np.kron(p, q) for q in _PAULIS] for p in _PAULIS], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """Validated two-qubit density matrix (Hermitian, unit trace, positive)
-    with its Stokes terms ``m_a``, ``m_b`` and ``t`` (rows indexed by Alice's
-    Stokes axis), stored as tuples of floats.
+    """A two-qubit state as its Stokes terms: marginal vectors ``m_a``,
+    ``m_b`` and correlation tensor ``t`` (rows indexed by Alice's Stokes
+    axis), stored as tuples of floats, each as given.
 
-    ``eigenvalue_floor`` is the allowed positivity slack.  It is strict by
-    default; bell_diagonal, which builds every named state, loosens it for
-    tensors reconstructed from measured visibilities, which can sit
-    marginally outside the physical set while still giving valid
-    probabilities for every product measurement.
+    Construction refuses any other shapes than (3,), (3,) and (3, 3) and any
+    non-finite value, and checks nothing else: from_density_matrix and
+    bell_diagonal check that the terms are a state's, and
+    outcome_probabilities and correlation refuse a value out of range.
     """
 
-    rho: np.ndarray
-    eigenvalue_floor: float = _EIGENVALUE_FLOOR
-    m_a: tuple[float, ...] = field(init=False, repr=False)
-    m_b: tuple[float, ...] = field(init=False, repr=False)
-    t: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    m_a: tuple[float, ...]
+    m_b: tuple[float, ...]
+    t: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
+        try:  # one (5, 3) array exactly when the shapes are (3,), (3,) and (3, 3)
+            rows = np.array([self.m_a, self.m_b, *self.t], dtype=float)
+        except (TypeError, ValueError):
+            rows = np.empty(0)
+        if rows.shape != (5, 3) or not all(map(math.isfinite, rows.flat)):
+            raise ValueError("Stokes terms must be finite floats of shapes (3,), (3,) and (3, 3)")
+        m_a, m_b, *t = map(tuple, rows.tolist())
+        for name, value in (("m_a", m_a), ("m_b", m_b), ("t", tuple(t))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_density_matrix(cls, rho: ArrayLike) -> TwoQubitState:
+        """The state of a 4x4 density matrix, validated (Hermitian and of
+        unit trace within 1e-12, no eigenvalue below -1e-10) and contracted
+        once into its Stokes terms."""
+        rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
         if not np.isfinite(rho).all():
             raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
+        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
             raise ValueError(f"trace must be 1, got {np.trace(rho)}")
-        if np.linalg.eigvalsh(rho).min() < self.eigenvalue_floor:
+        if np.linalg.eigvalsh(rho).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
-        rho = rho.copy()
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
         # terms[i][j] = Tr[rho (s_i (x) s_j)]
         terms = np.einsum("ijkl,lk->ij", _STOKES_BASIS, rho).real.tolist()
-        object.__setattr__(self, "m_a", tuple(row[0] for row in terms[1:]))
-        object.__setattr__(self, "m_b", tuple(terms[0][1:]))
-        object.__setattr__(self, "t", tuple(tuple(row[1:]) for row in terms[1:]))
+        return cls([row[0] for row in terms[1:]], terms[0][1:], [row[1:] for row in terms[1:]])
 
     # convenience: a state is usable directly as a correlation source
     def correlation(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
@@ -152,22 +153,29 @@ def correlation(state: TwoQubitState, a: ArrayLike, b: ArrayLike) -> np.ndarray:
 _VISIBILITY_SLACK = 5e-3
 
 
+def _bell_weights(t1: float, t2: float, t3: float) -> tuple[float, float, float, float]:
+    """The eigenvalues of bell_diagonal's rho: the Bell weights (1 + s.t)/4
+    over the four sign vectors s with s1 s2 s3 = -1."""
+    return (((1.0 - t1) - (t2 + t3)) / 4.0, ((1.0 - t1) + (t2 + t3)) / 4.0,
+            ((1.0 + t1) - (t2 - t3)) / 4.0, ((1.0 + t1) + (t2 - t3)) / 4.0)
+
+
 def bell_diagonal(t1: float, t2: float, t3: float) -> TwoQubitState:
     """State with correlation tensor diag(t1, t2, t3) in the Stokes basis and
-    maximally mixed marginals: rho = (I + sum_i t_i s_i (x) s_i)/4.  Every
-    named state below is one.
+    maximally mixed marginals, rho = (I + sum_i t_i s_i (x) s_i)/4, stored
+    exactly as given (-0.0 included) and built without rho.  Every named
+    state below is one.
 
-    Tensors outside the positivity set by more than the visibility-
-    reconstruction slack are rejected, as is any |t_i| > 1.
+    Any |t_i| > 1 is rejected, as is a tensor outside the positivity set by
+    more than the visibility-reconstruction slack: a Bell weight of rho
+    (_bell_weights) below -_VISIBILITY_SLACK.
     """
     for t in (t1, t2, t3):
         if not abs(t) <= 1.0 + 1e-12:
             raise ValueError(f"tensor entry {t} outside [-1, 1]")
-    rho = np.eye(4, dtype=complex)
-    for i, t in enumerate((t1, t2, t3), start=1):
-        rho = rho + t * _STOKES_BASIS[i, i]
-    rho /= 4.0
-    return TwoQubitState(rho, eigenvalue_floor=-_VISIBILITY_SLACK)
+    if min(_bell_weights(t1, t2, t3)) < -_VISIBILITY_SLACK:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return TwoQubitState((0.0,) * 3, (0.0,) * 3, ((t1, 0.0, 0.0), (0.0, t2, 0.0), (0.0, 0.0, t3)))
 
 
 def singlet() -> TwoQubitState:

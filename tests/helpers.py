@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from nlvtest._checks import CheckResult
 from nlvtest._checks import _unit_rows as unit_rows
@@ -105,6 +106,76 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+# the identity and the Stokes-ordered Paulis: S1 = H/V, S2 = +-45, S3 = circular
+ID2 = np.eye(2, dtype=complex)
+STOKES_PAULIS = (
+    np.array([[1, 0], [0, -1]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+)
+
+
+def density_matrix(m_a, m_b, t) -> np.ndarray:
+    """rho = (I + sum_i m_a[i] s_i (x) I + sum_j m_b[j] I (x) s_j
+    + sum_ij t[i][j] s_i (x) s_j)/4, written from STOKES_PAULIS.  Stacked
+    terms of shapes (..., 3), (..., 3) and (..., 3, 3) give a (..., 4, 4)
+    stack."""
+    m_a, m_b, t = (np.asarray(x, dtype=float)[..., None, None] for x in (m_a, m_b, t))
+    rho = np.kron(ID2, ID2)
+    for i, s in enumerate(STOKES_PAULIS):
+        rho = rho + m_a[..., i, :, :] * np.kron(s, ID2) + m_b[..., i, :, :] * np.kron(ID2, s)
+        for j, r in enumerate(STOKES_PAULIS):
+            rho = rho + t[..., i, j, :, :] * np.kron(s, r)
+    return rho / 4.0
+
+
+def bell_diagonal_rhos(tensors) -> np.ndarray:
+    """density_matrix of zero marginals and the tensors diag(t) for each
+    row t of the (k, 3) ``tensors``, as a (k, 4, 4) stack."""
+    tensors = np.asarray(tensors, dtype=float)
+    zeros = np.zeros_like(tensors)
+    return density_matrix(zeros, zeros, tensors[:, :, None] * np.eye(3))
+
+
+def singlet_rho() -> np.ndarray:
+    """The singlet's density matrix, tensor -I with no marginals."""
+    return density_matrix((0.0,) * 3, (0.0,) * 3, -np.eye(3))
+
+
+def stokes_terms(state) -> tuple:
+    """A state's (m_a, m_b, t), for comparing two states' terms with ==."""
+    return state.m_a, state.m_b, state.t
+
+
+def _spec(name: str, fields) -> str:
+    return name if fields is None else f"{name}:{','.join(fields)}"
+
+
+# Text that may be a state spec: any text; a name (aliases, case, spaces
+# and unknown names included) with no parameter list or one of up to four
+# fields, each a float's repr (NaN, inf, subnormal and huge ones too), a
+# number near [-1, 1], an odd literal or a short word; or a name with its
+# own parameter count of numbers in [-1, 1], which is often accepted.
+_SPEC_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1.1, 1.1).map(repr),
+    st.sampled_from(["", " ", "-0", "1e-400", "1e400", "1_0", "0x1", "+.5", ":", "0.995 "]),
+    st.text(max_size=3),
+)
+state_specs = st.one_of(
+    st.text(),
+    st.builds(_spec,
+              st.sampled_from(["singlet", "mixed", "maximally_mixed", "werner", "colored",
+                               "colored_noise", "bell_diagonal", "visibilities", " Werner ", "SINGLET",
+                               "nope", ""]),
+              st.none() | st.lists(_SPEC_FIELDS, max_size=4)),
+    st.sampled_from([("singlet", 0), ("mixed", 0), ("werner", 1), ("colored", 1), ("bell_diagonal", 3),
+                     ("visibilities", 3)]).flatmap(
+        lambda named: st.lists(st.floats(-1.0, 1.0).map(repr), min_size=named[1], max_size=named[1])
+        .map(lambda fields: _spec(named[0], fields or None))),
+)
 
 
 def reference_correlation(state, a, b) -> float:

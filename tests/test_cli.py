@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import state_specs
+from hypothesis import given, settings
 
 import nlvtest
 from nlvtest import __version__
@@ -676,6 +680,22 @@ class TestBadInput:
     def test_empty_state_spec(self, capsys):
         code = run("predict", "--state", "", "--n", "2", "--phi", "15")
         assert_one_line_error(code, capsys, "unknown state spec ''")
+
+    @given(spec=state_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_any_state_spec_runs_or_is_refused_in_one_line(self, spec):
+        # each example catches its own output: capsys is set up once per test, not per example
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("predict", f"--state={spec}", "--n", "2", "--phi", "15")
+        assert "Traceback (most recent call last)" not in err.getvalue()
+        if code == 0:
+            assert err.getvalue() == ""
+            header, row = out.getvalue().splitlines()[-2:]
+            assert header.startswith("n,") and "nan" not in row
+        else:
+            assert code == 1
+            assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
 
     @pytest.mark.parametrize("flag, value", [("--grid-deg", "3"), ("--ensembles", "5")])
     def test_lemma_refuses_the_leggett_suite_flags(self, capsys, flag, value):

@@ -571,7 +571,8 @@ class TestMaxViolationSearch:
         # also for the singlet, whose C(a_k, a_k) = -1 sits at the clamp
         rng = np.random.default_rng(46)
         cases = [(singlet(), default_frames()), (singlet(), random_frames(rng))]
-        cases += [(TwoQubitState(random_density_matrix(rng)), random_frames(rng)) for _ in range(8)]
+        cases += [(TwoQubitState.from_density_matrix(random_density_matrix(rng)), random_frames(rng))
+                  for _ in range(8)]
         for state, frames in cases:
             for n in (1, 2, 3, 7):
                 alice, turned = plane_settings(frames, n)
@@ -586,14 +587,14 @@ class TestMaxViolationSearch:
     @settings(max_examples=80, deadline=None)
     def test_random_states_reach_the_grid_maximum(self, seed, n):
         rng = np.random.default_rng(seed)
-        state, frames = TwoQubitState(random_density_matrix(rng)), random_frames(rng)
+        state, frames = TwoQubitState.from_density_matrix(random_density_matrix(rng)), random_frames(rng)
         assert searched(state, frames, n)[1] >= grid_max_violation(state, frames, n)[1] - 1e-12
 
     def test_maximum_that_a_golden_section_missed(self):
         # a golden-section search, which assumes one peak, returned 8.93
         # degrees here, 0.229 below the maximum at the 45-degree end
         rng = np.random.default_rng(152)
-        state, frames = TwoQubitState(random_density_matrix(rng)), random_frames(rng)
+        state, frames = TwoQubitState.from_density_matrix(random_density_matrix(rng)), random_frames(rng)
         best_phi, best = grid_max_violation(state, frames, 2)
         phi, value = searched(state, frames, 2)
         assert (best_phi, phi) == (math.pi / 4.0, math.pi / 4.0)
@@ -608,7 +609,7 @@ class TestMaxViolationSearch:
     ])
     def test_terms_that_change_sign_inside_the_interval(self, seed, changing, expected):
         rng = np.random.default_rng(seed)
-        state, frames = TwoQubitState(random_density_matrix(rng)), random_frames(rng)
+        state, frames = TwoQubitState.from_density_matrix(random_density_matrix(rng)), random_frames(rng)
         alice, turned = plane_settings(frames, 2)
         e = state.correlation(alice, alice).reshape(2, 2).mean(axis=1).tolist()
         f = state.correlation(alice, turned).reshape(2, 2).mean(axis=1).tolist()
@@ -725,7 +726,7 @@ class TestPlainPythonReference:
         rng = np.random.default_rng(45)
         for _ in range(10):
             frames = random_frames(rng)
-            state = TwoQubitState(random_density_matrix(rng))
+            state = TwoQubitState.from_density_matrix(random_density_matrix(rng))
             for n in (1, 3, 7):
                 for phi in (0.0, 0.3, 2.0):
                     assert l_n(state, frames, n, phi) == reference_l_n(
@@ -737,7 +738,7 @@ class TestPlainPythonReference:
         rng = np.random.default_rng(47)
         for _ in range(10):
             frames = random_frames(rng)
-            state = TwoQubitState(random_density_matrix(rng))
+            state = TwoQubitState.from_density_matrix(random_density_matrix(rng))
             for n in (1, 3, 7):
                 assert searched(state, frames, n)[1] >= grid_max_violation(state, frames, n)[1] - 1e-12
 

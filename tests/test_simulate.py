@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import plane_setting_pairs
+from helpers import plane_setting_pairs, stokes_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +140,7 @@ class TestConfig:
 
     def test_state_spec_is_parsed_at_construction(self):
         cfg = ExperimentConfig(state="werner:0.9")
-        assert np.allclose(cfg.two_qubit_state.rho, parse_state("werner:0.9").rho)
+        assert stokes_terms(cfg.two_qubit_state) == stokes_terms(parse_state("werner:0.9"))
         assert "two_qubit_state" not in repr(cfg)
         for build in (lambda: ExperimentConfig(state="wat:1"),
                       lambda: dataclasses.replace(cfg, state="wat:1")):

@@ -9,46 +9,45 @@ fixes the orientation."""
 import math
 
 import numpy as np
-from helpers import random_density_matrix, random_frames, unit_rows
+from helpers import STOKES_PAULIS, random_density_matrix, random_frames, singlet_rho, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlvtest.inequality import l_n, max_violation_phi, nlv_bound
 from nlvtest.leggett import admissible_C_range, explicit_model_margin
-from nlvtest.quantum import (
-    _STOKES_PAULIS, TwoQubitState, outcome_probabilities, parse_state, singlet, werner,
-)
+from nlvtest.quantum import TwoQubitState, outcome_probabilities, parse_state, singlet, werner
 from nlvtest.sphere import default_frames
 
 seeds = st.integers(0, 2**32 - 1)
 counts = st.integers(1, 8)
 angles = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4)
-# the predict-scan states, and random density matrices
+# the predict-scan states, and the states of random density matrices
 states = st.one_of(
     st.sampled_from(["singlet", "werner:0.96", "colored:0.98", "visibilities:0.995,0.990,0.982",
                      "mixed"]).map(parse_state),
-    seeds.map(lambda seed: TwoQubitState(random_density_matrix(np.random.default_rng(seed)))),
+    seeds.map(lambda seed: TwoQubitState.from_density_matrix(
+        random_density_matrix(np.random.default_rng(seed)))),
 )
 quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(x * x for x in q) > 0.01)
 
 
-def su2_and_rotation(q):
-    """The SU(2) matrix U = w - i (x s1 + y s2 + z s3) of the quaternion q,
-    normalized, with s the Stokes-ordered Paulis, and the rotation R of
-    Stokes vectors it induces: U s(n) U^dagger = s(R n), so
+def rotation(q):
+    """The rotation R of Stokes vectors induced by the SU(2) matrix
+    U = w - i (x s1 + y s2 + z s3) of the quaternion q, normalized, with s
+    the Stokes-ordered Paulis: U s(n) U^dagger = s(R n), so
     R_ij = Tr(s_i U s_j U^dagger) / 2."""
     w, x, y, z = np.asarray(q) / np.linalg.norm(q)
-    s1, s2, s3 = _STOKES_PAULIS
+    s1, s2, s3 = STOKES_PAULIS
     u = w * np.eye(2) - 1j * (x * s1 + y * s2 + z * s3)
-    r = [[np.trace(si @ u @ sj @ u.conj().T).real / 2.0 for sj in _STOKES_PAULIS]
-         for si in _STOKES_PAULIS]
-    return u, np.array(r)
+    r = [[np.trace(si @ u @ sj @ u.conj().T).real / 2.0 for sj in STOKES_PAULIS]
+         for si in STOKES_PAULIS]
+    return np.array(r)
 
 
-def turned_state(state: TwoQubitState, u: np.ndarray) -> TwoQubitState:
-    """``state`` turned by U (x) U."""
-    uu = np.kron(u, u)
-    return TwoQubitState(uu @ state.rho @ uu.conj().T, eigenvalue_floor=state.eigenvalue_floor)
+def turned_state(state: TwoQubitState, r: np.ndarray) -> TwoQubitState:
+    """``state`` turned by U (x) U, as its terms turned by U's rotation R:
+    m -> R m and T -> R T R^T."""
+    return TwoQubitState(r @ state.m_a, r @ state.m_b, r @ np.array(state.t) @ r.T)
 
 
 @given(seed=seeds, v=st.floats(0.0, 1.0), n=counts, phis=angles)
@@ -76,8 +75,8 @@ def test_plane_swap(state, seed, n, phis):
 def test_so3_covariance(state, seed, q, n, phis):
     # T -> R T R^T and a -> R a leave every a.T.b as it was
     frames = random_frames(np.random.default_rng(seed))
-    u, r = su2_and_rotation(q)
-    turned = turned_state(state, u)
+    r = rotation(q)
+    turned = turned_state(state, r)
     turned_frames = frames @ r.T
     worst = np.max(np.abs(l_n(turned, turned_frames, n, phis) - l_n(state, frames, n, phis)))
     assert worst <= 1e-14
@@ -96,8 +95,8 @@ def test_probability_table_is_rotation_covariant(state, seed, q, k):
     # each entry reads a and b only through a.m_A, b.m_B and a.T.b, which
     # the turned state on the rows (R a, R b) keeps
     a, b = unit_rows(np.random.default_rng(seed), 2, k)
-    u, r = su2_and_rotation(q)
-    table = outcome_probabilities(turned_state(state, u), a @ r.T, b @ r.T)
+    r = rotation(q)
+    table = outcome_probabilities(turned_state(state, r), a @ r.T, b @ r.T)
     assert np.max(np.abs(table - outcome_probabilities(state, a, b))) <= 1e-14
 
 
@@ -109,7 +108,7 @@ def test_margin_and_admissible_range_are_rotation_invariant(seed, q, k, m):
     rng = np.random.default_rng(seed)
     u, v, a, b = unit_rows(rng, 4, k)
     pairs = unit_rows(rng, m, 2)
-    _, r = su2_and_rotation(q)
+    r = rotation(q)
     ru, rv, ra, rb, rpairs = (x @ r.T for x in (u, v, a, b, pairs))
     margin = explicit_model_margin(ru, rv, rpairs)
     assert np.max(np.abs(margin - explicit_model_margin(u, v, pairs))) <= 1e-14
@@ -122,7 +121,7 @@ def h_d_mixture(p: float) -> TwoQubitState:
     T = -p I + (1 - p) x y^T, rows Alice's axis."""
     h, d = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2.0)
     product = np.kron(np.outer(h, h), np.outer(d, d))
-    return TwoQubitState(p * singlet().rho + (1.0 - p) * product)
+    return TwoQubitState.from_density_matrix(p * singlet_rho() + (1.0 - p) * product)
 
 
 @given(p=st.floats(0.0, 1.0), n=st.integers(2, 8), phis=angles)
